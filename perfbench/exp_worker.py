@@ -27,18 +27,10 @@ import sys
 import time
 from pathlib import Path
 
+import tracer as layer_tracer
+
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
-
-#: Program counters summed over their labels into circuit.* metrics.
-COUNTERS = {
-    "circuit.newton.solves": ("repro_mna_newton_solves_total",),
-    "circuit.newton.iterations": ("repro_mna_newton_iterations_total",),
-    "circuit.pss.solves": ("repro_pss_solves_total",),
-    "circuit.pss.iterations": ("repro_pss_iterations_total",),
-    "circuit.convergence_failures": ("repro_mna_convergence_failures_total",
-                                     "repro_pss_convergence_failures_total"),
-}
 
 
 def _cell_mismatch(actual, expected, where):
@@ -122,16 +114,6 @@ def golden_mismatch(payload: dict, expected: dict):
     return next((c for c in checks if c), None)
 
 
-def counter_totals(registry) -> dict:
-    snap = registry.snapshot()
-    totals = {}
-    for metric, names in COUNTERS.items():
-        totals[metric] = sum(series["value"]
-                             for name in names
-                             for series in snap.get(name, {}).get("series", []))
-    return totals
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--mode", choices=("plain", "counted", "traced"),
@@ -148,8 +130,6 @@ def main(argv=None) -> int:
     runtime = telemetry.enable() if args.mode == "counted" else None
     tracer = None
     if args.mode == "traced":
-        import tracer as layer_tracer
-
         tracer = layer_tracer.LayerTracer()
         layer_tracer.install_circuit_hooks(tracer)
 
@@ -192,7 +172,7 @@ def main(argv=None) -> int:
         "failures": failures,
     }
     if runtime is not None:
-        doc["counters"] = counter_totals(runtime.registry)
+        doc["counters"] = layer_tracer.counter_totals(runtime.registry)
     if tracer is not None:
         doc["trace"] = tracer.document()
     args.out.write_text(json.dumps(doc))

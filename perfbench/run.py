@@ -178,7 +178,7 @@ def experiments_fast(args, tmp: Path) -> dict:
             "metrics": metrics,
             "attempted": len(counted["experiments"])
             + len(traced["experiments"]),
-            "failures": experiment_failures([counted, traced]),
+            **experiment_failures([counted, traced]),
             "table": layer_table(layers, traced["wall_s"], "traced wall",
                                  traced["trace"]["missing"]),
         }
@@ -206,16 +206,17 @@ def experiments_fast(args, tmp: Path) -> dict:
             "peak_rss_mb": max(p["peak_rss_mb"] for p in passes),
         },
         "attempted": n_exp * len(passes),
-        "failures": experiment_failures(passes),
+        **experiment_failures(passes),
         "samples": f"{len(completions)} experiment runs in "
                    f"{len(passes)} pass(es)",
     }
 
 
-def experiment_failures(passes) -> list:
-    """One line per experiment that raised or missed its golden."""
-    return [f"{p['mode']} pass: {eid}: {why}"
-            for p in passes for eid, why in p["failures"].items()]
+def experiment_failures(passes) -> dict:
+    """Experiments that raised or missed their golden, one line each."""
+    lines = [f"{p['mode']} pass: {eid}: {why}"
+             for p in passes for eid, why in p["failures"].items()]
+    return {"failed": len(lines), "failures": lines}
 
 
 def layer_metrics(layers: dict) -> dict:
@@ -439,10 +440,14 @@ def request_rate(client: dict) -> float:
     return client["attempted"] / client["window_s"]
 
 
-def request_failures(clients) -> list:
-    """One line per failed request: non-200, lost or wrong."""
-    return [f"request {i + 1} of {c['attempted']} failed"
-            for c in clients for i in range(c["failed"])]
+def request_failures(clients) -> dict:
+    """Requests answered non-200, lost with their connection, or wrong."""
+    failed = sum(c["failed"] for c in clients)
+    attempted = sum(c["attempted"] for c in clients)
+    return {"failed": failed,
+            "failures": [f"{failed} of {attempted} requests failed "
+                         "(non-200, lost connection or wrong reply)"]
+            if failed else []}
 
 
 def predict(args, tmp: Path, rows_per_request: int) -> dict:
@@ -486,7 +491,7 @@ def predict(args, tmp: Path, rows_per_request: int) -> dict:
         return {
             "metrics": metrics,
             "attempted": plain["attempted"] + traced["attempted"],
-            "failures": request_failures([plain, traced]),
+            **request_failures([plain, traced]),
             "table": layer_table(
                 layers, doc["wall_s"], "traced server window",
                 doc["trace"]["missing"])
@@ -525,7 +530,7 @@ def predict(args, tmp: Path, rows_per_request: int) -> dict:
             "peak_rss_mb": rss,
         },
         "attempted": client["attempted"],
-        "failures": request_failures([client]),
+        **request_failures([client]),
         "samples": f"{len(latencies)} requests in {client['window_s']:.2f} "
                    f"s; medians over {len(windows)} sub-windows of "
                    f"{min(w['requests'] for w in windows)}+ requests",
@@ -591,7 +596,7 @@ def main(argv=None) -> int:
             metrics.setdefault(entry["name"], 0.0)
     attempted = result["attempted"]
     failures = result["failures"]
-    failed = len(failures)
+    failed = result["failed"]
 
     print(f"workload {args.workload} seed {args.seed} "
           f"seconds {args.seconds:g} trace {args.trace}")

@@ -25,7 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-import exp_worker
 import tracer as layer_tracer
 
 
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
     server.run()
     window.pop("t0", None)
     window.pop("cpu0", None)
-    window["counters"] = exp_worker.counter_totals(runtime.registry)
+    window["counters"] = layer_tracer.counter_totals(runtime.registry)
     args.out.write_text(json.dumps(window))
     return 0
 

@@ -1,4 +1,4 @@
-"""Layer spans for the benchmark's traced runs.
+"""Layer spans and program counters for the benchmark's traced runs.
 
 The program is left untouched: :class:`LayerTracer` replaces public
 functions and methods with timing wrappers from the outside, after the
@@ -23,6 +23,25 @@ import time
 #: Modules searched for import sites of a wrapped function (besides the
 #: module that the hook names).
 SITE_PREFIX = "repro."
+
+#: The program's own telemetry counters, summed over their labels into
+#: circuit.* metrics.
+COUNTERS = {
+    "circuit.newton.solves": ("repro_mna_newton_solves_total",),
+    "circuit.newton.iterations": ("repro_mna_newton_iterations_total",),
+    "circuit.pss.solves": ("repro_pss_solves_total",),
+    "circuit.pss.iterations": ("repro_pss_iterations_total",),
+    "circuit.convergence_failures": ("repro_mna_convergence_failures_total",
+                                     "repro_pss_convergence_failures_total"),
+}
+
+
+def counter_totals(registry) -> dict:
+    """:data:`COUNTERS` read from a telemetry registry."""
+    snap = registry.snapshot()
+    return {metric: sum(series["value"] for name in names
+                        for series in snap.get(name, {}).get("series", []))
+            for metric, names in COUNTERS.items()}
 
 
 class LayerStats:
