@@ -207,7 +207,7 @@ async def run(args, pool: dict) -> dict:
         await conn.open()
 
     stop = asyncio.Event()
-    drivers = [asyncio.create_task(drive(c, load, stop)) for c in conns]
+    senders = [asyncio.create_task(drive(c, load, stop)) for c in conns]
     await asyncio.sleep(WARMUP_S)
 
     before = await scrape(probe, pool["model"], args.server_pid)
@@ -232,7 +232,7 @@ async def run(args, pool: dict) -> dict:
     await sampler
     usage1 = resource.getrusage(resource.RUSAGE_SELF)
     stop.set()
-    await asyncio.gather(*drivers)
+    await asyncio.gather(*senders)
     after = await scrape(probe, pool["model"], args.server_pid)
     for conn in conns + [probe]:
         conn.close()

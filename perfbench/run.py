@@ -544,7 +544,7 @@ WORKLOADS = {
 }
 
 
-# -- driver ------------------------------------------------------------------
+# -- command line ------------------------------------------------------------
 
 
 def load_spec() -> dict:
