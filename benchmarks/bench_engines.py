@@ -5,10 +5,12 @@ at ``fidelity="paper"`` — the paper's 0.5–5 V grid, 150 steps/period —
 through the historical per-point shooting loop and through the stacked
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` path,
 verifies the two agree bit for bit, and records the other engines'
-timings on the same workload for the fidelity/speed ladder.  Writes
-``benchmarks/BENCH_engines.json``.
+timings on the same workload for the fidelity/speed ladder.  A second
+case times fig4's duty x Rout grid (fast fidelity) as per-point scalar
+shooting vs one ragged lock-step ``shooting_batch``, again checked bit
+for bit.  Writes ``benchmarks/BENCH_engines.json``.
 
-Both workloads are registered with :mod:`repro.perf`
+All three workloads are registered with :mod:`repro.perf`
 (``script.engines.*``, report kind) for history tracking via
 ``repro perf run --bench-dir benchmarks``.
 
@@ -23,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cells import CellDesign
+from repro.circuit.pss import shooting
+from repro.core.cells import CellDesign, build_transcoding_inverter_bench
 from repro.engines import CellStimulus, get_engine
+from repro.experiments.fig4_dc_transfer import ROUT_CASES, measure_cells
 from repro.experiments.fig6_fig7_supply import (
     DUTIES,
     FREQUENCY,
@@ -36,6 +40,8 @@ from repro.perf import benchmark, best_of_with_result, finish, host_fields
 OUT = Path(__file__).parent / "BENCH_engines.json"
 
 PAPER_STEPS = 150
+#: fig4's fast-fidelity resolution.
+FIG4_FAST_STEPS = 80
 #: Timing repetitions; the minimum is reported (standard for
 #: wall-clock microbenchmarks — it is the least noisy estimator).
 REPEATS = 3
@@ -82,6 +88,45 @@ def bench_spice_sweep(quick: bool = False) -> dict:
     }
 
 
+@benchmark("script.engines.fig4_ragged",
+           title="fig4 duty x Rout grid: one ragged batch vs per-point PSS",
+           kind="report", metric="speedup", unit="x",
+           lower_is_better=False, noise=0.6,
+           tags=("script", "engines"))
+def bench_fig4_ragged(quick: bool = False) -> dict:
+    """Per-point scalar shooting vs one ragged-timing shooting_batch."""
+    duties = np.linspace(0.1, 0.9, 5)
+    steps = 40 if quick else FIG4_FAST_STEPS
+    repeats = 1 if quick else REPEATS
+    points = [(float(d), rout, 500e6) for _, rout in ROUT_CASES
+              for d in duties]
+
+    def benches():
+        return [build_transcoding_inverter_bench(
+            d, vdd=2.5, frequency=f, cout=1e-12, rout=rout)
+            for d, rout, f in points]
+
+    def per_point():
+        return [shooting(c, 1.0 / f, observe=["out"],
+                         steps_per_period=steps)
+                for c, (_, _, f) in zip(benches(), points)]
+
+    t_loop, loop = best_of_with_result(per_point, repeats)
+    t_batch, batch = best_of_with_result(
+        lambda: measure_cells(points, steps_per_period=steps), repeats)
+    identical = np.array_equal([r.average("out") for r in loop], batch)
+    return {
+        "workload": "fig4 duty x Rout grid, spice PSS",
+        "fidelity": "fast",
+        "n_points": len(points),
+        "steps_per_period": steps,
+        "per_point_loop_seconds": round(t_loop, 4),
+        "ragged_batch_seconds": round(t_batch, 4),
+        "speedup": round(t_loop / t_batch, 2),
+        "results_bit_identical": bool(identical),
+    }
+
+
 @benchmark("script.engines.ladder",
            title="behavioral/rc/spice fidelity ladder sweep",
            kind="report", metric=None, noise=1.0,
@@ -118,10 +163,12 @@ def main() -> None:
     payload = {
         "description": "engine registry benchmarks: stacked "
                        "BatchTransientSolver MNA sweeps vs the "
-                       "historical per-point shooting loop, plus the "
-                       "behavioral/rc/spice fidelity ladder",
+                       "historical per-point shooting loop, the fig4 "
+                       "grid as one ragged batch vs per-point PSS, "
+                       "plus the behavioral/rc/spice fidelity ladder",
         **host_fields(),
-        "benchmarks": [bench_spice_sweep(), bench_engine_ladder()],
+        "benchmarks": [bench_spice_sweep(), bench_fig4_ragged(),
+                       bench_engine_ladder()],
     }
     finish(OUT, payload)
 

@@ -1,6 +1,10 @@
 """Metrics, datasets and robustness harnesses."""
 
-from .calibrate import calibrate_adder, calibration_grid
+from .calibrate import (
+    calibrate_adder,
+    calibration_grid,
+    fit_adder_calibration,
+)
 from .datasets import (
     Dataset,
     make_blobs,
@@ -35,7 +39,7 @@ __all__ = [
     "elasticity_score",
     "MonteCarloStats", "adder_monte_carlo", "adder_corner_errors",
     "StressPoint", "accuracy_under_supply",
-    "calibrate_adder", "calibration_grid",
+    "calibrate_adder", "calibration_grid", "fit_adder_calibration",
     "adder_sensitivities", "Sensitivity", "SENSITIVITY_PARAMETERS",
     "perceptron_yield", "YieldResult",
 ]

@@ -52,14 +52,25 @@ def calibrate_adder(adder: WeightedAdder, *, engine: str = "spice",
     """
     if engine not in ("rc", "spice"):
         raise AnalysisError("calibrate against 'rc' or 'spice'")
-    ideal: "list[float]" = []
-    measured: "list[float]" = []
-    for duties, weights in calibration_grid(adder, seed=seed,
-                                            n_random=n_random):
-        ideal.append(adder.theoretical_output(duties, weights))
-        kwargs = {"steps_per_period": steps_per_period} if engine == "spice" else {}
-        measured.append(adder.evaluate(duties, weights, engine=engine,
-                                       **kwargs).value)
+    grid = calibration_grid(adder, seed=seed, n_random=n_random)
+    if engine == "spice":
+        measured = [r.value for r in adder.evaluate_spice(
+            [dict(duties=d, weights=w) for d, w in grid],
+            steps_per_period=steps_per_period)]
+    else:
+        measured = [adder.evaluate(d, w, engine=engine).value
+                    for d, w in grid]
+    return fit_adder_calibration(adder, grid, measured, degree=degree)
+
+
+def fit_adder_calibration(adder: WeightedAdder,
+                          grid: "Sequence[Tuple[list, list]]",
+                          measured: Sequence[float], *,
+                          degree: int = 2
+                          ) -> "Tuple[CalibrationModel, float]":
+    """Fit the calibration polynomial to outputs already measured on
+    ``grid``; returns ``(model, rms_residual)`` on that grid."""
+    ideal = [adder.theoretical_output(d, w) for d, w in grid]
     model = fit_calibration(ideal, measured, adder.config.vdd, degree=degree)
     corrected = [model.apply(v, adder.config.vdd) for v in ideal]
     residual = float(np.sqrt(np.mean(

@@ -1,34 +1,35 @@
 """Batched MNA transient and shooting PSS over independent sweep points.
 
-A supply sweep (or Monte-Carlo campaign) of one bench is a family of
-circuits that share *structure* — the same elements on the same nodes
-with the same source timing — and differ only in values: rail voltages,
-source amplitudes, device geometry.  Solving them one at a time repeats
-the whole Python stepping machinery (breakpoint handling, companion
-updates, Newton bookkeeping) once per point; that overhead, not LAPACK,
-dominates the wall clock for the paper's small benches.
+A sweep of one bench — supply, duty cycle, frequency, Monte-Carlo
+draws — is a family of circuits that share *structure* (the same
+elements on the same nodes) and differ in element values and source
+timing.  Solving them one at a time repeats the whole Python stepping
+machinery (breakpoint handling, companion updates, Newton bookkeeping)
+once per point; that overhead, not LAPACK, dominates the wall clock for
+the paper's small benches.
 
-:class:`BatchTransientSolver` integrates ``P`` such circuits in
-lock-step: one breakpoint-aware time loop, vectorised companion models,
-one MOSFET stamp over all ``(P, M)`` devices per Newton iteration, and
-one stacked ``(P, S, S)`` linear solve.  Because the stacked system is
-block-diagonal across points, each point's Newton iterates are exactly
-the ones the scalar engine would produce — per-point convergence is
-tracked with a freeze mask, so a point that converges early keeps its
-converged solution while stragglers iterate.  The results are therefore
-bit-identical to per-point :func:`repro.circuit.transient.transient`
-runs whenever no point forces a step-size halving (the perceptron
-benches never do; equality is pinned by the engine tests).
+:class:`BatchTransientSolver` integrates such a family in *ragged*
+lock-step.  Every batch row (a "lane") keeps its own breakpoint list,
+step size, time, backward-Euler countdown and step-halving retries; the
+loop advances by step index, and a lane that reaches its stop time
+leaves the working set.  Each Newton iteration stamps all ``(B, M)``
+MOSFETs at once and solves one stacked ``(B, S, S)`` system.  Because
+the stack is block-diagonal, each lane's iterates — including the
+halved retries after a Newton failure, which only that lane takes — are
+exactly the scalar engine's: results are bit-identical to per-point
+:func:`repro.circuit.transient.transient` runs (pinned by
+``tests/test_sparse_mna.py``).
 
 :func:`shooting_batch` lifts the same trick to periodic steady state:
-one batched Newton-shooting iteration drives all points, with each
-point's PSS captured at the iteration where *it* converges — again
-matching the scalar :func:`repro.circuit.pss.shooting` point for point.
+each iteration stacks every open point's base period run and its
+finite-difference probes into one lock-step run, and a point's PSS is
+captured at the iteration where *it* converges — matching the scalar
+:func:`repro.circuit.pss.shooting` point for point.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,22 +40,18 @@ from .elements.base import SOURCE
 from .elements.mosfet import GMIN_DS
 from .elements.passives import Capacitor, Inductor
 from .elements.sources import PwmVoltage, Vdc, VoltageSource, Vpulse
-from .exceptions import AnalysisError, ConvergenceError, SingularMatrixError
+from .exceptions import AnalysisError, ConvergenceError
 from .mna import MnaContext
 from .netlist import Circuit
-from .pss import PssResult, _default_observe
+from .pss import PssResult, _newton_update, _observed
 from .sparse import (
     check_solver,
     choose_backend,
     matrix_fill,
+    sparse_solve,
     sparse_solve_batch,
 )
-from .transient import (
-    BE_STEPS_AFTER_BREAKPOINT,
-    MIN_STEP,
-    TransientResult,
-    transient,
-)
+from .transient import BE_STEPS_AFTER_BREAKPOINT, MIN_STEP, TransientResult
 from .waveform import Waveform
 
 try:
@@ -79,155 +76,179 @@ def _batched_solve(G: np.ndarray, I: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, I[:, :, None])[:, :, 0]
 
 
-def _note_batch_newton(rt, iterations: int,
-                       backend: Optional[str]) -> None:
-    """Record one converged batched Newton solve (telemetry on only)."""
-    rt.count("repro_mna_newton_solves_total")
-    rt.count("repro_mna_newton_iterations_total", iterations,
-             backend=backend or "dense")
+def _sparse_rows(G: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """Sparse stacked solve with singular blocks returned as NaN rows,
+    the dense gufunc's convention, so only those lanes fail."""
+    try:
+        return sparse_solve_batch(G, I)
+    except np.linalg.LinAlgError:
+        out = np.full_like(I, np.nan)
+        for p in range(G.shape[0]):
+            try:
+                out[p] = sparse_solve(G[p], I[p])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _structure_signature(ctx: MnaContext) -> "list[tuple]":
-    """Per-element structural identity of a compiled circuit."""
-    return [(type(el).__name__, el.name, el._idx, el._branch)
-            for el in ctx.circuit.flat_elements]
+def _structure_signature(circuit: Circuit) -> tuple:
+    """Per-element structural identity of a circuit (compiles it)."""
+    circuit.compile()
+    return (circuit.size,) + tuple(
+        (type(el).__name__, el.name, el._idx, el._branch)
+        for el in circuit.flat_elements)
+
+
+def _stacked_lin(cache: dict, base: np.ndarray, b: int,
+                 size: int) -> np.ndarray:
+    """Flat indices of the pattern ``base`` into every block of a
+    ``(b, S, S)`` stack (block ``i`` offset by ``i*S*S``), cached per
+    ``b``."""
+    lin = cache.get(b)
+    if lin is None:
+        offsets = np.arange(b, dtype=np.intp) * size * size
+        lin = cache[b] = (offsets[:, None] + base[None, :]).ravel()
+    return lin
+
+
+def _per_point(value, n: int, name: str) -> np.ndarray:
+    """One value, or one value per point, as an ``(n,)`` float array."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise AnalysisError(
+            f"{name} needs one value or {n} values, got shape {arr.shape}")
+    return arr.copy()
 
 
 class _BatchCapacitors:
     """Vectorised companion models for every capacitor in the batch.
 
-    State arrays are ``(K, P)`` — one row per capacitor, one column per
-    sweep point.  The companion conductance ``geq`` is shared across
-    points (same C, same dt); only the equivalent current differs.
+    Values are ``(K, P)`` — one row per capacitor, one column per
+    circuit.  The companion state (``v_prev``/``i_prev``) is ``(K, L)``,
+    one column per lane of the current run, and every lane carries its
+    own step size and method, so conductances are ``factor * C / dt``
+    per lane.
     """
 
     def __init__(self, caps_by_point: List[List[Capacitor]], size: int):
         caps = caps_by_point[0]
         self.n = len(caps)
-        self.n_points = n_points = len(caps_by_point)
+        self.size = size
+        # Per-point values, (K, P): parasitic caps scale with device
+        # geometry, which Monte-Carlo batches perturb per point.
+        self.c = np.array([[c.capacitance for c in point_caps]
+                           for point_caps in caps_by_point]
+                          ).reshape(len(caps_by_point), self.n).T
         if self.n == 0:
             return
         a = np.array([c._idx[0] for c in caps], dtype=np.intp)
         b = np.array([c._idx[1] for c in caps], dtype=np.intp)
-        self.a, self.b = a, b
-        self.a_valid = a >= 0
-        self.b_valid = b >= 0
         self.a_gather = np.where(a >= 0, a, size)
         self.b_gather = np.where(b >= 0, b, size)
-        # Per-point values, (K, P): parasitic caps scale with device
-        # geometry, which Monte-Carlo batches perturb per point.
-        self.c = np.array([[c.capacitance for c in point_caps]
-                           for point_caps in caps_by_point]).T
         self.ic = np.array([[np.nan if c.ic is None else c.ic
                              for c in point_caps]
                             for point_caps in caps_by_point]).T
-        self.v_prev = np.zeros((self.n, n_points))
-        self.i_prev = np.zeros((self.n, n_points))
-        self._geq_cache: "dict[tuple[float, str], np.ndarray]" = {}
         self._live = self.c > 0.0
-        # RHS scatter slots, interleaved per cap (a row then b row) in
-        # element order to reproduce the scalar accumulation sequence.
+        # G and RHS scatter patterns in element order (a then b rows;
+        # for G the scalar add_conductance sequence aa, bb, -ab, -ba),
+        # so cells shared by several caps accumulate exactly as the
+        # scalar assembler sums them.
+        g_lin, g_sign, g_cap = [], [], []
         rows, signs, caps_idx = [], [], []
         for k in range(self.n):
             if not self._live[k].any():
                 continue
-            if a[k] >= 0:
-                rows.append(a[k])
-                signs.append(-1.0)
-                caps_idx.append(k)
-            if b[k] >= 0:
-                rows.append(b[k])
-                signs.append(1.0)
-                caps_idx.append(k)
+            ak, bk = a[k], b[k]
+            cells = [(ak, ak, 1.0), (bk, bk, 1.0)]
+            if ak >= 0 and bk >= 0:
+                cells += [(ak, bk, -1.0), (bk, ak, -1.0)]
+            for r, col, s in cells:
+                if r >= 0:
+                    g_lin.append(r * size + col)
+                    g_sign.append(s)
+                    g_cap.append(k)
+            for node, s in ((ak, -1.0), (bk, 1.0)):
+                if node >= 0:
+                    rows.append(node)
+                    signs.append(s)
+                    caps_idx.append(k)
+        self._g_lin = np.asarray(g_lin, dtype=np.intp)
+        self._g_sign = np.asarray(g_sign)
+        self._g_cap = np.asarray(g_cap, dtype=np.intp)
+        self._lin_by_size: "Dict[int, np.ndarray]" = {}
         self._rhs_rows = np.asarray(rows, dtype=np.intp)
         self._rhs_signs = np.asarray(signs)[:, None]
         self._rhs_caps = np.asarray(caps_idx, dtype=np.intp)
 
     def _voltages(self, x_t_padded: np.ndarray) -> np.ndarray:
-        """Element voltages ``(K, P)`` from padded ``(S+1, P)`` states."""
+        """Element voltages ``(K, B)`` from padded ``(S+1, B)`` states."""
         return x_t_padded[self.a_gather] - x_t_padded[self.b_gather]
 
-    def init_state(self, x_t_padded: np.ndarray) -> None:
+    def init_state(self, x_t_padded: np.ndarray, circ: np.ndarray) -> None:
+        """Bind the run's lanes (``circ`` names each lane's circuit)."""
+        self._c_lanes = self.c[:, circ]
         if self.n == 0:
             return
+        self._live_lanes = self._live[:, circ]
         self.v_prev = self._voltages(x_t_padded)
-        has_ic = np.isfinite(self.ic)
+        ic = self.ic[:, circ]
+        has_ic = np.isfinite(ic)
         if has_ic.any():
-            self.v_prev[has_ic] = self.ic[has_ic]
+            self.v_prev[has_ic] = ic[has_ic]
         self.i_prev = np.zeros_like(self.v_prev)
 
-    def geq(self, dt: float, method: str) -> np.ndarray:
-        """Companion conductances ``(K, P)``, cached per step size."""
-        cached = self._geq_cache.get((dt, method))
-        if cached is None:
-            factor = 1.0 if method == "be" else 2.0
-            cached = factor * self.c / dt
-            self._geq_cache[(dt, method)] = cached
-        return cached
+    def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
+        """Companion conductances ``(K, B)``: ``C/dt`` for backward
+        Euler, ``2C/dt`` for trapezoidal, per lane."""
+        return np.where(be, 1.0, 2.0) * self._c_lanes[:, lanes] / dt
 
-    def add_geq_stack(self, G_stack: np.ndarray, dt: float,
-                      method: str) -> None:
-        """Companion conductances onto the stacked base, ``(P, S, S)``.
-
-        Caps are applied one at a time in element order (vectorised
-        over points only) so every cell accumulates in exactly the
-        sequence the scalar assembler uses — bit-identical sums even
-        where several caps share a node with static conductances.
-        """
-        if self.n == 0:
+    def add_geq_stack(self, G_stack: np.ndarray, geq: np.ndarray) -> None:
+        """Companion conductances onto the stacked base, ``(B, S, S)``."""
+        if self.n == 0 or self._g_lin.size == 0:
             return
-        geq = self.geq(dt, method)
-        for k in range(self.n):
-            if not self._live[k].any():
-                continue
-            g = geq[k]
-            a, b = self.a[k], self.b[k]
-            if a >= 0:
-                G_stack[:, a, a] += g
-            if b >= 0:
-                G_stack[:, b, b] += g
-            if a >= 0 and b >= 0:
-                G_stack[:, a, b] -= g
-                G_stack[:, b, a] -= g
+        lin = _stacked_lin(self._lin_by_size, self._g_lin,
+                           G_stack.shape[0], self.size)
+        np.add.at(G_stack.reshape(-1), lin,
+                  (geq.T[:, self._g_cap] * self._g_sign).ravel())
 
-    def stamp_rhs(self, I_t: np.ndarray, dt: float, method: str) -> None:
-        """Equivalent currents into the transposed RHS ``(S, P)``.
+    def _history(self, be: np.ndarray,
+                 lanes) -> "tuple[np.ndarray, np.ndarray]":
+        """``v_prev`` and the trapezoidal ``i_prev`` term (0 under BE;
+        ``x - 0.0`` is exactly ``x``, so BE lanes match the scalar
+        engine's term-free update)."""
+        return self.v_prev[:, lanes], np.where(be, 0.0,
+                                               self.i_prev[:, lanes])
 
-        The scatter interleaves each cap's ``a`` then ``b`` row in
-        element order — the scalar ``add_current`` sequence — so nodes
-        shared by several caps accumulate identically.
-        """
+    def stamp_rhs(self, I_t: np.ndarray, geq: np.ndarray, be: np.ndarray,
+                  lanes) -> None:
+        """Equivalent currents into the transposed RHS ``(S, B)``."""
         if self.n == 0 or self._rhs_rows.size == 0:
             return
-        geq = self.geq(dt, method)
-        if method == "be":
-            ieq = -geq * self.v_prev
-        else:
-            ieq = -geq * self.v_prev - self.i_prev
+        v_prev, i_term = self._history(be, lanes)
+        ieq = -geq * v_prev - i_term
         # add_current(a, b, ieq): I[a] -= ieq, I[b] += ieq.
         np.add.at(I_t, self._rhs_rows,
                   self._rhs_signs * ieq.take(self._rhs_caps, axis=0))
 
-    def accept_step(self, x_t_padded: np.ndarray, dt: float,
-                    method: str) -> None:
+    def accept_step(self, x_t_padded: np.ndarray, geq: np.ndarray,
+                    be: np.ndarray, lanes) -> None:
         if self.n == 0:
             return
         v_new = self._voltages(x_t_padded)
-        live = self._live
-        geq = self.geq(dt, method)
-        if method == "be":
-            i_new = geq * (v_new - self.v_prev)
-        else:
-            i_new = geq * (v_new - self.v_prev) - self.i_prev
-        self.i_prev = np.where(live, i_new, 0.0)
-        self.v_prev = v_new
+        v_prev, i_term = self._history(be, lanes)
+        i_new = geq * (v_new - v_prev) - i_term
+        self.i_prev[:, lanes] = np.where(self._live_lanes[:, lanes],
+                                         i_new, 0.0)
+        self.v_prev[:, lanes] = v_new
 
 
 class _BatchMosfets:
-    """Vectorised MOSFET stamping over ``(P, M)`` devices.
+    """Vectorised MOSFET stamping over ``(B, M)`` devices.
 
     Index arrays come from the shared structure; device parameters are
-    gathered per point, so Monte-Carlo batches (same netlist, perturbed
+    gathered per lane, so Monte-Carlo batches (same netlist, perturbed
     geometry) stamp exactly like supply sweeps.
     """
 
@@ -235,30 +256,20 @@ class _BatchMosfets:
         groups = [ctx.mosfet_group for ctx in contexts]
         g0 = groups[0]
         self.m = g0.n
-        self.n_points = len(contexts)
         if self.m == 0:
             return
-        size = contexts[0].size
-        self.size = size
-        self.d, self.g, self.s = g0.d, g0.g, g0.s
+        self.size = contexts[0].size
         self.d_gather, self.g_gather, self.s_gather = \
             g0.d_gather, g0.g_gather, g0.s_gather
         self.sign = g0.sign
-        # Per-point device parameters, shape (P, M).
-        self.beta = np.stack([g.beta for g in groups])
-        self.vt = np.stack([g.vt for g in groups])
-        self.lam = np.stack([g.lam for g in groups])
-        self.n_sub = np.stack([g.n_sub for g in groups])
+        # Per-point device parameters beta, vt, lam, n_sub, each (P, M)
+        # and gathered per lane along axis 0, which keeps every operand
+        # of the device equations contiguous (strided ones are slower).
+        self.params = [np.stack([getattr(g, f) for g in groups])
+                       for f in ("beta", "vt", "lam", "n_sub")]
         self.valid_idx = np.nonzero(g0.valid)[0]
-        self.d_valid = g0.d_valid
-        self.s_valid = g0.s_valid
-        # Linear scatter indices into the flattened (P, S, S) stack:
-        # point p's pattern is the shared pattern offset by p*S*S.
-        offsets = np.arange(self.n_points, dtype=np.intp) * size * size
-        self.lin = (offsets[:, None] + g0.lin[None, :]).ravel()
-
         self._base_lin = g0.lin
-        self._lin_by_size = {self.n_points: self.lin}
+        self._lin_by_size: "Dict[int, np.ndarray]" = {}
         #: per-batch-size scratch: (gm/gt block buffer, current buffer).
         self._buf_by_size: "dict[int, tuple]" = {}
         # Stamp pattern: per device the 8 G entries are +/-gm then
@@ -268,32 +279,29 @@ class _BatchMosfets:
                                 1.0, 1.0, -1.0, -1.0])[None, :, None]
         self._d_valid_idx = np.nonzero(g0.d_valid)[0]
         self._s_valid_idx = np.nonzero(g0.s_valid)[0]
-        self._i_rows = np.concatenate([self.d[self._d_valid_idx],
-                                       self.s[self._s_valid_idx]])
+        self._i_rows = np.concatenate([g0.d[self._d_valid_idx],
+                                       g0.s[self._s_valid_idx]])
+
+    def bind(self, circ: np.ndarray) -> None:
+        """Gather the device parameters of the run's lanes."""
+        if self.m:
+            self._lane_params = [p[circ] for p in self.params]
 
     def stamp(self, G_stack: np.ndarray, I_t: np.ndarray,
-              x_pad_cols: np.ndarray,
-              rows: Optional[np.ndarray] = None) -> None:
-        """Accumulate linearised stamps for a (sub-)batch.
+              x_pad_cols: np.ndarray, rows) -> None:
+        """Accumulate linearised stamps for a batch of lanes.
 
         ``G_stack`` is ``(B, S, S)``, ``I_t`` the transposed RHS
         ``(S, B)``, ``x_pad_cols`` the padded states ``(B, S+1)``
-        (last column zero for ground gathers).  ``rows`` names the
-        original batch rows when ``B < P`` (converged points dropped
-        from the Newton working set); device parameters are gathered
-        accordingly.
+        (last column zero for ground gathers) and ``rows`` the lanes
+        (an index array or slice), which select device parameters.
         """
-        if rows is None:
-            beta, vt, lam, n_sub = self.beta, self.vt, self.lam, self.n_sub
-        else:
-            beta, vt = self.beta[rows], self.vt[rows]
-            lam, n_sub = self.lam[rows], self.n_sub[rows]
+        # A full working set arrives as slice(None): no gathers.
+        beta, vt, lam, n_sub = (
+            self._lane_params if isinstance(rows, slice)
+            else [p[rows] for p in self._lane_params])
         b = x_pad_cols.shape[0]
-        lin = self._lin_by_size.get(b)
-        if lin is None:
-            offsets = np.arange(b, dtype=np.intp) * self.size * self.size
-            lin = (offsets[:, None] + self._base_lin[None, :]).ravel()
-            self._lin_by_size[b] = lin
+        lin = _stacked_lin(self._lin_by_size, self._base_lin, b, self.size)
         vd = x_pad_cols[:, self.d_gather]    # (B, M)
         vg = x_pad_cols[:, self.g_gather]
         vs = x_pad_cols[:, self.s_gather]
@@ -321,97 +329,142 @@ class _BatchMosfets:
         np.add.at(I_t, self._i_rows, i_vals)
 
 
-class _VsrcColumn:
-    """Per-point values of one voltage source across the batch.
+class _BatchSources:
+    """Per-lane source values into the transposed RHS.
 
-    The sweep-family common cases — DC rails and same-timing PWM/pulse
-    drivers whose amplitudes vary per point — evaluate as one array
-    expression with exactly the operation order of the scalar
-    ``value(t)`` (so results stay bit-identical); anything else falls
-    back to a per-point Python loop.
+    DC rails gather one value per circuit; PWM/pulse drivers evaluate
+    one array expression over every lane's own timing and time, with
+    the branch order and arithmetic of the scalar ``Vpulse.value`` (so
+    results stay bit-identical); anything else calls each point's
+    ``value(t)``.
     """
 
-    def __init__(self, elements: List[VoltageSource]):
-        el0 = elements[0]
-        self._values = [el.value for el in elements]
-        self.mode = "loop"
-        if all(type(el) is Vdc for el in elements):
-            self.mode = "const"
-            self.const = np.array([el.voltage for el in elements])
-        elif all(type(el) in (Vpulse, PwmVoltage) for el in elements) \
-                and all(el.delay == el0.delay and el.rise == el0.rise
-                        and el.fall == el0.fall and el.width == el0.width
-                        and el.period == el0.period for el in elements):
-            self.mode = "pulse"
-            self.v1 = np.array([el.v1 for el in elements])
-            self.v2 = np.array([el.v2 for el in elements])
-            self.delay, self.rise = el0.delay, el0.rise
-            self.fall, self.width = el0.fall, el0.width
-            self.pulse_period = el0.period
+    def __init__(self, sources_by_point: List[List]):
+        first = sources_by_point[0]
+        self._by_point = sources_by_point
+        const, pulse, self._other, self._isrc = [], [], [], []
+        for k, el in enumerate(first):
+            if not isinstance(el, VoltageSource):
+                self._isrc.append(k)
+            elif type(el) is Vdc:
+                const.append(k)
+            elif type(el) in (Vpulse, PwmVoltage):
+                pulse.append(k)
+            else:
+                self._other.append(k)
+        self._const_rows = np.array(
+            [first[k]._branch[0] for k in const], dtype=np.intp)
+        self._const = np.array([[pt[k].voltage for pt in sources_by_point]
+                                for k in const]
+                               ).reshape(len(const), len(sources_by_point))
+        self._pulse_rows = np.array(
+            [first[k]._branch[0] for k in pulse], dtype=np.intp)
+        # (7, K, P): v1, v2, delay, rise, width, fall, period.
+        self._pulse = np.array([[[getattr(pt[k], f) for pt in sources_by_point]
+                                 for k in pulse]
+                                for f in ("v1", "v2", "delay", "rise",
+                                          "width", "fall", "period")])
 
-    def __call__(self, t: float):
-        if self.mode == "const":
-            return self.const
-        if self.mode == "pulse":
-            # Mirrors Vpulse.value branch for branch; the shared timing
-            # guarantees every point takes the same branch.
-            if t < self.delay:
-                return self.v1
-            tau = (t - self.delay) % self.pulse_period
-            if tau < self.rise:
-                if self.rise == 0:
-                    return self.v2
-                return self.v1 + (self.v2 - self.v1) * tau / self.rise
-            tau -= self.rise
-            if tau < self.width:
-                return self.v2
-            tau -= self.width
-            if tau < self.fall:
-                if self.fall == 0:
-                    return self.v1
-                return self.v2 + (self.v1 - self.v2) * tau / self.fall
-            return self.v1
-        return [value(t) for value in self._values]
+    def bind(self, circ: np.ndarray) -> None:
+        """Gather the source values of the run's lanes."""
+        self._circ = circ
+        self._const_lanes = self._const[:, circ]
+        self._pulse_lanes = self._pulse[:, :, circ] \
+            if self._pulse_rows.size else None
+
+    def stamp(self, I_t: np.ndarray, t: np.ndarray, lanes) -> None:
+        circ = self._circ[lanes]
+        if self._const_rows.size:
+            I_t[self._const_rows] += self._const_lanes[:, lanes]
+        if self._pulse_rows.size:
+            v1, v2, delay, rise, width, fall, period = \
+                self._pulse_lanes[:, :, lanes]
+            # Vpulse.value, branch for branch, as masked arrays.
+            tau = (t - delay) % period
+            ramp_up = v1 + (v2 - v1) * tau / rise
+            tau2 = tau - rise
+            tau3 = tau2 - width
+            ramp_down = v2 + (v1 - v2) * tau3 / fall
+            I_t[self._pulse_rows] += np.where(
+                t < delay, v1,
+                np.where(tau < rise, np.where(rise == 0, v2, ramp_up),
+                         np.where(tau2 < width, v2,
+                                  np.where(tau3 < fall,
+                                           np.where(fall == 0, v1,
+                                                    ramp_down),
+                                           v1))))
+        for k in self._other:
+            br = self._by_point[0][k]._branch[0]
+            I_t[br] += [self._by_point[p][k].value(tb)
+                        for p, tb in zip(circ, t.tolist())]
+        for k in self._isrc:
+            a, b = self._by_point[0][k]._idx
+            for col, (p, tb) in enumerate(zip(circ, t.tolist())):
+                el = self._by_point[p][k]
+                i = el._fn(tb) if hasattr(el, "_fn") else el.current
+                if a >= 0:
+                    I_t[a, col] -= i
+                if b >= 0:
+                    I_t[b, col] += i
 
 
 class BatchTransientResult:
-    """Lock-step solution of a circuit batch: ``X`` is ``(T, P, S)``."""
+    """Ragged lock-step solution, indexed by step.
 
-    def __init__(self, circuits: List[Circuit], t: np.ndarray, X: np.ndarray):
+    ``times`` is ``(N+1, L)`` and ``X`` is ``(N+1, L, S)``; lane ``l``
+    took ``steps[l]`` steps, and its rows past that repeat its final
+    state.  ``halvings[l]`` counts the lane's step-size halvings.
+    """
+
+    def __init__(self, circuits: List[Circuit], times: np.ndarray,
+                 X: np.ndarray, steps: np.ndarray, halvings: np.ndarray):
         self.circuits = circuits
-        self.t = t
+        self.times = times
         self.X = X
+        self.steps = steps
+        self.halvings = halvings
 
     @property
     def n_points(self) -> int:
         return self.X.shape[1]
 
     @property
+    def t(self) -> np.ndarray:
+        """The time grid shared by every lane (same-timing batches)."""
+        if not (self.times == self.times[:, :1]).all():
+            raise AnalysisError(
+                "batch lanes sit on different time grids; use point(p)")
+        return self.times[:, 0]
+
+    @property
     def final_x(self) -> np.ndarray:
-        """End states, shape ``(P, S)``."""
+        """End states, shape ``(L, S)``."""
         return self.X[-1].copy()
 
     def node(self, name: str) -> np.ndarray:
-        """Node voltages over time for every point, shape ``(T, P)``."""
+        """Node voltages by step for every lane, shape ``(N+1, L)``."""
         idx = self.circuits[0].node_index(name)
         if idx < 0:
             return np.zeros(self.X.shape[:2])
         return self.X[:, :, idx]
 
     def point(self, p: int) -> TransientResult:
-        """One point's trajectory as an ordinary :class:`TransientResult`."""
-        return TransientResult(self.circuits[p], self.t, self.X[:, p, :])
+        """One lane's trajectory as an ordinary :class:`TransientResult`."""
+        n = int(self.steps[p]) + 1
+        return TransientResult(self.circuits[p], self.times[:n, p].copy(),
+                               self.X[:n, p, :].copy(),
+                               int(self.halvings[p]))
 
 
 class BatchTransientSolver:
-    """Lock-step transient integration of structurally identical circuits.
+    """Ragged lock-step transient integration of same-structure circuits.
 
     All circuits must share their element structure (names, types, node
-    bindings) and their source *timing* (breakpoints); element values —
-    rail voltages, source amplitudes, device geometry, resistances — are
-    free to differ per point.  Unsupported in batches: inductors and
-    non-MOSFET nonlinear devices (switches), which keep per-element
-    Python state the vectorised layer does not model.
+    bindings); element values and source timing — rails, amplitudes,
+    duty cycles, frequencies, device geometry — are free to differ per
+    point.  Unsupported in batches: inductors and non-MOSFET nonlinear
+    devices (switches), which keep per-element Python state the
+    vectorised layer does not model.
     """
 
     def __init__(self, circuits: Sequence[Circuit], *,
@@ -430,10 +483,9 @@ class BatchTransientSolver:
         self.n_nodes = ctx0.n_nodes
         self.n_points = len(self.circuits)
 
-        signature = _structure_signature(ctx0)
+        signature = _structure_signature(ctx0.circuit)
         for ctx in self.contexts[1:]:
-            if ctx.size != ctx0.size or \
-                    _structure_signature(ctx) != signature:
+            if _structure_signature(ctx.circuit) != signature:
                 raise AnalysisError(
                     "batched circuits must share element structure "
                     "(same elements on the same nodes); rebuild the "
@@ -449,156 +501,138 @@ class BatchTransientSolver:
                     "batched transient does not support inductors yet; "
                     "use the scalar engine")
 
-        # Per-point static base (stacked); structure is shared so the
-        # source branch rows can be folded in once.
-        self._G_static = np.stack([ctx._G_static for ctx in self.contexts])
+        # Voltage-source structure stamps (branch KCL + voltage rows)
+        # are value-independent exact +/-1 entries in cells the static
+        # stamps never touch: fold them into the per-point static base.
+        G_sources = np.zeros((self.size, self.size))
+        sys_view = ctx0.sys_view(G_sources, np.zeros(self.size))
+        names = [el.name for el in ctx0.circuit.by_category[SOURCE]]
+        for el in ctx0.circuit.by_category[SOURCE]:
+            if isinstance(el, VoltageSource):
+                a, b = el._idx
+                br = el._branch[0]
+                sys_view.stamp_branch_kcl(a, b, br)
+                sys_view.stamp_branch_voltage_row(br, a, b)
+        self._G_fixed = np.stack([ctx._G_static for ctx in self.contexts]) \
+            + G_sources[None, :, :]
         self._I_static = np.stack([ctx._I_static for ctx in self.contexts])
-
-        cats0 = ctx0.circuit.by_category
-        self._vsources = [el for el in cats0[SOURCE]
-                          if isinstance(el, VoltageSource)]
-        self._isources = [el for el in cats0[SOURCE]
-                          if not isinstance(el, VoltageSource)]
-        # Per-point source elements, aligned with the shared structure.
         by_name = [{el.name: el for el in ctx.circuit.by_category[SOURCE]}
                    for ctx in self.contexts]
-        self._vsources_by_point = [[bn[el.name] for el in self._vsources]
-                                   for bn in by_name]
-        self._isources_by_point = [[bn[el.name] for el in self._isources]
-                                   for bn in by_name]
-        # Per-source batched value evaluators — the per-step RHS fill
-        # runs thousands of times.
-        self._vsrc_cols = [
-            _VsrcColumn([self._vsources_by_point[p][k]
-                         for p in range(self.n_points)])
-            for k in range(len(self._vsources))]
-        # Voltage-source structure stamps (branch KCL + voltage rows)
-        # are value-independent: fold them into one shared addition.
-        self._G_sources = np.zeros((self.size, self.size))
-        sys_view = ctx0.sys_view(self._G_sources, np.zeros(self.size))
-        for el in self._vsources:
-            a, b = el._idx
-            br = el._branch[0]
-            sys_view.stamp_branch_kcl(a, b, br)
-            sys_view.stamp_branch_voltage_row(br, a, b)
-        self._vsrc_branch = np.array(
-            [el._branch[0] for el in self._vsources], dtype=np.intp)
-
+        self._sources = _BatchSources([[bn[n] for n in names]
+                                       for bn in by_name])
         self._caps = _BatchCapacitors(
             [[el for el in ctx.reactive_elements
               if isinstance(el, Capacitor)] for ctx in self.contexts],
             self.size)
         self._mosfets = _BatchMosfets(self.contexts)
-
-        # Per-(dt, method) shared stamp cache: the companion
-        # conductances and source structure rows do not depend on the
-        # solution or the point, so each distinct step size is
-        # assembled once.
-        self._shared_g_cache: "dict[tuple[float, str], np.ndarray]" = {}
-        # Column-padded state scratch for the MOSFET gathers (last
-        # column stays zero = ground).
-        self._xpad_cols = np.zeros((self.n_points, self.size + 1))
-        self._tol_cache: "dict[tuple[float, float], np.ndarray]" = {}
+        self._bp_cache: "dict[tuple, list]" = {}
 
     # -- assembly ----------------------------------------------------------
 
-    def _breakpoints(self, t0: float, t1: float) -> np.ndarray:
-        ref = self.contexts[0].breakpoints(t0, t1)
-        for ctx in self.contexts[1:]:
-            other = ctx.breakpoints(t0, t1)
-            if other.shape != ref.shape or not np.array_equal(other, ref):
-                raise AnalysisError(
-                    "batched circuits must share source timing "
-                    "(identical breakpoints); sweep values, not "
-                    "frequencies or duties, across a batch")
-        return ref
-
-    def _source_rhs(self, I_t: np.ndarray, t: float) -> None:
-        """Per-point source values into the transposed RHS ``(S, P)``."""
-        for k, el in enumerate(self._vsources):
-            I_t[self._vsrc_branch[k]] += self._vsrc_cols[k](t)
-        for k, el in enumerate(self._isources):
-            a, b = el._idx
-            for p in range(self.n_points):
-                el_p = self._isources_by_point[p][k]
-                i = el_p._fn(t) if hasattr(el_p, "_fn") else el_p.current
-                if a >= 0:
-                    I_t[a, p] -= i
-                if b >= 0:
-                    I_t[b, p] += i
+    def _breakpoints(self, circ: np.ndarray, tstart: float,
+                     tstop: np.ndarray) -> np.ndarray:
+        """Per-lane step targets ``(L, W)``: interior breakpoints, then
+        the stop time, padded with ``inf``."""
+        rows = []
+        for p, t1 in zip(circ.tolist(), tstop.tolist()):
+            key = (p, tstart, t1)
+            bps = self._bp_cache.get(key)
+            if bps is None:
+                bps = [b for b in self.contexts[p].breakpoints(tstart, t1)
+                       if tstart < b < t1] + [t1]
+                self._bp_cache[key] = bps
+            rows.append(bps)
+        out = np.full((len(rows), max(map(len, rows)) + 1), np.inf)
+        for lane, bps in enumerate(rows):
+            out[lane, :len(bps)] = bps
+        return out
 
     def _padded(self, x: np.ndarray) -> np.ndarray:
-        """Transpose states to ``(S+1, P)`` with a zero ground row."""
-        x_t = np.zeros((self.size + 1, self.n_points))
+        """Transpose states to ``(S+1, B)`` with a zero ground row."""
+        x_t = np.zeros((self.size + 1, x.shape[0]))
         x_t[:-1] = x.T
         return x_t
 
-    def _tol_cols(self, abstol: float, itol: float) -> np.ndarray:
-        """Per-column Newton tolerance: ``abstol`` on node voltages,
-        ``itol`` on branch currents (cached)."""
-        key = (abstol, itol)
-        cached = self._tol_cache.get(key)
-        if cached is None:
-            cached = np.full(self.size, itol)
-            cached[:self.n_nodes] = abstol
-            self._tol_cache[key] = cached
-        return cached
+    def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
+                    geq: np.ndarray) -> np.ndarray:
+        """Static + source + companion matrices for the lanes, ``(B, S, S)``.
+
+        Steps at a lane's nominal size reuse the run's precomputed
+        trapezoidal/BE stacks; breakpoint-shortened or halved steps
+        assemble their own.  Callers copy before stamping.
+        """
+        nominal = dt == self._dt_nominal[lanes]
+        if nominal.all() and (be.all() or not be.any()):
+            return (self._G_be if be[0] else self._G_trap)[lanes]
+        ids = self._lane_ids[lanes]
+        G = self._G_trap[ids]
+        sel = nominal & be
+        if sel.any():
+            G[sel] = self._G_be[ids[sel]]
+        off = ~nominal
+        if off.any():
+            sub = self._G_fixed[self._circ[ids[off]]]
+            self._caps.add_geq_stack(sub, geq[:, off])
+            G[off] = sub
+        return G
 
     # -- Newton -----------------------------------------------------------
 
-    def _solve_newton(self, x0: np.ndarray, t: float, dt: float,
-                      method: str, *, max_iter: int = 80,
-                      vlimit: float = 1.0, abstol: float = 1e-6,
-                      reltol: float = 1e-4, itol: float = 1e-9) -> np.ndarray:
-        """Damped Newton at one time point, vectorised over points.
+    def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
+                      be: np.ndarray, geq: np.ndarray, lanes, *,
+                      max_iter: int = 80, vlimit: float = 1.0,
+                      abstol: float = 1e-6, reltol: float = 1e-4,
+                      itol: float = 1e-9) -> "tuple[np.ndarray, np.ndarray]":
+        """Damped Newton at one step, vectorised over lanes.
 
-        Block-diagonal structure keeps every point's iterate sequence
-        identical to the scalar engine's: updates, clamping and the
-        convergence test apply per point, and a converged point's state
-        is frozen while the rest keep iterating.
+        ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal) and the
+        companion conductances ``geq`` ``(K, B)`` are per lane.
+        Block-diagonal structure keeps every lane's iterate sequence
+        identical to the scalar engine's: updates, clamping and
+        the convergence test apply per lane, and a converged lane leaves
+        the working set while the rest keep iterating.  Returns the
+        states and a mask of lanes that failed (non-finite solution or
+        no convergence in ``max_iter``).
         """
         rt = telemetry.active()
         if rt is None:
             return self._solve_newton_impl(
-                x0, t, dt, method, max_iter=max_iter, vlimit=vlimit,
+                x0, t, dt, be, geq, lanes, max_iter=max_iter, vlimit=vlimit,
                 abstol=abstol, reltol=reltol, itol=itol, rt=None)
         with rt.tracer.span("mna.newton",
                             {"analysis": "batch-transient",
-                             "points": self.n_points, "size": self.size}):
+                             "points": x0.shape[0], "size": self.size}):
             return self._solve_newton_impl(
-                x0, t, dt, method, max_iter=max_iter, vlimit=vlimit,
+                x0, t, dt, be, geq, lanes, max_iter=max_iter, vlimit=vlimit,
                 abstol=abstol, reltol=reltol, itol=itol, rt=rt)
 
-    def _solve_newton_impl(self, x0: np.ndarray, t: float, dt: float,
-                           method: str, *, max_iter, vlimit, abstol,
-                           reltol, itol, rt) -> np.ndarray:
-        key = (dt, method)
-        G_base = self._shared_g_cache.get(key)
-        if G_base is None:
-            # Source structure rows are exact +/-1 additions into cells
-            # the static stamps never touch; the cap companions then
-            # accumulate in scalar element order (see add_geq_stack).
-            G_base = self._G_static + self._G_sources[None, :, :]
-            self._caps.add_geq_stack(G_base, dt, method)
-            self._shared_g_cache[key] = G_base
-        I_t_base = self._I_static.T.copy()          # (S, P)
+    def _solve_newton_impl(self, x0, t, dt, be, geq, lanes, *, max_iter,
+                           vlimit, abstol, reltol, itol, rt):
+        G_base = self._base_stack(lanes, dt, be, geq)
+        I_t_base = self._I_static[self._circ[lanes]].T.copy()   # (S, B)
         # Scalar assembly order: sources first, then reactive companions.
-        self._source_rhs(I_t_base, t)
-        self._caps.stamp_rhs(I_t_base, dt, method)
+        self._sources.stamp(I_t_base, t, lanes)
+        self._caps.stamp_rhs(I_t_base, geq, be, lanes)
+        lane_ids = self._lane_ids[lanes]
 
-        x = x0.copy()                                # (P, S)
+        x = x0.copy()                                # (B, S)
         n = self.n_nodes
+        # Per-column tolerance: abstol on node voltages, itol on branch
+        # currents.
+        tol = np.full(self.size, itol)
+        tol[:n] = abstol
+        n_lanes = x.shape[0]
+        failed = np.zeros(n_lanes, dtype=bool)
         has_nonlinear = self._mosfets.m > 0
-        # Indices of points still iterating.  The stacked system is
-        # block-diagonal, so dropping a converged point's rows neither
-        # changes the others' iterates nor its own frozen solution —
-        # stragglers iterate on an ever-smaller stack.
-        work = np.arange(self.n_points)
+        # Positions of lanes still iterating.  The stacked system is
+        # block-diagonal, so dropping a converged lane's rows neither
+        # changes the others' iterates nor its own frozen solution.
+        work = np.arange(n_lanes)
 
-        for _iteration in range(max_iter):
-            full = work.size == self.n_points
+        for iteration in range(1, max_iter + 1):
+            full = work.size == n_lanes
             # Fancy indexing already copies, so subsets skip the
-            # explicit copy.
+            # explicit copy (and a full slice-selected base is a view).
             G = G_base.copy() if full else G_base[work]
             I_t = I_t_base.copy() if full else I_t_base[:, work]
             x_work = x if full else x[work]
@@ -606,33 +640,30 @@ class BatchTransientSolver:
                 xpad = self._xpad_cols[:work.size]
                 xpad[:, :-1] = x_work
                 self._mosfets.stamp(G, I_t, xpad,
-                                    rows=None if full else work)
+                                    lanes if full else lane_ids[work])
             if self._backend is None:
                 self._backend = choose_backend(
                     self.size, matrix_fill(G[0]), self.solver)
                 if rt is not None:
                     rt.count("repro_mna_backend_decisions_total",
                              solver=self.solver, backend=self._backend)
-            try:
-                if self._backend == "sparse":
-                    x_new = sparse_solve_batch(G, I_t.T)
-                else:
-                    x_new = _batched_solve(G, I_t.T)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular MNA matrix in batch: {exc}",
-                    analysis="batch-transient", time=t) from None
-            if not np.isfinite(x_new).all():
-                # The direct gufunc signals singular matrices with NaNs
-                # rather than raising; both land here.
-                raise ConvergenceError(
-                    "solution diverged to non-finite values "
-                    "(or singular MNA matrix)",
-                    analysis="batch-transient", time=t)
+            if self._backend == "sparse":
+                x_new = _sparse_rows(G, I_t.T)
+            else:
+                x_new = _batched_solve(G, I_t.T)
+            finite = np.isfinite(x_new).all(axis=1)
+            if not finite.all():
+                # Diverged or singular (the gufunc signals singular
+                # matrices with NaNs): those lanes fail this attempt.
+                failed[work[~finite]] = True
+                work, x_new = work[finite], x_new[finite]
+                x_work = x_work[finite]
+                if work.size == 0:
+                    break
             if not has_nonlinear:
-                if rt is not None:
-                    _note_batch_newton(rt, _iteration + 1, self._backend)
-                return x_new
+                x[work] = x_new
+                work = work[:0]
+                break
             dx = x_new - x_work
             dv = dx[:, :n]
             abs_dv = np.abs(dv)
@@ -647,124 +678,180 @@ class BatchTransientSolver:
             stepped = ~clamped
             if stepped.any():
                 x[work[stepped]] = x_new[stepped]
-                # One fused pass: per-column tolerance (abstol on node
-                # voltages, itol on branch currents) — elementwise equal
-                # to the scalar engine's separate v/i tests.
-                ok = stepped & (
-                    np.abs(dx) <=
-                    self._tol_cols(abstol, itol)
-                    + reltol * np.abs(x_new)).all(axis=1)
-                if ok.all():
-                    if rt is not None:
-                        _note_batch_newton(rt, _iteration + 1,
-                                           self._backend)
-                    return x
-                if ok.any():
-                    work = work[~ok]
+                # One fused pass, elementwise equal to the scalar
+                # engine's separate v/i tests.
+                ok = stepped & (np.abs(dx) <= tol + reltol * np.abs(x_new)
+                                ).all(axis=1)
+                work = work[~ok]
+                if work.size == 0:
+                    break
+        failed[work] = True
         if rt is not None:
-            rt.count("repro_mna_convergence_failures_total",
-                     analysis="batch-transient")
-        raise ConvergenceError(
-            f"batched Newton failed to converge in {max_iter} iterations "
-            f"({work.size} of {self.n_points} points open)",
-            analysis="batch-transient", time=t)
+            if not failed.all():
+                rt.count("repro_mna_newton_solves_total")
+                rt.count("repro_mna_newton_iterations_total", iteration,
+                         backend=self._backend or "dense")
+            if failed.any():
+                rt.count("repro_mna_convergence_failures_total",
+                         int(failed.sum()), analysis="batch-transient")
+        return x, failed
 
     # -- integration -------------------------------------------------------
 
-    def run(self, tstop: float, dt: float, *, tstart: float = 0.0,
+    def run(self, tstop, dt, *, tstart: float = 0.0,
             method: str = "trap", x0: Optional[np.ndarray] = None,
-            max_retries: int = 10) -> BatchTransientResult:
-        """Integrate every point from ``tstart`` to ``tstop`` in lock-step.
+            max_retries: int = 10,
+            points: Optional[Sequence[int]] = None) -> BatchTransientResult:
+        """Integrate every lane from ``tstart`` to its ``tstop``.
 
-        ``x0`` is the stacked initial state ``(P, S)``; ``None`` solves
-        each point's DC operating point at ``tstart`` first (scalar, so
-        the starting states match per-point runs exactly).
+        ``tstop`` and ``dt`` take one value or one per lane.  ``points``
+        names the circuit each lane integrates (default: one lane per
+        circuit, in order; a circuit may back several lanes).  ``x0`` is
+        the stacked initial state ``(L, S)``; ``None`` solves each
+        lane's DC operating point at ``tstart`` first (scalar, so the
+        starting states match per-point runs exactly).
         """
-        if tstop <= tstart:
+        circ = (np.arange(self.n_points) if points is None
+                else np.asarray(points, dtype=np.intp))
+        n_lanes = circ.size
+        tstop = _per_point(tstop, n_lanes, "tstop")
+        dt = _per_point(dt, n_lanes, "dt")
+        if np.any(tstop <= tstart):
             raise AnalysisError(
-                f"tstop ({tstop}) must exceed tstart ({tstart})")
-        if dt <= 0:
+                f"tstop ({tstop.min()}) must exceed tstart ({tstart})")
+        if np.any(dt <= 0):
             raise AnalysisError("dt must be positive")
         if method not in ("trap", "be"):
             raise AnalysisError(f"unknown integration method {method!r}")
 
         if x0 is not None:
             x = np.asarray(x0, dtype=float).copy()
-            if x.shape != (self.n_points, self.size):
+            if x.shape != (n_lanes, self.size):
                 raise AnalysisError(
-                    f"x0 must be ({self.n_points}, {self.size}), "
-                    f"got {x.shape}")
+                    f"x0 must be ({n_lanes}, {self.size}), got {x.shape}")
         else:
             x = np.stack([
-                operating_point(c, t=tstart, ctx=ctx).x
-                for c, ctx in zip(self.circuits, self.contexts)])
-        self._caps.init_state(self._padded(x))
-
-        breakpoints = self._breakpoints(tstart, tstop)
-        bp_iter: List[float] = [b for b in breakpoints if tstart < b < tstop]
-        bp_iter.append(tstop)
-
-        times: List[float] = [tstart]
-        states: List[np.ndarray] = [x.copy()]
-        t_cur = tstart
-        be_countdown = BE_STEPS_AFTER_BREAKPOINT
-        eps = dt * 1e-9
+                operating_point(self.circuits[p], t=tstart,
+                                ctx=self.contexts[p]).x
+                for p in circ.tolist()])
 
         # One errstate frame for the whole run: the direct solve gufunc
-        # flags singular systems via NaNs, which the Newton loop checks.
+        # flags singular systems via NaNs, which the Newton loop checks,
+        # and masked pulse branches may divide by zero.
         errstate = np.errstate(invalid="ignore", divide="ignore",
                                over="ignore")
         with errstate, telemetry.span("mna.transient.batch",
-                                      points=self.n_points,
-                                      size=self.size):
-            return self._integrate(tstop, dt, method, x, times, states,
-                                   t_cur, be_countdown, eps, bp_iter,
-                                   max_retries)
+                                      points=n_lanes, size=self.size):
+            result = self._integrate(circ, tstart, tstop, dt, method, x,
+                                     max_retries)
+        rt = telemetry.active()
+        if rt is not None:
+            rt.count("repro_mna_steps_total", int(result.steps.sum()))
+            rt.count("repro_mna_step_halvings_total",
+                     int(result.halvings.sum()))
+        return result
 
-    def _integrate(self, tstop, dt, method, x, times, states, t_cur,
-                   be_countdown, eps, bp_iter, max_retries
-                   ) -> BatchTransientResult:
-        bp_pos = 0
-        while t_cur < tstop - eps:
-            while bp_pos < len(bp_iter) and bp_iter[bp_pos] <= t_cur + eps:
-                bp_pos += 1
-            next_bp = bp_iter[bp_pos] if bp_pos < len(bp_iter) else tstop
-            h = min(dt, next_bp - t_cur)
-            step_method = "be" if (method == "be" or be_countdown > 0) \
-                else "trap"
+    @staticmethod
+    def _advance(rows, t, eps, targets, pos, nxt) -> None:
+        """Move each lane's next target past breakpoints at or before
+        ``t + eps``, as the scalar loop skips them."""
+        rows = rows[nxt[rows] <= t[rows] + eps[rows]]
+        while rows.size:
+            pos[rows] += 1
+            nxt[rows] = targets[rows, pos[rows]]
+            rows = rows[nxt[rows] <= t[rows] + eps[rows]]
 
-            x_next = None
-            h_try = h
-            for _attempt in range(max_retries):
-                try:
-                    x_next = self._solve_newton(x, t_cur + h_try, h_try,
-                                                step_method)
-                    break
-                except ConvergenceError:
-                    # One straggler halves the step for the whole batch;
-                    # correctness is preserved, strict per-point identity
-                    # with the scalar engine is not (see module docs).
-                    h_try *= 0.5
-                    step_method = "be"
-                    if h_try < MIN_STEP:
-                        break
-            if x_next is None:
-                raise ConvergenceError(
-                    "batched transient step failed even at minimum step "
-                    "size", analysis="batch-transient", time=t_cur)
+    def _integrate(self, circ, tstart, tstop, dt, method, x,
+                   max_retries) -> BatchTransientResult:
+        n_lanes = circ.size
+        self._circ = circ
+        self._lane_ids = np.arange(n_lanes)
+        self._dt_nominal = dt
+        self._xpad_cols = np.zeros((n_lanes, self.size + 1))
+        self._caps.init_state(self._padded(x), circ)
+        self._sources.bind(circ)
+        self._mosfets.bind(circ)
+        # The run's nominal-step matrices, one per integration method.
+        stacks = []
+        for be in (False, True):
+            G = self._G_fixed[circ]
+            self._caps.add_geq_stack(
+                G, self._caps.geq(slice(None), dt, np.full(n_lanes, be)))
+            stacks.append(G)
+        self._G_trap, self._G_be = stacks
 
-            t_cur += h_try
-            self._caps.accept_step(self._padded(x_next), h_try, step_method)
-            x = x_next
-            times.append(t_cur)
+        targets = self._breakpoints(circ, tstart, tstop)
+        eps = dt * 1e-9
+        stop = tstop - eps
+        t = np.full(n_lanes, float(tstart))
+        pos = np.zeros(n_lanes, dtype=np.intp)
+        nxt = targets[:, 0].copy()       # each lane's next step target
+        # Steps left on backward Euler; the initial ramp is a corner
+        # too.  Below zero means trapezoidal, as zero does.
+        countdown = np.full(n_lanes, BE_STEPS_AFTER_BREAKPOINT)
+        halvings = np.zeros(n_lanes, dtype=int)
+        force_be = method == "be"
+        times: List[np.ndarray] = [t.copy()]
+        states: List[np.ndarray] = [x.copy()]
+
+        self._advance(self._lane_ids, t, eps, targets, pos, nxt)
+        act = self._lane_ids[t < stop]
+        while act.size:
+            # Lanes still stepping; a full working set indexes by slice
+            # (views, no gathers).
+            ix = slice(None) if act.size == n_lanes else act
+            t_act, next_bp = t[ix], nxt[ix]
+            h = np.minimum(dt[ix], next_bp - t_act)
+            be = (countdown[ix] > 0) | force_be
+            t_new = t_act + h
+            geq = self._caps.geq(ix, h, be)
+
+            # Newton failures halve only the failing lanes' steps and
+            # retry them, exactly as the scalar loop does per point.
+            x_acc, failed = self._solve_newton(x[ix], t_new, h, be, geq, ix)
+            pending = np.nonzero(failed)[0]
+            attempts = 1
+            while pending.size:
+                rows = act[pending]
+                h[pending] *= 0.5
+                be[pending] = True
+                halvings[rows] += 1
+                if attempts == max_retries or (h[pending] < MIN_STEP).any():
+                    raise ConvergenceError(
+                        "batched transient step failed even at minimum "
+                        "step size", analysis="batch-transient",
+                        time=float(t_act[pending[0]]))
+                t_new[pending] = t_act[pending] + h[pending]
+                geq[:, pending] = self._caps.geq(rows, h[pending],
+                                                 be[pending])
+                x_new, failed = self._solve_newton(
+                    x[rows], t_new[pending], h[pending], be[pending],
+                    geq[:, pending], rows)
+                x_acc[pending[~failed]] = x_new[~failed]
+                pending = pending[failed]
+                attempts += 1
+
+            self._caps.accept_step(self._padded(x_acc), geq, be, ix)
+            countdown[ix] -= 1
+            t[ix] = t_new
+            x[ix] = x_acc
+            times.append(t.copy())
             states.append(x.copy())
-            if abs(t_cur - next_bp) <= eps:
-                be_countdown = BE_STEPS_AFTER_BREAKPOINT
-            elif be_countdown > 0:
-                be_countdown -= 1
+            # Steps never pass their target, so a lane within eps of it
+            # sits on the breakpoint: restart its BE countdown and move
+            # its target past every breakpoint within eps.
+            hit = act[next_bp - t_new <= eps[ix]]
+            if hit.size:
+                countdown[hit] = BE_STEPS_AFTER_BREAKPOINT
+                self._advance(hit, t, eps, targets, pos, nxt)
+            act = act[t_new < stop[ix]]
 
-        return BatchTransientResult(self.circuits, np.asarray(times),
-                                    np.stack(states, axis=0))
+        times = np.stack(times)
+        # Finished lanes repeat their stop time, so a lane's step count
+        # is the number of earlier rows.
+        steps = (times < times[-1]).sum(axis=0)
+        return BatchTransientResult([self.circuits[p] for p in circ.tolist()],
+                                    times, np.stack(states), steps, halvings)
 
 
 class BatchPssResult:
@@ -772,16 +859,16 @@ class BatchPssResult:
 
     Every reduction mirrors :class:`~repro.circuit.pss.PssResult`, one
     value per point; :meth:`point` recovers a scalar result object.
-    Waves are stored per point (``(t, X)`` pairs): points captured at
-    different shooting iterations may sit on different time grids when
-    a Newton step-halving refined one iteration's stepping.
+    Waves are stored per point (``(t, X)`` pairs): points differ in
+    period and step count, and one point's step halvings refine only its
+    own time grid.
     """
 
-    def __init__(self, solver: BatchTransientSolver, period: float,
+    def __init__(self, circuits: List[Circuit], periods: np.ndarray,
                  waves: "List[tuple]", iterations: np.ndarray,
                  residuals: np.ndarray):
-        self._solver = solver
-        self.period = period
+        self.circuits = circuits
+        self.periods = periods          # (P,)
         self._waves = waves             # per point: (t (T,), X (T, S))
         self.iterations = iterations    # (P,)
         self.residuals = residuals      # (P,)
@@ -790,34 +877,33 @@ class BatchPssResult:
     def n_points(self) -> int:
         return len(self._waves)
 
+    def _reduce(self, node: str, reduction: str) -> np.ndarray:
+        out = np.zeros(self.n_points)
+        for p, (t, X) in enumerate(self._waves):
+            idx = self.circuits[p].node_index(node)
+            if idx >= 0:
+                out[p] = getattr(Waveform(t, X[:, idx]), reduction)()
+        return out
+
     def averages(self, node: str) -> np.ndarray:
         """Period-average node voltage per point, shape ``(P,)``."""
-        idx = self._solver.circuits[0].node_index(node)
-        if idx < 0:
-            return np.zeros(self.n_points)
-        return np.array([
-            Waveform(t, X[:, idx]).average() for t, X in self._waves])
+        return self._reduce(node, "average")
 
     def ripples(self, node: str) -> np.ndarray:
-        idx = self._solver.circuits[0].node_index(node)
-        if idx < 0:
-            return np.zeros(self.n_points)
-        return np.array([
-            Waveform(t, X[:, idx]).peak_to_peak()
-            for t, X in self._waves])
+        return self._reduce(node, "peak_to_peak")
 
     def point(self, p: int) -> PssResult:
         t, X = self._waves[p]
-        waves = TransientResult(self._solver.circuits[p], t, X)
-        return PssResult(self._solver.circuits[p], self.period, waves,
+        waves = TransientResult(self.circuits[p], t, X)
+        return PssResult(self.circuits[p], float(self.periods[p]), waves,
                          int(self.iterations[p]),
                          float(self.residuals[p]))
 
 
-def shooting_batch(circuits: Sequence[Circuit], period: float, *,
-                   steps_per_period: int = 200,
+def shooting_batch(circuits: Sequence[Circuit], period, *,
+                   steps_per_period=200,
                    observe: Optional[Sequence[str]] = None,
-                   x0: Optional[np.ndarray] = None,
+                   x0: Optional[Sequence[np.ndarray]] = None,
                    warmup_periods: int = 2, max_iterations: int = 15,
                    tol: float = 1e-4, fd_delta: float = 5e-3,
                    method: str = "trap",
@@ -825,37 +911,41 @@ def shooting_batch(circuits: Sequence[Circuit], period: float, *,
                    solver: str = "auto") -> BatchPssResult:
     """Newton-shooting PSS for a whole batch of sweep points at once.
 
-    The batched period map is block-diagonal across points, so each
-    point's shooting iterates equal the scalar
-    :func:`~repro.circuit.pss.shooting` sequence; a point's waves are
-    captured at the iteration where *its* residual first drops under
-    ``tol`` (exactly the scalar return), and its state is frozen while
-    the remaining points keep iterating.  Defaults mirror the scalar
+    ``period`` and ``steps_per_period`` take one value or one per
+    circuit, so duty, frequency and supply sweeps batch alike.  Circuits
+    are grouped by structure internally (any mix may be passed); each
+    group's shooting iterations run its open points' base period runs
+    and finite-difference probes as one speculative lock-step run.  The
+    stack is block-diagonal, so each point's iterates equal the scalar
+    :func:`~repro.circuit.pss.shooting` sequence; its waves are captured
+    at the iteration where *its* residual first drops under ``tol``
+    (exactly the scalar return), and it then leaves the working set.
+    ``x0`` gives one start state per point.  Defaults mirror the scalar
     engine's.
     """
+    return _traced_shooting(
+        "pss.shooting_batch", {"points": len(circuits)}, circuits, period,
+        dict(steps_per_period=steps_per_period, observe=observe, x0=x0,
+             warmup_periods=warmup_periods, max_iterations=max_iterations,
+             tol=tol, fd_delta=fd_delta, method=method,
+             update_limit=update_limit, solver=solver))
+
+
+def _traced_shooting(name, tags, circuits, period, kwargs) -> BatchPssResult:
+    """:func:`_shooting_batch_impl`, under span ``name`` and counted
+    when telemetry is on."""
     rt = telemetry.active()
     if rt is None:
-        return _shooting_batch_impl(
-            circuits, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, solver=solver)
-    with rt.tracer.span("pss.shooting_batch",
-                        {"points": len(circuits)}) as sp:
+        return _shooting_batch_impl(circuits, period, **kwargs)
+    with rt.tracer.span(name, tags) as sp:
         try:
-            result = _shooting_batch_impl(
-                circuits, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol,
-                fd_delta=fd_delta, method=method,
-                update_limit=update_limit, solver=solver)
+            result = _shooting_batch_impl(circuits, period, **kwargs)
         except ConvergenceError:
             rt.count("repro_pss_convergence_failures_total")
             raise
         sp.set_tag("iterations", int(result.iterations.max()))
         rt.count("repro_pss_solves_total", result.n_points)
-        rt.count("repro_pss_iterations_total",
-                 int(result.iterations.sum()))
+        rt.count("repro_pss_iterations_total", int(result.iterations.sum()))
         return result
 
 
@@ -863,103 +953,77 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
                          x0, warmup_periods, max_iterations, tol,
                          fd_delta, method, update_limit,
                          solver) -> BatchPssResult:
-    if period <= 0:
+    circuits = list(circuits)
+    if not circuits:
+        raise AnalysisError("need at least one circuit to batch")
+    n_points = len(circuits)
+    periods = _per_point(period, n_points, "period")
+    if np.any(periods <= 0):
         raise AnalysisError("period must be positive")
-    solver_kind = check_solver(solver)
-    solver = BatchTransientSolver(circuits, solver=solver_kind)
-    circuit0 = solver.circuits[0]
-    observe_names = list(observe) if observe \
-        else _default_observe(circuit0)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit0.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
-    dt = period / steps_per_period
-    n_points = solver.n_points
-    n_obs = len(obs_idx)
+    # period / steps, as the scalar engine divides (float by int).
+    dt = periods / np.broadcast_to(np.asarray(steps_per_period),
+                                   (n_points,))
+    groups: "Dict[tuple, List[int]]" = {}
+    for i, c in enumerate(circuits):
+        groups.setdefault(_structure_signature(c), []).append(i)
 
-    def run_period(x_start: np.ndarray) -> BatchTransientResult:
-        return solver.run(period, dt, x0=x_start, method=method)
-
-    if x0 is None:
-        x = np.stack([
-            operating_point(c, t=0.0, ctx=ctx).x
-            for c, ctx in zip(solver.circuits, solver.contexts)])
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max(warmup_periods, 0)):
-        x = run_period(x).final_x
-
-    # Converged points leave the working batch entirely (the solver is
-    # rebuilt on the survivors), so stragglers never drag the whole
-    # sweep through extra full-width period runs.  ``order`` maps
-    # working-batch rows back to the caller's point indices.
-    full_solver = solver
-    order = np.arange(n_points)
     iterations = np.zeros(n_points, dtype=int)
     residuals = np.full(n_points, np.inf)
     waves: "List[Optional[tuple]]" = [None] * n_points
+    for members in groups.values():
+        idx = np.asarray(members)
+        bts = BatchTransientSolver([circuits[i] for i in members],
+                                   solver=solver)
+        obs_idx = _observed(bts.circuits[0], observe)
+        if x0 is None:
+            x = np.stack([operating_point(c, t=0.0, ctx=ctx).x
+                          for c, ctx in zip(bts.circuits, bts.contexts)])
+        else:
+            x = np.stack([np.asarray(x0[i], dtype=float) for i in members])
+        for _ in range(max(warmup_periods, 0)):
+            x = bts.run(periods[idx], dt[idx], x0=x, method=method).final_x
 
-    for iteration in range(1, max_iterations + 1):
-        base = run_period(x)
-        fx = base.final_x
-        r = fx[:, obs_idx] - x[:, obs_idx]          # (B, n_obs)
-        res = np.max(np.abs(r), axis=1)
-        residuals[order] = res
-        done = res < tol
-        x_start = base.X[0]
-        if done.any():
+        # Lanes per open point: its base run, then one probe per
+        # observed node.  ``open_`` indexes the group's points.
+        n_obs = len(obs_idx)
+        width = 1 + n_obs
+        open_ = np.arange(len(members))
+        for iteration in range(1, max_iterations + 1):
+            lanes = np.repeat(open_, width)
+            starts = np.repeat(x, width, axis=0)
+            for j in range(n_obs):
+                starts[1 + j::width, obs_idx[j]] += fd_delta
+            run = bts.run(periods[idx][lanes], dt[idx][lanes], x0=starts,
+                          method=method, points=lanes)
+            fx_all = run.final_x.reshape(open_.size, width, -1)
+            fx = fx_all[:, 0]
+            r = fx[:, obs_idx] - x[:, obs_idx]       # (B, n_obs)
+            res = np.max(np.abs(r), axis=1)
+            residuals[idx[open_]] = res
+            done = res < tol
             for i in np.nonzero(done)[0]:
-                waves[order[i]] = (base.t, base.X[:, i, :].copy())
-            iterations[order[done]] = iteration
-            if done.all():
-                return BatchPssResult(full_solver, period, waves,
-                                      iterations, residuals)
+                lane = run.point(i * width)
+                waves[idx[open_[i]]] = (lane.t, lane.X)
+            iterations[idx[open_[done]]] = iteration
             keep = np.nonzero(~done)[0]
-            order = order[keep]
-            solver = BatchTransientSolver(
-                [solver.circuits[int(k)] for k in keep],
-                solver=solver_kind)
-
-            def run_period(x_start: np.ndarray) -> BatchTransientResult:
-                return solver.run(period, dt, x0=x_start, method=method)
-
-            x, fx, r = x[keep], fx[keep], r[keep]
-            x_start = x_start[keep]
-        # Finite-difference Jacobian of the period map, per point.  One
-        # batched run per observed node perturbs every surviving point
-        # at once.
-        A = np.zeros((x.shape[0], n_obs, n_obs))
-        for j in range(n_obs):
-            x_pert = x.copy()
-            x_pert[:, obs_idx[j]] += fd_delta
-            fx_pert = run_period(x_pert).final_x
-            A[:, :, j] = (fx_pert[:, obs_idx] - fx[:, obs_idx]) / fd_delta
-        # Solve (I - A) dx = r per point; singular/non-finite points
-        # fall back to fixed-point iteration like the scalar engine.
-        eye = np.eye(n_obs)
-        dx_obs = np.empty((x.shape[0], n_obs))
-        for p in range(x.shape[0]):
-            try:
-                dx_p = np.linalg.solve(eye - A[p], r[p])
-            except np.linalg.LinAlgError:
-                dx_p = r[p]
-            if not np.all(np.isfinite(dx_p)):
-                dx_p = r[p]
-            dx_obs[p] = dx_p
-        dx_obs = np.clip(dx_obs, -update_limit, update_limit)
-        x_next = fx.copy()
-        x_next[:, obs_idx] = x_start[:, obs_idx] + dx_obs
-        x = x_next
-
-    raise ConvergenceError(
-        f"batched shooting did not converge in {max_iterations} "
-        f"iterations ({x.shape[0]} of {n_points} points open, "
-        f"worst residual {float(np.max(residuals[order])):.3g} V)",
-        analysis="pss")
+            if keep.size == 0:
+                break
+            # Finite-difference Jacobian of the period map per point,
+            # then the scalar engine's Newton update.
+            A = ((fx_all[keep][:, 1:, obs_idx] - fx[keep][:, None, obs_idx])
+                 / fd_delta).transpose(0, 2, 1)
+            x_next = fx[keep].copy()
+            for row, p in enumerate(keep):
+                x_next[row, obs_idx] = x[p, obs_idx] + _newton_update(
+                    A[row], r[p], update_limit)
+            x, open_ = x_next, open_[keep]
+        else:
+            raise ConvergenceError(
+                f"batched shooting did not converge in {max_iterations} "
+                f"iterations ({open_.size} of {n_points} points open, "
+                f"worst residual {float(np.max(residuals[idx[open_]])):.3g}"
+                " V)", analysis="pss")
+    return BatchPssResult(circuits, periods, waves, iterations, residuals)
 
 
 def shooting_jacobian_batched(circuit: Circuit, period: float, *,
@@ -972,108 +1036,18 @@ def shooting_jacobian_batched(circuit: Circuit, period: float, *,
                               method: str = "trap",
                               update_limit: float = 2.0,
                               solver: str = "auto") -> PssResult:
-    """Newton-shooting PSS of **one** circuit with batched Jacobian runs.
+    """Newton-shooting PSS of **one** circuit through :func:`shooting_batch`.
 
-    :func:`shooting_batch` batches across sweep *points*; single-point
-    paths (the multifreq sweeps, the perceptron-adder transients) cannot
-    use it — their circuits differ in source timing.  But every shooting
-    iteration of a single circuit already contains ``1 + n_obs``
-    independent period integrations: the base run plus one
-    finite-difference probe per observed node, all of the *same* circuit
-    and differing only in the starting state.  This function stacks them
-    into one lock-step :class:`BatchTransientSolver` run per iteration,
-    collapsing the per-iteration Python stepping overhead by
-    ``1 + n_obs``.
-
-    The stacked system is block-diagonal across the batch, so the base
-    trajectory's iterates are unaffected by the speculative probe
-    points: residuals, Jacobians and updates equal the scalar
-    :func:`~repro.circuit.pss.shooting` sequence bit for bit (the probes
-    are run speculatively *before* the residual test, which only wastes
-    work on the final iteration).  Warmup periods run through the scalar
-    engine — identical by construction.
+    Each shooting iteration's base period run and its finite-difference
+    probes (one per observed node) run as one lock-step solve;
+    iterates, residuals and waves equal the scalar
+    :func:`~repro.circuit.pss.shooting` sequence bit for bit.
     """
-    rt = telemetry.active()
-    if rt is None:
-        return _shooting_jacobian_impl(
-            circuit, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, solver=solver)
-    with rt.tracer.span("pss.shooting_jacobian",
-                        {"circuit": circuit.name}) as sp:
-        try:
-            result = _shooting_jacobian_impl(
-                circuit, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol,
-                fd_delta=fd_delta, method=method,
-                update_limit=update_limit, solver=solver)
-        except ConvergenceError:
-            rt.count("repro_pss_convergence_failures_total")
-            raise
-        sp.set_tag("iterations", result.iterations)
-        rt.count("repro_pss_solves_total")
-        rt.count("repro_pss_iterations_total", result.iterations)
-        return result
-
-
-def _shooting_jacobian_impl(circuit, period, *, steps_per_period,
-                            observe, x0, warmup_periods, max_iterations,
-                            tol, fd_delta, method, update_limit,
-                            solver) -> PssResult:
-    if period <= 0:
-        raise AnalysisError("period must be positive")
-    circuit.compile()
-    observe_names = list(observe) if observe else _default_observe(circuit)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
-    dt = period / steps_per_period
-    n_obs = len(obs_idx)
-    # All batch points are the same circuit object: the batch layer never
-    # mutates element state (capacitor companions live in its own
-    # arrays), so the shared structure check is trivially satisfied.
-    batch_solver = BatchTransientSolver([circuit] * (1 + n_obs),
-                                        solver=solver)
-    ctx = batch_solver.contexts[0]
-
-    x = operating_point(circuit, t=0.0, ctx=ctx).x.copy() if x0 is None \
-        else np.asarray(x0, dtype=float).copy()
-    for _ in range(max(warmup_periods, 0)):
-        x = transient(circuit, period, dt, x0=x, method=method,
-                      ctx=ctx).final_x
-
-    residual = np.inf
-    for iteration in range(1, max_iterations + 1):
-        starts = np.repeat(x[None, :], 1 + n_obs, axis=0)
-        for j in range(n_obs):
-            starts[1 + j, obs_idx[j]] += fd_delta
-        batch = batch_solver.run(period, dt, x0=starts, method=method)
-        fx_all = batch.final_x                       # (1+n_obs, S)
-        fx = fx_all[0]
-        r = fx[obs_idx] - x[obs_idx]
-        residual = float(np.max(np.abs(r)))
-        if residual < tol:
-            return PssResult(circuit, period, batch.point(0), iteration,
-                             residual)
-        A = np.empty((n_obs, n_obs))
-        for j in range(n_obs):
-            A[:, j] = (fx_all[1 + j][obs_idx] - fx[obs_idx]) / fd_delta
-        try:
-            dx_obs = np.linalg.solve(np.eye(n_obs) - A, r)
-        except np.linalg.LinAlgError:
-            dx_obs = r  # fall back to fixed-point iteration
-        if not np.all(np.isfinite(dx_obs)):
-            dx_obs = r
-        dx_obs = np.clip(dx_obs, -update_limit, update_limit)
-        x = fx.copy()
-        x[obs_idx] = batch.X[0][0][obs_idx] + dx_obs
-
-    raise ConvergenceError(
-        f"shooting did not converge in {max_iterations} iterations "
-        f"(residual {residual:.3g} V)", analysis="pss")
+    return _traced_shooting(
+        "pss.shooting_jacobian", {"circuit": circuit.name}, [circuit],
+        period,
+        dict(steps_per_period=steps_per_period, observe=observe,
+             x0=None if x0 is None else [x0],
+             warmup_periods=warmup_periods, max_iterations=max_iterations,
+             tol=tol, fd_delta=fd_delta, method=method,
+             update_limit=update_limit, solver=solver)).point(0)

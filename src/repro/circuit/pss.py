@@ -76,6 +76,35 @@ def _default_observe(circuit: Circuit) -> List[str]:
     return names
 
 
+def _observed(circuit: Circuit, observe: Optional[Sequence[str]]
+              ) -> np.ndarray:
+    """Indices of the shooting nodes: ``observe``, else the nodes that
+    carry explicit capacitors."""
+    names = list(observe) if observe else _default_observe(circuit)
+    if not names:
+        raise AnalysisError(
+            "shooting needs at least one observed node; none carry "
+            "explicit capacitors and none were given")
+    obs_idx = np.array([circuit.node_index(n) for n in names])
+    if np.any(obs_idx < 0):
+        raise AnalysisError("cannot observe the ground node")
+    return obs_idx
+
+
+def _newton_update(A: np.ndarray, r: np.ndarray,
+                   update_limit: float) -> np.ndarray:
+    """Solve ``(I - A) dx = r`` (Newton on ``F(x) - x = 0``), falling
+    back to fixed-point iteration (``dx = r``) on singular or
+    non-finite solves, then clamp to ``update_limit``."""
+    try:
+        dx = np.linalg.solve(np.eye(len(r)) - A, r)
+    except np.linalg.LinAlgError:
+        dx = r
+    if not np.all(np.isfinite(dx)):
+        dx = r
+    return np.clip(dx, -update_limit, update_limit)
+
+
 def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
              observe: Optional[Sequence[str]] = None,
              x0: Optional[np.ndarray] = None, warmup_periods: int = 2,
@@ -138,14 +167,7 @@ def _shooting_impl(circuit, period, *, steps_per_period, observe, x0,
         raise AnalysisError("period must be positive")
     circuit.compile()
     ctx = ctx or MnaContext(circuit, solver=solver)
-    observe_names = list(observe) if observe else _default_observe(circuit)
-    if not observe_names:
-        raise AnalysisError(
-            "shooting needs at least one observed node; none carry "
-            "explicit capacitors and none were given")
-    obs_idx = np.array([circuit.node_index(n) for n in observe_names])
-    if np.any(obs_idx < 0):
-        raise AnalysisError("cannot observe the ground node")
+    obs_idx = _observed(circuit, observe)
     dt = period / steps_per_period
 
     def run_period(x_start: np.ndarray) -> TransientResult:
@@ -176,17 +198,9 @@ def _shooting_impl(circuit, period, *, steps_per_period, observe, x0,
             x_pert[obs_idx[j]] += fd_delta
             fx_pert = run_period(x_pert).final_x
             A[:, j] = (fx_pert[obs_idx] - fx[obs_idx]) / fd_delta
-        # Solve (I - A) dx = r  (Newton on G(x) = F(x) - x = 0).
-        try:
-            dx_obs = np.linalg.solve(np.eye(n_obs) - A, r)
-        except np.linalg.LinAlgError:
-            dx_obs = r  # fall back to fixed-point iteration
-        if not np.all(np.isfinite(dx_obs)):
-            dx_obs = r
-        dx_obs = np.clip(dx_obs, -update_limit, update_limit)
         # Carry the full end-state (fast nodes) and correct slow nodes.
         x = fx.copy()
-        x[obs_idx] = base.X[0][obs_idx] + dx_obs
+        x[obs_idx] = base.X[0][obs_idx] + _newton_update(A, r, update_limit)
 
     raise ConvergenceError(
         f"shooting did not converge in {max_iterations} iterations "

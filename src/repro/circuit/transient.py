@@ -29,10 +29,13 @@ MIN_STEP = 1e-18
 class TransientResult:
     """Sampled solution of a transient run."""
 
-    def __init__(self, circuit: Circuit, t: np.ndarray, X: np.ndarray):
+    def __init__(self, circuit: Circuit, t: np.ndarray, X: np.ndarray,
+                 halvings: int = 0):
         self.circuit = circuit
         self.t = t
         self.X = X
+        #: Step-size halvings taken after Newton failures.
+        self.halvings = halvings
 
     @property
     def final_x(self) -> np.ndarray:
@@ -113,6 +116,8 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
                                  ctx=ctx, max_retries=max_retries,
                                  solver=solver)
         sp.set_tag("steps", len(result.t) - 1)
+        rt.count("repro_mna_steps_total", len(result.t) - 1)
+        rt.count("repro_mna_step_halvings_total", result.halvings)
         return result
 
 
@@ -150,6 +155,7 @@ def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
     t_cur = tstart
     be_countdown = BE_STEPS_AFTER_BREAKPOINT  # initial ramp is a corner too
     eps = dt * 1e-9
+    halvings = 0
 
     while t_cur < tstop - eps:
         while bp_pos < len(bp_iter) and bp_iter[bp_pos] <= t_cur + eps:
@@ -169,6 +175,7 @@ def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
             except ConvergenceError:
                 h_try *= 0.5
                 step_method = "be"
+                halvings += 1
                 if h_try < MIN_STEP:
                     break
         if x_next is None:
@@ -186,4 +193,5 @@ def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
         elif be_countdown > 0:
             be_countdown -= 1
 
-    return TransientResult(circuit, np.asarray(times), np.vstack(states))
+    return TransientResult(circuit, np.asarray(times), np.vstack(states),
+                           halvings)

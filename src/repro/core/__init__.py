@@ -37,6 +37,7 @@ from .full_perceptron import (
     FullPerceptronResult,
     build_full_perceptron_circuit,
     evaluate_full_perceptron,
+    evaluate_full_perceptrons,
 )
 from .design_space import (
     CellOperatingPoint,
@@ -92,7 +93,8 @@ __all__ = [
     "RatiometricComparator", "AbsoluteComparator", "DifferentialComparator",
     "ComparatorDesign", "comparator_subckt", "reference_divider_subckt",
     "build_comparator_bench", "build_full_perceptron_circuit",
-    "evaluate_full_perceptron", "FullPerceptronResult",
+    "evaluate_full_perceptron", "evaluate_full_perceptrons",
+    "FullPerceptronResult",
     # training / networks
     "RampReencoder", "ReencoderDesign", "reencode_ratiometric",
     "PerceptronTrainer", "TrainingResult", "TrainingRecord",

@@ -9,7 +9,7 @@ transistor level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..circuit.exceptions import AnalysisError
 from ..circuit.netlist import Circuit
@@ -81,25 +81,44 @@ def evaluate_full_perceptron(duties: Sequence[float],
                              solver: str = "auto") -> FullPerceptronResult:
     """Transistor-level PSS of the whole perceptron; the decision is the
     comparator output's period average thresholded at mid-rail."""
+    return evaluate_full_perceptrons(
+        [(duties, weights, vdd)], theta, config=config, frequency=frequency,
+        steps_per_period=steps_per_period, solver=solver)[0]
+
+
+def evaluate_full_perceptrons(points: "Sequence[tuple]", theta: float, *,
+                              config: Optional[AdderConfig] = None,
+                              frequency: Optional[float] = None,
+                              steps_per_period: int = 100,
+                              solver: str = "auto"
+                              ) -> "List[FullPerceptronResult]":
+    """:func:`evaluate_full_perceptron` over ``(duties, weights, vdd)``
+    points (``vdd=None`` is the config rail) as one batched PSS solve;
+    points sharing weights share a lock-step stack, and every result
+    equals its single-point evaluation bit for bit."""
     config = config or AdderConfig()
-    supply = config.vdd if vdd is None else vdd
     freq = config.frequency if frequency is None else frequency
-    circuit = build_full_perceptron_circuit(
+    supplies = [config.vdd if vdd is None else vdd for _, _, vdd in points]
+    circuits = [build_full_perceptron_circuit(
         duties, weights, theta, config=config, vdd=supply, frequency=freq)
+        for (duties, weights, _), supply in zip(points, supplies)]
     # The comparator's internal nodes are slow too (microamp currents
     # into femtofarad caps give multi-period time constants near
     # balance), so shooting must treat them as state as well.  Seven
     # observed nodes means each shooting iteration runs eight period
-    # integrations — stacked into one lock-step solve by adder_pss.
-    pss = adder_pss(circuit, 1.0 / freq,
-                    observe=["out", "decision", "vref", "XCMP.d2",
-                             "XCMP.d1", "XCMP.tail", "XCMP.outb"],
-                    steps_per_period=steps_per_period, solver=solver)
-    v_out = pss.average("decision")
-    return FullPerceptronResult(
-        decision=int(v_out > supply / 2.0),
-        v_sum=pss.average("out"),
-        v_ref=pss.average("vref"),
-        v_out=v_out,
-        supply_power=pss.supply_power("VDD"),
-        transistor_count=circuit.stats()["transistors"])
+    # integrations per point — all stacked into one lock-step solve.
+    results = adder_pss(circuits, 1.0 / freq,
+                        observe=["out", "decision", "vref", "XCMP.d2",
+                                 "XCMP.d1", "XCMP.tail", "XCMP.outb"],
+                        steps_per_period=steps_per_period, solver=solver)
+    out = []
+    for pss, circuit, supply in zip(results, circuits, supplies):
+        v_out = pss.average("decision")
+        out.append(FullPerceptronResult(
+            decision=int(v_out > supply / 2.0),
+            v_sum=pss.average("out"),
+            v_ref=pss.average("vref"),
+            v_out=v_out,
+            supply_power=pss.supply_power("VDD"),
+            transistor_count=circuit.stats()["transistors"]))
+    return out

@@ -32,30 +32,33 @@ from .rc_model import RcLeg, RcSwitchSolver
 ENGINES = ("behavioral", "rc", "spice")
 
 
-def adder_pss(circuit: Circuit, period: float, *,
-              observe: Sequence[str], steps_per_period: int,
-              solver: str = "auto") -> PssResult:
-    """Shooting PSS with the Jacobian probe runs batched.
+def adder_pss(circuits: Sequence[Circuit], period, *,
+              observe: Sequence[str], steps_per_period,
+              solver: str = "auto") -> List[PssResult]:
+    """Shooting PSS of several circuits as one batched solve.
 
-    The batched path stacks the base period run and the per-node
-    finite-difference probes of each shooting iteration into one
-    lock-step solve — bit-identical to scalar
-    :func:`~repro.circuit.pss.shooting` (pinned by the equivalence
-    tests).  Circuits the batch layer cannot model (inductors,
-    switches), and the rare batch where one probe's step halving drags
-    the stack into non-convergence, fall back to the scalar engine
-    transparently.
+    ``period`` and ``steps_per_period`` take one value or one per
+    circuit.  :func:`~repro.circuit.batch_transient.shooting_batch`
+    stacks every point's base period run and finite-difference probes
+    into one lock-step solve per netlist structure; each result is
+    bit-identical to scalar :func:`~repro.circuit.pss.shooting`
+    (pinned by the equivalence tests).  Circuits the batch layer cannot
+    model (inductors, switches) fall back to the scalar engine.
     """
-    from ..circuit.batch_transient import shooting_jacobian_batched
-    from ..circuit.exceptions import ConvergenceError
+    from ..circuit.batch_transient import shooting_batch
 
     try:
-        return shooting_jacobian_batched(
-            circuit, period, observe=observe,
-            steps_per_period=steps_per_period, solver=solver)
-    except (AnalysisError, ConvergenceError):
-        return shooting(circuit, period, observe=observe,
-                        steps_per_period=steps_per_period, solver=solver)
+        batch = shooting_batch(circuits, period, observe=observe,
+                               steps_per_period=steps_per_period,
+                               solver=solver)
+    except AnalysisError:
+        n = len(circuits)
+        return [shooting(c, float(T), observe=observe,
+                         steps_per_period=int(k), solver=solver)
+                for c, T, k in zip(circuits, np.broadcast_to(period, n),
+                                   np.broadcast_to(steps_per_period, n))]
+    return [batch.point(p) for p in range(batch.n_points)]
+
 
 #: Resolution used when computing the common period of multi-frequency
 #: inputs, seconds (1 fs).
@@ -327,18 +330,45 @@ class WeightedAdder:
                                ripple=sol.ripple(), power=sol.supply_power(),
                                theoretical=theoretical)
 
-        circuit = self.build_circuit(duties, weights, vdd=supply,
-                                     frequency=freq, frequencies=frequencies,
-                                     phases=phases,
-                                     input_amplitude=input_amplitude)
-        period = (common_period(frequencies) if frequencies is not None
-                  else 1.0 / freq)
-        pss = adder_pss(circuit, period, observe=["out"],
-                        steps_per_period=steps_per_period, solver=solver)
-        return AdderResult(value=pss.average("out"), engine=engine,
-                           ripple=pss.ripple("out"),
-                           power=pss.supply_power("VDD"),
-                           theoretical=theoretical)
+        return self.evaluate_spice(
+            [dict(duties=duties, weights=weights, vdd=supply,
+                  frequency=freq, frequencies=frequencies, phases=phases,
+                  input_amplitude=input_amplitude)],
+            steps_per_period=steps_per_period, solver=solver)[0]
+
+    def evaluate_spice(self, points: Sequence[Dict], *,
+                       steps_per_period: int = 150,
+                       solver: str = "auto") -> List[AdderResult]:
+        """Transistor-level results for many operand points at once.
+
+        Each point is a mapping of :meth:`build_circuit` keywords
+        (``duties``, ``weights`` and optionally ``vdd``, ``frequency``,
+        ``frequencies``, ``phases``, ``input_amplitude``) plus an
+        optional per-point ``steps_per_period``.  All points run as one
+        :func:`adder_pss` call, so points with the same weights (the
+        same netlist structure) share a lock-step stack; each result
+        equals its single-point :meth:`evaluate` bit for bit.
+        """
+        circuits, periods, steps, theory = [], [], [], []
+        for point in points:
+            point = dict(point)
+            steps.append(point.pop("steps_per_period", steps_per_period))
+            vdd, freq, frequencies = (point.get(k) for k in (
+                "vdd", "frequency", "frequencies"))
+            supply = self.config.vdd if vdd is None else vdd
+            circuits.append(self.build_circuit(**point))
+            periods.append(
+                common_period(frequencies) if frequencies is not None
+                else 1.0 / (self.config.frequency if freq is None else freq))
+            theory.append(self.theoretical_output(
+                point["duties"], point["weights"], vdd=supply))
+        results = adder_pss(circuits, periods, observe=["out"],
+                            steps_per_period=steps, solver=solver)
+        return [AdderResult(value=pss.average("out"), engine="spice",
+                            ripple=pss.ripple("out"),
+                            power=pss.supply_power("VDD"),
+                            theoretical=t)
+                for pss, t in zip(results, theory)]
 
     def with_calibration(self, calibration: CalibrationModel) -> "WeightedAdder":
         return WeightedAdder(self.config, calibration=calibration)

@@ -1,12 +1,13 @@
 """Transistor-level engine: MNA shooting PSS of the full cell netlist.
 
-Single points run the classic scalar shooting solve (identical to the
-historical ``measure_cell`` path).  Supply sweeps and Monte-Carlo
-batches stack their independent points into one lock-step MNA solve via
-:class:`~repro.circuit.batch_transient.BatchTransientSolver` — the
-Python stepping machinery runs once for the whole grid instead of once
-per point, while every point's result stays bit-identical to its scalar
-solve (``benchmarks/BENCH_engines.json`` records the speedup).
+Single points run the classic scalar shooting solve.  Supply sweeps and
+Monte-Carlo batches stack their independent points into one lock-step
+MNA solve via :func:`~repro.circuit.batch_transient.shooting_batch` —
+the Python stepping machinery runs once for the whole grid instead of
+once per point, while every point's result stays bit-identical to its
+scalar solve (``benchmarks/BENCH_engines.json`` records the speedup).
+The batch layer takes per-point timing too (duty, frequency, period),
+so the same path serves the experiments' duty and frequency sweeps.
 """
 
 from __future__ import annotations

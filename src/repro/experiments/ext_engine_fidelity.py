@@ -13,7 +13,7 @@ gap.
 
 from __future__ import annotations
 
-from ..analysis.calibrate import calibrate_adder, calibration_grid
+from ..analysis.calibrate import calibration_grid, fit_adder_calibration
 from ..core.weighted_adder import AdderConfig, WeightedAdder
 from ..engines.fidelity import consistency_report
 from ..reporting.tables import Table
@@ -36,12 +36,15 @@ def run(fidelity: str = "fast", seed: int = 0) -> ExperimentResult:
                   title="Engine agreement on an operand grid")
     worst_rc = 0.0
     worst_spice = 0.0
-    for duties, weights in calibration_grid(adder, seed=seed,
-                                            n_random=n_random):
+    # The transistor-level grid is measured once, as one batched PSS,
+    # and feeds both the table and the calibration fit.
+    grid = calibration_grid(adder, seed=seed, n_random=n_random)
+    spices = [r.value for r in adder.evaluate_spice(
+        [dict(duties=d, weights=w) for d, w in grid],
+        steps_per_period=steps)]
+    for (duties, weights), spice in zip(grid, spices):
         beh = adder.evaluate(duties, weights, engine="behavioral").value
         rc = adder.evaluate(duties, weights, engine="rc").value
-        spice = adder.evaluate(duties, weights, engine="spice",
-                               steps_per_period=steps).value
         table.add_row(
             "/".join(f"{d:.2f}" for d in duties),
             "/".join(str(w) for w in weights),
@@ -49,9 +52,7 @@ def run(fidelity: str = "fast", seed: int = 0) -> ExperimentResult:
         worst_rc = max(worst_rc, abs(rc - beh))
         worst_spice = max(worst_spice, abs(spice - beh))
 
-    model, residual = calibrate_adder(adder, engine="spice", seed=seed,
-                                      n_random=n_random,
-                                      steps_per_period=steps)
+    model, residual = fit_adder_calibration(adder, grid, spices)
     # Cell-level ladder check through the engine registry: every
     # registered engine sweeps the same (duty, vdd) grid (batched MNA
     # for 'spice'), and the pairwise divergences become metrics.

@@ -9,8 +9,7 @@ PWM sources, 54-transistor adder, ratiometric reference divider,
 
 from __future__ import annotations
 
-from ..core.full_perceptron import evaluate_full_perceptron
-from ..core.weighted_adder import AdderConfig, WeightedAdder
+from ..core.full_perceptron import evaluate_full_perceptrons
 from ..reporting.tables import Table
 from .base import ExperimentResult
 from .spec import experiment, solver_param
@@ -38,22 +37,23 @@ def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
                    "V(sum) (V)", "V(ref) (V)", "decision", "expected"],
                   title=f"theta = {THETA} (ratio {THETA / 21:.3f})")
     metrics = {"mismatches": 0, "transistors": 0}
-    adder = WeightedAdder(AdderConfig())
-    for duties, weights in CASES:
+    points = [(duties, weights, float(vdd))
+              for duties, weights in CASES for vdd in vdd_points]
+    # One batched PSS: the two (7,7,7) cases share a netlist structure.
+    results = evaluate_full_perceptrons(points, THETA,
+                                        steps_per_period=steps,
+                                        solver=solver)
+    for (duties, weights, vdd), result in zip(points, results):
         ideal = sum(d * w for d, w in zip(duties, weights))
         expected = int(ideal > THETA)
-        for vdd in vdd_points:
-            result = evaluate_full_perceptron(
-                duties, weights, THETA, vdd=float(vdd),
-                steps_per_period=steps, solver=solver)
-            table.add_row(
-                "/".join(f"{d:.1f}" for d in duties),
-                "/".join(str(w) for w in weights),
-                ideal, float(vdd), result.v_sum, result.v_ref,
-                result.decision, expected)
-            if result.decision != expected:
-                metrics["mismatches"] += 1
-            metrics["transistors"] = result.transistor_count
+        table.add_row(
+            "/".join(f"{d:.1f}" for d in duties),
+            "/".join(str(w) for w in weights),
+            ideal, vdd, result.v_sum, result.v_ref,
+            result.decision, expected)
+        if result.decision != expected:
+            metrics["mismatches"] += 1
+        metrics["transistors"] = result.transistor_count
     metrics["n_points"] = len(CASES) * len(vdd_points)
 
     result = ExperimentResult(

@@ -44,22 +44,21 @@ def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
                    "Eq.2 (V)", "delta (mV)"],
                   title="Transistor-level adder, Table II row 1 workload")
     metrics = {"theory": theory}
-    values = []
-    for label, freqs in CASES:
-        period = common_period(freqs)
-        # Keep time resolution tied to the fastest input.
-        steps = int(round(period * max(freqs) * steps_per_fast_period))
-        # Each case runs one circuit (its own timing), so the batching
-        # lever here is the shooting Jacobian: adder.evaluate stacks the
-        # base + finite-difference probe runs of every PSS iteration
-        # into one lock-step solve.
-        result = adder.evaluate(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS,
-                                engine="spice", frequencies=freqs,
-                                steps_per_period=steps, solver=solver)
-        table.add_row(label, period * 1e9, result.value, theory,
-                      (result.value - theory) * 1e3)
-        metrics[f"vout[{label}]"] = result.value
-        values.append(result.value)
+    periods = [common_period(freqs) for _, freqs in CASES]
+    # One batched PSS for every case: each keeps its own timing, and
+    # time resolution stays tied to its fastest input.
+    results = adder.evaluate_spice(
+        [dict(duties=WORKLOAD_DUTIES, weights=WORKLOAD_WEIGHTS,
+              frequencies=freqs,
+              steps_per_period=int(round(period * max(freqs)
+                                         * steps_per_fast_period)))
+         for (_, freqs), period in zip(CASES, periods)],
+        solver=solver)
+    values = [r.value for r in results]
+    for (label, _), period, value in zip(CASES, periods, values):
+        table.add_row(label, period * 1e9, value, theory,
+                      (value - theory) * 1e3)
+        metrics[f"vout[{label}]"] = value
     metrics["max_spread_mV"] = (max(values) - min(values)) * 1e3
     sub_500 = [v for (label, freqs), v in zip(CASES, values)
                if max(freqs) <= 500e6]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..circuit.measure import max_linearity_error, r_squared
-from ..circuit.pss import shooting
+from ..circuit.batch_transient import shooting_batch
 from ..core.cells import NO_LOAD_ROUT, build_transcoding_inverter_bench
 from ..reporting.figures import FigureData
 from ..tech.umc65 import TABLE1_SIZING
@@ -30,15 +30,17 @@ TITLE = "Inverter cell: Vout vs input duty cycle (per Rout)"
 ROUT_CASES = (("No load", NO_LOAD_ROUT), ("5kOhm", 5e3), ("100kOhm", 100e3))
 
 
-def measure_cell(duty: float, rout: float, *, vdd: float = TABLE1_SIZING.vdd,
-                 frequency: float = 500e6, cout: float = 1e-12,
-                 steps_per_period: int = 120) -> float:
-    """Average cell output at one operating point (transistor level)."""
-    circuit = build_transcoding_inverter_bench(
+def measure_cells(points: "Sequence[tuple]", *,
+                  vdd: float = TABLE1_SIZING.vdd, cout: float = 1e-12,
+                  steps_per_period: int = 120) -> np.ndarray:
+    """Average cell outputs at ``(duty, rout, frequency)`` operating
+    points (transistor level), solved as one batched PSS."""
+    circuits = [build_transcoding_inverter_bench(
         duty, vdd=vdd, frequency=frequency, cout=cout, rout=rout)
-    pss = shooting(circuit, 1.0 / frequency, observe=["out"],
-                   steps_per_period=steps_per_period)
-    return pss.average("out")
+        for duty, rout, frequency in points]
+    pss = shooting_batch(circuits, [1.0 / f for _, _, f in points],
+                         observe=["out"], steps_per_period=steps_per_period)
+    return pss.averages("out")
 
 
 @experiment(
@@ -57,9 +59,11 @@ def run(fidelity: str = "fast",
 
     figure = FigureData(EXPERIMENT_ID, TITLE, "Duty cycle", "Vout (V)")
     metrics = {}
-    for label, rout in ROUT_CASES:
-        vout = [measure_cell(float(d), rout, steps_per_period=steps)
-                for d in duties]
+    vouts = measure_cells([(float(d), rout, 500e6)
+                           for _, rout in ROUT_CASES for d in duties],
+                          steps_per_period=steps).reshape(
+        len(ROUT_CASES), len(duties)).tolist()
+    for (label, _), vout in zip(ROUT_CASES, vouts):
         figure.add_series(label, [100 * d for d in duties], vout)
         metrics[f"r2[{label}]"] = r_squared(duties, vout)
         metrics[f"max_lin_err[{label}]"] = max_linearity_error(duties, vout)

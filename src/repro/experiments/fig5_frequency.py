@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from ..analysis.elasticity import frequency_flatness
 from .base import ExperimentResult
 from .spec import Param, experiment
-from .fig4_dc_transfer import measure_cell
+from .fig4_dc_transfer import measure_cells
 from ..reporting.figures import FigureData
 
 EXPERIMENT_ID = "fig5"
@@ -41,10 +41,11 @@ def run(fidelity: str = "fast",
     figure = FigureData(EXPERIMENT_ID, TITLE, "Frequency (MHz)", "Vout (V)",
                         log_x=True)
     metrics = {}
-    for duty in DUTIES:
-        vout = [measure_cell(duty, 100e3, frequency=float(f),
-                             steps_per_period=steps)
-                for f in frequencies]
+    vouts = measure_cells([(duty, 100e3, float(f))
+                           for duty in DUTIES for f in frequencies],
+                          steps_per_period=steps).reshape(
+        len(DUTIES), len(frequencies)).tolist()
+    for duty, vout in zip(DUTIES, vouts):
         figure.add_series(f"DC={int(duty * 100)}%",
                           [f / 1e6 for f in frequencies], vout)
         metrics[f"flatness[DC={int(duty * 100)}%]"] = frequency_flatness(

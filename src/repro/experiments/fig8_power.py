@@ -52,10 +52,11 @@ def run(fidelity: str = "fast",
                         "Power (uW)")
     total: "list[float]" = []
     static: "list[float]" = []
-    for f in frequencies:
-        spice = adder.evaluate(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS,
-                               engine="spice", frequency=float(f),
-                               steps_per_period=steps)
+    spices = adder.evaluate_spice(
+        [dict(duties=WORKLOAD_DUTIES, weights=WORKLOAD_WEIGHTS,
+              frequency=float(f)) for f in frequencies],
+        steps_per_period=steps)
+    for f, spice in zip(frequencies, spices):
         rc = adder.evaluate(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS,
                             engine="rc", frequency=float(f))
         total.append(spice.power * 1e6)

@@ -64,6 +64,27 @@ from .server import (
 #: than one interval may be missed; anything longer is measured.
 HEARTBEAT_INTERVAL = 0.25
 
+#: Largest accepted request body.  A 64-row ``/predict`` body is a few
+#: kilobytes; this leaves room for big batches and experiment overrides.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _content_length(headers: Dict[str, str]
+                    ) -> Tuple[int, Optional[Tuple[int, str]]]:
+    """Body length from the headers, or ``(0, (status, message))`` for a
+    value the server refuses (400 malformed, 413 over the cap)."""
+    raw = headers.get("content-length") or "0"
+    try:
+        length = int(raw)
+    except ValueError:
+        length = -1
+    if length < 0:
+        return 0, (400, f"invalid Content-Length {raw!r}")
+    if length > MAX_BODY_BYTES:
+        return 0, (413, f"request body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit")
+    return length, None
+
 
 def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
     """Request line + headers from one ``...\\r\\n\\r\\n`` block.
@@ -142,8 +163,12 @@ class AsyncPerceptronServer(ServingCore):
         self.requested_host = host
         self.requested_port = port
         self.host, self.port = host, port
-        self.pool = EngineWorkerPool(workers)
         reg = self.metrics.registry
+        restarts = reg.counter(
+            "repro_worker_pool_restarts_total",
+            "Worker-process pools replaced after a worker died "
+            "mid-request.")
+        self.pool = EngineWorkerPool(workers, on_restart=restarts.inc)
         self._lag_gauge = reg.gauge(
             "repro_eventloop_lag_seconds",
             "Event-loop scheduling lag sampled by the serve heartbeat.")
@@ -356,7 +381,12 @@ class AsyncPerceptronServer(ServingCore):
                                      "not supported"}),
                         keep_alive=False)
                     break
-                length = int(headers.get("content-length") or 0)
+                length, error = _content_length(headers)
+                if error is not None:
+                    await self._write_response(
+                        writer, error[0], encode_json({"error": error[1]}),
+                        keep_alive=False)
+                    break
                 body = (await reader.readexactly(length)
                         if length > 0 else b"")
                 keep_alive = (version == "HTTP/1.1" and "close" not in

@@ -27,9 +27,9 @@ solve per sample instead of one scalar solve per ``(sample, vdd)``
 point (:meth:`BatchInferenceEngine.predict_supply_sweep`).  The same
 timing-sharing argument holds at transistor level: the sweep stacks
 into one :func:`~repro.circuit.batch_transient.shooting_batch` per
-adder bank, and per-row served margins run the Jacobian-batched
-shooting PSS (:meth:`BatchInferenceEngine.margins_spice`) — spice-backed
-``/predict`` is slow but served, no longer rejected.
+adder bank, and served margins stack every row of a request into one
+batched shooting PSS per bank (:meth:`BatchInferenceEngine.margins_spice`)
+— spice-backed ``/predict`` is slow but served, no longer rejected.
 """
 
 from __future__ import annotations
@@ -298,36 +298,33 @@ class BatchInferenceEngine:
                       vdd: Optional[ArrayLike] = None,
                       steps_per_period: int = 60,
                       solver: str = "auto") -> np.ndarray:
-        """Transistor-level analog margins, one shooting-PSS pair per
-        row.
+        """Transistor-level analog margins, one batched shooting PSS
+        per adder bank.
 
-        Rows have distinct PWM patterns and the pos/neg banks distinct
-        bit wiring, so neither can share one stacked solve; the batching
-        lever is inside each PSS, whose finite-difference Jacobian
-        probes run as one lock-step solve
-        (:func:`~repro.circuit.batch_transient.shooting_jacobian_batched`
-        via :func:`~repro.core.weighted_adder.adder_pss`).  The default
-        ``steps_per_period`` trades step resolution for serving latency
-        (the experiments' fast fidelity); ``solver`` picks the MNA
-        linear backend.
+        Each bank's rows stack into one lock-step
+        :meth:`~repro.core.weighted_adder.WeightedAdder.evaluate_spice`
+        solve (rows differ in PWM timing and supply, not in netlist
+        structure); every margin equals its per-row solve bit for bit.
+        The default ``steps_per_period`` trades step resolution for
+        serving latency (the experiments' fast fidelity); ``solver``
+        picks the MNA linear backend.
         """
         X = check_duty_matrix(X, perceptron.n_features)
         cfg = perceptron.config
         supply = np.broadcast_to(
             np.asarray(cfg.vdd if vdd is None else vdd, dtype=float),
             (X.shape[0],))
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            duties = list(row) + [1.0]
-            v = float(supply[i])
-            pos = perceptron.pos_adder.evaluate(
-                duties, perceptron._pos_weights, engine="spice", vdd=v,
-                steps_per_period=steps_per_period, solver=solver).value
-            neg = perceptron.neg_adder.evaluate(
-                duties, perceptron._neg_weights, engine="spice", vdd=v,
-                steps_per_period=steps_per_period, solver=solver).value
-            out[i] = pos - neg
-        return out
+        banks = []
+        for adder, weights in ((perceptron.pos_adder,
+                                perceptron._pos_weights),
+                               (perceptron.neg_adder,
+                                perceptron._neg_weights)):
+            results = adder.evaluate_spice(
+                [dict(duties=list(row) + [1.0], weights=weights,
+                      vdd=float(v)) for row, v in zip(X, supply)],
+                steps_per_period=steps_per_period, solver=solver)
+            banks.append(np.array([r.value for r in results]))
+        return banks[0] - banks[1]
 
     def model_margins(self, model, X, *,
                       vdd: Optional[ArrayLike] = None,
@@ -339,8 +336,8 @@ class BatchInferenceEngine:
 
         ``engine`` selects the modelling fidelity through the registry:
         ``"behavioral"`` (the vectorised hot path), ``"rc"`` (exact
-        switch-level solves per row) or ``"spice"`` (per-row transistor
-        PSS with batched Jacobian probes).  Ids without the
+        switch-level solves per row) or ``"spice"`` (transistor PSS, each
+        adder bank's rows as one batched solve).  Ids without the
         ``serving_margins`` capability are rejected at the registry
         choke point; ``solver`` picks the MNA backend and is only legal
         for transistor-level engines.

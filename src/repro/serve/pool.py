@@ -14,7 +14,13 @@ in-process.  :class:`EngineWorkerPool` ships those requests to a
 * dispatch is futures-based: the event loop awaits
   ``asyncio.wrap_future(pool.submit(...))`` without blocking;
 * queue depth (submitted minus completed) is tracked for the
-  ``repro_worker_pool_queue_depth`` gauge.
+  ``repro_worker_pool_queue_depth`` gauge;
+* a worker that dies mid-request breaks the whole executor
+  (``BrokenProcessPool``): the pool replaces it with a fresh one and
+  resubmits each affected request once, reporting every replacement
+  through ``on_restart`` (the ``repro_worker_pool_restarts_total``
+  counter).  A request that breaks the fresh pool too fails with that
+  error.
 
 The pool is created lazily on the first slow-engine request, so
 behavioural-only deployments never fork a worker.  ``workers=0``
@@ -25,7 +31,8 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Dict, Optional
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -58,12 +65,15 @@ def _pool_margins(doc: Dict[str, Any], X: np.ndarray,
 class EngineWorkerPool:
     """Lazily-started process pool with queue-depth accounting."""
 
-    def __init__(self, workers: int = 2):
+    def __init__(self, workers: int = 2, *,
+                 on_restart: Optional[Callable[[], None]] = None):
         self.workers = int(workers)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._in_flight = 0
         self.completed = 0
+        self.restarts = 0
+        self._on_restart = on_restart
 
     @property
     def enabled(self) -> bool:
@@ -88,13 +98,50 @@ class EngineWorkerPool:
         """Dispatch one slow-engine request; returns its future."""
         if not self.enabled:
             raise RuntimeError("EngineWorkerPool is disabled (workers=0)")
-        executor = self._ensure_executor()
         with self._lock:
             self._in_flight += 1
-        future = executor.submit(_pool_margins, doc, np.asarray(X),
-                                 vdd, engine_id, solver)
+        future: Future = Future()
         future.add_done_callback(self._on_done)
+        self._dispatch(future, (doc, np.asarray(X), vdd, engine_id, solver),
+                       retry=True)
         return future
+
+    def _dispatch(self, future: Future, args: tuple, *, retry: bool) -> None:
+        executor = self._ensure_executor()
+        try:
+            inner = executor.submit(_pool_margins, *args)
+        except BrokenProcessPool as exc:
+            inner = Future()
+            inner.set_exception(exc)
+        inner.add_done_callback(
+            lambda done: self._relay(done, future, args, executor, retry))
+
+    def _relay(self, inner: Future, future: Future, args: tuple,
+               executor: ProcessPoolExecutor, retry: bool) -> None:
+        """Hand the worker's outcome to the caller's future, first
+        replacing a broken executor and resubmitting once."""
+        if future.done():          # the caller cancelled it
+            return
+        if inner.cancelled():
+            future.cancel()
+            return
+        exc = inner.exception()
+        if retry and isinstance(exc, BrokenProcessPool):
+            restarted = False
+            with self._lock:
+                # Every request on the dead executor lands here; only
+                # the first replaces it.
+                if self._executor is executor:
+                    self._executor = None
+                    self.restarts += 1
+                    restarted = True
+            if restarted and self._on_restart is not None:
+                self._on_restart()
+            self._dispatch(future, args, retry=False)
+        elif exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(inner.result())
 
     def _on_done(self, _future: Future) -> None:
         with self._lock:

@@ -23,6 +23,10 @@ import asyncio
 import dataclasses
 import http.client
 import json
+import os
+import signal
+import socket
+import threading
 import time
 
 import numpy as np
@@ -394,6 +398,27 @@ class TestAioTransport:
         assert new_rows == 12
         assert new_batches < 12    # coalescing actually happened
 
+    @pytest.mark.parametrize("value,status", [
+        ("abc", 400), ("-5", 400), ("9999999999", 413)])
+    def test_bad_content_length_answered_and_closed(self, value, status):
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15) as sock:
+            sock.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: " + value.encode()
+                         + b"\r\n\r\n")
+            raw = b""
+            while True:          # the server closes after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
+        # The server keeps serving new connections.
+        assert self._get("/healthz")[0] == 200
+
     def test_prometheus_gauges_exposed(self):
         time.sleep(0.3)            # one heartbeat interval
         status, raw = self._get("/metrics?format=prometheus")
@@ -494,6 +519,42 @@ class TestEngineWorkerPool:
         assert not pool.enabled
         with pytest.raises(RuntimeError):
             pool.submit({}, np.ones((1, 2)), None, "behavioral", "auto")
+
+
+class TestWorkerPoolRecovery:
+    def test_killed_worker_is_replaced(self, tmp_path):
+        store = ModelStore(tmp_path)
+        store.save("m", DifferentialPwmPerceptron([3, 3], bias=-3))
+        aio = AsyncPerceptronServer(store, port=0, workers=1).start()
+        payload = json.dumps({"model": "m", "engine": "spice",
+                              "inputs": [[0.9, 0.9], [0.2, 0.3]]}).encode()
+        try:
+            # A first request starts the worker process.
+            assert _raw(aio.host, aio.port, "POST", "/predict",
+                        payload)[0] == 200
+            reply = {}
+            sender = threading.Thread(target=lambda: reply.update(
+                r=_raw(aio.host, aio.port, "POST", "/predict", payload)))
+            sender.start()
+            deadline = time.time() + 30
+            while aio.pool.queue_depth == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            for pid in list(aio.pool._executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            sender.join(timeout=120)
+            status, raw = reply["r"]
+            # Resubmitted once on a fresh pool: success, or one
+            # structured error at worst.
+            assert status == 200 or "error" in json.loads(raw)
+            status, raw = _raw(aio.host, aio.port, "POST", "/predict",
+                               payload)
+            assert status == 200 and json.loads(raw)["engine"] == "spice"
+            assert aio.pool.restarts == 1
+            _, text = _raw(aio.host, aio.port, "GET",
+                           "/metrics?format=prometheus")
+            assert "repro_worker_pool_restarts_total 1" in text.decode()
+        finally:
+            aio.close()
 
 
 # -- schema v3 artifacts ----------------------------------------------------

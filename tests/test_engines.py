@@ -268,12 +268,21 @@ class TestBatchTransient:
         with pytest.raises(AnalysisError, match="share element structure"):
             BatchTransientSolver([a, b])
 
-    def test_timing_mismatch_rejected(self):
-        # Same structure, different duty -> different breakpoints.
-        with pytest.raises(AnalysisError, match="share source timing"):
-            BatchTransientSolver(
-                [cell_bench(2.5, duty=0.3),
-                 cell_bench(2.5, duty=0.7)]).run(PERIOD, PERIOD / 50)
+    def test_timing_mismatch_matches_scalar(self):
+        # Same structure, different duty -> different breakpoints: each
+        # lane walks its own time grid and equals its scalar run.
+        duties = (0.3, 0.7)
+        scal = [transient(cell_bench(2.5, duty=d), PERIOD, PERIOD / 50)
+                for d in duties]
+        bat = BatchTransientSolver(
+            [cell_bench(2.5, duty=d) for d in duties]).run(PERIOD,
+                                                           PERIOD / 50)
+        for p, s in enumerate(scal):
+            lane = bat.point(p)
+            assert np.array_equal(lane.t, s.t)
+            assert np.array_equal(lane.X, s.X)
+        with pytest.raises(AnalysisError, match="different time grids"):
+            bat.t
 
     def test_inductor_rejected(self):
         def make():

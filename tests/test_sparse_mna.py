@@ -3,9 +3,10 @@
 Pins the two promises the solver knob makes:
 
 * **batched == scalar, bit for bit** — the supply-ramp waveform family,
-  the shooting Jacobian probes and the supply-sweep stacks reproduce the
-  per-point scalar loops exactly (block-diagonal stacked systems, same
-  iterates);
+  the shooting Jacobian probes, the supply-sweep stacks and ragged
+  batches (per-point timing, periods, step counts and step halvings)
+  reproduce the per-point scalar loops exactly (block-diagonal stacked
+  systems, same iterates);
 * **sparse == dense, within a documented tolerance** — splu and LAPACK
   factorisations of the same MNA system agree to ``atol=1e-9`` (the
   measured gap on the 54-transistor adder is ~2e-12; the slack covers
@@ -27,7 +28,9 @@ from repro.circuit import (
     Vpulse,
     transient,
 )
+from repro import telemetry
 from repro.circuit.batch_transient import (
+    BatchTransientSolver,
     shooting_batch,
     shooting_jacobian_batched,
 )
@@ -43,7 +46,9 @@ from repro.circuit.sparse import (
     sparse_solve,
     sparse_solve_batch,
 )
+from repro.core.cells import build_transcoding_inverter_bench
 from repro.core.weighted_adder import AdderConfig, WeightedAdder
+from repro.experiments.fig4_dc_transfer import ROUT_CASES
 
 needs_scipy = pytest.mark.skipif(not HAS_SCIPY,
                                  reason="scipy not installed")
@@ -237,6 +242,97 @@ class TestBatchedEquivalence:
         sparse = adder.evaluate((0.2, 0.6, 0.8), (5, 6, 7), engine="spice",
                                 steps_per_period=40, solver="sparse")
         assert abs(dense.value - sparse.value) < SPARSE_ATOL
+
+
+# -- ragged lock-step == scalar ----------------------------------------------
+
+
+def _cell(duty, frequency=500e6, rout=100e3, amplitude=None):
+    return build_transcoding_inverter_bench(
+        duty, vdd=2.5, frequency=frequency, cout=1e-12, rout=rout,
+        input_amplitude=amplitude)
+
+
+def _assert_pss_equal(make, periods, steps, observe=("out",)):
+    """``shooting_batch`` over the family equals per-point ``shooting``
+    bit for bit: waves, iterations and residuals."""
+    refs = [shooting(make(p), float(periods[p]), observe=list(observe),
+                     steps_per_period=int(steps[p]))
+            for p in range(len(periods))]
+    got = shooting_batch([make(p) for p in range(len(periods))], periods,
+                         observe=list(observe), steps_per_period=steps)
+    for p, ref in enumerate(refs):
+        lane = got.point(p)
+        assert np.array_equal(lane.waves.t, ref.waves.t)
+        assert np.array_equal(lane.waves.X, ref.waves.X)
+    assert np.array_equal(got.iterations, [r.iterations for r in refs])
+    assert np.array_equal(got.residuals, [r.residual for r in refs])
+    return refs
+
+
+class TestRaggedBitIdentity:
+    """Points with their own source timing, periods and step counts
+    share one ragged lock-step run and still equal their scalar runs."""
+
+    def test_fig4_grid(self):
+        points = [(float(d), rout) for _, rout in ROUT_CASES
+                  for d in np.linspace(0.1, 0.9, 5)]
+        _assert_pss_equal(lambda p: _cell(points[p][0], rout=points[p][1]),
+                          np.full(len(points), 2e-9),
+                          np.full(len(points), 40))
+
+    def test_fig5_grid(self):
+        points = [(d, f) for d in (0.25, 0.5, 0.75)
+                  for f in (10e6, 100e6, 1000e6)]
+        _assert_pss_equal(lambda p: _cell(*points[p]),
+                          np.array([1.0 / f for _, f in points]),
+                          np.full(len(points), 40))
+
+    def test_multifreq_cases_mixed_step_counts(self):
+        from repro.core.weighted_adder import common_period
+        from repro.experiments.ext_multifreq import (
+            CASES,
+            WORKLOAD_DUTIES,
+            WORKLOAD_WEIGHTS,
+        )
+
+        adder = WeightedAdder(AdderConfig())
+        periods = np.array([common_period(f) for _, f in CASES])
+        steps = np.array([int(round(T * max(f) * 20))
+                          for T, (_, f) in zip(periods, CASES)])
+        assert len(set(steps.tolist())) > 1
+        _assert_pss_equal(
+            lambda p: adder.build_circuit(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS,
+                                          frequencies=CASES[p][1]),
+            periods, steps)
+
+    def test_forced_halving_stays_in_its_lane(self):
+        # An 80 V input ramp is too steep for the nominal step: that
+        # point halves its steps, its neighbours do not.
+        amplitudes = (None, 80.0, None)
+
+        def make(p):
+            return _cell(0.5, amplitude=amplitudes[p])
+
+        refs = _assert_pss_equal(make, np.full(3, 2e-9), np.full(3, 40))
+        assert len(refs[1].waves.t) > len(refs[0].waves.t)
+
+        with telemetry.session() as rt:
+            scalar = [transient(make(p), 2e-9, 2e-9 / 40)
+                      for p in range(3)]
+        with telemetry.session() as rt_batch:
+            batch = BatchTransientSolver([make(p) for p in range(3)]).run(
+                2e-9, 2e-9 / 40)
+        assert scalar[1].halvings > 0
+        assert [s.halvings for s in scalar] == [0, scalar[1].halvings, 0]
+        assert batch.halvings.tolist() == [s.halvings for s in scalar]
+        for p, s in enumerate(scalar):
+            assert np.array_equal(batch.point(p).t, s.t)
+            assert np.array_equal(batch.point(p).X, s.X)
+        for name in ("repro_mna_steps_total",
+                     "repro_mna_step_halvings_total"):
+            assert (rt.registry.counter(name).value()
+                    == rt_batch.registry.counter(name).value() > 0)
 
 
 # -- capability + knob error surfaces ----------------------------------------
