@@ -30,11 +30,7 @@ from repro.analysis import make_blobs
 from repro.core.network import PwmMlp
 from repro.core.training import PerceptronTrainer
 from repro.perf import benchmark, best_of, finish, host_fields
-from repro.serve import (
-    BatchInferenceEngine,
-    ModelStore,
-    PerceptronServer,
-)
+from repro.serve import AsyncPerceptronServer, BatchInferenceEngine, ModelStore
 
 OUT = Path(__file__).parent / "BENCH_serving.json"
 
@@ -128,7 +124,7 @@ def bench_http(tmp_root: Optional[Path] = None,
     X = _make_batch(rows)
     payload = json.dumps({"model": "bench",
                           "inputs": X.tolist()}).encode()
-    with PerceptronServer(store, port=0) as server:
+    with AsyncPerceptronServer(store, workers=0) as server:
         def roundtrip():
             request = urllib.request.Request(
                 server.url + "/predict", data=payload,

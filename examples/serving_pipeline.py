@@ -25,7 +25,7 @@ import urllib.request
 
 from repro.analysis import make_blobs
 from repro.core.training import PerceptronTrainer
-from repro.serve import BatchInferenceEngine, ModelStore, PerceptronServer
+from repro.serve import AsyncPerceptronServer, BatchInferenceEngine, ModelStore
 
 
 def http_json(url: str, payload=None):
@@ -56,8 +56,8 @@ def main() -> None:
               f"hash {doc['hash']} — OK")
 
         print("3. starting the micro-batching server on a free port...")
-        with PerceptronServer(store, port=0, max_batch=32,
-                              max_latency=0.002) as server:
+        with AsyncPerceptronServer(store, max_batch=32, max_latency=0.002,
+                                   workers=0) as server:
             print(f"   listening at {server.url} — OK")
 
             print("4. POSTing the whole dataset to /predict...")

@@ -15,29 +15,29 @@ into something deployable:
     scalar path, plus RC supply-sweep batching through
     :class:`~repro.core.rc_model.RcBatchSolver`.
 ``repro.serve.scheduler``
-    :class:`MicroBatcher` (thread-safe queue + worker thread) and
-    :class:`AsyncMicroBatcher` (event-loop, cross-connection) — the
-    micro-batching request schedulers (max batch size + max latency
-    flush) feeding the engine.
+    :class:`AsyncMicroBatcher` — the event-loop micro-batching request
+    scheduler (max batch size + max latency flush, rows coalesced
+    across connections) feeding the engine.
 ``repro.serve.server``
-    :class:`ServingCore` — the transport-independent request handling
-    (validation, response/error shapes, experiment and campaign runs)
-    — plus the legacy ``ThreadingHTTPServer`` transport
-    (:class:`PerceptronServer`).  The JSON API (``/predict``,
-    ``/models``, ``/experiments``, ``/experiments/<id>/run``,
-    ``/healthz``, ``/metrics``) is wired into the CLI as ``python -m
-    repro serve`` / ``export-model`` / ``predict``.
+    :class:`ServingCore` — the HTTP-independent request handling
+    (validation, response/error shapes, experiment and campaign runs,
+    metrics) behind the JSON API (``/predict``, ``/models``,
+    ``/experiments``, ``/experiments/<id>/run``, ``/campaigns``,
+    ``/healthz``, ``/metrics``).
 ``repro.serve.aio_server``
-    :class:`AsyncPerceptronServer` — the default asyncio transport:
-    keep-alive connections, incremental parsing, cross-connection
-    micro-batching, slow engines sharded over the
-    :class:`~repro.serve.pool.EngineWorkerPool`.
+    :class:`~repro.serve.aio_server.AsyncHttpServer` — the one
+    HTTP/1.1 core (bind at construction, keep-alive, bounded parsing
+    and read timeouts), shared with the campaign dashboard — and
+    :class:`AsyncPerceptronServer`, the serving API on it:
+    cross-connection micro-batching, slow engines sharded over the
+    :class:`~repro.serve.pool.EngineWorkerPool`.  Wired into the CLI
+    as ``python -m repro serve`` / ``export-model`` / ``predict``.
 ``repro.serve.pool``
     :class:`EngineWorkerPool` — process-pool dispatch for rc/spice
     ``/predict`` requests, with per-worker model caching.
 ``repro.serve.loadgen``
-    Closed- and open-loop HTTP load generation against either
-    transport: saturation rows/s, latency percentiles, batch-fill
+    Closed- and open-loop HTTP load generation against the server:
+    saturation rows/s, latency percentiles, batch-fill
     histograms (``benchmarks/bench_loadgen.py`` and the serving perf
     gate build on it).
 """
@@ -54,13 +54,8 @@ from .artifacts import (
 )
 from .engine import BatchInferenceEngine
 from .pool import EngineWorkerPool
-from .scheduler import AsyncMicroBatcher, BatchStats, MicroBatcher
-from .server import (
-    NotFoundError,
-    PerceptronServer,
-    ServingCore,
-    ServingMetrics,
-)
+from .scheduler import AsyncMicroBatcher, BatchStats
+from .server import NotFoundError, ServingCore, ServingMetrics
 
 __all__ = [
     "NotFoundError",
@@ -71,11 +66,9 @@ __all__ = [
     "serialize_model",
     "BatchInferenceEngine",
     "BatchStats",
-    "MicroBatcher",
     "AsyncMicroBatcher",
     "AsyncPerceptronServer",
     "EngineWorkerPool",
-    "PerceptronServer",
     "ServingCore",
     "ServingMetrics",
 ]

@@ -1,15 +1,33 @@
-"""Asyncio serving transport: keep-alive, cross-connection batching.
+"""Asyncio HTTP core and the serving API built on it.
 
-Same JSON API and **byte-identical response bodies** as the threaded
-:class:`~repro.serve.server.PerceptronServer` (both build on
-:class:`~repro.serve.server.ServingCore`), different machinery:
+:class:`AsyncHttpServer` is the repository's one HTTP/1.1 server.  It
+owns everything that is not application logic:
 
+* **bind at construction** — the listening socket exists (and a port
+  collision raises ``OSError``) before :meth:`~AsyncHttpServer.start`
+  or :meth:`~AsyncHttpServer.run`, so ``url``/``port`` are real from
+  the start, ``port=0`` included;
+* **lifecycle** — :meth:`~AsyncHttpServer.start` hosts the event loop
+  on a background thread (tests, examples), :meth:`~AsyncHttpServer.run`
+  owns the calling thread (CLI), :meth:`~AsyncHttpServer.close` drains;
 * **persistent connections** — HTTP/1.1 keep-alive with sequential
-  pipelining per connection; the threaded transport pays a thread per
-  connection, this one pays a task;
-* **incremental parsing** — requests are assembled from the stream as
-  bytes arrive (headers at the blank line, body by ``Content-Length``),
-  so a slow client never holds a thread hostage;
+  pipelining per connection, one task per connection;
+* **bounded parsing** — requests are assembled from the stream as
+  bytes arrive (head at the blank line, body by ``Content-Length``).
+  A malformed head, an unsupported method, a chunked body, a bad or
+  oversized ``Content-Length`` (:data:`MAX_BODY_BYTES`) each get one
+  JSON error reply and a close; a head or body read that stalls for
+  :data:`READ_TIMEOUT_S` (an idle keep-alive connection included)
+  closes the connection.
+
+Subclasses supply ``_dispatch`` (one parsed request in, ``(status,
+body, content_type)`` out).  Two exist: :class:`AsyncPerceptronServer`
+below and :class:`repro.store.dashboard.CampaignDashboard`.
+
+:class:`AsyncPerceptronServer` serves the JSON API described in
+:mod:`repro.serve.server` (:class:`~repro.serve.server.ServingCore`
+holds its request validation and response shapes):
+
 * **cross-connection micro-batching** — each model's
   :class:`~repro.serve.scheduler.AsyncMicroBatcher` lives on the event
   loop, so concurrent ``/predict`` rows from *different* connections
@@ -20,7 +38,7 @@ Same JSON API and **byte-identical response bodies** as the threaded
 * **worker-process pool** — engines whose registry capability level is
   not ``"behavioral"`` (``rc``, ``spice``) dispatch to an
   :class:`~repro.serve.pool.EngineWorkerPool` and are awaited as
-  futures, so transistor-level margin requests no longer serialise the
+  futures, so transistor-level margin requests do not serialise the
   event loop behind the GIL (``--workers 0`` falls back to the shared
   thread executor);
 * **observability** — ``repro_eventloop_lag_seconds``,
@@ -31,9 +49,6 @@ Same JSON API and **byte-identical response bodies** as the threaded
 
 Experiment and campaign runs execute on the default thread executor —
 they are minutes-long CPU work that must not stall the predict path.
-
-``repro serve`` uses this transport by default; ``--transport thread``
-keeps the old one.
 """
 
 from __future__ import annotations
@@ -41,17 +56,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import socket
 import threading
 import time
 from functools import partial
 from http.client import responses as _http_reasons
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..circuit.exceptions import AnalysisError
 from .artifacts import ModelStore
 from .pool import EngineWorkerPool
-from .scheduler import AsyncMicroBatcher
 from .server import (
     ServingCore,
     encode_json,
@@ -67,6 +83,12 @@ HEARTBEAT_INTERVAL = 0.25
 #: Largest accepted request body.  A 64-row ``/predict`` body is a few
 #: kilobytes; this leaves room for big batches and experiment overrides.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest wait for one request head or body.  A client that stalls
+#: mid-request, or leaves a keep-alive connection idle this long, is
+#: disconnected.  Generous on purpose: monitoring clients hold one
+#: keep-alive connection idle between scrapes.
+READ_TIMEOUT_S = 60.0
 
 
 def _content_length(headers: Dict[str, str]
@@ -119,7 +141,9 @@ def _response_head(status: int, content_type: str, length: int, *,
 
 
 def _wants_prometheus(target: str, headers: Dict[str, str]) -> bool:
-    """Same content negotiation as the threaded transport."""
+    """Content negotiation for ``/metrics``: Prometheus asks with
+    ``Accept: text/plain`` (or OpenMetrics); humans and tests can force
+    it with ``?format=prometheus``."""
     query = target.partition("?")[2]
     if "format=prometheus" in query:
         return True
@@ -130,8 +154,7 @@ def _wants_prometheus(target: str, headers: Dict[str, str]) -> bool:
 
 
 def _parse_body_json(body: bytes, *, required: bool) -> Any:
-    """Request body as JSON — error messages match the threaded
-    transport's ``_read_json`` byte for byte."""
+    """Request body as JSON; ``{}`` when absent and optional."""
     if not body:
         if required:
             raise AnalysisError("empty request body")
@@ -142,27 +165,235 @@ def _parse_body_json(body: bytes, *, required: bool) -> Any:
         raise AnalysisError(f"request body is not JSON: {exc}") from exc
 
 
-class AsyncPerceptronServer(ServingCore):
-    """The asyncio serving transport over a :class:`ModelStore`.
+class AsyncHttpServer:
+    """Bound listening socket + asyncio connection loop.
 
-    Use as a context manager / :meth:`start` (hosts the event loop on a
-    background thread — tests, examples) or :meth:`run` (owns the
-    calling thread — CLI).  ``port=0`` binds an ephemeral port; read it
-    back from :attr:`port` once started.
+    The socket is bound in the constructor; read the real address back
+    from :attr:`host`/:attr:`port` (``port=0`` picks a free one).  Use
+    as a context manager / :meth:`start` (background thread) or
+    :meth:`run` (calling thread); :meth:`close` releases the socket
+    whether or not the server ever started.
+    """
+
+    #: Request methods the subclass routes; any other gets a 501 reply
+    #: and a close before its body is read.
+    allowed_methods: Tuple[str, ...] = ("GET", "POST")
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        # IPPROTO_TCP, not 0: asyncio sets TCP_NODELAY on accepted
+        # connections only when the listening socket names the protocol.
+        self._sock = socket.socket(family, socket.SOCK_STREAM,
+                                   socket.IPPROTO_TCP)
+        try:
+            if os.name == "posix":
+                self._sock.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(100)
+        except OSError:
+            self._sock.close()
+            raise
+        self.host, self.port = self._sock.getsockname()[:2]
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop_event: Optional[asyncio.Event] = None
+        self._thread: Optional[threading.Thread] = None
+        self._started = threading.Event()
+        self._conn_seq = 0
+        self._open_connections = 0
+        self._conn_tasks: "set[asyncio.Task]" = set()
+        self._writers: "set[asyncio.StreamWriter]" = set()
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    # -- lifecycle ---------------------------------------------------------
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop_event = asyncio.Event()
+        server = await asyncio.start_server(self._handle_conn,
+                                            sock=self._sock)
+        self._started.set()
+        try:
+            await self._stop_event.wait()
+        finally:
+            server.close()
+            # Close idle keep-alive connections (their readers see EOF
+            # and the handler tasks return) rather than letting
+            # asyncio.run cancel them mid-await.
+            for writer in list(self._writers):
+                writer.close()
+            if self._conn_tasks:
+                await asyncio.wait(self._conn_tasks, timeout=5.0)
+            await server.wait_closed()
+            self._loop = None
+
+    def start(self) -> "AsyncHttpServer":
+        """Host the event loop on a background thread (tests/examples)."""
+        if self._thread is None:
+            self._started.clear()
+            self._thread = threading.Thread(
+                target=partial(asyncio.run, self._main()), daemon=True,
+                name=f"repro-{type(self).__name__}")
+            self._thread.start()
+            self._started.wait(timeout=10.0)
+        return self
+
+    def run(self) -> None:
+        """Serve from the calling thread until interrupted (CLI)."""
+        with contextlib.suppress(KeyboardInterrupt):
+            asyncio.run(self._main())
+
+    def close(self) -> None:
+        loop, stop = self._loop, self._stop_event
+        if loop is not None and stop is not None:
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(stop.set)
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+            self._thread = None
+        self._sock.close()
+
+    def __enter__(self) -> "AsyncHttpServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- connection handling -----------------------------------------------
+
+    async def _handle_conn(self, reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+        self._writers.add(writer)
+        rt = telemetry.active()
+        conn_span: Optional[int] = None
+        if rt is not None:
+            self._conn_seq += 1
+            peer = writer.get_extra_info("peername")
+            conn_span = rt.tracer.record(
+                "serve.connection", ts=time.time(), dur=0.0,
+                tags={"conn": self._conn_seq,
+                      "peer": str(peer[1]) if peer else ""})
+        self._open_connections += 1
+        t0 = time.perf_counter()
+        served = 0
+        try:
+            while True:
+                try:
+                    async with asyncio.timeout(READ_TIMEOUT_S):
+                        head = await reader.readuntil(b"\r\n\r\n")
+                except (asyncio.IncompleteReadError, ConnectionError,
+                        TimeoutError):
+                    break          # client went away or went quiet
+                except asyncio.LimitOverrunError:
+                    await self._write_response(
+                        writer, 400,
+                        encode_json({"error": "request head too large"}),
+                        keep_alive=False)
+                    break
+                try:
+                    method, target, version, headers = _parse_head(head)
+                except ValueError as exc:
+                    await self._write_response(
+                        writer, 400, encode_json({"error": str(exc)}),
+                        keep_alive=False)
+                    break
+                if method not in self.allowed_methods:
+                    await self._write_response(
+                        writer, 501, encode_json({
+                            "error": f"unsupported method {method}"}),
+                        keep_alive=False)
+                    break
+                if "transfer-encoding" in headers:
+                    await self._write_response(
+                        writer, 501, encode_json({
+                            "error": "chunked transfer encoding is "
+                                     "not supported"}),
+                        keep_alive=False)
+                    break
+                length, error = _content_length(headers)
+                if error is not None:
+                    await self._write_response(
+                        writer, error[0], encode_json({"error": error[1]}),
+                        keep_alive=False)
+                    break
+                body = b""
+                if length > 0:
+                    async with asyncio.timeout(READ_TIMEOUT_S):
+                        body = await reader.readexactly(length)
+                keep_alive = (version == "HTTP/1.1" and "close" not in
+                              headers.get("connection", "").lower())
+                status, out, content_type = await self._dispatch(
+                    method, target, headers, body, conn_span)
+                served += 1
+                await self._write_response(
+                    writer, status, out, keep_alive=keep_alive,
+                    content_type=content_type)
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError,
+                TimeoutError, OSError):
+            pass
+        finally:
+            self._open_connections -= 1
+            self._writers.discard(writer)
+            if task is not None:
+                self._conn_tasks.discard(task)
+            if rt is not None:
+                rt.tracer.record(
+                    "serve.connection.close", ts=time.time(),
+                    dur=time.perf_counter() - t0,
+                    tags={"requests": served}, parent=conn_span)
+            writer.close()
+            with contextlib.suppress(Exception, asyncio.CancelledError):
+                await writer.wait_closed()
+
+    @staticmethod
+    async def _write_response(writer: asyncio.StreamWriter, status: int,
+                              body: bytes, *, keep_alive: bool,
+                              content_type: str = "application/json"
+                              ) -> None:
+        writer.write(_response_head(status, content_type, len(body),
+                                    keep_alive=keep_alive) + body)
+        await writer.drain()
+
+    async def _dispatch(self, method: str, target: str,
+                        headers: Dict[str, str], body: bytes,
+                        conn_span: Optional[int]
+                        ) -> Tuple[int, bytes, str]:
+        """Answer one request: ``(status, body, content_type)``."""
+        raise NotImplementedError
+
+    async def _run_blocking(self, fn, *args):
+        """Long synchronous work (experiments, store scans) goes to the
+        default thread executor so the loop keeps serving."""
+        return await asyncio.get_running_loop().run_in_executor(
+            None, partial(fn, *args))
+
+
+class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
+    """The model-serving HTTP API over a :class:`ModelStore`.
+
+    Bound at construction (``port=0`` picks a free port, readable from
+    :attr:`port` at once); serve with :meth:`start` / the context
+    manager (background thread) or :meth:`run` (calling thread).
     """
 
     def __init__(self, store: ModelStore, *, host: str = "127.0.0.1",
                  port: int = 0, max_batch: int = 64,
                  max_latency: float = 0.005,
                  campaign_dir: "str | None" = None, workers: int = 2):
-        super().__init__(store, max_batch=max_batch,
-                         max_latency=max_latency,
-                         campaign_dir=campaign_dir)
         if workers < 0:
             raise AnalysisError("workers must be >= 0")
-        self.requested_host = host
-        self.requested_port = port
-        self.host, self.port = host, port
+        ServingCore.__init__(self, store, max_batch=max_batch,
+                             max_latency=max_latency,
+                             campaign_dir=campaign_dir)
+        AsyncHttpServer.__init__(self, host, port)
         reg = self.metrics.registry
         restarts = reg.counter(
             "repro_worker_pool_restarts_total",
@@ -179,22 +410,6 @@ class AsyncPerceptronServer(ServingCore):
         self._conn_gauge = reg.gauge(
             "repro_open_connections",
             "Currently open HTTP connections.")
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._conn_seq = 0
-        self._open_connections = 0
-        self._conn_tasks: "set[asyncio.Task]" = set()
-        self._writers: "set[asyncio.StreamWriter]" = set()
-
-    # -- transport-specific core hooks -------------------------------------
-
-    def _batcher_factory(self, handler: Callable) -> AsyncMicroBatcher:
-        return AsyncMicroBatcher(handler, max_batch=self.max_batch,
-                                 max_latency=self.max_latency)
 
     async def handle_predict_async(self,
                                    payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -232,88 +447,17 @@ class AsyncPerceptronServer(ServingCore):
                 solver=request.solver))
         return self.predict_response(request, margins)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
     async def _main(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stop_event = asyncio.Event()
+        heartbeat = asyncio.get_running_loop().create_task(
+            self._heartbeat())
         try:
-            self._server = await asyncio.start_server(
-                self._handle_conn, self.requested_host,
-                self.requested_port)
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.host, self.port = \
-            self._server.sockets[0].getsockname()[:2]
-        heartbeat = loop.create_task(self._heartbeat())
-        self._started.set()
-        try:
-            await self._stop_event.wait()
+            await super()._main()
         finally:
             heartbeat.cancel()
-            self._server.close()
-            await self._server.wait_closed()
-            # Close idle keep-alive connections (their readers see EOF
-            # and the handler tasks return) rather than letting
-            # asyncio.run cancel them mid-await.
-            for writer in list(self._writers):
-                writer.close()
-            if self._conn_tasks:
-                await asyncio.wait(self._conn_tasks, timeout=5.0)
             # On the loop thread: AsyncMicroBatcher futures resolve
             # where they live, so in-flight requests drain cleanly.
             self.close_models()
             self.pool.shutdown()
-            self._loop = None
-
-    def start(self) -> "AsyncPerceptronServer":
-        """Host the event loop on a background thread (tests/examples)."""
-        if self._thread is None:
-            self._started.clear()
-            self._startup_error = None
-            self._thread = threading.Thread(
-                target=partial(asyncio.run, self._main()), daemon=True,
-                name="repro-aio-serve")
-            self._thread.start()
-            self._started.wait(timeout=10.0)
-            if self._startup_error is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
-                raise self._startup_error
-        return self
-
-    def run(self) -> None:
-        """Serve from the calling thread until interrupted (CLI)."""
-        try:
-            asyncio.run(self._main())
-        except KeyboardInterrupt:
-            return
-        # A bind failure makes _main return instead of raising (the
-        # background-thread path reads it); surface it here too.
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    def close(self) -> None:
-        loop, stop = self._loop, self._stop_event
-        if loop is not None and stop is not None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def __enter__(self) -> "AsyncPerceptronServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- in-loop observability ---------------------------------------------
 
@@ -335,101 +479,11 @@ class AsyncPerceptronServer(ServingCore):
                 self._pool_depth_gauge.set(self.pool.queue_depth)
                 self._conn_gauge.set(self._open_connections)
 
-    # -- connection handling -----------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
-        rt = telemetry.active()
-        conn_span: Optional[int] = None
-        if rt is not None:
-            self._conn_seq += 1
-            peer = writer.get_extra_info("peername")
-            conn_span = rt.tracer.record(
-                "serve.connection", ts=time.time(), dur=0.0,
-                tags={"conn": self._conn_seq,
-                      "peer": str(peer[1]) if peer else ""})
-        self._open_connections += 1
-        t0 = time.perf_counter()
-        served = 0
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break          # client went away between requests
-                except asyncio.LimitOverrunError:
-                    await self._write_response(
-                        writer, 400,
-                        encode_json({"error": "request head too large"}),
-                        keep_alive=False)
-                    break
-                try:
-                    method, target, version, headers = _parse_head(head)
-                except ValueError as exc:
-                    await self._write_response(
-                        writer, 400, encode_json({"error": str(exc)}),
-                        keep_alive=False)
-                    break
-                if "transfer-encoding" in headers:
-                    await self._write_response(
-                        writer, 501, encode_json({
-                            "error": "chunked transfer encoding is "
-                                     "not supported"}),
-                        keep_alive=False)
-                    break
-                length, error = _content_length(headers)
-                if error is not None:
-                    await self._write_response(
-                        writer, error[0], encode_json({"error": error[1]}),
-                        keep_alive=False)
-                    break
-                body = (await reader.readexactly(length)
-                        if length > 0 else b"")
-                keep_alive = (version == "HTTP/1.1" and "close" not in
-                              headers.get("connection", "").lower())
-                status, out, content_type = await self._dispatch(
-                    method, target, headers, body, conn_span)
-                served += 1
-                await self._write_response(
-                    writer, status, out, keep_alive=keep_alive,
-                    content_type=content_type)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            self._open_connections -= 1
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            if rt is not None:
-                rt.tracer.record(
-                    "serve.connection.close", ts=time.time(),
-                    dur=time.perf_counter() - t0,
-                    tags={"requests": served}, parent=conn_span)
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    @staticmethod
-    async def _write_response(writer: asyncio.StreamWriter, status: int,
-                              body: bytes, *, keep_alive: bool,
-                              content_type: str = "application/json"
-                              ) -> None:
-        writer.write(_response_head(status, content_type, len(body),
-                                    keep_alive=keep_alive) + body)
-        await writer.drain()
-
     # -- request dispatch ---------------------------------------------------
 
     async def _observed(self, endpoint: str, handler,
                         error_extra=None) -> Tuple[int, Dict[str, Any]]:
-        """Async twin of the threaded transport's ``_observed``: run
-        one handler coroutine, map exceptions through the shared
+        """Run one handler coroutine, map exceptions through
         :func:`error_response`, record metrics."""
         t0 = time.perf_counter()
         status, payload, rows = 500, {"error": "internal error"}, 0
@@ -444,21 +498,14 @@ class AsyncPerceptronServer(ServingCore):
                              rows=rows, error=status >= 400)
         return status, payload
 
-    async def _run_blocking(self, fn, *args):
-        """Long synchronous work (experiments, store scans) goes to the
-        default thread executor so the loop keeps serving predictions."""
-        return await asyncio.get_running_loop().run_in_executor(
-            None, partial(fn, *args))
-
     async def _dispatch(self, method: str, target: str,
                         headers: Dict[str, str], body: bytes,
                         conn_span: Optional[int]
                         ) -> Tuple[int, bytes, str]:
         """Route one request; returns ``(status, body, content_type)``.
 
-        Routing, endpoint labels and error bodies mirror the threaded
-        transport's handler exactly — byte-identical responses are a
-        pinned contract (``tests/test_aio_serving.py``).
+        Response bytes are a pinned contract: they must match the
+        recorded ``tests/fixtures/serve_wire.json``.
         """
         t0_wall, t0 = time.time(), time.perf_counter()
         path = target.split("?", 1)[0].rstrip("/") or "/"
@@ -567,11 +614,6 @@ class AsyncPerceptronServer(ServingCore):
                     return 200, await self._run_blocking(
                         self.handle_run_campaign, name, payload), 0
                 return "/campaigns/run", run_campaign, None
-        else:
-            async def bad_method():
-                return 501, {"error":
-                             f"unsupported method {method}"}, 0
-            return "unknown", bad_method, None
 
         async def unknown():
             return 404, {"error": f"unknown endpoint {target}"}, 0

@@ -1,41 +1,30 @@
-"""Micro-batching request schedulers for the serving plane.
+"""The micro-batching request scheduler of the serving plane.
 
 Serving traffic arrives one small request at a time, but the
 :class:`~repro.serve.engine.BatchInferenceEngine` amortises its fixed
-per-call cost over whole matrices.  Two schedulers bridge the gap,
-sharing the same flush policy — a batch fires when either
+per-call cost over whole matrices.  :class:`AsyncMicroBatcher` bridges
+the gap on the serving event loop — no worker thread, the loop *is*
+the scheduler.  A batch fires when either
 
 * the pending batch reaches ``max_batch`` rows, or
 * the oldest pending request has waited ``max_latency`` seconds
 
-— the classic throughput/latency knob pair:
-
-:class:`MicroBatcher`
-    The threaded transport's scheduler: requests enqueue from any
-    number of request threads, a single worker thread coalesces them,
-    and each request resolves to a :class:`concurrent.futures.Future`
-    so callers block only for their own rows.  Handler exceptions
-    propagate to exactly the futures of the batch that failed; the
-    worker keeps running.
-
-:class:`AsyncMicroBatcher`
-    The asyncio transport's scheduler: no worker thread at all — the
-    event loop *is* the scheduler.  Requests from any number of
-    connections coalesce in-loop; a size trigger flushes synchronously
-    on the submitting callback and a ``loop.call_later`` timer bounds
-    the wait of a partial batch.  Oversized single requests are split
-    across consecutive batches and reassembled, so one giant request
-    cannot blow the engine's batch envelope.  Each request awaits an
-    ``asyncio.Future`` resolved with exactly its rows.
+— the classic throughput/latency knob pair.  Requests from any number
+of connections coalesce in-loop; a size trigger flushes synchronously
+on the submitting callback and a ``loop.call_later`` timer bounds the
+wait of a partial batch.  Oversized single requests are split across
+consecutive batches and reassembled, so one giant request cannot blow
+the engine's batch envelope.  Each request awaits an
+``asyncio.Future`` resolved with exactly its rows; handler exceptions
+propagate to exactly the futures of the batch that failed.
+:class:`BatchStats` keeps the O(1) flush telemetry behind ``/metrics``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
@@ -52,13 +41,13 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 class _Request:
     features: np.ndarray        # (rows, n_features)
     vdd: Optional[float]
-    future: "Future | asyncio.Future"
+    future: asyncio.Future
     enqueued_at: float
 
 
 @dataclass
 class BatchStats:
-    """Cumulative flush telemetry (guarded by the batcher's lock).
+    """Cumulative flush telemetry of one batcher.
 
     Only O(1) aggregates — a long-running server must not accumulate
     per-flush history.  ``batch_rows_hist`` is the fixed-bucket
@@ -88,9 +77,8 @@ class BatchStats:
         else:
             self.batch_rows_hist[-1] += 1
         if capacity > 0:
-            # A flush may slightly exceed max_batch (requests are never
-            # split), so clamp: fill ratio reads as "fraction of the
-            # configured batch the flush actually used".
+            # Clamped: fill ratio reads as "fraction of the configured
+            # batch the flush actually used".
             self.fill_ratio_sum += min(1.0, rows / capacity)
 
     def snapshot(self) -> dict:
@@ -112,7 +100,7 @@ class BatchStats:
 
 def _check_rows(features) -> np.ndarray:
     """Validate one request's features as a ``(rows, n_features)``
-    matrix (shared by both schedulers' ``submit``)."""
+    matrix."""
     rows = np.asarray(features, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
@@ -133,155 +121,6 @@ def _stack_batch(batch: List[_Request]):
                     np.nan if r.vdd is None else r.vdd)
             for r in batch])
     return features, vdds
-
-
-class MicroBatcher:
-    """Coalesce single predictions into engine-sized batches.
-
-    Parameters
-    ----------
-    handler:
-        ``handler(features, vdds) -> (rows,) predictions`` where
-        ``features`` is the vertically-stacked ``(rows, n_features)``
-        matrix of a flush and ``vdds`` is ``None`` (all rows nominal) or
-        a ``(rows,)`` float array with ``nan`` marking nominal rows.
-    max_batch:
-        Flush as soon as this many rows are pending.
-    max_latency:
-        Flush when the oldest pending request is this old (seconds),
-        even if the batch is small.
-    """
-
-    def __init__(self, handler: Callable, *, max_batch: int = 64,
-                 max_latency: float = 0.005):
-        if max_batch < 1:
-            raise AnalysisError("max_batch must be >= 1")
-        if max_latency < 0:
-            raise AnalysisError("max_latency must be >= 0")
-        self._handler = handler
-        self.max_batch = int(max_batch)
-        self.max_latency = float(max_latency)
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._queue: List[_Request] = []
-        self._pending_rows = 0
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
-        self.stats = BatchStats()
-
-    # -- lifecycle --------------------------------------------------------
-
-    def start(self) -> "MicroBatcher":
-        with self._lock:
-            if self._running:
-                return self
-            self._running = True
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-microbatcher")
-        self._thread.start()
-        return self
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop the worker; by default flush whatever is still queued."""
-        with self._wakeup:
-            self._running = False
-            self._wakeup.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if drain:
-            while True:
-                batch = self._take(self.max_batch)
-                if not batch:
-                    break
-                self._flush(batch)
-
-    def __enter__(self) -> "MicroBatcher":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- client side ------------------------------------------------------
-
-    def submit(self, features, vdd: Optional[float] = None) -> Future:
-        """Enqueue one request (one or more rows); returns its future.
-
-        The future resolves to the ``(rows,)`` prediction array for
-        exactly the submitted rows.
-        """
-        rows = _check_rows(features)
-        future: Future = Future()
-        request = _Request(rows, None if vdd is None else float(vdd),
-                           future, time.monotonic())
-        with self._wakeup:
-            if not self._running:
-                raise AnalysisError("MicroBatcher is not running")
-            self._queue.append(request)
-            self._pending_rows += rows.shape[0]
-            self._wakeup.notify_all()
-        return future
-
-    # -- worker side ------------------------------------------------------
-
-    def _take(self, limit: int) -> List[_Request]:
-        """Pop up to ``limit`` rows' worth of requests (never splits a
-        request, so one flush may slightly exceed ``max_batch``)."""
-        with self._lock:
-            batch: List[_Request] = []
-            rows = 0
-            while self._queue and (rows == 0 or
-                                   rows + self._queue[0].features.shape[0]
-                                   <= limit):
-                request = self._queue.pop(0)
-                rows += request.features.shape[0]
-                self._pending_rows -= request.features.shape[0]
-                batch.append(request)
-            return batch
-
-    def _flush(self, batch: List[_Request]) -> None:
-        if not batch:
-            return
-        now = time.monotonic()
-        features, vdds = _stack_batch(batch)
-        with self._lock:
-            self.stats.record(features.shape[0],
-                              now - min(r.enqueued_at for r in batch),
-                              capacity=self.max_batch)
-        try:
-            predictions = np.asarray(self._handler(features, vdds))
-        except Exception as exc:  # propagate to this batch's callers
-            for r in batch:
-                if not r.future.cancelled():
-                    r.future.set_exception(exc)
-            return
-        offset = 0
-        for r in batch:
-            n = r.features.shape[0]
-            if not r.future.cancelled():
-                r.future.set_result(predictions[offset:offset + n])
-            offset += n
-
-    def _run(self) -> None:
-        while True:
-            with self._wakeup:
-                while self._running and not self._queue:
-                    self._wakeup.wait()
-                if not self._running:
-                    return
-                # Wait for a full batch or the oldest request's deadline.
-                deadline = self._queue[0].enqueued_at + self.max_latency
-                while (self._running
-                       and self._pending_rows < self.max_batch):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
-                    if not self._queue:
-                        break
-                if not self._running:
-                    return
-            self._flush(self._take(self.max_batch))
 
 
 class AsyncMicroBatcher:
@@ -309,6 +148,19 @@ class AsyncMicroBatcher:
     to an executor would cost more than it saves.  Slow engines must
     not go through this class at all (the serving plane routes them to
     the worker-process pool instead).
+
+    Parameters
+    ----------
+    handler:
+        ``handler(features, vdds) -> (rows,) predictions`` where
+        ``features`` is the vertically-stacked ``(rows, n_features)``
+        matrix of a flush and ``vdds`` is ``None`` (all rows nominal) or
+        a ``(rows,)`` float array with ``nan`` marking nominal rows.
+    max_batch:
+        Flush as soon as this many rows are pending.
+    max_latency:
+        Flush when the oldest pending request is this old (seconds),
+        even if the batch is small.
     """
 
     def __init__(self, handler: Callable, *, max_batch: int = 64,

@@ -1,8 +1,11 @@
 """Campaign dashboard: JSON endpoints over a live store, plus alerts.
 
-A tiny stdlib HTTP server (the :mod:`repro.serve.server` pattern —
-``ThreadingHTTPServer`` + a handler bound to one server object) that
-watches one campaign while its shards run elsewhere:
+A small read-only HTTP server on the serving plane's asyncio core
+(:class:`~repro.serve.aio_server.AsyncHttpServer`: bind at
+construction, keep-alive, bounded parsing, read timeouts) that watches
+one campaign while its shards run elsewhere.  Store scans run on the
+default thread executor, so a slow scan never stalls ``/healthz``.
+Only ``GET`` is served; any other method gets a 501 and a close.
 
 ``GET /healthz``
     Liveness: ``{"status": "ok", "campaign": <name>}``.
@@ -49,13 +52,14 @@ import sys
 import threading
 import time
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..campaigns.results import collect_results, results_document
 from ..campaigns.spec import CampaignSpec
 from ..perf.harness import sparkline
+from ..serve.aio_server import AsyncHttpServer
+from ..serve.server import encode_json
 from .watch import status_with_eta
 
 #: An alert hook: called once per newly-fired alert document.
@@ -114,7 +118,7 @@ class AlertEngine:
     :meth:`poll` re-collects the campaign's finished results, finds
     every breach, and fires hooks (plus each rule's webhook) for the
     (rule, config) pairs not seen before.  Thread-safe: the dashboard
-    serves ``/alerts`` from concurrent request threads.
+    polls from its executor threads, possibly several at once.
     """
 
     def __init__(self, spec: CampaignSpec, cache, *,
@@ -187,12 +191,15 @@ _INDEX_HTML = """<!doctype html>
 """
 
 
-class CampaignDashboard:
+class CampaignDashboard(AsyncHttpServer):
     """One campaign's live HTTP dashboard over a store (or flat cache).
 
-    Use as a context manager (tests) or via :meth:`run` (CLI);
-    ``port=0`` binds a free port, read back from :attr:`port`.
+    Bound at construction (``port=0`` picks a free port, readable from
+    :attr:`port` at once); serve with the context manager (tests) or
+    :meth:`run` (CLI).
     """
+
+    allowed_methods = ("GET",)
 
     def __init__(self, spec: CampaignSpec, cache, *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -200,17 +207,16 @@ class CampaignDashboard:
         self.spec = spec
         self.cache = cache
         self.alert_engine = AlertEngine(spec, cache, hooks=hooks)
-        handler = _make_handler(self)
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
-        self.host, self.port = self.httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
+        #: JSON endpoints answered from store scans, off the loop.
+        self._scans: Dict[str, Callable[[], Dict[str, Any]]] = {
+            "/status": self.status_payload,
+            "/alerts": self.alerts_payload,
+            "/results": self.results_payload,
+            "/perf": self.perf_payload,
+        }
+        super().__init__(host, port)
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # -- endpoint payloads (transport-independent) -------------------------
+    # -- endpoint payloads -------------------------------------------------
 
     def status_payload(self) -> Dict[str, Any]:
         return status_with_eta(self.spec, self.cache)
@@ -259,99 +265,41 @@ class CampaignDashboard:
             fidelity=self.spec.fidelity, done=status["done"],
             total=status["total"], alerts=len(self.spec.alerts))
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- routing -----------------------------------------------------------
 
-    def start(self) -> "CampaignDashboard":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever, daemon=True,
-                name="repro-dashboard")
-            self._thread.start()
-        return self
-
-    def run(self) -> None:
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CampaignDashboard":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _make_handler(dashboard: "CampaignDashboard"):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, fmt, *args):  # quiet by default
-            pass
-
-        def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _reply_html(self, text: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _observed(self, endpoint: str, fn) -> None:
-            t0 = time.perf_counter()
+    async def _dispatch(self, method: str, target: str,
+                        headers: Dict[str, str], body: bytes,
+                        conn_span: Optional[int]
+                        ) -> Tuple[int, bytes, str]:
+        path = target.split("?", 1)[0].rstrip("/") or "/"
+        if path == "/":
             try:
-                self._reply(200, fn())
+                html = await self._run_blocking(self.index_html)
             except Exception as exc:
-                self._reply(500,
-                            {"error": f"{type(exc).__name__}: {exc}"})
-            finally:
-                rt = telemetry.active()
-                if rt is not None:
-                    rt.count("repro_dashboard_requests_total",
-                             endpoint=endpoint)
-                    rt.observe("repro_dashboard_latency_seconds",
-                               time.perf_counter() - t0,
-                               endpoint=endpoint)
-
-        def do_GET(self) -> None:
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/":
-                try:
-                    self._reply_html(dashboard.index_html())
-                except Exception as exc:
-                    self._reply(500,
-                                {"error": f"{type(exc).__name__}: {exc}"})
-                return
-            if path == "/healthz":
-                self._observed("/healthz", lambda: {
-                    "status": "ok", "campaign": dashboard.spec.name})
-            elif path == "/status":
-                self._observed("/status", dashboard.status_payload)
-            elif path == "/alerts":
-                self._observed("/alerts", dashboard.alerts_payload)
-            elif path == "/results":
-                self._observed("/results", dashboard.results_payload)
-            elif path == "/perf":
-                self._observed("/perf", dashboard.perf_payload)
+                return 500, _error_body(exc), _JSON
+            return 200, html.encode("utf-8"), "text/html; charset=utf-8"
+        if path != "/healthz" and path not in self._scans:
+            return (404, encode_json({"error": f"unknown endpoint {target}"}),
+                    _JSON)
+        t0 = time.perf_counter()
+        try:
+            if path == "/healthz":     # liveness: O(1), on the loop
+                payload = {"status": "ok", "campaign": self.spec.name}
             else:
-                self._reply(404,
-                            {"error": f"unknown endpoint {self.path}"})
+                payload = await self._run_blocking(self._scans[path])
+            status, out = 200, encode_json(payload)
+        except Exception as exc:
+            status, out = 500, _error_body(exc)
+        rt = telemetry.active()
+        if rt is not None:
+            rt.count("repro_dashboard_requests_total", endpoint=path)
+            rt.observe("repro_dashboard_latency_seconds",
+                       time.perf_counter() - t0, endpoint=path)
+        return status, out, _JSON
 
-    return Handler
+
+_JSON = "application/json"
+
+
+def _error_body(exc: BaseException) -> bytes:
+    return encode_json({"error": f"{type(exc).__name__}: {exc}"})

@@ -1,20 +1,22 @@
-"""The asyncio serving plane: scheduler, transport, pool, loadgen.
+"""The asyncio serving plane: scheduler, HTTP core, pool, loadgen.
 
-Pins the guarantees the transport rewrite rests on:
+Pins the guarantees the serving plane rests on:
 
 * the :class:`AsyncMicroBatcher` delivers exactly the handler's
   answers under coalescing, deadline flushes, oversized-request
   splitting, and shutdown with in-flight futures;
-* the asyncio transport answers **byte-identically** to the threaded
-  one — success and error bodies alike — so clients cannot tell the
-  transports apart (the upgrade-safety contract);
+* the server answers **byte-identically** to the recorded wire
+  fixture (``tests/fixtures/serve_wire.json``) — success and error
+  bodies alike — so clients see no change across releases;
 * ``/predict`` error bodies always carry ``error``/``model``/
-  ``engine`` in that order, on both transports;
+  ``engine`` in that order;
+* the HTTP core binds at construction, bounds malformed, oversized
+  and stalled requests, and keeps serving afterwards;
 * schema-v3 artifacts round-trip custom cell designs and older
   documents migrate (v2 → v3, v1 → v3);
 * the worker pool dispatches by artifact document with per-process
   caching, and the new gauges show up in the Prometheus exposition;
-* the load generator measures both transports without erroring.
+* the load generator measures the server without erroring.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import signal
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,16 +48,18 @@ from repro.serve import (
     BatchInferenceEngine,
     EngineWorkerPool,
     ModelStore,
-    PerceptronServer,
     deserialize_model,
     serialize_model,
 )
+from repro.serve import aio_server
 from repro.serve.artifacts import artifact_hash, upgrade_artifact
 from repro.serve.loadgen import run_closed_loop, run_open_loop
 from repro.serve.pool import _pool_margins
 from repro.telemetry.metrics import validate_prometheus_text
 
 ENGINE = BatchInferenceEngine()
+
+WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "serve_wire.json"
 
 
 def _raw(host, port, method, path, body=None):
@@ -208,123 +213,103 @@ class TestAsyncMicroBatcher:
         asyncio.run(scenario())
 
 
-# -- the asyncio transport --------------------------------------------------
+# -- the HTTP server ----------------------------------------------------------
 
 
-@pytest.fixture(scope="class")
-def dual_stack(request, tmp_path_factory):
-    """One store, one model, both transports serving it."""
+def _demo_store(root):
+    """The wire fixture's store: one blobs perceptron named ``demo``."""
     data = make_blobs(n_per_class=20, n_features=2, separation=0.35,
                       spread=0.09, seed=7)
     model = PerceptronTrainer(2, seed=7).fit(data.X, data.y,
                                              epochs=40).perceptron
-    store = ModelStore(tmp_path_factory.mktemp("models"))
+    store = ModelStore(root)
     store.save("demo", model)
-    threaded = PerceptronServer(store, port=0, max_batch=16,
-                                max_latency=0.002).start()
+    return data, model, store
+
+
+@pytest.fixture(scope="class")
+def aio_stack(request, tmp_path_factory):
+    """One store, one model, one server."""
+    data, model, store = _demo_store(tmp_path_factory.mktemp("models"))
     aio = AsyncPerceptronServer(store, port=0, max_batch=16,
                                 max_latency=0.002, workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.store = store
-    request.cls.threaded = threaded
     request.cls.aio = aio
     yield
     aio.close()
-    threaded.close()
 
 
-@pytest.mark.usefixtures("dual_stack")
-class TestTransportByteIdentity:
-    """Clients must not be able to tell the transports apart."""
+class TestWireContract:
+    """Clients must not see the wire change across releases."""
 
-    def _both(self, method, path, body=None):
-        s1, b1 = _raw(self.threaded.host, self.threaded.port, method,
-                      path, body)
-        s2, b2 = _raw(self.aio.host, self.aio.port, method, path, body)
-        return (s1, b1), (s2, b2)
-
-    def test_predict_success_bodies_identical(self):
-        for payload in (
-                {"model": "demo", "inputs": self.data.X[:5].tolist()},
-                {"model": "demo", "inputs": [0.2, 0.8], "vdd": 1.2},
-                {"model": "demo", "inputs": self.data.X.tolist(),
-                 "vdd": 2.0}):
-            body = json.dumps(payload).encode()
-            threaded, aio = self._both("POST", "/predict", body)
-            assert threaded == aio
-            assert threaded[0] == 200
-
-    def test_predict_error_bodies_identical(self):
-        cases = [
-            json.dumps(p).encode() for p in (
-                {"model": "nope", "inputs": [[0.1, 0.2]]},
-                {"inputs": [[0.1, 0.2]]},
-                {"model": "demo"},
-                {"model": "demo", "inputs": [[0.1]]},
-                {"model": "demo", "inputs": [[0.1, 0.2]], "vdd": -2},
-                {"model": "demo", "inputs": [[0.1, 0.2]],
-                 "engine": "bogus"},
-                {"model": "demo", "inputs": [[0.1, 0.2]],
-                 "solver": "sparse"})
-        ] + [b"{not json", b""]
-        for body in cases:
-            threaded, aio = self._both("POST", "/predict", body)
-            assert threaded == aio, body
-            assert threaded[0] >= 400
-
-    def test_get_endpoints_identical(self):
-        for path in ("/healthz", "/models", "/engines", "/experiments",
-                     "/experiments/table1", "/campaigns", "/nope"):
-            threaded, aio = self._both("GET", path)
-            assert threaded == aio, path
+    def test_responses_match_recorded_fixture(self, tmp_path):
+        # Replayed in recorded order on a fresh server: /healthz
+        # reports how many models the earlier requests loaded.
+        exchanges = json.loads(WIRE_FIXTURE.read_text())["exchanges"]
+        _, _, store = _demo_store(tmp_path)
+        with AsyncPerceptronServer(store, max_batch=16, max_latency=0.002,
+                                   workers=0) as server:
+            for ex in exchanges:
+                request = ex["request"]
+                conn = http.client.HTTPConnection(server.host,
+                                                  server.port, timeout=30)
+                conn.request(
+                    ex["method"], ex["path"],
+                    body=None if request is None else request.encode(),
+                    headers={"Content-Type": "application/json"}
+                    if request else {})
+                response = conn.getresponse()
+                got = (response.status,
+                       response.getheader("Content-Type"),
+                       response.read())
+                conn.close()
+                expected = ex["body"].replace("<store>", str(store.root))
+                assert got == (ex["status"], ex["content_type"],
+                               expected.encode("utf-8")), \
+                    (ex["method"], ex["path"], request)
 
 
-@pytest.mark.usefixtures("dual_stack")
+@pytest.mark.usefixtures("aio_stack")
 class TestErrorShapeContract:
     """Every /predict error body: error, model, engine — in order."""
 
-    SERVERS = ("threaded", "aio")
-
-    def _post_pairs(self, server, payload):
-        status, raw = _raw(server.host, server.port, "POST", "/predict",
-                           json.dumps(payload).encode())
+    def _post_pairs(self, payload):
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict", json.dumps(payload).encode())
         return status, json.loads(raw,
                                   object_pairs_hook=lambda p: p)
 
     def test_error_bodies_carry_model_and_engine(self):
-        for name in self.SERVERS:
-            server = getattr(self, name)
-            for payload, model, engine in (
-                    ({"model": "nope", "inputs": [[0.1, 0.2]]},
-                     "nope", "behavioral"),
-                    ({"model": "demo", "inputs": [[0.1]],
-                      "engine": "rc"}, "demo", "rc"),
-                    ({"inputs": [[0.1, 0.2]]}, None, "behavioral"),
-                    ({"model": "demo"}, "demo", "behavioral")):
-                status, pairs = self._post_pairs(server, payload)
-                assert status >= 400
-                assert [k for k, _ in pairs] == \
-                    ["error", "model", "engine"], (name, payload)
-                fields = dict(pairs)
-                assert fields["model"] == model
-                assert fields["engine"] == engine
+        for payload, model, engine in (
+                ({"model": "nope", "inputs": [[0.1, 0.2]]},
+                 "nope", "behavioral"),
+                ({"model": "demo", "inputs": [[0.1]],
+                  "engine": "rc"}, "demo", "rc"),
+                ({"inputs": [[0.1, 0.2]]}, None, "behavioral"),
+                ({"model": "demo"}, "demo", "behavioral")):
+            status, pairs = self._post_pairs(payload)
+            assert status >= 400
+            assert [k for k, _ in pairs] == \
+                ["error", "model", "engine"], payload
+            fields = dict(pairs)
+            assert fields["model"] == model
+            assert fields["engine"] == engine
 
     def test_success_bodies_unchanged_by_contract(self):
-        for name in self.SERVERS:
-            server = getattr(self, name)
-            status, raw = _raw(server.host, server.port, "POST",
-                               "/predict",
-                               json.dumps({"model": "demo",
-                                           "inputs": [[0.3, 0.7]]
-                                           }).encode())
-            assert status == 200
-            assert list(json.loads(raw)) == \
-                ["model", "predictions", "margins", "count", "engine",
-                 "solver"]
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict",
+                           json.dumps({"model": "demo",
+                                       "inputs": [[0.3, 0.7]]
+                                       }).encode())
+        assert status == 200
+        assert list(json.loads(raw)) == \
+            ["model", "predictions", "margins", "count", "engine",
+             "solver"]
 
 
-@pytest.mark.usefixtures("dual_stack")
+@pytest.mark.usefixtures("aio_stack")
 class TestAioTransport:
     def _get(self, path, headers=None):
         conn = http.client.HTTPConnection(self.aio.host, self.aio.port,
@@ -478,13 +463,74 @@ class TestAioTransport:
             AsyncPerceptronServer(self.store, workers=-1)
 
     def test_bind_failure_surfaces_on_both_entry_points(self):
-        # A port collision must raise loudly, not exit a silent 0 —
-        # both from start() (background thread) and run() (CLI path).
-        clash = AsyncPerceptronServer(self.store, port=self.aio.port)
+        # A port collision must raise loudly, not exit a silent 0.  The
+        # socket is bound at construction, ahead of both start()
+        # (background thread) and run() (CLI path), for the serving
+        # API and the campaign dashboard alike.
+        from repro.campaigns import CampaignSpec
+        from repro.exec.cache import ResultCache
+        from repro.store import CampaignDashboard
+
         with pytest.raises(OSError):
-            clash.start()
+            AsyncPerceptronServer(self.store, port=self.aio.port)
+        spec = CampaignSpec.from_dict({
+            "name": "clash", "experiment": "ext_montecarlo",
+            "axes": [{"param": "seed", "values": [1]}]})
         with pytest.raises(OSError):
-            clash.run()
+            CampaignDashboard(spec, ResultCache(self.store.root),
+                              port=self.aio.port)
+
+    def test_port_bound_at_construction(self):
+        server = AsyncPerceptronServer(self.store, workers=0)
+        try:
+            assert server.port != 0
+            assert server.url == f"http://127.0.0.1:{server.port}"
+            with pytest.raises(OSError):     # already held by server
+                socket.create_server(("127.0.0.1", server.port))
+        finally:
+            server.close()
+
+    def test_accepted_connections_disable_nagle(self):
+        # Small responses must not wait on Nagle's algorithm; asyncio
+        # sets TCP_NODELAY only if the listening socket names TCP.
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15):
+            deadline = time.monotonic() + 5
+            while not self.aio._writers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            writers = list(self.aio._writers)
+            assert writers
+            for writer in writers:
+                sock = writer.get_extra_info("socket")
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+
+    @pytest.mark.parametrize("sent", [
+        b"POST /predict HTTP/1.1\r\nHost: x\r\n",
+        b"POST /predict HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"mo",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    ], ids=["partial-head", "partial-body", "idle-keep-alive"])
+    def test_stalled_client_is_closed(self, monkeypatch, sent):
+        monkeypatch.setattr(aio_server, "READ_TIMEOUT_S", 0.2)
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15) as sock:
+            sock.sendall(sent)
+            t0 = time.monotonic()
+            raw = b""
+            while True:          # returns once the server hangs up
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+            assert time.monotonic() - t0 < 10
+        if sent.startswith(b"GET"):
+            # Answered in full, then dropped for idling.
+            assert raw.startswith(b"HTTP/1.1 200 OK")
+            assert b"connection: keep-alive" in raw.lower()
+        else:
+            assert raw == b""
+        # The next connection is still served.
+        assert self._get("/healthz")[0] == 200
 
 
 # -- worker pool ------------------------------------------------------------
@@ -633,7 +679,7 @@ class TestArtifactSchemaV3:
 # -- load generator ---------------------------------------------------------
 
 
-@pytest.mark.usefixtures("dual_stack")
+@pytest.mark.usefixtures("aio_stack")
 class TestLoadgen:
     def test_closed_loop_reports(self):
         report = run_closed_loop(self.aio.url, "demo",
@@ -649,12 +695,6 @@ class TestLoadgen:
         fill = report["batch_fill"]["demo"]
         assert fill["rows"] == report["requests"] * 4
         assert sum(fill["batch_rows_hist"].values()) == fill["batches"]
-
-    def test_closed_loop_against_threaded_transport(self):
-        report = run_closed_loop(self.threaded.url, "demo",
-                                 self.data.X[:2].tolist(),
-                                 connections=2, duration=0.2)
-        assert report["requests"] > 0 and report["errors"] == 0
 
     def test_open_loop_honours_schedule(self):
         report = run_open_loop(self.aio.url, "demo",

@@ -628,11 +628,11 @@ class TestHttpCampaigns:
     @pytest.fixture()
     def server(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(EXAMPLE_DIR)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(EXAMPLE_DIR)) as srv:
             yield srv
 
     def _get(self, server, path):
@@ -678,30 +678,30 @@ class TestHttpCampaigns:
 
     def test_no_campaign_dir_serves_empty_list(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0) as srv:
+        with AsyncPerceptronServer(store, workers=0) as srv:
             assert self._get(srv, "/campaigns") == {"count": 0,
                                                     "campaigns": []}
 
     def test_invalid_spec_file_listed_with_error(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
         (camp_dir / "broken.json").write_text("{oops")
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(camp_dir)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
         assert doc["count"] == 1
         assert "error" in doc["campaigns"][0]
 
     def test_oversized_campaign_rejected_without_expansion(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
@@ -712,8 +712,8 @@ class TestHttpCampaigns:
                       "range": {"start": 0, "count": 10_000_000}}],
         }))
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(camp_dir)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(camp_dir)) as srv:
             # Listing reports the declared size cheaply, marked inexact.
             doc = self._get(srv, "/campaigns")
             entry = doc["campaigns"][0]
@@ -726,15 +726,15 @@ class TestHttpCampaigns:
             assert excinfo.value.code == 400
 
     def test_servable_cap_fits_the_memo(self):
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
-        assert (PerceptronServer.campaign_config_max
-                <= PerceptronServer.experiment_memo_max), \
+        assert (AsyncPerceptronServer.campaign_config_max
+                <= AsyncPerceptronServer.experiment_memo_max), \
             "a servable campaign must fit the memo or replay breaks"
 
     def test_expand_time_error_does_not_hide_valid_listings(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
@@ -753,8 +753,8 @@ class TestHttpCampaigns:
             "axes": [{"param": "seed", "values": [1]}],
         }))
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(camp_dir)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
         by_name = {c.get("name"): c for c in doc["campaigns"]}
         assert "error" in by_name["bad-zip"]
@@ -762,7 +762,7 @@ class TestHttpCampaigns:
 
     def test_duplicate_name_counts_expansion_failures(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
@@ -783,8 +783,8 @@ class TestHttpCampaigns:
             ]}],
         }))
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(camp_dir)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
             assert all(c.get("duplicate_name") for c in doc["campaigns"])
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -793,7 +793,7 @@ class TestHttpCampaigns:
 
     def test_duplicate_campaign_names_flagged_and_refused(self, tmp_path):
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
+        from repro.serve import AsyncPerceptronServer
 
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
@@ -804,8 +804,8 @@ class TestHttpCampaigns:
                 "axes": [{"param": "seed", "values": seeds}],
             }))
         store = ModelStore(tmp_path / "models")
-        with PerceptronServer(store, port=0,
-                              campaign_dir=str(camp_dir)) as srv:
+        with AsyncPerceptronServer(store, workers=0,
+                                   campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
             assert all(c.get("duplicate_name") for c in doc["campaigns"])
             with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -7,16 +7,21 @@ Pins the three guarantees serving rests on:
 * the batched behavioural forward pass is bit-identical to the scalar
   path on arbitrary random models (hypothesis-backed), and the batched
   RC supply sweep matches the scalar switch-level engine;
-* the micro-batcher and HTTP server deliver exactly the engine's
-  answers under coalescing, bad input, and concurrency.
+* the HTTP server delivers exactly the engine's answers under bad
+  input, hot reloads and concurrency (the micro-batcher itself is
+  pinned in ``test_aio_serving.py``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import urllib.error
 import urllib.request
-from concurrent.futures import wait
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +39,9 @@ from repro.core.perceptron import DifferentialPwmPerceptron
 from repro.core.training import PerceptronTrainer
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
+    AsyncPerceptronServer,
     BatchInferenceEngine,
-    MicroBatcher,
     ModelStore,
-    PerceptronServer,
     deserialize_model,
     serialize_model,
 )
@@ -268,62 +272,6 @@ class TestEngineEquivalence:
             assert vec.perceptron.bias == ref.perceptron.bias
 
 
-class TestMicroBatcher:
-    @staticmethod
-    def _handler(p):
-        def handler(features, vdds):
-            supply = p.config.vdd if vdds is None else \
-                np.where(np.isnan(vdds), p.config.vdd, vdds)
-            return ENGINE.predict(p, features, vdd=supply)
-        return handler
-
-    def test_coalesces_and_preserves_row_ownership(self):
-        p = _perceptron([3, -2], 1)
-        rng = np.random.default_rng(0)
-        X = rng.uniform(0.0, 1.0, (30, 2))
-        with MicroBatcher(self._handler(p), max_batch=8,
-                          max_latency=0.05) as batcher:
-            futures = [batcher.submit(row) for row in X]
-            wait(futures, timeout=10)
-            got = np.concatenate([f.result() for f in futures])
-        assert np.array_equal(got, ENGINE.predict(p, X))
-        stats = batcher.stats.snapshot()
-        assert stats["rows"] == 30
-        assert stats["max_batch_rows"] <= 8
-        assert stats["batches"] < 30  # actually coalesced
-
-    def test_latency_flush_for_lone_request(self):
-        p = _perceptron([3, -2], 1)
-        with MicroBatcher(self._handler(p), max_batch=1024,
-                          max_latency=0.01) as batcher:
-            future = batcher.submit([0.5, 0.5])
-            assert future.result(timeout=5).shape == (1,)
-
-    def test_handler_errors_propagate(self):
-        def broken(features, vdds):
-            raise ValueError("boom")
-
-        with MicroBatcher(broken, max_batch=4,
-                          max_latency=0.001) as batcher:
-            future = batcher.submit([0.5, 0.5])
-            with pytest.raises(ValueError, match="boom"):
-                future.result(timeout=5)
-
-    def test_submit_after_stop_rejected(self):
-        batcher = MicroBatcher(self._handler(_perceptron([1], 0)),
-                               max_batch=4).start()
-        batcher.stop()
-        with pytest.raises(AnalysisError, match="not running"):
-            batcher.submit([0.5])
-
-    def test_bad_parameters(self):
-        handler = self._handler(_perceptron([1], 0))
-        with pytest.raises(AnalysisError):
-            MicroBatcher(handler, max_batch=0)
-        with pytest.raises(AnalysisError):
-            MicroBatcher(handler, max_latency=-1.0)
-
-
 @pytest.fixture(scope="class")
 def serving_stack(request, tmp_path_factory):
     data = make_blobs(n_per_class=20, n_features=2, separation=0.35,
@@ -332,8 +280,8 @@ def serving_stack(request, tmp_path_factory):
                                              epochs=40).perceptron
     store = ModelStore(tmp_path_factory.mktemp("models"))
     store.save("demo", model)
-    server = PerceptronServer(store, port=0, max_batch=16,
-                              max_latency=0.002).start()
+    server = AsyncPerceptronServer(store, port=0, max_batch=16,
+                                   max_latency=0.002, workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.server = server
@@ -522,32 +470,40 @@ class TestExperimentEndpoints:
         assert counters.get("/experiments/run", 0) >= 1
 
 
+def _post_predict(server, payload):
+    """POST one /predict payload; ``(status, decoded body)``."""
+    request = urllib.request.Request(
+        server.url + "/predict", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as r:
+            return r.status, json.loads(r.read())
+    except urllib.error.HTTPError as e:
+        return e.code, json.loads(e.read())
+
+
 class TestModelHotReload:
     def test_reexported_artifact_served_without_restart(self, tmp_path):
         store = ModelStore(tmp_path)
         store.save("m", _perceptron([3, 3], -3))
-        with PerceptronServer(store, port=0) as server:
-            first = server.get_model("m")
-            assert server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]]}
-            )["predictions"] == [1]
+        with AsyncPerceptronServer(store, workers=0) as server:
+            payload = {"model": "m", "inputs": [[0.9, 0.9]]}
+            assert _post_predict(server, payload)[1]["predictions"] == [1]
+            first = server._models["m"]
             # Re-export an inverted model under the same name: /predict
             # must pick it up (and rebuild the batcher) immediately.
             store.save("m", _perceptron([-3, -3], 3))
-            assert server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]]}
-            )["predictions"] == [0]
-            assert server.get_model("m") is not first
+            assert _post_predict(server, payload)[1]["predictions"] == [0]
+            assert server._models["m"] is not first
 
     def test_nonfinite_vdd_rejected(self, tmp_path):
         store = ModelStore(tmp_path)
         store.save("m", _perceptron([3, 3], -3))
-        with PerceptronServer(store, port=0) as server:
+        with AsyncPerceptronServer(store, workers=0) as server:
             for bad in (float("inf"), float("nan"), -1.0):
-                with pytest.raises(AnalysisError, match="vdd"):
-                    server.handle_predict({"model": "m",
-                                           "inputs": [[0.5, 0.5]],
-                                           "vdd": bad})
+                status, body = _post_predict(server, {
+                    "model": "m", "inputs": [[0.5, 0.5]], "vdd": bad})
+                assert status == 400 and "vdd" in body["error"], bad
 
 
 class TestServingCli:
@@ -590,3 +546,23 @@ class TestServingCli:
         assert cli_main(["predict", "m", "--input", "a,b",
                          "--store", store]) == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_serve_banner_prints_bound_port(self, tmp_path):
+        # `serve --port 0` must announce the port it actually bound.
+        repo = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "0", "--store", str(tmp_path)],
+            cwd=repo, env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            banner = proc.stderr.readline()
+            assert banner.startswith("serving http://127.0.0.1:"), banner
+            url = banner.split()[1]
+            assert not url.endswith(":0")
+            with urllib.request.urlopen(url + "/healthz",
+                                        timeout=30) as r:
+                assert json.loads(r.read())["status"] == "ok"
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)

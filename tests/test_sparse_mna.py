@@ -16,6 +16,10 @@ Pins the two promises the solver knob makes:
 
 from __future__ import annotations
 
+import json
+import urllib.error
+import urllib.request
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,20 +384,33 @@ class TestErrorSurfaces:
 class TestServedSpiceMargins:
     def _server(self, tmp_path):
         from repro.core.perceptron import DifferentialPwmPerceptron
+        from repro.serve import AsyncPerceptronServer
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
 
         store = ModelStore(tmp_path)
         store.save("m", DifferentialPwmPerceptron([3, 3], bias=-3))
-        return PerceptronServer(store, port=0)
+        return AsyncPerceptronServer(store, workers=0)
+
+    @staticmethod
+    def _predict(server, payload):
+        """POST one /predict payload; ``(status, decoded body)``."""
+        request = urllib.request.Request(
+            server.url + "/predict", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request, timeout=120) as r:
+                return r.status, json.loads(r.read())
+        except urllib.error.HTTPError as e:
+            return e.code, json.loads(e.read())
 
     def test_predict_round_trip_spice(self, tmp_path):
         with self._server(tmp_path) as server:
-            beh = server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]]})
-            out = server.handle_predict(
-                {"model": "m", "inputs": [[0.9, 0.9]],
-                 "engine": "spice", "solver": "dense"})
+            _, beh = self._predict(
+                server, {"model": "m", "inputs": [[0.9, 0.9]]})
+            status, out = self._predict(
+                server, {"model": "m", "inputs": [[0.9, 0.9]],
+                         "engine": "spice", "solver": "dense"})
+            assert status == 200
             assert out["engine"] == "spice"
             assert out["solver"] == "dense"
             assert out["predictions"] == beh["predictions"]
@@ -401,14 +418,15 @@ class TestServedSpiceMargins:
 
     def test_predict_rejects_solver_on_behavioral(self, tmp_path):
         with self._server(tmp_path) as server:
-            with pytest.raises(AnalysisError,
-                               match="only applies to transistor-level"):
-                server.handle_predict(
-                    {"model": "m", "inputs": [[0.5, 0.5]],
-                     "solver": "dense"})
-            with pytest.raises(AnalysisError, match="solver"):
-                server.handle_predict(
-                    {"model": "m", "inputs": [[0.5, 0.5]], "solver": 3})
+            status, body = self._predict(
+                server, {"model": "m", "inputs": [[0.5, 0.5]],
+                         "solver": "dense"})
+            assert status == 400
+            assert "only applies to transistor-level" in body["error"]
+            status, body = self._predict(
+                server, {"model": "m", "inputs": [[0.5, 0.5]],
+                         "solver": 3})
+            assert status == 400 and "solver" in body["error"]
 
     def test_supply_sweep_spice_matches_per_point_margins(self, tmp_path):
         from repro.core.perceptron import DifferentialPwmPerceptron

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
-import threading
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -426,25 +425,20 @@ class TestAlertRules:
 
     def test_webhook_delivery_and_failure_is_quiet(self, tmp_path,
                                                    capsys):
+        from repro.serve.aio_server import AsyncHttpServer
+
         received = []
 
-        class Hook(BaseHTTPRequestHandler):
-            def do_POST(self):
-                size = int(self.headers["Content-Length"])
-                received.append(json.loads(self.rfile.read(size)))
-                self.send_response(204)
-                self.end_headers()
+        class Hook(AsyncHttpServer):
+            async def _dispatch(self, method, target, headers, body,
+                                conn_span):
+                received.append(json.loads(body))
+                return 204, b"", "application/json"
 
-            def log_message(self, fmt, *args):
-                pass
-
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Hook)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        port = httpd.server_address[1]
-        try:
+        with Hook() as hook:
             spec = montecarlo_spec(1, alerts=[
                 {"metric": "sigma_mV[row0]", "below": 1e6,
-                 "webhook": f"http://127.0.0.1:{port}/hook"},
+                 "webhook": f"{hook.url}/hook"},
                 {"metric": "sigma_mV[row0]", "below": 1e6,
                  "webhook": "http://127.0.0.1:1/unreachable"},
             ])
@@ -457,9 +451,6 @@ class TestAlertRules:
             assert received[0]["metric"] == "sigma_mV[row0]"
             assert "webhook" not in received[0]
             assert "hook failed" in capsys.readouterr().err
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
 
 
 class TestWatchAndDashboard:
@@ -584,6 +575,40 @@ class TestWatchAndDashboard:
             with urllib.request.urlopen(board.url + "/status",
                                         timeout=30) as response:
                 assert json.loads(response.read())["done"] == 1
+
+
+class TestDashboardHttp:
+    """The dashboard shares the serving plane's bounded HTTP core."""
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GET /status HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"GET /status HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n",
+         413),
+        (b"BROKEN\r\n\r\n", 400),
+        (b"POST /status HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501),
+    ], ids=["bad-length", "huge-length", "bad-request-line", "post"])
+    def test_bad_requests_answered_and_closed(self, tmp_path,
+                                              request_bytes, status):
+        spec = montecarlo_spec(1)
+        with CampaignDashboard(spec, ResultCache(tmp_path)) as board:
+            with socket.create_connection((board.host, board.port),
+                                          timeout=15) as sock:
+                sock.sendall(request_bytes)
+                raw = b""
+                while True:      # the server closes after answering
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == \
+                str(status).encode()
+            assert b"connection: close" in head.lower()
+            assert b"content-type: application/json" in head.lower()
+            assert "error" in json.loads(body)
+            with urllib.request.urlopen(board.url + "/healthz",
+                                        timeout=30) as response:
+                assert json.loads(response.read())["status"] == "ok"
 
 
 class TestStoreCli:

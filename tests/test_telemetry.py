@@ -17,6 +17,7 @@ Pins the guarantees observability rests on:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.request
@@ -392,10 +393,10 @@ class TestServingMetricsAtomicity:
 
 class TestMetricsEndpoint:
     def _server(self, tmp_path):
+        from repro.serve import AsyncPerceptronServer
         from repro.serve.artifacts import ModelStore
-        from repro.serve.server import PerceptronServer
 
-        return PerceptronServer(ModelStore(tmp_path))
+        return AsyncPerceptronServer(ModelStore(tmp_path), workers=0)
 
     def test_content_negotiation(self, tmp_path):
         with self._server(tmp_path) as server:
@@ -433,17 +434,18 @@ class TestMetricsEndpoint:
 
 class TestMicroBatcherFillRatio:
     def test_mean_fill_ratio(self):
-        from repro.serve import MicroBatcher
+        from repro.serve import AsyncMicroBatcher
 
-        with MicroBatcher(lambda f, v: f[:, 0], max_batch=8,
-                          max_latency=0.0) as batcher:
-            batcher.submit(np.zeros((4, 2))).result(timeout=5)
-        stats = batcher.stats.snapshot()
-        assert stats["batches"] >= 1
-        assert 0.0 < stats["mean_fill_ratio"] <= 1.0
+        async def scenario():
+            batcher = AsyncMicroBatcher(lambda f, v: f[:, 0], max_batch=8,
+                                        max_latency=0.0)
+            await batcher.submit(np.zeros((4, 2)))
+            return batcher.stats.snapshot()
+
+        stats = asyncio.run(scenario())
         # One 4-row flush against max_batch=8 is half full.
-        if stats["batches"] == 1:
-            assert stats["mean_fill_ratio"] == 0.5
+        assert stats["batches"] == 1
+        assert stats["mean_fill_ratio"] == 0.5
 
 
 # -- CLI flags ---------------------------------------------------------------
