@@ -241,34 +241,63 @@ def aio_stack(request, tmp_path_factory):
     aio.close()
 
 
-class TestWireContract:
-    """Clients must not see the wire change across releases."""
+def _replay_wire_fixture(root):
+    """Replay the whole wire fixture on a fresh server, in order.
 
-    def test_responses_match_recorded_fixture(self, tmp_path):
-        # Replayed in recorded order on a fresh server: /healthz
-        # reports how many models the earlier requests loaded.
-        exchanges = json.loads(WIRE_FIXTURE.read_text())["exchanges"]
-        _, _, store = _demo_store(tmp_path)
-        with AsyncPerceptronServer(store, max_batch=16, max_latency=0.002,
-                                   workers=0) as server:
-            for ex in exchanges:
-                request = ex["request"]
-                conn = http.client.HTTPConnection(server.host,
-                                                  server.port, timeout=30)
-                conn.request(
-                    ex["method"], ex["path"],
-                    body=None if request is None else request.encode(),
-                    headers={"Content-Type": "application/json"}
-                    if request else {})
-                response = conn.getresponse()
-                got = (response.status,
-                       response.getheader("Content-Type"),
-                       response.read())
-                conn.close()
-                expected = ex["body"].replace("<store>", str(store.root))
-                assert got == (ex["status"], ex["content_type"],
-                               expected.encode("utf-8")), \
-                    (ex["method"], ex["path"], request)
+    Returns ``(exchange, got, expected)`` triples; ``got`` and
+    ``expected`` are ``(status, content type, body bytes)``. The order
+    matters: ``/healthz`` reports how many models the earlier requests
+    loaded.
+    """
+    exchanges = json.loads(WIRE_FIXTURE.read_text())["exchanges"]
+    _, _, store = _demo_store(root)
+    results = []
+    with AsyncPerceptronServer(store, max_batch=16, max_latency=0.002,
+                               workers=0) as server:
+        for ex in exchanges:
+            request = ex["request"]
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=30)
+            conn.request(
+                ex["method"], ex["path"],
+                body=None if request is None else request.encode(),
+                headers={"Content-Type": "application/json"}
+                if request else {})
+            response = conn.getresponse()
+            got = (response.status, response.getheader("Content-Type"),
+                   response.read())
+            conn.close()
+            body = ex["body"].replace("<store>", str(store.root))
+            results.append((ex, got, (ex["status"], ex["content_type"],
+                                      body.encode("utf-8"))))
+    return results
+
+
+class TestTransportByteIdentity:
+    """Clients must not see the wire change across releases: the server
+    answers byte-identically to the recorded wire fixture."""
+
+    @staticmethod
+    def _check(results, select, expected_count):
+        chosen = [(ex, got, want) for ex, got, want in results
+                  if select(ex)]
+        assert len(chosen) == expected_count
+        for ex, got, want in chosen:
+            assert got == want, (ex["method"], ex["path"], ex["request"])
+
+    def test_predict_success_bodies_identical(self, tmp_path):
+        self._check(_replay_wire_fixture(tmp_path),
+                    lambda ex: ex["method"] == "POST"
+                    and ex["status"] == 200, 3)
+
+    def test_predict_error_bodies_identical(self, tmp_path):
+        self._check(_replay_wire_fixture(tmp_path),
+                    lambda ex: ex["method"] == "POST"
+                    and ex["status"] != 200, 9)
+
+    def test_get_endpoints_identical(self, tmp_path):
+        self._check(_replay_wire_fixture(tmp_path),
+                    lambda ex: ex["method"] == "GET", 6)
 
 
 @pytest.mark.usefixtures("aio_stack")
