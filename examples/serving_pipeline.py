@@ -56,7 +56,7 @@ def main() -> None:
               f"hash {doc['hash']} — OK")
 
         print("3. starting the micro-batching server on a free port...")
-        with AsyncPerceptronServer(store, max_batch=32, max_latency=0.002,
+        with AsyncPerceptronServer(store, max_batch=32,
                                    workers=0) as server:
             print(f"   listening at {server.url} — OK")
 

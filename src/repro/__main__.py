@@ -76,12 +76,12 @@ Serving commands
     ``./models``).
 ``predict <name> --input d1,d2,... [--input ...] [--vdd V]``
     Load a stored model and classify duty-cycle rows.
-``serve [--workers N] [--host H] [--port P] [--max-batch N]
-[--max-latency-ms MS]``
+``serve [--workers N] [--host H] [--port P] [--max-batch N]``
     Start the micro-batching JSON API (``/predict``, ``/models``,
     ``/experiments``, ``/campaigns``, ``/healthz``, ``/metrics``) over
     the model store.  The asyncio server keeps connections alive,
-    coalesces rows across connections and shards slow-engine requests
+    coalesces the rows read in one loop tick across connections
+    (flushing at ``--max-batch`` rows) and shards slow-engine requests
     over ``--workers`` processes.  ``--campaign-dir`` names
     the served campaign specs (default ``$REPRO_CAMPAIGN_DIR`` or
     ``./campaigns``).
@@ -799,7 +799,6 @@ def _cmd_serve(args) -> int:
     store = ModelStore(args.store)
     server = AsyncPerceptronServer(
         store, host=args.host, port=args.port, max_batch=args.max_batch,
-        max_latency=args.max_latency_ms / 1e3,
         campaign_dir=args.campaign_dir, workers=args.workers)
     known = ", ".join(m["name"] for m in store.list()) or "(store empty)"
     print(f"serving {server.url} — models: {known}", file=sys.stderr)
@@ -1206,8 +1205,6 @@ def main(argv: "list[str] | None" = None) -> int:
                          help="TCP port (0 = pick a free port)")
     serve_p.add_argument("--max-batch", type=int, default=64,
                          help="flush a batch at this many rows")
-    serve_p.add_argument("--max-latency-ms", type=float, default=5.0,
-                         help="flush the oldest request after this wait")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="worker processes for slow-engine "
                               "(rc/spice) /predict requests; 0 keeps "

@@ -10,7 +10,8 @@ experiments to typed specs):
 * every engine registers through the :func:`engine` decorator and
   implements the common :class:`Engine` surface —
   :meth:`~Engine.evaluate`, :meth:`~Engine.sweep_supply`,
-  :meth:`~Engine.monte_carlo` and :meth:`~Engine.capabilities`;
+  :meth:`~Engine.sweep_grid`, :meth:`~Engine.monte_carlo` and
+  :meth:`~Engine.capabilities`;
 * :func:`get_engine` is the **single validation point** for engine ids:
   the CLI, the HTTP API, experiment parameters and direct Python calls
   all reject unknown ids with the same registry help text;
@@ -111,6 +112,21 @@ class Engine(ABC):
         ``stimulus.vdd`` is ignored in favour of the grid.
         """
 
+    def sweep_grid(self, design: CellDesign,
+                   stimuli: Sequence[CellStimulus],
+                   vdd_values: Sequence[float],
+                   **options: Any) -> np.ndarray:
+        """Cell output over a whole ``(stimulus, supply)`` grid.
+
+        Returns a ``(len(stimuli), len(vdd_values))`` array whose row
+        ``i`` equals ``sweep_supply(design, stimuli[i], vdd_values)``.
+        This version runs one supply sweep per stimulus; engines that
+        can solve the whole grid at once override it.
+        """
+        return np.stack([self.sweep_supply(design, stimulus, vdd_values,
+                                           **options)
+                         for stimulus in self.check_stimuli(stimuli)])
+
     @abstractmethod
     def monte_carlo(self, design: CellDesign, stimulus: CellStimulus,
                     n_trials: int, *, seed: Optional[int] = None,
@@ -133,6 +149,14 @@ class Engine(ABC):
         return vdds
 
     @staticmethod
+    def check_stimuli(stimuli: Sequence[CellStimulus]
+                      ) -> List[CellStimulus]:
+        stimuli = list(stimuli)
+        if not stimuli:
+            raise AnalysisError("need at least one stimulus")
+        return stimuli
+
+    @staticmethod
     def check_trials(n_trials: int) -> int:
         if n_trials < 1:
             raise AnalysisError("need at least one Monte-Carlo trial")
@@ -153,7 +177,8 @@ ENGINES: "Dict[str, Engine]" = {}
 
 
 #: Engine operations wrapped with telemetry at registration.
-_INSTRUMENTED_OPS = ("evaluate", "sweep_supply", "monte_carlo")
+_INSTRUMENTED_OPS = ("evaluate", "sweep_supply", "sweep_grid",
+                     "monte_carlo")
 
 
 def _instrument_engine(eng: Engine) -> Engine:

@@ -7,8 +7,8 @@ quantifies the pairwise divergence — the evidence behind
 ``ext_engine_fidelity`` and the CI engines-smoke job.
 
 The grid is organised as duty rows × supply columns so each engine's
-batched ``sweep_supply`` does the heavy lifting (one stacked MNA solve
-per duty for ``spice``, one ``RcBatchSolver`` solve per duty for
+``sweep_grid`` does the heavy lifting (one stacked MNA solve for the
+whole grid for ``spice``, one ``RcBatchSolver`` solve per duty for
 ``rc``).
 """
 
@@ -106,17 +106,14 @@ def consistency_report(duties: Optional[Sequence[float]] = None,
     ids = tuple(engines) if engines is not None else tuple(engine_ids())
     design = design or CellDesign()
 
+    stimuli = [CellStimulus(duty=duty, frequency=frequency, cout=cout,
+                            rout=rout) for duty in duties]
     report = ConsistencyReport(engines=ids, duties=duties,
                                vdd_values=vdd_values)
     for eid in ids:
         eng = get_engine(eid)
-        rows = []
-        for duty in duties:
-            stimulus = CellStimulus(duty=duty, frequency=frequency,
-                                    cout=cout, rout=rout)
-            options = {"steps_per_period": steps_per_period} \
-                if eng.capabilities().level == "transistor" else {}
-            rows.append(eng.sweep_supply(design, stimulus, vdd_values,
-                                         **options))
-        report.outputs[eid] = np.stack(rows)
+        options = {"steps_per_period": steps_per_period} \
+            if eng.capabilities().level == "transistor" else {}
+        report.outputs[eid] = eng.sweep_grid(design, stimuli, vdd_values,
+                                             **options)
     return report

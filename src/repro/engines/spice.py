@@ -1,11 +1,12 @@
 """Transistor-level engine: MNA shooting PSS of the full cell netlist.
 
-Single points run the classic scalar shooting solve.  Supply sweeps and
-Monte-Carlo batches stack their independent points into one lock-step
-MNA solve via :func:`~repro.circuit.batch_transient.shooting_batch` —
-the Python stepping machinery runs once for the whole grid instead of
-once per point, while every point's result stays bit-identical to its
-scalar solve (``benchmarks/BENCH_engines.json`` records the speedup).
+Single points run the classic scalar shooting solve.  Supply sweeps,
+whole ``(duty, supply)`` grids and Monte-Carlo batches stack their
+independent points into one lock-step MNA solve via
+:func:`~repro.circuit.batch_transient.shooting_batch` — the Python
+stepping machinery runs once for the whole grid instead of once per
+point, while every point's result stays bit-identical to its scalar
+solve (``benchmarks/BENCH_engines.json`` records the speedup).
 The batch layer takes per-point timing too (duty, frequency, period),
 so the same path serves the experiments' duty and frequency sweeps.
 """
@@ -76,36 +77,49 @@ class SpiceEngine(Engine):
                                 steps_per_period, solver))
 
     def sweep_supply(self, design: CellDesign, stimulus: CellStimulus,
-                     vdd_values: Sequence[float], *,
-                     steps_per_period: int = DEFAULT_STEPS,
-                     batched: Optional[bool] = None,
-                     solver: str = "auto",
+                     vdd_values: Sequence[float],
                      **options: Any) -> np.ndarray:
-        """Supply sweep; ``batched=None`` picks the execution path.
+        """Supply sweep: the one-row case of :meth:`sweep_grid`."""
+        return self.sweep_grid(design, [stimulus], vdd_values,
+                               **options)[0]
 
-        With a serial session executor the stacked MNA solve wins
-        (~5.6x, bit-identical); under a multi-worker executor (the
-        CLI's ``--jobs N``) the per-point loop fans out across the
-        pool instead, preserving the promise that every experiment
-        inherits ``--jobs``.  Both paths produce identical values, so
-        the choice is purely about speed.
+    def sweep_grid(self, design: CellDesign,
+                   stimuli: Sequence[CellStimulus],
+                   vdd_values: Sequence[float], *,
+                   steps_per_period: int = DEFAULT_STEPS,
+                   batched: Optional[bool] = None,
+                   solver: str = "auto",
+                   **options: Any) -> np.ndarray:
+        """``(stimulus, supply)`` grid; ``batched=None`` picks the
+        execution path.
+
+        With a serial session executor the whole grid is one stacked
+        MNA solve (bit-identical to per-point solves; stimuli may differ
+        in duty and frequency).  Under a multi-worker executor (the
+        CLI's ``--jobs N``) the flattened per-point loop fans out
+        across the pool instead, preserving the promise that every
+        experiment inherits ``--jobs``.  Both paths produce identical
+        values, so the choice is purely about speed.
         """
+        stimuli = self.check_stimuli(stimuli)
         vdds = self.check_vdd_grid(vdd_values)
+        points = [(stimulus, float(v)) for stimulus in stimuli
+                  for v in vdds]
         if batched is None:
             batched = getattr(get_default_executor(), "jobs", 1) <= 1
-        if not batched:
-            # Reference per-point loop (the historical path) on the
-            # session executor.
-            points = [(design, stimulus, float(v), steps_per_period,
-                       solver) for v in vdds]
-            values = get_default_executor().map(_measure_scalar, points)
-            return np.asarray([float(v) for v in values])
-        circuits = [_bench(design, stimulus, vdd=float(v)) for v in vdds]
-        pss = shooting_batch(circuits, 1.0 / stimulus.frequency,
-                             observe=["out"],
-                             steps_per_period=steps_per_period,
-                             solver=solver)
-        return pss.averages("out")
+        if batched:
+            pss = shooting_batch(
+                [_bench(design, stimulus, vdd=v) for stimulus, v in points],
+                [1.0 / stimulus.frequency for stimulus, _ in points],
+                observe=["out"], steps_per_period=steps_per_period,
+                solver=solver)
+            values = pss.averages("out")
+        else:
+            values = get_default_executor().map(
+                _measure_scalar, [(design, stimulus, v, steps_per_period,
+                                   solver) for stimulus, v in points])
+        return np.asarray(values, dtype=float).reshape(len(stimuli),
+                                                       vdds.size)
 
     def monte_carlo(self, design: CellDesign, stimulus: CellStimulus,
                     n_trials: int, *, seed: Optional[int] = None,

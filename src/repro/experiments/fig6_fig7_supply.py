@@ -12,8 +12,8 @@ The input amplitude tracks the supply (the PWM driver runs from the same
 rail), as in the paper's setup.
 
 Execution: every engine comes from the :mod:`repro.engines` registry
-and sweeps each duty's *entire* supply grid in one batched solve —
-``spice`` stacks the grid into one lock-step MNA shooting solve
+and gets the whole ``(duty, Vdd)`` grid in one ``sweep_grid`` call —
+``spice`` stacks every point into one lock-step MNA shooting solve
 (:class:`~repro.circuit.batch_transient.BatchTransientSolver`,
 bit-identical to the historical per-point loop), ``rc`` runs one
 :class:`~repro.core.rc_model.RcBatchSolver` solve per duty, and
@@ -31,7 +31,6 @@ import numpy as np
 from ..analysis.elasticity import ratiometric_report
 from ..core.cells import CellDesign
 from ..engines import CellStimulus, get_engine
-from ..exec.executor import get_default_executor
 from ..reporting.figures import FigureData
 from .base import ExperimentResult
 from .spec import Param, engine_param, experiment
@@ -75,15 +74,6 @@ def supply_sweep_rc_batch(duties: Sequence[float],
     return data
 
 
-def _measure_supply_point(payload: "tuple[str, float, float, int]") -> float:
-    """One engine grid point (top-level: process-pool safe)."""
-    engine_id, duty, vdd, steps = payload
-    stimulus = CellStimulus(duty=duty, frequency=FREQUENCY, vdd=vdd,
-                            cout=COUT, rout=ROUT)
-    return get_engine(engine_id).evaluate(CellDesign(), stimulus,
-                                          steps_per_period=steps)
-
-
 def _sweep(fidelity: str, vdd_values: Optional[Sequence[float]],
            engine: str = "spice") -> "dict[float, list]":
     # The registry is the single engine-id validation point: direct
@@ -93,27 +83,16 @@ def _sweep(fidelity: str, vdd_values: Optional[Sequence[float]],
         vdd_values = PAPER_VDD if fidelity == "paper" else FAST_VDD
     vdds = [float(v) for v in vdd_values]
     steps = 150 if fidelity == "paper" else 80
-    transistor = eng.capabilities().level == "transistor"
-    executor = get_default_executor()
-    if transistor and getattr(executor, "jobs", 1) > 1:
-        # Under --jobs N the whole flattened (duty, vdd) grid fans out
-        # over the pool in one map — full cross-duty parallelism, same
-        # values as the batched path (pinned by the engine tests).
-        points = [(engine, duty, vdd, steps)
-                  for duty in DUTIES for vdd in vdds]
-        vouts = executor.map(_measure_supply_point, points)
-        data: "dict[float, list]" = {duty: [] for duty in DUTIES}
-        for (_eid, duty, vdd, _steps), vout in zip(points, vouts):
-            data[duty].append((vdd, float(vout)))
-        return data
-    options = {"steps_per_period": steps} if transistor else {}
-    data = {}
-    for duty in DUTIES:
-        stimulus = CellStimulus(duty=duty, frequency=FREQUENCY,
-                                cout=COUT, rout=ROUT)
-        values = eng.sweep_supply(CellDesign(), stimulus, vdds, **options)
-        data[duty] = list(zip(vdds, [float(v) for v in values]))
-    return data
+    options = {"steps_per_period": steps} \
+        if eng.capabilities().level == "transistor" else {}
+    # One call for the whole (duty, vdd) grid: the spice engine solves
+    # it as one batch, or fans the points out under --jobs N.
+    values = eng.sweep_grid(
+        CellDesign(), [CellStimulus(duty=duty, frequency=FREQUENCY,
+                                    cout=COUT, rout=ROUT)
+                       for duty in DUTIES], vdds, **options)
+    return {duty: list(zip(vdds, [float(v) for v in row]))
+            for duty, row in zip(DUTIES, values)}
 
 
 @experiment(

@@ -386,12 +386,10 @@ class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
 
     def __init__(self, store: ModelStore, *, host: str = "127.0.0.1",
                  port: int = 0, max_batch: int = 64,
-                 max_latency: float = 0.005,
                  campaign_dir: "str | None" = None, workers: int = 2):
         if workers < 0:
             raise AnalysisError("workers must be >= 0")
         ServingCore.__init__(self, store, max_batch=max_batch,
-                             max_latency=max_latency,
                              campaign_dir=campaign_dir)
         AsyncHttpServer.__init__(self, host, port)
         reg = self.metrics.registry

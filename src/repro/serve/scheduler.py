@@ -7,16 +7,17 @@ the gap on the serving event loop — no worker thread, the loop *is*
 the scheduler.  A batch fires when either
 
 * the pending batch reaches ``max_batch`` rows, or
-* the oldest pending request has waited ``max_latency`` seconds
+* the loop tick that queued its first request ends.
 
-— the classic throughput/latency knob pair.  Requests from any number
-of connections coalesce in-loop; a size trigger flushes synchronously
-on the submitting callback and a ``loop.call_later`` timer bounds the
-wait of a partial batch.  Oversized single requests are split across
-consecutive batches and reassembled, so one giant request cannot blow
-the engine's batch envelope.  Each request awaits an
-``asyncio.Future`` resolved with exactly its rows; handler exceptions
-propagate to exactly the futures of the batch that failed.
+The batcher is work-conserving: it never holds a request back for a
+timer.  Requests read in the same loop tick — from any number of
+connections — coalesce, and under load batches still grow because
+later requests wait in the socket buffers while the loop runs a flush.
+Oversized single requests are split across consecutive batches and
+reassembled, so one giant request cannot blow the engine's batch
+envelope.  Each request awaits an ``asyncio.Future`` resolved with
+exactly its rows; handler exceptions propagate to exactly the futures
+of the batch that failed.
 :class:`BatchStats` keeps the O(1) flush telemetry behind ``/metrics``.
 """
 
@@ -132,12 +133,12 @@ class AsyncMicroBatcher:
     the flush that covers its rows resolves it.  Flush triggers:
 
     * **size** — the pending queue reaches ``max_batch`` rows; the
-      flush runs synchronously on the submitting callback, so a hot
-      server never waits for a timer;
-    * **deadline** — a ``loop.call_later`` timer armed by the oldest
-      pending request fires after ``max_latency`` seconds and flushes
-      whatever is queued.  The timer may legitimately find an empty
-      queue (a size flush drained it first) — that is a no-op.
+      flush runs synchronously on the submitting callback;
+    * **tick** — the first request of a partial batch schedules a
+      ``loop.call_soon`` flush, which runs after every callback already
+      ready in the current loop tick and flushes whatever is queued.
+      It may find an empty queue (a size flush drained it first) —
+      that is a no-op.
 
     A single request larger than ``max_batch`` is split into
     ``max_batch``-row chunks that flush as consecutive batches; the
@@ -158,29 +159,22 @@ class AsyncMicroBatcher:
         a ``(rows,)`` float array with ``nan`` marking nominal rows.
     max_batch:
         Flush as soon as this many rows are pending.
-    max_latency:
-        Flush when the oldest pending request is this old (seconds),
-        even if the batch is small.
     """
 
-    def __init__(self, handler: Callable, *, max_batch: int = 64,
-                 max_latency: float = 0.005):
+    def __init__(self, handler: Callable, *, max_batch: int = 64):
         if max_batch < 1:
             raise AnalysisError("max_batch must be >= 1")
-        if max_latency < 0:
-            raise AnalysisError("max_latency must be >= 0")
         self._handler = handler
         self.max_batch = int(max_batch)
-        self.max_latency = float(max_latency)
         try:
             self._loop = asyncio.get_running_loop()
         except RuntimeError:
             raise AnalysisError(
                 "AsyncMicroBatcher must be created on a running event "
-                "loop (it schedules its flush timers there)") from None
+                "loop (it schedules its flushes there)") from None
         self._queue: Deque[_Request] = deque()
         self._pending_rows = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._tick: Optional[asyncio.Handle] = None
         self._running = True
         self.stats = BatchStats()
 
@@ -212,9 +206,8 @@ class AsyncMicroBatcher:
         self._pending_rows += rows.shape[0]
         if self._pending_rows >= self.max_batch:
             self._flush_full()
-        elif self._timer is None:
-            self._timer = self._loop.call_later(self.max_latency,
-                                                self._on_deadline)
+        elif self._tick is None:
+            self._tick = self._loop.call_soon(self._on_tick)
         return future
 
     # -- flush machinery --------------------------------------------------
@@ -235,16 +228,13 @@ class AsyncMicroBatcher:
 
     def _flush_full(self) -> None:
         """Size trigger: flush only whole batches; a partial remainder
-        keeps waiting for its deadline."""
+        waits for the end of the tick."""
         while self._pending_rows >= self.max_batch:
             self._flush(self._take(self.max_batch))
-        if not self._queue and self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
-    def _on_deadline(self) -> None:
-        """Deadline trigger — tolerates an already-empty queue."""
-        self._timer = None
+    def _on_tick(self) -> None:
+        """Tick trigger — tolerates an already-empty queue."""
+        self._tick = None
         while self._queue:
             self._flush(self._take(self.max_batch))
 
@@ -278,9 +268,9 @@ class AsyncMicroBatcher:
         ``drain=False`` pending futures fail with
         :class:`AnalysisError`."""
         self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
         if drain:
             while self._queue:
                 self._flush(self._take(self.max_batch))

@@ -30,6 +30,8 @@ JSON API (content type ``application/json`` throughout):
     serving capability are rejected with the registry's help).
     ``solver`` picks the MNA linear backend (``auto``/``dense``/
     ``sparse``) and is only legal with transistor-level engines.
+    A transistor-level solve that does not converge answers 422 with
+    the solver's message.
 ``GET /engines``
     The engine registry: ids, titles and capability flags from
     :func:`repro.engines.describe`.
@@ -78,7 +80,7 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..circuit.exceptions import AnalysisError
+from ..circuit.exceptions import AnalysisError, ConvergenceError
 from ..exec.batch import resolve_solver
 from ..telemetry.metrics import Registry
 from .artifacts import ModelStore, deserialize_model
@@ -201,6 +203,10 @@ def error_response(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
         # only the model store still signals absence by message.
         message = str(exc)
         return (404 if "no model" in message else 400), {"error": message}
+    if isinstance(exc, ConvergenceError):
+        # Includes SingularMatrixError: the request was well-formed but
+        # the circuit it asked for has no solution the solver can find.
+        return 422, {"error": str(exc)}
     return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -219,11 +225,11 @@ class _LoadedModel:
     """A stored model plus its private micro-batcher.
 
     Built on the serving event loop: the :class:`AsyncMicroBatcher`
-    schedules its flush timers there.
+    schedules its flushes there.
     """
 
     def __init__(self, name: str, model, engine: BatchInferenceEngine, *,
-                 max_batch: int, max_latency: float,
+                 max_batch: int,
                  artifact_hash: Optional[str] = None,
                  artifact_stat: Optional[Tuple[int, int]] = None,
                  doc: Optional[Dict[str, Any]] = None):
@@ -247,8 +253,7 @@ class _LoadedModel:
                 supply = np.where(np.isnan(vdds), nominal, vdds)
             return engine.model_margins(model, features, vdd=supply)
 
-        self.batcher = AsyncMicroBatcher(handler, max_batch=max_batch,
-                                         max_latency=max_latency)
+        self.batcher = AsyncMicroBatcher(handler, max_batch=max_batch)
 
 
 class ServingCore:
@@ -269,7 +274,6 @@ class ServingCore:
     campaign_config_max = 128
 
     def __init__(self, store: ModelStore, *, max_batch: int = 64,
-                 max_latency: float = 0.005,
                  campaign_dir: "str | None" = None):
         self.store = store
         self.campaign_dir = campaign_dir
@@ -278,7 +282,6 @@ class ServingCore:
         self.metrics = ServingMetrics(
             registry=rt.registry if rt is not None else None)
         self.max_batch = max_batch
-        self.max_latency = max_latency
         self._models: Dict[str, _LoadedModel] = {}
         self._models_lock = threading.Lock()
         # Experiment memo: identical validated configs replay without
@@ -320,7 +323,6 @@ class ServingCore:
             loaded = _LoadedModel(name, deserialize_model(doc),
                                   self.engine,
                                   max_batch=self.max_batch,
-                                  max_latency=self.max_latency,
                                   artifact_hash=doc.get("hash"),
                                   artifact_stat=stat, doc=doc)
             self._models[name] = loaded
@@ -360,7 +362,10 @@ class ServingCore:
                 f"features, got shape {tuple(X.shape)}")
         vdd = payload.get("vdd")
         if vdd is not None:
-            vdd = float(vdd)
+            try:
+                vdd = float(vdd)
+            except (TypeError, ValueError):
+                vdd = math.nan
             # json.loads accepts Infinity/NaN — reject them here.
             if not math.isfinite(vdd) or vdd <= 0:
                 raise AnalysisError("vdd must be a positive finite number")

@@ -3,7 +3,7 @@
 Pins the guarantees the serving plane rests on:
 
 * the :class:`AsyncMicroBatcher` delivers exactly the handler's
-  answers under coalescing, deadline flushes, oversized-request
+  answers under coalescing, tick flushes, oversized-request
   splitting, and shutdown with in-flight futures;
 * the server answers **byte-identically** to the recorded wire
   fixture (``tests/fixtures/serve_wire.json``) — success and error
@@ -34,9 +34,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.datasets import make_blobs
 from repro.circuit import AnalysisError
+from repro.circuit.exceptions import ConvergenceError, SingularMatrixError
 from repro.core.cells import CellDesign
 from repro.core.perceptron import DifferentialPwmPerceptron
 from repro.core.training import PerceptronTrainer
@@ -92,8 +95,7 @@ class TestAsyncMicroBatcher:
     def test_coalesces_across_submitters(self):
         async def scenario():
             calls = []
-            batcher = AsyncMicroBatcher(self._handler(calls),
-                                        max_batch=8, max_latency=0.05)
+            batcher = AsyncMicroBatcher(self._handler(calls), max_batch=8)
             rows = [np.full((2, 3), k, dtype=float) for k in range(4)]
             results = await asyncio.gather(
                 *[batcher.submit(r) for r in rows])
@@ -105,34 +107,55 @@ class TestAsyncMicroBatcher:
         for row, result in zip(rows, results):
             assert np.array_equal(result, row[:, 0] * 2.0)
 
-    def test_deadline_flushes_partial_batch(self):
+    def test_tick_flushes_partial_batch(self):
         async def scenario():
             calls = []
-            batcher = AsyncMicroBatcher(self._handler(calls),
-                                        max_batch=64, max_latency=0.005)
-            t0 = time.perf_counter()
-            result = await batcher.submit(np.array([[1.0, 2.0]]))
-            return calls, result, time.perf_counter() - t0
+            batcher = AsyncMicroBatcher(self._handler(calls), max_batch=64)
+            task = asyncio.ensure_future(
+                batcher.submit(np.array([[1.0, 2.0]])))
+            ticks = 0
+            while not task.done() and ticks < 10:
+                await asyncio.sleep(0)
+                ticks += 1
+            return calls, task.result(), ticks
 
-        calls, result, elapsed = asyncio.run(scenario())
+        calls, result, ticks = asyncio.run(scenario())
         assert len(calls) == 1
         assert np.array_equal(result, [2.0])
-        assert elapsed >= 0.004   # waited for the deadline, not forever
+        # Counted in loop iterations, not wall time: the submit runs,
+        # the tick flush resolves the future, the task wakes.  No timer.
+        assert ticks <= 3
 
-    def test_deadline_with_empty_queue_is_noop(self):
+    def test_same_tick_submitters_coalesce_below_max_batch(self):
         async def scenario():
-            batcher = AsyncMicroBatcher(self._handler([]), max_batch=4,
-                                        max_latency=0.002)
-            # Fill to max_batch: the size trigger flushes synchronously
-            # and cancels the timer...
+            calls = []
+            batcher = AsyncMicroBatcher(self._handler(calls), max_batch=64)
+            results = await asyncio.gather(
+                batcher.submit(np.array([[1.0, 0.0]])),
+                batcher.submit(np.array([[2.0, 0.0]])))
+            return calls, results, batcher.stats
+
+        calls, results, stats = asyncio.run(scenario())
+        # Two 1-row submits read in one tick: one 2-row flush, far
+        # below max_batch, each caller gets exactly its own row.
+        assert len(calls) == 1 and calls[0][0].shape == (2, 2)
+        assert [float(r[0]) for r in results] == [2.0, 4.0]
+        assert stats.batches == 1 and stats.rows == 2
+
+    def test_tick_flush_with_empty_queue_is_noop(self):
+        async def scenario():
+            batcher = AsyncMicroBatcher(self._handler([]), max_batch=4)
+            # The first row schedules a tick flush; filling max_batch
+            # in the same tick flushes synchronously first...
             tasks = [asyncio.ensure_future(
                 batcher.submit(np.ones((1, 2)))) for _ in range(4)]
             await asyncio.gather(*tasks)
-            assert not batcher._queue
-            # ...and a deadline callback racing the cancel must
-            # tolerate finding nothing to flush.
-            batcher._on_deadline()
-            await asyncio.sleep(0.01)
+            assert not batcher._queue and batcher.stats.batches == 1
+            # ...so the tick flush finds nothing queued and flushes
+            # nothing, whenever it runs.
+            await asyncio.sleep(0)
+            batcher._on_tick()
+            assert batcher._tick is None and batcher.stats.batches == 1
             # The batcher still works afterwards.
             return await batcher.submit(np.array([[3.0, 0.0]]))
 
@@ -141,8 +164,7 @@ class TestAsyncMicroBatcher:
     def test_oversized_request_splits_across_batches(self):
         async def scenario():
             calls = []
-            batcher = AsyncMicroBatcher(self._handler(calls),
-                                        max_batch=8, max_latency=0.005)
+            batcher = AsyncMicroBatcher(self._handler(calls), max_batch=8)
             X = np.arange(40.0).reshape(20, 2)
             result = await batcher.submit(X, vdd=1.5)
             return calls, X, result, batcher.stats
@@ -158,13 +180,12 @@ class TestAsyncMicroBatcher:
     def test_stop_drains_in_flight_futures(self):
         async def scenario():
             calls = []
-            batcher = AsyncMicroBatcher(self._handler(calls),
-                                        max_batch=64, max_latency=5.0)
+            batcher = AsyncMicroBatcher(self._handler(calls), max_batch=64)
             tasks = [asyncio.ensure_future(
                 batcher.submit(np.full((1, 2), k, dtype=float)))
                 for k in range(3)]
             await asyncio.sleep(0)     # let the submits enqueue
-            batcher.stop(drain=True)   # long before any deadline
+            batcher.stop(drain=True)   # before the tick flush runs
             results = await asyncio.gather(*tasks)
             with pytest.raises(AnalysisError, match="not running"):
                 await batcher.submit(np.ones((1, 2)))
@@ -176,8 +197,7 @@ class TestAsyncMicroBatcher:
 
     def test_stop_without_drain_fails_pending_futures(self):
         async def scenario():
-            batcher = AsyncMicroBatcher(self._handler([]),
-                                        max_batch=64, max_latency=5.0)
+            batcher = AsyncMicroBatcher(self._handler([]), max_batch=64)
             task = asyncio.ensure_future(
                 batcher.submit(np.ones((1, 2))))
             await asyncio.sleep(0)
@@ -192,8 +212,7 @@ class TestAsyncMicroBatcher:
             def broken(features, vdds):
                 raise ValueError("flush exploded")
 
-            batcher = AsyncMicroBatcher(broken, max_batch=2,
-                                        max_latency=0.002)
+            batcher = AsyncMicroBatcher(broken, max_batch=2)
             with pytest.raises(ValueError, match="flush exploded"):
                 await batcher.submit(np.ones((2, 2)))
             return batcher.stats.batches
@@ -204,8 +223,6 @@ class TestAsyncMicroBatcher:
         async def scenario():
             with pytest.raises(AnalysisError):
                 AsyncMicroBatcher(lambda f, v: f, max_batch=0)
-            with pytest.raises(AnalysisError):
-                AsyncMicroBatcher(lambda f, v: f, max_latency=-1)
             batcher = AsyncMicroBatcher(lambda f, v: f[:, 0])
             with pytest.raises(AnalysisError):
                 await batcher.submit(np.empty((0, 2)))
@@ -232,7 +249,7 @@ def aio_stack(request, tmp_path_factory):
     """One store, one model, one server."""
     data, model, store = _demo_store(tmp_path_factory.mktemp("models"))
     aio = AsyncPerceptronServer(store, port=0, max_batch=16,
-                                max_latency=0.002, workers=0).start()
+                                workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.store = store
@@ -252,7 +269,7 @@ def _replay_wire_fixture(root):
     exchanges = json.loads(WIRE_FIXTURE.read_text())["exchanges"]
     _, _, store = _demo_store(root)
     results = []
-    with AsyncPerceptronServer(store, max_batch=16, max_latency=0.002,
+    with AsyncPerceptronServer(store, max_batch=16,
                                workers=0) as server:
         for ex in exchanges:
             request = ex["request"]
@@ -325,6 +342,37 @@ class TestErrorShapeContract:
             fields = dict(pairs)
             assert fields["model"] == model
             assert fields["engine"] == engine
+
+    @pytest.mark.parametrize("vdd", [[1], "x", {}, -1.0],
+                             ids=["list", "string", "object", "negative"])
+    def test_bad_vdd_is_400(self, vdd):
+        status, pairs = self._post_pairs(
+            {"model": "demo", "inputs": [[0.3, 0.7]], "vdd": vdd})
+        assert status == 400
+        assert pairs == [("error", "vdd must be a positive finite number"),
+                         ("model", "demo"), ("engine", "behavioral")]
+
+    @pytest.mark.parametrize("exc", [
+        ConvergenceError("Newton did not converge", analysis="pss"),
+        SingularMatrixError("singular MNA matrix"),
+    ], ids=["convergence", "singular"])
+    def test_solver_failure_is_422(self, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(self.aio.engine, "margins_spice", fail)
+        status, pairs = self._post_pairs(
+            {"model": "demo", "inputs": [[0.3, 0.7]], "engine": "spice"})
+        assert status == 422
+        assert pairs == [("error", str(exc)), ("model", "demo"),
+                         ("engine", "spice")]
+        # The failed solve does not take the server down.
+        monkeypatch.undo()
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict",
+                           json.dumps({"model": "demo",
+                                       "inputs": [[0.3, 0.7]]}).encode())
+        assert status == 200 and json.loads(raw)["count"] == 1
 
     def test_success_bodies_unchanged_by_contract(self):
         status, raw = _raw(self.aio.host, self.aio.port, "POST",
@@ -560,6 +608,139 @@ class TestAioTransport:
             assert raw == b""
         # The next connection is still served.
         assert self._get("/healthz")[0] == 200
+
+
+# -- HTTP parser fuzzing -------------------------------------------------------
+
+
+_FUZZ_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xff,
+                           exclude_characters="\x7f"), max_size=24)
+
+
+@st.composite
+def _fuzz_requests(draw):
+    """A well-formed request with a random head, body and truncation."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "HEAD", "G\x00T"]))
+    path = draw(st.sampled_from(["/predict", "/healthz", "/models",
+                                 "/engines", "/experiments/table1",
+                                 "/nope", "*", "/predict?x=%ff"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/9",
+                                    "HTTX/1.1"]))
+    body = draw(st.one_of(
+        st.binary(max_size=64),
+        st.sampled_from([
+            b'{"model": "demo", "inputs": [[0.3, 0.7]]}',
+            b'{"model": "demo", "inputs": [[0.3, 0.7]], "vdd": [1]}',
+            b'{"model": "demo", "inputs": [[0.3, 0.7]], "vdd": "x"}',
+            b'{"model": "demo", "inputs": [["a", {}]]}',
+            b'{"model": "demo", "inputs": 7, "engine": 3}',
+            b'{"model": "../demo", "inputs": []}',
+            b'[1, 2', b'\xff\xfe{}', b'{"model": "demo"}'])))
+    headers = draw(st.lists(st.one_of(
+        st.tuples(_FUZZ_TEXT, _FUZZ_TEXT),
+        st.tuples(st.sampled_from(["Content-Length", "content-length"]),
+                  st.one_of(st.integers(-3, 2 * len(body)).map(str),
+                            _FUZZ_TEXT)),
+        st.tuples(st.just("Connection"),
+                  st.sampled_from(["close", "keep-alive"])),
+        st.tuples(st.just("Transfer-Encoding"), st.just("chunked")),
+        st.tuples(st.just("Accept"), st.just("application/json"))),
+        max_size=4))
+    if draw(st.booleans()):
+        headers.append(("Content-Length", str(len(body))))
+    head = f"{method} {path} {version}\r\n" + "".join(
+        f"{name}:{value}\r\n" for name, value in headers) + "\r\n"
+    blob = head.encode("latin-1") + body
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob)))]
+    return blob
+
+
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def _fuzz_predict(draw):
+    """A well-formed ``POST /predict`` whose payload fields are random
+    JSON values (the request validation, not the HTTP parser)."""
+    payload = draw(st.fixed_dictionaries(
+        {"model": st.just("demo")},
+        optional={
+            "inputs": st.lists(st.lists(st.floats(0, 1), min_size=2,
+                                        max_size=2),
+                               min_size=1, max_size=3) | _FUZZ_JSON,
+            "vdd": st.floats(0.5, 2.0) | _FUZZ_JSON,
+            "engine": st.sampled_from(["behavioral", "rc"]) | _FUZZ_JSON,
+            "solver": st.sampled_from(["auto", "dense"]) | _FUZZ_JSON}))
+    body = json.dumps(payload).encode()
+    return (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body)) + body
+
+
+def _parse_replies(raw):
+    """Split a connection's reply bytes into ``(status, json body)``
+    pairs; fails on anything that is not a whole HTTP/1.1 response."""
+    replies = []
+    while raw:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        assert sep, raw
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, reason = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1" and len(status) == 3 and reason
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Content-Type"] == "application/json"
+        length = int(headers["Content-Length"])
+        assert len(rest) >= length, raw
+        replies.append((int(status), json.loads(rest[:length])))
+        raw = rest[length:]
+    return replies
+
+
+class TestHttpParserFuzz:
+    """Random bytes and mangled requests: the loop never crashes, and
+    every reply is a whole HTTP/1.1 response with a JSON body (or the
+    connection just closes)."""
+
+    def test_fuzzed_requests_never_break_the_server(self, tmp_path,
+                                                    monkeypatch, caplog):
+        monkeypatch.setattr(aio_server, "READ_TIMEOUT_S", 0.5)
+        _, _, store = _demo_store(tmp_path)
+        with AsyncPerceptronServer(store, workers=0) as server:
+
+            @settings(max_examples=200, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(st.one_of(st.binary(max_size=256), _fuzz_requests(),
+                             _fuzz_predict()))
+            def exchange(blob):
+                with socket.create_connection(
+                        (server.host, server.port), timeout=15) as sock:
+                    sock.sendall(blob)
+                    sock.shutdown(socket.SHUT_WR)
+                    raw = b""
+                    while True:      # until the server hangs up
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        raw += chunk
+                for status, body in _parse_replies(raw):
+                    # A mangled request is the client's fault: never
+                    # an internal server error.
+                    assert status != 500, (blob, body)
+                    assert status == 200 or "error" in body
+
+            exchange()
+            status, raw = _raw(server.host, server.port, "GET",
+                               "/healthz")
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+        errors = [r for r in caplog.records
+                  if r.name == "asyncio" and r.levelname == "ERROR"]
+        assert not errors, [r.getMessage() for r in errors]
 
 
 # -- worker pool ------------------------------------------------------------

@@ -199,6 +199,43 @@ class TestEngineEquivalence:
                                         steps_per_period=60)
         assert np.array_equal(batched, pooled)
 
+    def test_spice_grid_is_one_batch_equal_to_row_sweeps(self, monkeypatch):
+        from repro.engines import spice as spice_module
+
+        spice = get_engine("spice")
+        stimuli = [CellStimulus(duty=0.25, rout=100e3),
+                   CellStimulus(duty=0.75, rout=100e3, frequency=250e6)]
+        rows = np.stack([spice.sweep_supply(CellDesign(), s, FAST_VDD,
+                                            steps_per_period=60)
+                         for s in stimuli])
+        calls = []
+        real = spice_module.shooting_batch
+
+        def counting(circuits, *args, **kwargs):
+            calls.append(len(circuits))
+            return real(circuits, *args, **kwargs)
+
+        monkeypatch.setattr(spice_module, "shooting_batch", counting)
+        grid = spice.sweep_grid(CellDesign(), stimuli, FAST_VDD,
+                                steps_per_period=60)
+        assert calls == [len(stimuli) * len(FAST_VDD)]
+        assert np.array_equal(grid, rows)
+        per_point = spice.sweep_grid(CellDesign(), stimuli, FAST_VDD,
+                                     steps_per_period=60, batched=False)
+        assert np.array_equal(per_point, rows)
+
+    def test_base_grid_stacks_supply_sweeps(self):
+        rc = get_engine("rc")
+        stimuli = [CellStimulus(duty=d, rout=100e3) for d in (0.25, 0.5)]
+        grid = rc.sweep_grid(CellDesign(), stimuli, FAST_VDD)
+        assert grid.shape == (2, len(FAST_VDD))
+        for row, stimulus in zip(grid, stimuli):
+            assert np.array_equal(
+                row, rc.sweep_supply(CellDesign(), stimulus, FAST_VDD))
+        for eid in ("rc", "spice"):
+            with pytest.raises(AnalysisError, match="stimulus"):
+                get_engine(eid).sweep_grid(CellDesign(), [], FAST_VDD)
+
     def test_engines_agree_on_shared_points(self):
         report = consistency_report(duties=(0.5,), vdd_values=(2.5,),
                                     steps_per_period=60)

@@ -281,7 +281,7 @@ def serving_stack(request, tmp_path_factory):
     store = ModelStore(tmp_path_factory.mktemp("models"))
     store.save("demo", model)
     server = AsyncPerceptronServer(store, port=0, max_batch=16,
-                                   max_latency=0.002, workers=0).start()
+                                   workers=0).start()
     request.cls.data = data
     request.cls.model = model
     request.cls.server = server

@@ -437,8 +437,7 @@ class TestMicroBatcherFillRatio:
         from repro.serve import AsyncMicroBatcher
 
         async def scenario():
-            batcher = AsyncMicroBatcher(lambda f, v: f[:, 0], max_batch=8,
-                                        max_latency=0.0)
+            batcher = AsyncMicroBatcher(lambda f, v: f[:, 0], max_batch=8)
             await batcher.submit(np.zeros((4, 2)))
             return batcher.stats.snapshot()
 
