@@ -1,24 +1,22 @@
-"""Benchmark the SQLite result store against the flat-JSON cache.
+"""Benchmark the SQLite result cache on its campaign-analysis paths.
 
 Populates one Monte-Carlo campaign (a few hundred millisecond-scale
-configs) into both backends, then measures the operations the store
-exists for:
+configs) into a :class:`~repro.exec.cache.ResultCache`, then measures
+the operations campaign analysis leans on:
 
-* **indexed axis query** — ``StoreQuery.where("seed", "<", k)`` (JSON1
-  expression index) vs the flat cache's only option: open and parse
-  every entry file and filter in Python;
-* **bulk collection** — ``collect_results`` through the store's
-  batched ``get_configs`` vs one flat-cache probe per config (the
-  ``campaign report`` hot path);
-* **concurrent writer throughput** — N processes hammering one store
-  database (WAL mode) vs the same processes writing flat cache files.
+* **indexed axis query** — ``StoreQuery.where("seed", "<", k)`` over
+  the JSON1 expression index;
+* **bulk collection** — ``collect_results`` through the batched
+  ``get_configs`` (the ``campaign report`` hot path);
+* **concurrent writer throughput** — N processes hammering one
+  database (WAL mode).
 
-Verifies the store-backed aggregate document is byte-identical to the
-flat-cache one, and writes ``benchmarks/BENCH_store.json``.
+Checks that the indexed query returns exactly the rows of the
+unindexed Python filter, and writes ``benchmarks/BENCH_store.json``.
 
 Registered with :mod:`repro.perf` as ``script.store.compare`` (report
 kind, wall-seconds metric: the payload's interesting numbers are
-nested ratios, so history tracks the whole comparison's cost).
+nested, so history tracks the whole run's cost).
 
 Run with::
 
@@ -27,7 +25,6 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -65,12 +62,10 @@ SPEC = {
 _WRITER = """
 import sys, time
 from repro.experiments import RunConfig, run_config
-from repro.store import ResultStore
 from repro.exec.cache import ResultCache
 
-backend, root, worker, n = (sys.argv[1], sys.argv[2], int(sys.argv[3]),
-                            int(sys.argv[4]))
-sink = ResultStore(root) if backend == "store" else ResultCache(root)
+root, worker, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+sink = ResultCache(root)
 seed0 = 10_000 + worker * n
 result = run_config(RunConfig.build("ext_montecarlo", "fast",
                                     {"seed": seed0}))
@@ -83,27 +78,11 @@ print(time.perf_counter() - t0)
 """
 
 
-def _flat_scan(cache, experiment: str, param: str, below) -> list:
-    """What an axis filter costs without an index: parse every file."""
-    rows = []
-    for path in sorted(cache.root.glob(f"{experiment}/*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        params = payload.get("params", {})
-        value = params.get(param)
-        if isinstance(value, (int, float)) and value < below:
-            rows.append((path.name, params,
-                         payload["result"].get("metrics", {})))
-    return rows
-
-
-def _writer_throughput(backend: str, root: Path, env: dict,
-                       n_writers: int, writes_per_writer: int) -> float:
+def _writer_throughput(root: Path, env: dict, n_writers: int,
+                       writes_per_writer: int) -> float:
     t0 = time.perf_counter()
     procs = [subprocess.Popen(
-        [sys.executable, "-c", _WRITER, backend, str(root), str(i),
+        [sys.executable, "-c", _WRITER, str(root), str(i),
          str(writes_per_writer)],
         cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE) for i in range(n_writers)]
@@ -116,14 +95,14 @@ def _writer_throughput(backend: str, root: Path, env: dict,
 
 
 @benchmark("script.store.compare",
-           title="SQLite result store vs flat-JSON cache",
+           title="SQLite result cache: indexed query, bulk collect, "
+                 "concurrent writers",
            kind="report", metric=None, noise=1.0,
            tags=("script", "store"))
 def bench_store_compare(quick: bool = False) -> dict:
-    from repro.campaigns import (CampaignRunner, CampaignSpec,
-                                 collect_results, results_document)
+    from repro.campaigns import CampaignRunner, CampaignSpec, collect_results
     from repro.exec.cache import ResultCache
-    from repro.store import ResultStore, StoreQuery
+    from repro.store import StoreQuery
 
     n_configs = 40 if quick else N_CONFIGS
     query_repeats = 5 if quick else QUERY_REPEATS
@@ -136,69 +115,44 @@ def bench_store_compare(quick: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         spec = CampaignSpec.from_dict(spec_dict)
-        flat = ResultCache(root / "flat")
-        print(f"populating {n_configs} configs in the flat cache ...",
-              file=sys.stderr)
-        CampaignRunner(spec, flat).run()
-        store = ResultStore(root / "flat",
-                            db_path=root / "store.sqlite")
+        cache = ResultCache(root / "cache")
+        print(f"populating {n_configs} configs ...", file=sys.stderr)
         t0 = time.perf_counter()
-        migrated = store.migrate_from_cache(flat)
-        migrate_seconds = time.perf_counter() - t0
-
-        flat_doc = json.dumps(results_document(
-            spec, collect_results(spec, flat)), sort_keys=True)
-        store_doc = json.dumps(results_document(
-            spec, collect_results(spec, store)), sort_keys=True)
-        identical = flat_doc == store_doc
+        CampaignRunner(spec, cache).run()
+        populate_seconds = time.perf_counter() - t0
 
         below = n_configs // 10    # a selective filter (10% of rows)
-        query = StoreQuery(store, "ext_montecarlo").where(
+        query = StoreQuery(cache, "ext_montecarlo").where(
             "seed", "<", below)
         query.rows()               # warm: builds the expression index
         indexed = median_of(lambda: query.rows(), query_repeats)
-        scanned = median_of(
-            lambda: _flat_scan(flat, "ext_montecarlo", "seed", below),
-            query_repeats)
-        n_hits = len(query.rows())
-        assert n_hits == len(_flat_scan(flat, "ext_montecarlo",
-                                        "seed", below))
+        indexed_entries = [row.entry for row in query.rows()]
+        cache.has_json1 = False    # the unindexed Python filter
+        same_rows = indexed_entries == [row.entry for row in query.rows()]
+        cache.has_json1 = True
 
-        bulk = median_of(lambda: collect_results(spec, store), 5)
-        per_file = median_of(lambda: collect_results(spec, flat), 5)
-
-        store_rate = _writer_throughput("store", root / "wstore", env,
-                                        n_writers, writes_per_writer)
-        flat_rate = _writer_throughput("flat", root / "wflat", env,
-                                       n_writers, writes_per_writer)
+        bulk = median_of(lambda: collect_results(spec, cache), 5)
+        rate = _writer_throughput(root / "writers", env, n_writers,
+                                  writes_per_writer)
 
     return {
-        "benchmark": "SQLite result store vs flat-JSON cache",
+        "benchmark": "SQLite result cache",
         "n_configs": n_configs,
-        "migrate": {"seconds": round(migrate_seconds, 4),
-                    "summary": migrated},
-        "aggregates_byte_identical": bool(identical),
+        "populate_seconds": round(populate_seconds, 4),
         "axis_query": {
             "filter": f"seed < {below}",
-            "matching_rows": n_hits,
-            "store_indexed_seconds": round(indexed, 6),
-            "flat_scan_seconds": round(scanned, 6),
-            "speedup": round(scanned / indexed, 2),
+            "matching_rows": len(indexed_entries),
+            "indexed_seconds": round(indexed, 6),
+            "rows_match_python_filter": bool(same_rows),
         },
-        "bulk_collect": {
-            "store_batched_seconds": round(bulk, 6),
-            "flat_per_file_seconds": round(per_file, 6),
-            "speedup": round(per_file / bulk, 2),
-        },
+        "bulk_collect_seconds": round(bulk, 6),
         "concurrent_writers": {
             "processes": n_writers,
             "writes_per_process": writes_per_writer,
-            "store_rows_per_second": round(store_rate, 1),
-            "flat_files_per_second": round(flat_rate, 1),
+            "rows_per_second": round(rate, 1),
             "note": "includes interpreter start-up and one warm-up "
-                    "experiment run per process; the store number is "
-                    "WAL-serialised INSERT OR REPLACE, the flat number "
-                    "is tmp-file + os.replace per entry",
+                    "experiment run per process; writes are "
+                    "WAL-serialised INSERT OR REPLACE",
         },
         "query_repeats_median": query_repeats,
         "cpu_count": os.cpu_count(),
@@ -209,11 +163,8 @@ def main() -> None:
     result = bench_store_compare()
     payload = {**result, **host_fields()}
     finish(OUT, payload)
-    if not payload["aggregates_byte_identical"]:
-        raise SystemExit("store and flat aggregates differ")
-    if payload["axis_query"]["store_indexed_seconds"] >= \
-            payload["axis_query"]["flat_scan_seconds"]:
-        raise SystemExit("indexed query failed to beat the flat scan")
+    if not payload["axis_query"]["rows_match_python_filter"]:
+        raise SystemExit("indexed query disagrees with the Python filter")
 
 
 if __name__ == "__main__":

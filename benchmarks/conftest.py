@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import RunConfig, run_config
 from repro.reporting import figure_to_csv, table_to_csv
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
@@ -22,7 +22,7 @@ def run_and_record(benchmark, experiment_id: str, *, fidelity: str = "paper",
                    **kwargs):
     """Run an experiment under the benchmark timer and persist artefacts."""
     result = benchmark.pedantic(
-        lambda: run_experiment(experiment_id, fidelity=fidelity, **kwargs),
+        lambda: run_config(RunConfig.build(experiment_id, fidelity, kwargs)),
         rounds=1, iterations=1)
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     rendered = result.render(charts=True)

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import PAPER_ARTEFACTS, REGISTRY, run_experiment
+from repro.experiments import PAPER_ARTEFACTS, REGISTRY, RunConfig, run_config
 from repro.reporting import figure_to_csv, table_to_csv
 
 OUT_DIR = Path(__file__).parent / "paper_artifacts"
@@ -33,7 +33,7 @@ def main() -> None:
     t_start = time.time()
     for eid in ids:
         t0 = time.time()
-        result = run_experiment(eid, fidelity=fidelity)
+        result = run_config(RunConfig.build(eid, fidelity))
         elapsed = time.time() - t0
         print(result.render(charts=False))
         print(f"[{eid} took {elapsed:.1f}s]\n")

@@ -30,29 +30,30 @@ Commands
     ``--csv`` export); ``watch`` polls live progress with a per-shard
     ETA and evaluates the spec's alert rules; ``dashboard`` serves the
     same data over HTTP (:mod:`repro.store.dashboard`).  Campaign
-    results always persist in the result cache (default
-    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-pwm``); ``--store``
-    swaps the flat-JSON cache for the SQLite result store
-    (``<cache-root>/store.sqlite``, :mod:`repro.store`).
+    results always persist in the result cache
+    (``<cache-root>/store.sqlite``; default root ``$REPRO_CACHE_DIR``
+    or ``~/.cache/repro-pwm``).
 ``store migrate|query|gc``
-    Maintain the SQLite result store: ``migrate`` ingests an existing
-    flat-JSON cache byte-identically; ``query`` filters stored results
-    by experiment/fidelity/engine and axis parameters (``--where
-    PARAM OP VALUE``, JSON1-indexed) with table/JSON/CSV/figure
-    output; ``gc`` reclaims stale (and optionally legacy) rows —
-    ``--older-than DAYS`` turns it into an age-based retention sweep
-    that also reclaims old perf runs (the flagged baseline survives).
+    Maintain the result cache: ``migrate`` imports a one-file-per-entry
+    JSON cache written by older builds, byte-identically; ``query``
+    filters stored results by experiment/fidelity/engine and axis
+    parameters (``--where PARAM OP VALUE``, JSON1-indexed) with
+    table/JSON/CSV/figure output; ``gc`` reclaims rows no probe can
+    hit (stale versions, pre-RunConfig keys) — ``--older-than DAYS``
+    turns it into an age-based retention sweep that also reclaims old
+    perf runs (the flagged baseline survives).
 ``perf run|list|history|compare|gate``
     Continuous performance observability (:mod:`repro.perf`): ``run``
     executes registered benchmarks under their warmup/repeat policy
-    and records a fingerprinted run into the store's ``perf_runs`` /
-    ``perf_samples`` tables; ``list`` shows the registry; ``history``
-    renders per-benchmark sparkline series; ``compare`` diffs two
-    stored runs with per-benchmark noise bands; ``gate`` exits
-    nonzero on any out-of-band regression against the baseline
-    (``--baseline FILE``, the store's flagged baseline run, or the
-    committed ``benchmarks/perf_baseline.json``), re-running each
-    regressed benchmark traced to name the dominant telemetry span.
+    and records a fingerprinted run into the result cache's
+    ``perf_runs`` / ``perf_samples`` tables; ``list`` shows the
+    registry; ``history`` renders per-benchmark sparkline series;
+    ``compare`` diffs two stored runs with per-benchmark noise bands;
+    ``gate`` exits nonzero on any out-of-band regression against the
+    baseline (``--baseline FILE``, the cache's flagged baseline run,
+    or the committed ``benchmarks/perf_baseline.json``), re-running
+    each regressed benchmark traced to name the dominant telemetry
+    span.
 
 Execution flags (``run`` and ``all``)
 -------------------------------------
@@ -62,11 +63,12 @@ Execution flags (``run`` and ``all``)
     so every experiment inherits it; results are identical to serial
     runs, just faster.
 ``--no-cache`` / ``--cache-dir DIR``
-    Paper-fidelity runs are cached on disk keyed by the canonical
-    :class:`~repro.experiments.spec.RunConfig` encoding (default
-    directory: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-pwm``) and
-    replayed byte-identically on a hit.  ``--cache-dir`` also enables
-    caching for fast runs; ``--no-cache`` disables it entirely.
+    Paper-fidelity runs are cached in ``<cache-root>/store.sqlite``
+    keyed by the canonical :class:`~repro.experiments.spec.RunConfig`
+    encoding (default root: ``$REPRO_CACHE_DIR`` or
+    ``~/.cache/repro-pwm``) and replayed byte-identically on a hit.
+    ``--cache-dir`` also enables caching for fast runs; ``--no-cache``
+    disables it entirely.
 
 Serving commands
 ----------------
@@ -256,24 +258,21 @@ def _resolve_cache(args) -> "ResultCache | None":
     return None
 
 
-def _run_cached(config: RunConfig, jobs, cache, explicit: dict):
+def _run_cached(config: RunConfig, jobs, cache):
     """Run one config, announcing cache hits on stderr.
 
     The notice keeps stale replays distinguishable from fresh runs
     (the cache key covers the canonical config, not code — after
     changing experiment code, recompute with ``--no-cache``).
-    ``explicit`` (the raw user-provided params) also lets the cache
-    probe entries written under the pre-RunConfig kwargs key.
     """
     if cache is not None:
-        hit = cache.get_config(config, legacy_params=explicit)
+        hit = cache.get_config(config)
         if hit is not None:
             print(f"[cache] {config.experiment_id}: replayed from "
                   f"{cache.path_for_config(config)} "
                   "(use --no-cache to recompute)", file=sys.stderr)
             return hit
-    return run_config(config, jobs=jobs, cache=cache,
-                      legacy_params=explicit)
+    return run_config(config, jobs=jobs, cache=cache)
 
 
 def _parse_overrides(parser: argparse.ArgumentParser,
@@ -313,22 +312,9 @@ def _default_campaign_dir() -> Path:
 # -- campaign orchestration ------------------------------------------------
 
 
-def _campaign_cache(args):
-    """Campaigns always cache — the cache *is* the resume checkpoint.
-
-    ``--store`` (or an explicit ``--store-path``) swaps the flat-JSON
-    cache for the SQLite :class:`~repro.store.db.ResultStore`; both
-    satisfy the same get/put contract, so everything downstream is
-    backend-agnostic.
-    """
-    root = args.cache_dir if args.cache_dir is not None \
+def _cache_root(args) -> Path:
+    return args.cache_dir if args.cache_dir is not None \
         else default_cache_dir()
-    store_path = getattr(args, "store_path", None)
-    if getattr(args, "store", False) or store_path is not None:
-        from .store import ResultStore
-
-        return ResultStore(root, db_path=store_path)
-    return ResultCache(root)
 
 
 def _cmd_campaign(args) -> int:
@@ -343,7 +329,8 @@ def _cmd_campaign(args) -> int:
     )
 
     spec = CampaignSpec.load(args.spec)
-    cache = _campaign_cache(args)
+    # Campaigns always cache: the cache *is* the resume checkpoint.
+    cache = ResultCache(_cache_root(args))
 
     if args.campaign_command == "run":
         shard = parse_shard(args.shard) if args.shard else (1, 1)
@@ -457,14 +444,13 @@ def _where_term(text: str):
 
 
 def _cmd_store(args) -> int:
-    from .store import ResultStore, StoreQuery
+    from .store import StoreQuery
 
-    root = args.cache_dir if args.cache_dir is not None \
-        else default_cache_dir()
-    store = ResultStore(root, db_path=args.db)
+    root = _cache_root(args)
+    store = ResultCache(root, db_path=args.db)
 
     if args.store_command == "migrate":
-        summary = store.migrate_from_cache(ResultCache(root))
+        summary = store.import_flat_cache(root)
         print(f"store migrate: scanned {summary['scanned']} cache "
               f"file(s) — {summary['migrated']} migrated "
               f"({summary['legacy']} legacy, {summary['stale']} stale), "
@@ -473,7 +459,7 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "gc":
-        summary = store.gc(legacy=args.legacy, dry_run=args.dry_run,
+        summary = store.gc(dry_run=args.dry_run,
                            older_than_days=args.older_than)
         verb = "would delete" if args.dry_run else "deleted"
         line = (f"store gc: {verb} {summary['candidates']} row(s); "
@@ -520,12 +506,8 @@ def _cmd_store(args) -> int:
 _PERF_BASELINE_NAME = Path("benchmarks") / "perf_baseline.json"
 
 
-def _perf_store(args):
-    from .store import ResultStore
-
-    root = args.cache_dir if args.cache_dir is not None \
-        else default_cache_dir()
-    return ResultStore(root, db_path=args.db)
+def _perf_store(args) -> ResultCache:
+    return ResultCache(_cache_root(args), db_path=args.db)
 
 
 def _default_perf_baseline() -> "Path | None":
@@ -850,6 +832,41 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
+    """``run`` and ``all``."""
+    cache = _resolve_cache(args)
+
+    if args.command == "run":
+        spec = get_spec(args.experiment_id)
+        config = RunConfig.build(spec.id, args.fidelity,
+                                 _explicit_params(args, spec))
+        result = _run_cached(config, args.jobs, cache)
+        print(result.render(charts=not args.no_charts))
+        _export(result, args.csv)
+        if result.profile is not None:
+            print("telemetry: profile "
+                  + json.dumps(result.profile, sort_keys=True),
+                  file=sys.stderr)
+        _finish_telemetry()
+        return 0
+
+    overrides = _parse_overrides(all_p, getattr(args, "set", None))
+    results = {}
+    for eid in SPECS:
+        config = RunConfig.build(eid, args.fidelity, overrides.get(eid))
+        result = _run_cached(config, args.jobs, cache)
+        results[eid] = result
+        print(result.render(charts=False))
+        print()
+        _export(result, args.csv)
+    if args.report is not None:
+        write_markdown_report(results, args.report,
+                              title="PWM perceptron reproduction report")
+        print(f"report written to {args.report}")
+    _finish_telemetry()
+    return 0
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -912,16 +929,9 @@ def main(argv: "list[str] | None" = None) -> int:
                        help="result-cache root shared by every shard "
                             "(default $REPRO_CACHE_DIR or "
                             "~/.cache/repro-pwm); the cache is the "
-                            "campaign's resume checkpoint")
-        p.add_argument("--store", action="store_true",
-                       help="use the SQLite result store "
-                            "(<cache-root>/store.sqlite) instead of the "
-                            "flat-JSON cache; safe for N concurrent "
-                            "shard writers")
-        p.add_argument("--store-path", type=Path, default=None,
-                       metavar="DB",
-                       help="explicit store database file "
-                            "(implies --store)")
+                            "campaign's resume checkpoint "
+                            "(<cache-root>/store.sqlite, safe for N "
+                            "concurrent shard writers)")
 
     camp_run = camp_sub.add_parser(
         "run", help="run (or resume) a campaign shard",
@@ -1016,8 +1026,9 @@ def main(argv: "list[str] | None" = None) -> int:
                             "<cache-root>/store.sqlite)")
 
     store_migrate = store_sub.add_parser(
-        "migrate", help="ingest an existing flat-JSON cache into the "
-                        "store (byte-identical, one shot)")
+        "migrate", help="import a one-file-per-entry JSON cache "
+                        "written by older builds (byte-identical, "
+                        "one shot)")
     _add_store_common(store_migrate)
 
     store_query = store_sub.add_parser(
@@ -1052,11 +1063,9 @@ def main(argv: "list[str] | None" = None) -> int:
                                   "this directory")
 
     store_gc = store_sub.add_parser(
-        "gc", help="reclaim stale rows (and optionally legacy "
-                   "kwargs-keyed rows)")
+        "gc", help="reclaim rows no probe can hit (stale package "
+                   "versions, pre-RunConfig kwargs-keyed rows)")
     _add_store_common(store_gc)
-    store_gc.add_argument("--legacy", action="store_true",
-                          help="also drop legacy kwargs-keyed rows")
     store_gc.add_argument("--dry-run", action="store_true",
                           help="report what would be deleted, delete "
                                "nothing")
@@ -1234,60 +1243,15 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.command == "list":
         return _cmd_list(args)
 
-    if args.command == "campaign":
-        try:
-            return _cmd_campaign(args)
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "store":
-        try:
-            return _cmd_store(args)
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "perf":
-        try:
-            return _cmd_perf(args)
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    cache = _resolve_cache(args)
-
-    if args.command == "run":
-        spec = get_spec(args.experiment_id)
-        explicit = _explicit_params(args, spec)
-        config = RunConfig.build(spec.id, args.fidelity, explicit)
-        result = _run_cached(config, args.jobs, cache, explicit)
-        print(result.render(charts=not args.no_charts))
-        _export(result, args.csv)
-        if result.profile is not None:
-            print("telemetry: profile "
-                  + json.dumps(result.profile, sort_keys=True),
-                  file=sys.stderr)
-        _finish_telemetry()
-        return 0
-
-    overrides = _parse_overrides(all_p, getattr(args, "set", None))
-    results = {}
-    for eid in SPECS:
-        explicit = overrides.get(eid, {})
-        config = RunConfig.build(eid, args.fidelity, explicit)
-        result = _run_cached(config, args.jobs, cache, explicit)
-        results[eid] = result
-        print(result.render(charts=False))
-        print()
-        _export(result, args.csv)
-    if args.report is not None:
-        write_markdown_report(results, args.report,
-                              title="PWM perceptron reproduction report")
-        print(f"report written to {args.report}")
-    _finish_telemetry()
-    return 0
-
+    commands = {"campaign": _cmd_campaign, "store": _cmd_store,
+                "perf": _cmd_perf}
+    try:
+        if args.command in commands:
+            return commands[args.command](args)
+        return _cmd_run(args, all_p)
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -7,9 +7,9 @@ columns, the union of metric names as value columns — ready for
 cross-config figures/tables through :mod:`repro.reporting`.
 
 Rows are emitted in campaign expansion order and built only from the
-canonical result cache, so the merged table from ``N`` shards is
-byte-identical to a serial (1-shard) run of the same campaign — the
-property the acceptance tests pin down.
+result cache's canonical entries, so the merged table from ``N``
+shards is byte-identical to a serial (1-shard) run of the same
+campaign — the property the acceptance tests pin down.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ def collect_results(spec: CampaignSpec,
                     cache: ResultCache) -> List[CollectedRow]:
     """Pair every expanded config with its cached result (miss = None).
 
-    Backends exposing a bulk ``get_configs`` (the SQLite
-    :class:`~repro.store.db.ResultStore`) are probed in one batched
-    query instead of one lookup per config; the flat cache keeps its
-    per-file path.  Both return the same rows in the same order.
+    One batched :meth:`~repro.exec.cache.ResultCache.get_configs` probe
+    instead of one lookup per config.
     """
     configs = list(spec.expand())
-    bulk = getattr(cache, "get_configs", None)
-    if callable(bulk):
-        results = bulk(configs)
-    else:
-        results = [cache.get_config(config) for config in configs]
-    return list(zip(range(len(configs)), configs, results))
+    return list(zip(range(len(configs)), configs,
+                    cache.get_configs(configs)))
 
 
 def metric_names(collected: List[CollectedRow]) -> List[str]:

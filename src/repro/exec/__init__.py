@@ -9,10 +9,10 @@ Three cooperating pieces:
   switch-level RC engine (import directly: ``from repro.exec.batch
   import ...``; kept out of this namespace so the circuit layer can
   import the executor without a cycle);
-* :mod:`repro.exec.cache` — on-disk experiment-result cache keyed by
-  the canonical :class:`~repro.experiments.spec.RunConfig` encoding
-  (legacy ``(experiment_id, fidelity, kwargs-hash)`` entries stay
-  read-compatible and are migrated on first hit).
+* :mod:`repro.exec.cache` — the experiment-result cache: one WAL-mode
+  SQLite file per cache root, keyed by the canonical
+  :class:`~repro.experiments.spec.RunConfig` encoding, shared by
+  ``run``/``all``, campaigns, ``store`` queries and perf history.
 """
 
 from .cache import (
@@ -20,7 +20,6 @@ from .cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
     default_cache_dir,
-    params_hash,
 )
 from .executor import (
     ProcessExecutor,
@@ -36,6 +35,6 @@ __all__ = [
     "SerialExecutor", "ProcessExecutor", "get_executor",
     "get_default_executor", "set_default_executor", "use_executor",
     "derive_seed",
-    "ResultCache", "params_hash", "default_cache_dir",
+    "ResultCache", "default_cache_dir",
     "CACHE_SCHEMA_VERSION", "CACHE_DIR_ENV",
 ]

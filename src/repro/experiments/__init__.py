@@ -7,11 +7,6 @@ The declarative spec API is the front door::
     print(describe("ext_montecarlo"))          # typed parameter schema
     config = RunConfig.build("ext_montecarlo", "fast", {"seed": 5})
     print(run_config(config).render())
-
-The historical string-keyed entry point still works as a shim::
-
-    from repro.experiments import run_experiment
-    print(run_experiment("table2", fidelity="paper").render())
 """
 
 from .base import FIDELITIES, ExperimentResult, check_fidelity
@@ -20,7 +15,6 @@ from .registry import (
     REGISTRY,
     run_all,
     run_config,
-    run_experiment,
 )
 from .spec import (
     RUN_CONFIG_SCHEMA_VERSION,
@@ -36,8 +30,7 @@ from .spec import (
 
 __all__ = [
     "ExperimentResult", "FIDELITIES", "check_fidelity",
-    "REGISTRY", "PAPER_ARTEFACTS", "run_experiment", "run_all",
-    "run_config",
+    "REGISTRY", "PAPER_ARTEFACTS", "run_all", "run_config",
     "RUN_CONFIG_SCHEMA_VERSION", "ExperimentSpec", "Param", "RunConfig",
     "describe", "experiment", "get_spec", "list_experiments", "seed_param",
 ]

@@ -9,25 +9,20 @@ points:
 * :func:`run_config` executes a validated
   :class:`~repro.experiments.spec.RunConfig` — the single currency for
   the Python API, the CLI and the HTTP surface;
-* :func:`run_experiment` is the historical ``(id, fidelity, **kwargs)``
-  entry point, kept as a thin shim that builds a :class:`RunConfig`
-  first (so bad parameters fail fast with the schema's help text);
 * :func:`run_all` runs the whole registry with per-experiment,
   schema-validated ``overrides``.
 
 Execution concerns are wired here once for all experiments: ``jobs``
 installs a process-pool default executor for the duration of the run
 (inherited by :func:`repro.circuit.sweep.run_sweep` and the
-Monte-Carlo/yield entry points); ``cache`` consults an on-disk
+Monte-Carlo/yield entry points); ``cache`` consults a
 :class:`repro.exec.cache.ResultCache` keyed by the canonical
-:class:`RunConfig` encoding (with a compatibility read path for
-pre-RunConfig kwargs-hash entries) before running and stores the
-result after.
+:class:`RunConfig` encoding before running and stores the result
+after.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from .. import telemetry
@@ -76,21 +71,17 @@ PAPER_ARTEFACTS = tuple(eid for eid, spec in SPECS.items()
 
 
 def run_config(config: RunConfig, *, jobs: Optional[int] = None,
-               cache: Optional[ResultCache] = None,
-               legacy_params: Optional[Dict[str, Any]] = None
-               ) -> ExperimentResult:
+               cache: Optional[ResultCache] = None) -> ExperimentResult:
     """Execute one validated :class:`RunConfig`.
 
     ``jobs`` selects the parallel backend for the run (``None``/``1``
     serial, ``-1`` one worker per CPU); ``cache`` short-circuits the
     run when an entry for the config's canonical key exists and records
-    the result otherwise.  ``legacy_params`` (the raw kwargs of a
-    pre-RunConfig caller) lets the cache also probe — and migrate —
-    entries written under the old kwargs-hash key.
+    the result otherwise.
     """
     spec = get_spec(config.experiment_id)
     if cache is not None:
-        hit = cache.get_config(config, legacy_params=legacy_params)
+        hit = cache.get_config(config)
         if hit is not None:
             return hit
     rt = telemetry.active()
@@ -122,37 +113,6 @@ def _execute(spec, config: RunConfig, jobs: Optional[int]):
         return spec.runner(fidelity=config.fidelity, **kwargs)
 
 
-#: One deprecation notice per process — the shim is called in loops.
-_RUN_EXPERIMENT_WARNED = False
-
-
-def run_experiment(experiment_id: str, fidelity: str = "fast", *,
-                   jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   **kwargs) -> ExperimentResult:
-    """Run one experiment by id.
-
-    .. deprecated::
-        Thin compatibility shim over :meth:`RunConfig.build` +
-        :func:`run_config`; prefer those in new code (a
-        :class:`DeprecationWarning` is emitted once per process).
-        Unknown or invalid ``kwargs`` now fail fast against the
-        experiment's declared schema instead of surfacing as
-        ``TypeError`` inside the runner.  Results are identical to
-        ``run_config(RunConfig.build(...))`` — pinned by the test
-        suite.
-    """
-    global _RUN_EXPERIMENT_WARNED
-    if not _RUN_EXPERIMENT_WARNED:
-        _RUN_EXPERIMENT_WARNED = True
-        warnings.warn(
-            "run_experiment() is deprecated; build a RunConfig and pass "
-            "it to run_config() instead", DeprecationWarning,
-            stacklevel=2)
-    config = RunConfig.build(experiment_id, fidelity, kwargs)
-    return run_config(config, jobs=jobs, cache=cache, legacy_params=kwargs)
-
-
 def run_all(fidelity: str = "fast", *, jobs: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             overrides: Optional[Mapping[str, Mapping[str, Any]]] = None
@@ -173,6 +133,5 @@ def run_all(fidelity: str = "fast", *, jobs: Optional[int] = None,
             f"{sorted(unknown)}; available: {sorted(SPECS)}")
     configs = {eid: RunConfig.build(eid, fidelity, overrides.get(eid))
                for eid in SPECS}
-    return {eid: run_config(config, jobs=jobs, cache=cache,
-                            legacy_params=overrides.get(eid, {}))
+    return {eid: run_config(config, jobs=jobs, cache=cache)
             for eid, config in configs.items()}

@@ -294,7 +294,7 @@ def experiment(id: str, *, title: str, tags: Iterable[str] = (),
     direct calls, with one addition: ``fidelity`` is validated through
     :func:`check_fidelity` before the body runs, so every experiment
     rejects bad fidelities identically whether invoked directly, via
-    :func:`~repro.experiments.registry.run_experiment`, the CLI, or the
+    :func:`~repro.experiments.registry.run_config`, the CLI, or the
     HTTP API.
     """
     declared = tuple(params)

@@ -4,7 +4,7 @@ The performance twin of :mod:`repro.experiments`: benchmarks are
 declared once with :func:`benchmark` (:mod:`repro.perf.registry`),
 executed under a shared warmup/repeat policy into fingerprinted run
 documents (:mod:`repro.perf.runner`) persisted in the SQLite
-:class:`~repro.store.db.ResultStore`'s ``perf_runs``/``perf_samples``
+:class:`~repro.exec.cache.ResultCache`'s ``perf_runs``/``perf_samples``
 tables, and compared against baselines with per-benchmark noise bands
 and telemetry span attribution (:mod:`repro.perf.compare`).  The CLI
 surface is ``repro perf run|list|history|compare|gate``; the shared

@@ -12,7 +12,7 @@ A run document is self-describing and store-independent::
 
 ``value`` is the tracked scalar: min-of-repeats for workload
 benchmarks, the chosen payload metric (or wall seconds) for report
-benchmarks.  When a :class:`~repro.store.db.ResultStore` is given, the
+benchmarks.  When a :class:`~repro.exec.cache.ResultCache` is given, the
 run lands in its ``perf_runs``/``perf_samples`` tables and the
 document gains a ``run_id`` — the handle ``perf history``, ``compare``
 and ``gate`` work from.

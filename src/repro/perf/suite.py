@@ -217,24 +217,25 @@ def _serve_loadgen_aio(quick: bool = False):
                        "against a populated store, expression index "
                        "warm — the campaign-analysis hot path.")
 def _store_indexed_query(quick: bool = False):
+    from ..exec.cache import ResultCache
     from ..experiments import RunConfig, run_config
-    from ..store import ResultStore, StoreQuery
+    from ..store import StoreQuery
 
     tmp = tempfile.TemporaryDirectory(prefix="repro-perf-store-")
-    store = ResultStore(Path(tmp.name))
+    cache = ResultCache(Path(tmp.name))
     result = run_config(RunConfig.build("ext_montecarlo", "fast",
                                         {"seed": 0}))
     n_rows = 60 if quick else 150
     for k in range(n_rows):
-        store.put_config(result, RunConfig.build(
+        cache.put_config(result, RunConfig.build(
             "ext_montecarlo", "fast", {"seed": k}))
-    query = StoreQuery(store, "ext_montecarlo").where(
+    query = StoreQuery(cache, "ext_montecarlo").where(
         "seed", "<", n_rows // 10)
     query.rows()                     # warm: builds the expression index
 
     def workload():
         return query.rows()
 
-    # The tempdir (and the store in it) must outlive the timing loop.
-    workload._keepalive = (tmp, store)
+    # The tempdir (and the cache in it) must outlive the timing loop.
+    workload._keepalive = (tmp, cache)
     return workload

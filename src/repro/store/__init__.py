@@ -1,25 +1,20 @@
-"""Persistent results store + live campaign dashboard.
+"""Queries, live watch and dashboard over the SQLite result cache.
 
-The flat JSON :class:`~repro.exec.cache.ResultCache` stays the default
-execution checkpoint; this package adds an *opt-in* SQLite backend and
-the observability layer on top of it:
+Every result lives in one :class:`~repro.exec.cache.ResultCache`
+(``<cache-root>/store.sqlite``); this package is the analysis and
+observability layer on top of it:
 
-* :mod:`repro.store.db` — :class:`ResultStore`, a single-file
-  WAL-mode SQLite store with the cache's exact ``get_config`` /
-  ``put_config`` contract (concurrent shard writers, schema-versioned,
-  indexed by experiment/fidelity/engine/config hash) plus a one-shot
-  byte-identical migration from an existing flat cache;
 * :mod:`repro.store.query` — :class:`StoreQuery`, typed filters over
   the JSON1 ``params`` column, axis marginalisation and tidy export
   feeding :mod:`repro.reporting`;
 * :mod:`repro.store.watch` — ``repro campaign watch``: live progress
   lines with per-shard ETA from the manifests;
-* :mod:`repro.store.dashboard` — :class:`CampaignDashboard`, a stdlib
-  HTTP dashboard (JSON endpoints) and the edge-triggered
+* :mod:`repro.store.dashboard` — :class:`CampaignDashboard`, an HTTP
+  dashboard (JSON endpoints) and the edge-triggered
   :class:`AlertEngine` for declarative threshold rules.
 
-CLI surfaces: ``campaign run --store``, ``campaign watch``,
-``campaign dashboard``, and ``store migrate | query | gc``.
+CLI surfaces: ``campaign watch``, ``campaign dashboard`` and
+``store migrate | query | gc``.
 """
 
 from .dashboard import (
@@ -28,18 +23,11 @@ from .dashboard import (
     evaluate_alerts,
     log_hook,
 )
-from .db import (
-    STORE_DB_NAME,
-    STORE_SCHEMA_VERSION,
-    ResultStore,
-    default_store_path,
-)
 from .query import OPS, StoreQuery, StoreRow
 from .watch import format_watch_line, status_with_eta, watch
 
 __all__ = [
-    "ResultStore", "StoreQuery", "StoreRow", "OPS",
-    "STORE_DB_NAME", "STORE_SCHEMA_VERSION", "default_store_path",
+    "StoreQuery", "StoreRow", "OPS",
     "AlertEngine", "CampaignDashboard", "evaluate_alerts", "log_hook",
     "format_watch_line", "status_with_eta", "watch",
 ]

@@ -23,11 +23,10 @@ Only ``GET`` is served; any other method gets a 501 and a close.
     (:func:`repro.campaigns.results.results_document`) for everything
     finished so far — no re-running.
 ``GET /perf``
-    Per-benchmark performance history out of the store's
+    Per-benchmark performance history out of the result cache's
     ``perf_runs``/``perf_samples`` tables (:mod:`repro.perf`), each
     series rendered as a unicode sparkline plus its latest/best
-    values.  Serving from a flat cache (no perf tables) returns an
-    empty benchmark list with a note instead of an error.
+    values.
 ``GET /``
     A minimal HTML index linking the endpoints (auto-refreshing
     status summary; deliberately no JS framework, no assets).
@@ -192,7 +191,7 @@ _INDEX_HTML = """<!doctype html>
 
 
 class CampaignDashboard(AsyncHttpServer):
-    """One campaign's live HTTP dashboard over a store (or flat cache).
+    """One campaign's live HTTP dashboard over the result cache.
 
     Bound at construction (``port=0`` picks a free port, readable from
     :attr:`port` at once); serve with the context manager (tests) or
@@ -235,12 +234,7 @@ class CampaignDashboard(AsyncHttpServer):
             self.spec, collect_results(self.spec, self.cache))
 
     def perf_payload(self, limit: int = 40) -> Dict[str, Any]:
-        history_fn = getattr(self.cache, "perf_history", None)
-        if history_fn is None:
-            return {"campaign": self.spec.name, "benchmarks": [],
-                    "note": "perf history needs the SQLite store "
-                            "(campaign dashboard --store)"}
-        history = history_fn(limit=limit)
+        history = self.cache.perf_history(limit=limit)
         benchmarks = []
         for name in sorted(history):
             points = history[name]

@@ -3,7 +3,7 @@
 A campaign writes one row per finished config; analysis wants slices —
 "every config where ``vdd < 0.7``", "yield vs seed, marginalised over
 supply".  :class:`StoreQuery` is a small immutable builder over
-:class:`~repro.store.db.ResultStore` rows:
+:class:`~repro.exec.cache.ResultCache` rows:
 
 >>> q = StoreQuery(store, "ext_yield").where("seed", "<", 100)
 >>> q.rows()                     # doctest: +SKIP
@@ -14,13 +14,13 @@ supply".  :class:`StoreQuery` is a small immutable builder over
 Filters compile to SQL against the JSON1 ``params`` column with an
 expression index created on demand per filtered parameter, so the
 common "one axis filter over a big store" query never scans the table
-— the win :mod:`benchmarks.bench_store` measures against the flat
-cache's full directory scan.  On sqlite builds without JSON1 the same
+— the win :mod:`benchmarks.bench_store` measures against the unindexed
+Python filter.  On sqlite builds without JSON1 the same
 filters evaluate in Python over the base row set (slower, identical
 answers).
 
-``campaigns/results.py`` routes its bulk collection through the store
-(:meth:`ResultStore.get_configs`) and :mod:`repro.reporting` consumes
+``campaigns/results.py`` routes its bulk collection through the cache
+(:meth:`ResultCache.get_configs`) and :mod:`repro.reporting` consumes
 the tables/figures built here — campaign-level metric-vs-axis figures
 without re-running anything.
 """
@@ -36,7 +36,7 @@ from .. import telemetry
 from ..circuit.exceptions import AnalysisError
 from ..reporting.figures import FigureData
 from ..reporting.tables import Table
-from .db import _PARAM_RE, ResultStore
+from ..exec.cache import _PARAM_RE, ResultCache
 
 #: Comparison operators a filter may use, with their Python semantics.
 OPS: Dict[str, Callable[[Any, Any], bool]] = {
@@ -92,7 +92,7 @@ def _check_scalar(param: str, value: Any) -> None:
 class StoreQuery:
     """Immutable query builder; every refinement returns a new query."""
 
-    def __init__(self, store: ResultStore, experiment: Optional[str] = None,
+    def __init__(self, store: ResultCache, experiment: Optional[str] = None,
                  *, fidelity: Optional[str] = None,
                  engine: Optional[str] = None,
                  filters: Tuple[Tuple[str, str, Any], ...] = ()):

@@ -1,7 +1,7 @@
 """Live campaign status: poll the store, report progress and ETA.
 
 ``python -m repro campaign watch SPEC.json`` sits in a loop over the
-campaign's ground truth (cache/store probes via
+campaign's ground truth (result-cache probes via
 :func:`~repro.campaigns.runner.campaign_status`) plus the advisory
 shard manifests, printing one status line per poll::
 
@@ -19,10 +19,6 @@ Declared alert rules (the spec's ``"alerts"`` list) are evaluated on
 every poll through the same engine the dashboard uses
 (:mod:`repro.store.dashboard`); newly-fired alerts print inline, so an
 overnight ``watch`` in a terminal doubles as a threshold monitor.
-
-Works identically over a flat :class:`~repro.exec.cache.ResultCache`
-and a :class:`~repro.store.db.ResultStore` — both satisfy the probe
-contract.
 """
 
 from __future__ import annotations
@@ -39,10 +35,10 @@ from ..campaigns.spec import CampaignSpec
 def status_with_eta(spec: CampaignSpec, cache) -> Dict[str, Any]:
     """One watch poll: the status document plus an ``eta`` section.
 
-    ``cache`` is any object with the probe contract (``get_config`` +
-    ``root``).  The shard breakdown follows the widest partition any
-    manifest recorded (a 2-shard run reports 2 buckets even when
-    watched from a third machine); with no manifests it is 1.
+    ``cache`` is the campaign's :class:`~repro.exec.cache.ResultCache`.
+    The shard breakdown follows the widest partition any manifest
+    recorded (a 2-shard run reports 2 buckets even when watched from a
+    third machine); with no manifests it is 1.
     """
     n_shards = 1
     probe = campaign_status(spec, cache, n_shards=1, with_telemetry=True)

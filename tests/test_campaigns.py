@@ -11,8 +11,8 @@ The contracts under test:
 * re-running an interrupted campaign executes only the cache misses —
   including misses caused by corrupt/truncated cache entries, which
   must read as misses, never raise (the ResultCache regression net);
-* the deprecated ``run_experiment`` shim warns exactly once per process
-  and matches ``run_config`` output exactly;
+* a campaign killed mid-run — a failing row write, or SIGKILL —
+  resumes to a report byte-identical to an uninterrupted run;
 * the CLI and HTTP surfaces serve the same spec documents.
 """
 
@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import sqlite3
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
-import warnings
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,7 @@ from repro.campaigns import (
 )
 from repro.circuit import AnalysisError
 from repro.exec import ResultCache, default_cache_dir
-from repro.experiments import RunConfig, run_config, run_experiment
+from repro.experiments import RunConfig, run_config
 from repro.reporting import build_campaign_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,28 @@ def montecarlo_spec(count: int = 3, **extra) -> CampaignSpec:
     }
     doc.update(extra)
     return CampaignSpec.from_dict(doc)
+
+
+def write_payload(cache: ResultCache, config: RunConfig, payload) -> None:
+    """Overwrite a config's stored payload with raw text (or bytes)."""
+    with cache._lock:
+        cache._conn.execute(
+            "INSERT OR REPLACE INTO results (entry, experiment, fidelity, "
+            "params, payload, updated_at) VALUES (?, ?, ?, '{}', ?, 0)",
+            (cache._entry_for_config(config), config.experiment_id,
+             config.fidelity, payload))
+
+
+def drop_entry(cache: ResultCache, config: RunConfig) -> None:
+    """Lose one config's row, as an interrupted campaign would."""
+    with cache._lock:
+        cache._conn.execute("DELETE FROM results WHERE entry = ?",
+                            (cache._entry_for_config(config),))
+
+
+def aggregate_text(spec: CampaignSpec, cache: ResultCache) -> str:
+    document = results_document(spec, collect_results(spec, cache))
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 class TestAxisExpansion:
@@ -311,7 +335,7 @@ class TestRunAndResume:
         assert len(calls) == 4
         # Interrupt simulation: lose one entry, re-run fills exactly it.
         victim = spec.expand()[2]
-        cache.path_for_config(victim).unlink()
+        drop_entry(cache, victim)
         summary = CampaignRunner(spec, cache).run()
         assert (summary.executed, summary.skipped) == (1, 3)
         assert calls[-1] == victim
@@ -323,7 +347,7 @@ class TestRunAndResume:
         cache = ResultCache(tmp_path)
         CampaignRunner(spec, cache).run()
         victim = spec.expand()[0]
-        cache.path_for_config(victim).write_text('{"schema": 1, "resu')
+        write_payload(cache, victim, '{"schema": 1, "resu')
         status = campaign_status(spec, cache)
         assert status["missing"] == 1
         summary = CampaignRunner(spec, cache).run()
@@ -454,7 +478,7 @@ class TestResultsAggregation:
         spec = montecarlo_spec(3)
         cache = ResultCache(tmp_path)
         CampaignRunner(spec, cache).run()
-        cache.path_for_config(spec.expand()[1]).unlink()
+        drop_entry(cache, spec.expand()[1])
         collected = collect_results(spec, cache)
         document = results_document(spec, collected)
         assert (document["total"], document["done"]) == (3, 2)
@@ -498,63 +522,102 @@ class TestCacheCorruptionRegression:
     def test_every_garbage_shape_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = RunConfig.build("ext_montecarlo", "fast")
-        path = cache.path_for_config(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
         for garbage in self.GARBAGE:
-            path.write_text(garbage)
+            write_payload(cache, config, garbage)
             assert cache.get_config(config) is None, garbage
-        path.write_bytes(b"\x80\x81\xff")  # not even UTF-8
+            assert cache.get_configs([config]) == [None], garbage
+        write_payload(cache, config, b"\x80\x81\xff")  # not even UTF-8
         assert cache.get_config(config) is None
 
     def test_corrupt_entry_overwritten_on_next_write(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = RunConfig.build("ext_montecarlo", "fast")
-        path = cache.path_for_config(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"schema": 1, "resu')
+        write_payload(cache, config, '{"schema": 1, "resu')
         result = run_config(config, cache=cache)  # miss -> run -> put
         hit = cache.get_config(config)
         assert hit is not None
         assert hit.render() == result.render()
 
-    def test_legacy_path_corruption_also_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.path_for("ext_montecarlo", "fast", {})
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("not json at all")
-        config = RunConfig.build("ext_montecarlo", "fast")
-        assert cache.get_config(config, legacy_params={}) is None
 
+class TestFaultInjection:
+    """An interrupted campaign resumes to the uninterrupted report."""
 
-class TestRunExperimentShim:
-    """The deprecated shim warns once and matches run_config exactly."""
+    def test_failed_row_write_propagates_and_resumes(self, tmp_path,
+                                                     monkeypatch):
+        spec = montecarlo_spec(4)
+        cache = ResultCache(tmp_path / "faulty")
+        real_write = ResultCache._write_row
+        writes = []
 
-    def test_warns_exactly_once_per_process(self):
-        import repro.experiments.registry as registry
+        def flaky_write(self, **row):
+            writes.append(row["entry"])
+            if len(writes) == 2:
+                raise sqlite3.OperationalError("database is locked")
+            return real_write(self, **row)
 
-        registry._RUN_EXPERIMENT_WARNED = False
+        monkeypatch.setattr(ResultCache, "_write_row", flaky_write)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            CampaignRunner(spec, cache).run()
+        monkeypatch.setattr(ResultCache, "_write_row", real_write)
+        assert cache._payload_text(writes[1]) is None
+        assert cache.counts()["total"] == 1
+        [manifest] = read_manifests(spec, cache.root)
+        assert manifest["status"] != "complete"
+
+        missing = campaign_status(spec, cache)["missing"]
+        summary = CampaignRunner(spec, cache).run()
+        assert (summary.executed, summary.skipped) == (missing, 4 - missing)
+        fresh = ResultCache(tmp_path / "fresh")
+        CampaignRunner(spec, fresh).run()
+        assert aggregate_text(spec, cache) == aggregate_text(spec, fresh)
+
+    def test_sigkilled_run_resumes(self, tmp_path, capsys):
+        from repro.__main__ import main as cli_main
+
+        doc = json.loads(YIELD_SPEC.read_text())
+        doc["axes"] = [{"param": "seed", "range": {"start": 0,
+                                                   "count": 20}}]
+        spec_path = tmp_path / "yield20.json"
+        spec_path.write_text(json.dumps(doc))
+        spec = CampaignSpec.load(spec_path)
+        root = tmp_path / "killed"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run",
+             str(spec_path), "--cache-dir", str(root)],
+            cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        db = root / "store.sqlite"
+        deadline = time.monotonic() + 120
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run_experiment("ext_montecarlo", fidelity="fast", seed=5)
-                run_experiment("ext_montecarlo", fidelity="fast", seed=6)
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)
-                            and "run_experiment" in str(w.message)]
-            assert len(deprecations) == 1
+            while time.monotonic() < deadline:
+                if db.exists():
+                    try:
+                        with sqlite3.connect(str(db), timeout=5) as conn:
+                            rows = conn.execute(
+                                "SELECT COUNT(*) FROM results").fetchone()[0]
+                    except sqlite3.OperationalError:
+                        rows = 0   # schema not created yet
+                    if rows:
+                        break
+                time.sleep(0.002)
+            proc.send_signal(signal.SIGKILL)
         finally:
-            registry._RUN_EXPERIMENT_WARNED = True
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
 
-    def test_shim_matches_run_config_output(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = run_experiment("ext_montecarlo", fidelity="fast",
-                                  seed=11, method="vectorized")
-        direct = run_config(RunConfig.build(
-            "ext_montecarlo", "fast",
-            {"seed": 11, "method": "vectorized"}))
-        assert shim.to_dict() == direct.to_dict()
-        assert shim.render() == direct.render()
+        cache = ResultCache(root)
+        done = cache.counts()["total"]
+        assert 1 <= done < 20
+        assert all(m["status"] != "complete"
+                   for m in read_manifests(spec, root))
+        assert cli_main(["campaign", "run", str(spec_path),
+                         "--cache-dir", str(root)]) == 0
+        assert f"{20 - done} executed, {done} resumed" in \
+            capsys.readouterr().out
+        fresh = ResultCache(tmp_path / "fresh")
+        CampaignRunner(spec, fresh).run()
+        assert aggregate_text(spec, cache) == aggregate_text(spec, fresh)
 
 
 class TestCampaignCli:
@@ -613,7 +676,8 @@ class TestCampaignCli:
         spec_path.write_text(json.dumps(spec.describe()))
         assert cli_main(["campaign", "run", str(spec_path)]) == 0
         capsys.readouterr()
-        assert list(root.glob("ext_montecarlo/fast-rc*.json")), \
+        assert ResultCache(root).counts()["by_experiment"] == \
+            {"ext_montecarlo": 2}, \
             "campaign results must land under $REPRO_CACHE_DIR"
 
     def test_help_documents_cache_env_var(self, capsys):

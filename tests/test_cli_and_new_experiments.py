@@ -6,7 +6,7 @@ from repro.__main__ import main as cli_main
 from repro.analysis import adder_sensitivities
 from repro.circuit import AnalysisError
 from repro.core import AdderConfig, WeightedAdder
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import REGISTRY, RunConfig, run_config
 
 
 class TestCli:
@@ -46,30 +46,30 @@ class TestCli:
 
 class TestNoiseExperiment:
     def test_amplitude_and_frequency_immune(self):
-        res = run_experiment("ext_noise", fidelity="fast")
+        res = run_config(RunConfig.build("ext_noise", "fast"))
         assert res.metrics["worst_mV[amplitude sigma 3%]"] == 0.0
         assert res.metrics["worst_mV[frequency sigma 3%]"] == 0.0
 
     def test_jitter_not_immune(self):
-        res = run_experiment("ext_noise", fidelity="fast")
+        res = run_config(RunConfig.build("ext_noise", "fast"))
         assert res.metrics["mean_mV[edge jitter 3% of period]"] > 10.0
 
 
 class TestEnergyExperiment:
     def test_energy_table_well_formed(self):
-        res = run_experiment("ext_energy", fidelity="fast")
+        res = run_config(RunConfig.build("ext_energy", "fast"))
         assert res.metrics["pwm_pJ[2.5V]"] > 0
         assert res.metrics["digital_pJ[2.5V]"] > 0
         assert 0.9 < res.metrics["digital_min_reliable_vdd"] < 1.6
 
     def test_energy_scales_superlinearly_with_vdd(self):
-        res = run_experiment("ext_energy", fidelity="fast")
+        res = run_config(RunConfig.build("ext_energy", "fast"))
         assert res.metrics["pwm_pJ[3.5V]"] > 1.5 * res.metrics["pwm_pJ[1.5V]"]
 
 
 class TestSensitivity:
     def test_all_sensitivities_small(self):
-        res = run_experiment("ext_sensitivity", fidelity="fast")
+        res = run_config(RunConfig.build("ext_sensitivity", "fast"))
         assert res.metrics and all(
             abs(v) < 0.1 for v in res.metrics.values())
 

@@ -11,6 +11,10 @@ results byte-identically.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from repro.exec import (
     SerialExecutor,
     derive_seed,
     get_executor,
-    params_hash,
     use_executor,
 )
 from repro.exec.batch import (
@@ -34,8 +37,10 @@ from repro.exec.batch import (
     leg_resistance_arrays,
     sample_adder_mismatch,
 )
-from repro.experiments import run_experiment
+from repro.experiments import RunConfig, run_config
 from repro.tech.corners import MonteCarloSampler
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _double(x):
@@ -220,88 +225,94 @@ class TestBatchSolver:
 class TestResultCache:
     def test_miss_then_hit_byte_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get("table1", "fast", {}) is None
-        result = run_experiment("table1", fidelity="fast")
-        cache.put(result, {})
-        hit = cache.get("table1", "fast", {})
+        config = RunConfig.build("table1", "fast")
+        assert cache.get_config(config) is None
+        result = run_config(config)
+        cache.put_config(result, config)
+        hit = cache.get_config(config)
         assert hit is not None
         assert hit.render(charts=True) == result.render(charts=True)
         # Byte-identical on the second hit too (stable deserialisation).
-        assert (cache.get("table1", "fast", {}).render()
-                == result.render())
+        assert cache.get_config(config).render() == result.render()
 
     def test_run_experiment_uses_cache(self, tmp_path):
-        from repro.experiments import RunConfig
-
         cache = ResultCache(tmp_path)
-        first = run_experiment("ext_transistor_count", fidelity="fast",
-                               cache=cache)
-        # Entries are written under the canonical RunConfig key (the
-        # legacy kwargs-hash path remains read-compatible).
-        entry = cache.path_for_config(
-            RunConfig.build("ext_transistor_count", "fast"))
-        assert entry.exists()
-        # Corrupt-proof: a second run returns the cached copy.
-        second = run_experiment("ext_transistor_count", fidelity="fast",
-                                cache=cache)
+        config = RunConfig.build("ext_transistor_count", "fast")
+        first = run_config(config, cache=cache)
+        # Entries are written under the canonical RunConfig key.
+        assert cache.counts()["by_experiment"] == \
+            {"ext_transistor_count": 1}
+        assert cache.get_config(config) is not None
+        # A second run returns the cached copy.
+        second = run_config(config, cache=cache)
         assert second.render() == first.render()
 
     def test_params_change_key(self, tmp_path):
         cache = ResultCache(tmp_path)
-        a = cache.path_for("x", "fast", {"seed": 1})
-        b = cache.path_for("x", "fast", {"seed": 2})
-        c = cache.path_for("x", "paper", {"seed": 1})
+        a = cache.path_for_config(
+            RunConfig.build("ext_montecarlo", "fast", {"seed": 1}))
+        b = cache.path_for_config(
+            RunConfig.build("ext_montecarlo", "fast", {"seed": 2}))
+        c = cache.path_for_config(
+            RunConfig.build("ext_montecarlo", "paper", {"seed": 1}))
         assert len({a, b, c}) == 3
-        assert params_hash({"b": 1, "a": 2}) == params_hash({"a": 2, "b": 1})
+        assert cache.path_for_config(
+            RunConfig.build("ext_montecarlo", "fast",
+                            {"seed": 1, "method": "auto"})) == \
+            cache.path_for_config(
+                RunConfig.build("ext_montecarlo", "fast",
+                                {"method": "auto", "seed": 1}))
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_experiment("table1", fidelity="fast")
-        path = cache.put(result, {})
-        payload = json.loads(path.read_text())
+        config = RunConfig.build("table1", "fast")
+        entry = cache.put_config(run_config(config), config)
+        payload = json.loads(cache._payload_text(entry))
         payload["schema"] = -1
-        path.write_text(json.dumps(payload))
-        assert cache.get("table1", "fast", {}) is None
+        with cache._lock:
+            cache._conn.execute(
+                "UPDATE results SET payload = ? WHERE entry = ?",
+                (json.dumps(payload), entry))
+        assert cache.get_config(config) is None
+
+    def test_legacy_miss_without_params_stays_a_miss(self, tmp_path):
+        # A pre-RunConfig kwargs-keyed entry, as older builds wrote it.
+        legacy = tmp_path / "flat" / "ext_transistor_count" / \
+            "fast-0123456789abcdef.json"
+        legacy.parent.mkdir(parents=True)
+        config = RunConfig.build("ext_transistor_count", "fast")
+        legacy.write_text(json.dumps({
+            "schema": 1, "params": {"phantom": "1"},
+            "result": run_config(config).to_dict()}))
+        cache = ResultCache(tmp_path)
+        cache.import_flat_cache(tmp_path / "flat")
+        assert cache.get_config(config) is None
+        # The miss neither promotes nor rewrites the legacy row.
+        assert cache.counts()["by_kind"] == {"legacy": 1}
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(run_experiment("table1", fidelity="fast"), {})
+        config = RunConfig.build("table1", "fast")
+        cache.put_config(run_config(config), config)
         assert cache.clear() == 1
-        assert cache.get("table1", "fast", {}) is None
-
-    def test_legacy_entry_promoted_to_canonical_key(self, tmp_path):
-        from repro.experiments import RunConfig
-
-        cache = ResultCache(tmp_path)
-        result = run_experiment("ext_transistor_count", fidelity="fast")
-        legacy_path = cache.put(result, {})  # kwargs-hash generation
-        config = RunConfig.build("ext_transistor_count", "fast")
-        canonical = cache.path_for_config(config)
-        assert canonical != legacy_path
-        assert not canonical.exists()
-        # Canonical probe alone misses; with the legacy kwargs it hits
-        # and re-writes the entry under the canonical key.
         assert cache.get_config(config) is None
-        hit = cache.get_config(config, legacy_params={})
-        assert hit is not None
-        assert hit.render() == result.render()
-        assert canonical.exists()
-        # The promoted entry now serves without the legacy fallback,
-        # byte-identically; the old file is left untouched.
-        rehit = cache.get_config(config)
-        assert rehit is not None
-        assert rehit.render() == result.render()
-        assert legacy_path.exists()
 
-    def test_legacy_miss_without_params_stays_a_miss(self, tmp_path):
-        from repro.experiments import RunConfig
 
-        cache = ResultCache(tmp_path)
-        result = run_experiment("ext_transistor_count", fidelity="fast")
-        cache.put(result, {"phantom": 1})  # different legacy kwargs
-        config = RunConfig.build("ext_transistor_count", "fast")
-        assert cache.get_config(config, legacy_params={}) is None
-        assert not cache.path_for_config(config).exists()
+    def test_cache_import_stays_lean(self, tmp_path):
+        # The experiment path (perfbench's experiments_fast included)
+        # must not pay for the dashboard or the asyncio HTTP core.
+        script = (
+            "import sys\n"
+            "import repro.experiments\n"
+            "from repro.exec.cache import ResultCache\n"
+            f"ResultCache({str(tmp_path)!r})\n"
+            "print(sorted(m for m in ('repro.store', 'asyncio')\n"
+            "             if m in sys.modules))\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCliFlags:
@@ -316,7 +327,19 @@ class TestCliFlags:
         assert cli_main(["run", "table1", "--cache-dir",
                          str(cache_dir)]) == 0
         first = capsys.readouterr().out
-        assert list(cache_dir.glob("table1/fast-*.json"))
+        assert ResultCache(cache_dir).counts()["by_experiment"] == \
+            {"table1": 1}
         assert cli_main(["run", "table1", "--cache-dir",
                          str(cache_dir)]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", [["run", "table1"], ["all"]])
+    def test_corrupt_cache_file_is_an_error_line(self, command, capsys,
+                                                 tmp_path):
+        from repro.__main__ import main as cli_main
+        db = tmp_path / "store.sqlite"
+        db.write_bytes(b"definitely not a sqlite database" * 64)
+        assert cli_main([*command, "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(db) in err

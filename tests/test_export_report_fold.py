@@ -17,7 +17,7 @@ from repro.circuit import (
     write_spice,
 )
 from repro.core import AdderConfig, WeightedAdder
-from repro.experiments import run_experiment
+from repro.experiments import RunConfig, run_config
 from repro.reporting import build_markdown_report, write_markdown_report
 from repro.tech import NMOS_UMC65
 
@@ -133,8 +133,9 @@ class TestMarkdownReport:
     @pytest.fixture(scope="class")
     def results(self):
         return {
-            "table1": run_experiment("table1"),
-            "ext_transistor_count": run_experiment("ext_transistor_count"),
+            "table1": run_config(RunConfig.build("table1")),
+            "ext_transistor_count": run_config(
+                RunConfig.build("ext_transistor_count")),
         }
 
     def test_report_contains_sections(self, results):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import REGISTRY, RunConfig, run_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
@@ -77,7 +77,7 @@ def _assert_figure(actual: dict, expected: dict, where: str) -> None:
 
 @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
 def test_golden_artifact(experiment_id: str):
-    result = run_experiment(experiment_id, fidelity="fast")
+    result = run_config(RunConfig.build(experiment_id, "fast"))
     payload = result.to_dict()
     path = GOLDEN_DIR / f"{experiment_id}.json"
 

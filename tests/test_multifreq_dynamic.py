@@ -13,7 +13,7 @@ from repro.circuit import (
 )
 from repro.core import AdderConfig, WeightedAdder
 from repro.core.weighted_adder import common_period
-from repro.experiments import run_experiment
+from repro.experiments import RunConfig, run_config
 
 
 class TestCommonPeriod:
@@ -105,14 +105,14 @@ class TestModulatedVoltage:
 
 class TestDynamicSupplyExperiment:
     def test_ratio_flat_through_droop(self):
-        res = run_experiment("ext_dynamic_supply", fidelity="fast")
+        res = run_config(RunConfig.build("ext_dynamic_supply", "fast"))
         assert res.metrics["rail_droop_ratio"] > 1.6
         assert res.metrics["ratio_spread"] < 0.05
 
     def test_multifreq_experiment_spread(self):
-        res = run_experiment("ext_multifreq", fidelity="fast")
+        res = run_config(RunConfig.build("ext_multifreq", "fast"))
         assert res.metrics["spread_upto_500MHz_mV"] < 30.0
 
     def test_full_system_fast(self):
-        res = run_experiment("ext_full_system", fidelity="fast")
+        res = run_config(RunConfig.build("ext_full_system", "fast"))
         assert res.metrics["mismatches"] == 0

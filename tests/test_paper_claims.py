@@ -10,7 +10,7 @@ import pytest
 
 from repro.circuit import shooting
 from repro.core import AdderConfig, WeightedAdder, eq2_output
-from repro.experiments import run_experiment
+from repro.experiments import RunConfig, run_config
 from tests.conftest import make_transcoding_inverter
 
 
@@ -62,14 +62,14 @@ class TestSectionIII:
     def test_fig4_large_resistor_brings_linearity(self):
         """'In the case of the large output resistor ... the output
         function becomes purely linear.'"""
-        res = run_experiment("fig4", fidelity="fast")
+        res = run_config(RunConfig.build("fig4", "fast"))
         assert res.metrics["r2[100kOhm]"] > 0.999
         assert res.metrics["r2[No load]"] < res.metrics["r2[100kOhm]"]
 
     def test_fig5_frequency_resilience(self):
         """'the values of Vout are almost the same for a wide range of
         frequencies'"""
-        res = run_experiment("fig5", fidelity="fast")
+        res = run_config(RunConfig.build("fig5", "fast"))
         assert max(res.metrics[f"flatness[DC={d}%]"]
                    for d in (25, 50, 75)) < 0.10
 
@@ -77,7 +77,7 @@ class TestSectionIII:
         """'the output voltage grows almost linearly with increased Vdd
         ... the absolute value of the output voltage does not bear any
         reliable information'"""
-        res = run_experiment("fig6", fidelity="fast")
+        res = run_config(RunConfig.build("fig6", "fast"))
         fig = res.figure("fig6")
         s = fig.get("DC=50%")
         assert s.y[-1] > 1.4 * s.y[0]  # grows strongly with Vdd
@@ -85,7 +85,7 @@ class TestSectionIII:
     def test_fig7_ratio_stable_from_1V(self):
         """'Starting from 1 - 1.5V the relationship of the Vout to Vdd
         remains the same for different duty cycles'"""
-        res = run_experiment("fig7", fidelity="fast")
+        res = run_config(RunConfig.build("fig7", "fast"))
         for d in (25, 50, 75):
             assert res.metrics[f"usable_from[DC={d}%]"] <= 1.5
 
@@ -93,7 +93,7 @@ class TestSectionIII:
         """'The simulations results correspond to the theoretical ones,
         however, the relative error is quite large, especially for the
         lower output voltages.'"""
-        res = run_experiment("table2", fidelity="fast")
+        res = run_config(RunConfig.build("table2", "fast"))
         assert res.metrics["worst_abs_error"] < 0.15
         # Relative error indeed worst at low outputs.
         rel_low = abs(res.metrics["row1_simulated"] -
@@ -105,12 +105,12 @@ class TestSectionIII:
     def test_table2_frequency_remark(self):
         """'simulations have been conducted with various input
         frequencies ... did not have any effect on the results'"""
-        res = run_experiment("ext_multifreq", fidelity="fast")
+        res = run_config(RunConfig.build("ext_multifreq", "fast"))
         assert res.metrics["spread_upto_500MHz_mV"] < 30.0
 
     def test_fig8_power_range(self):
         """Fig. 8: average power in the hundreds of microwatts."""
-        res = run_experiment("fig8", fidelity="fast")
+        res = run_config(RunConfig.build("fig8", "fast"))
         assert 50 < res.metrics["power_at_min_freq_uW"] < 2000
 
 
@@ -120,12 +120,12 @@ class TestSectionIV:
     def test_power_elasticity_and_robustness(self):
         """'the perceptron shows a high degree of power elasticity and
         robustness under these variations'"""
-        res = run_experiment("ext_robustness", fidelity="fast")
+        res = run_config(RunConfig.build("ext_robustness", "fast"))
         assert res.metrics["min_accuracy[PWM (this work)]"] == 1.0
 
     def test_significantly_fewer_transistors_than_digital(self):
         """'significantly reduces the logic utilization'"""
-        res = run_experiment("ext_transistor_count", fidelity="fast")
+        res = run_config(RunConfig.build("ext_transistor_count", "fast"))
         # Every digital variant in the table is >10x the PWM count.
         for row in res.table.rows:
             if "digital" in row[0]:
@@ -135,5 +135,5 @@ class TestSectionIV:
     def test_complements_kessels_generator(self):
         """'would nicely complement a power-elastic PWM signal generator
         based on a self-timed loadable modulo N counter'"""
-        res = run_experiment("ext_kessels", fidelity="fast")
+        res = run_config(RunConfig.build("ext_kessels", "fast"))
         assert res.metrics["worst_duty_error"] < 0.01

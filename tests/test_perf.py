@@ -38,6 +38,7 @@ from repro.campaigns import (
     results_document,
 )
 from repro.circuit import AnalysisError
+from repro.exec import ResultCache
 from repro.experiments import RunConfig, run_config
 from repro.perf import (
     BENCHMARKS,
@@ -53,7 +54,7 @@ from repro.perf import (
     sparkline,
 )
 from repro.perf.registry import get_benchmark
-from repro.store import CampaignDashboard, ResultStore
+from repro.store import CampaignDashboard
 
 
 @pytest.fixture()
@@ -203,7 +204,7 @@ class TestPerfStore:
         return store.record_perf_run(doc)
 
     def test_round_trip_and_direction(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         run_id = self._record(store, 0.5, samples=[0.7, 0.5, 0.9])
         doc = store.perf_run(run_id)
         bench = doc["benchmarks"][0]
@@ -217,7 +218,7 @@ class TestPerfStore:
         assert store.perf_run(999_999) is None
 
     def test_baseline_flag_and_previous(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         first = self._record(store, 1.0)
         second = self._record(store, 2.0)
         assert store.perf_baseline_run() is None
@@ -231,7 +232,7 @@ class TestPerfStore:
             store.set_perf_baseline(12345)
 
     def test_history_series(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         for value in (1.0, 1.2, 0.8):
             self._record(store, value)
         history = store.perf_history("t.stored")
@@ -243,7 +244,7 @@ class TestPerfStore:
         assert store.perf_history("t.absent") == {}
 
     def test_gc_age_based_retention(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         old = self._record(store, 1.0)
         keep = self._record(store, 2.0)
         flagged = self._record(store, 3.0)
@@ -265,7 +266,7 @@ class TestPerfStore:
         assert store.perf_run(flagged) is not None
 
     def test_gc_age_guard_spares_fresh_stale_rows(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         config = RunConfig.build("table1", "fast")
         store.put_config(run_config(config), config)
         with store._lock:
@@ -284,7 +285,7 @@ class TestPerfStore:
             "axes": [{"param": "seed",
                       "range": {"start": 0, "count": 2}}],
         })
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         config = spec.expand()[0]
         report_before = json.dumps(
@@ -499,7 +500,7 @@ class TestPerfCli:
         assert self._main(["perf", "run", "mna.transient.ladder",
                            "--quick", "--cache-dir", root]) == 0
         capsys.readouterr()
-        store = ResultStore(tmp_path / "cache")
+        store = ResultCache(tmp_path / "cache")
         with store._lock:
             store._conn.execute(
                 "UPDATE perf_runs SET created_at = created_at "
@@ -510,7 +511,7 @@ class TestPerfCli:
                            "--older-than", "30"]) == 0
         out = capsys.readouterr().out
         assert "deleted 1 perf run(s)" in out
-        store = ResultStore(tmp_path / "cache")
+        store = ResultCache(tmp_path / "cache")
         assert store.perf_run() is None
 
 
@@ -522,7 +523,7 @@ class TestPerfDashboard:
             "axes": [{"param": "seed",
                       "range": {"start": 0, "count": 1}}],
         })
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         recorder = TestPerfStore()
         for value in (1.0, 2.0, 1.5):

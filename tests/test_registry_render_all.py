@@ -8,7 +8,8 @@ dedicated tests; here we run the cheap majority end to end).
 
 import pytest
 
-from repro.experiments import PAPER_ARTEFACTS, REGISTRY, run_experiment
+from repro.experiments import (PAPER_ARTEFACTS, REGISTRY, RunConfig,
+                               run_config)
 from repro.reporting import (
     build_markdown_report,
     figure_to_csv,
@@ -28,7 +29,7 @@ QUICK_IDS = [
 
 @pytest.fixture(scope="module")
 def quick_results():
-    return {eid: run_experiment(eid, fidelity="fast") for eid in QUICK_IDS}
+    return {eid: run_config(RunConfig.build(eid, "fast")) for eid in QUICK_IDS}
 
 
 def test_registry_covers_all_paper_artefacts():

@@ -397,14 +397,15 @@ class TestExperimentEndpoints:
         assert status == 404 and "error" in body
 
     def test_run_returns_rendered_equivalent_result(self):
-        from repro.experiments import ExperimentResult, run_experiment
+        from repro.experiments import (ExperimentResult, RunConfig,
+                                       run_config)
 
         status, body = self._post("/experiments/table1/run", {})
         assert status == 200
         assert body["experiment_id"] == "table1"
         assert body["config"]["fidelity"] == "fast"
         served = ExperimentResult.from_dict(body["result"])
-        direct = run_experiment("table1", fidelity="fast")
+        direct = run_config(RunConfig.build("table1", "fast"))
         assert served.render() == direct.render()
 
     def test_run_with_params_and_memoisation(self):

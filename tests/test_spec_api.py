@@ -41,7 +41,6 @@ from repro.experiments import (
     list_experiments,
     run_all,
     run_config,
-    run_experiment,
 )
 from repro.experiments.base import _json_scalar
 from repro.experiments.spec import SPECS
@@ -234,11 +233,6 @@ class TestRunConfig:
         clone = RunConfig.from_dict(config.canonical_dict())
         assert clone == config
 
-    def test_run_config_equals_run_experiment(self):
-        config = RunConfig.build("ext_sensitivity")
-        assert run_config(config).render() == \
-            run_experiment("ext_sensitivity").render()
-
 
 class TestFidelityChokePoint:
     """Every experiment rejects a bad fidelity identically (decorator)."""
@@ -247,7 +241,7 @@ class TestFidelityChokePoint:
                              ["table1", "fig4", "ext_yield"])
     def test_via_registry(self, experiment_id):
         with pytest.raises(AnalysisError, match="unknown fidelity"):
-            run_experiment(experiment_id, fidelity="ludicrous")
+            run_config(RunConfig.build(experiment_id, "ludicrous"))
 
     def test_via_direct_module_call(self):
         from repro.experiments import (
@@ -345,54 +339,30 @@ class TestCacheConfigKeys:
         config = RunConfig.build("table1")
         assert cache.get_config(config) is None
         result = run_config(config, cache=cache)
-        assert cache.path_for_config(config).exists()
+        assert cache.counts()["by_experiment"] == {"table1": 1}
         hit = cache.get_config(config)
         assert hit is not None
         assert hit.render() == result.render()
 
     def test_explicit_defaults_share_one_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_experiment("ext_sensitivity", cache=cache)
-        first = list(tmp_path.glob("ext_sensitivity/*.json"))
-        assert len(first) == 1
+        run_config(RunConfig.build("ext_sensitivity"), cache=cache)
+        assert cache.counts()["total"] == 1
         # Same computation spelled explicitly: no second entry.
-        run_experiment("ext_sensitivity", fidelity="fast", cache=cache)
-        assert list(tmp_path.glob("ext_sensitivity/*.json")) == first
-
-    def test_legacy_kwargs_entry_still_hits(self, tmp_path):
-        """Pre-RunConfig cache entries survive the key migration."""
-        cache = ResultCache(tmp_path)
-        result = run_experiment("table1")
-        # Doctor the result so a replay is distinguishable from a
-        # recompute, then store it under the *legacy* kwargs-hash key.
-        result.notes.append("sentinel: written by the legacy writer")
-        cache.put(result, {})
-        replayed = run_experiment("table1", cache=cache)
-        assert replayed.notes[-1] == \
-            "sentinel: written by the legacy writer"
-        # ... and the hit was promoted to the canonical key.
-        config = RunConfig.build("table1")
-        assert cache.path_for_config(config).exists()
-        promoted = cache.get_config(config)
-        assert promoted.render() == replayed.render()
-
-    def test_legacy_entry_with_params_still_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = run_experiment("ext_sensitivity")
-        result.notes.append("sentinel: legacy params entry")
-        cache.put(result, {"seed": 5})  # legacy raw-kwargs key
-        # ext_sensitivity has no seed param; use one that does.
-        result2 = run_experiment("ext_montecarlo")
-        result2.notes.append("sentinel: legacy params entry")
-        cache.put(result2, {"seed": 5})
-        replayed = run_experiment("ext_montecarlo", seed=5, cache=cache)
-        assert replayed.notes[-1] == "sentinel: legacy params entry"
+        run_config(RunConfig.build("ext_sensitivity", "fast", {}),
+                   cache=cache)
+        assert cache.counts()["total"] == 1
 
     def test_config_miss_without_legacy_probe(self, tmp_path):
+        # A pre-RunConfig kwargs-keyed entry, as older builds wrote it.
+        legacy = tmp_path / "flat" / "table1" / "fast-0123456789abcdef.json"
+        legacy.parent.mkdir(parents=True)
+        result = run_config(RunConfig.build("table1"))
+        legacy.write_text(json.dumps({"schema": 1, "params": {},
+                                      "result": result.to_dict()}))
         cache = ResultCache(tmp_path)
-        result = run_experiment("table1")
-        cache.put(result, {})
-        # No legacy_params -> the legacy path is not probed.
+        assert cache.import_flat_cache(tmp_path / "flat")["legacy"] == 1
+        # No probe reads the legacy generation.
         assert cache.get_config(RunConfig.build("table1")) is None
 
 

@@ -1,19 +1,20 @@
-"""Result store, query layer, watch/dashboard and alerts tests.
+"""Result cache, query layer, watch/dashboard and alerts tests.
 
 The contracts under test:
 
-* :class:`ResultStore` honours the flat cache's get/put contract —
-  store-backed campaign runs, resume and aggregate reports are
-  byte-identical to flat-cache runs, corruption reads as a miss, and a
-  schema-version mismatch fails loudly;
-* ``store migrate`` ingests a flat cache verbatim (zero result diffs,
+* :class:`ResultCache` stores one row per config in
+  ``<root>/store.sqlite`` — campaign runs, resume and aggregate reports
+  are byte-identical to the recorded flat-JSON cache of an older build
+  (``tests/fixtures/flat_cache``), corruption reads as a miss, and a
+  schema-version mismatch or a non-database file fails loudly;
+* ``store migrate`` imports a flat cache verbatim (zero result diffs,
   payload text byte-identical) and marks rows no current-version probe
-  can reach as stale for ``store gc``;
+  can reach as stale or legacy for ``store gc``;
 * :class:`StoreQuery` filters (SQL JSON1 or the Python fallback)
   return identical, deterministically-ordered rows, and
   marginalisation feeds the reporting layer;
-* N concurrent writer processes lose no writes and agree with the flat
-  cache's ground-truth ``campaign_status``;
+* N concurrent writer processes lose no writes, and concurrent shards
+  agree with a serial run's ground-truth ``campaign_status``;
 * declarative alert rules parse/round-trip on the spec without
   changing its execution key, the engine fires each (rule, config)
   once, and webhook failures never raise;
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -46,7 +48,6 @@ from repro.experiments import RunConfig, run_config
 from repro.store import (
     AlertEngine,
     CampaignDashboard,
-    ResultStore,
     StoreQuery,
     evaluate_alerts,
     status_with_eta,
@@ -56,6 +57,9 @@ from repro.store.watch import format_watch_line
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 YIELD_SPEC = REPO_ROOT / "examples" / "campaigns" / "montecarlo_yield.json"
+#: The flat-JSON cache an older build wrote for YIELD_SPEC at fast
+#: fidelity (package version 1.0.0): one file per config.
+FLAT_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "flat_cache"
 
 
 def montecarlo_spec(count: int = 3, **extra) -> CampaignSpec:
@@ -74,9 +78,20 @@ def _aggregate_text(spec: CampaignSpec, cache) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
+def _flat_copy(tmp_path: Path) -> Path:
+    """A writable copy of the recorded flat cache."""
+    return Path(shutil.copytree(FLAT_FIXTURE, tmp_path / "flat"))
+
+
+def _imported_fixture(tmp_path: Path) -> ResultCache:
+    cache = ResultCache(tmp_path / "imported")
+    cache.import_flat_cache(FLAT_FIXTURE)
+    return cache
+
+
 class TestResultStoreContract:
     def test_round_trip_byte_identical(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         config = RunConfig.build("ext_montecarlo", "fast", {"seed": 3})
         assert store.get_config(config) is None
         result = run_config(RunConfig.build("ext_montecarlo", "fast",
@@ -88,30 +103,8 @@ class TestResultStoreContract:
         # Stable across repeated reads (same deserialisation path).
         assert store.get_config(config).render() == result.render()
 
-    def test_legacy_kwargs_interface(self, tmp_path):
-        store = ResultStore(tmp_path)
-        result = run_config(RunConfig.build("table1", "fast"))
-        store.put(result, {})
-        hit = store.get("table1", "fast", {})
-        assert hit is not None and hit.render() == result.render()
-        assert store.counts()["by_kind"] == {"legacy": 1}
-
-    def test_legacy_entry_promoted_to_canonical_key(self, tmp_path):
-        store = ResultStore(tmp_path)
-        result = run_config(RunConfig.build("ext_transistor_count", "fast"))
-        store.put(result, {})
-        config = RunConfig.build("ext_transistor_count", "fast")
-        assert store.get_config(config) is None
-        hit = store.get_config(config, legacy_params={})
-        assert hit is not None and hit.render() == result.render()
-        # Promotion wrote a canonical row; the next probe needs no
-        # legacy fallback and the legacy row is left in place.
-        assert store.get_config(config) is not None
-        assert store.counts()["by_kind"] == \
-            {"canonical": 1, "legacy": 1}
-
     def test_corrupt_payload_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         config = RunConfig.build("table1", "fast")
         result = run_config(RunConfig.build("table1", "fast"))
         entry = store.put_config(result, config)
@@ -122,17 +115,24 @@ class TestResultStoreContract:
         assert store.get_config(config) is None
 
     def test_schema_mismatch_fails_loudly(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         with store._lock:
             store._conn.execute(
                 "UPDATE store_meta SET value = '999' "
                 "WHERE key = 'schema'")
         store.close()
         with pytest.raises(AnalysisError, match="schema 999"):
-            ResultStore(tmp_path)
+            ResultCache(tmp_path)
+
+    def test_not_a_database_fails_loudly(self, tmp_path):
+        db = tmp_path / "store.sqlite"
+        db.write_bytes(b"not a sqlite file " * 64)
+        with pytest.raises(AnalysisError, match="move it aside") as err:
+            ResultCache(tmp_path)
+        assert str(db) in str(err.value)
 
     def test_path_for_config_names_db_and_entry(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         config = RunConfig.build("table1", "fast")
         where = store.path_for_config(config)
         assert str(store.db_path) in where
@@ -140,7 +140,7 @@ class TestResultStoreContract:
 
     def test_get_configs_aligns_with_serial_probes(self, tmp_path):
         spec = montecarlo_spec(4)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         configs = spec.expand()
         store.put_config(  # overwrite nothing, just ensure >0 rows
@@ -158,16 +158,20 @@ class TestResultStoreContract:
 
 class TestStoreCampaignIdentity:
     def test_store_backed_run_matches_flat_cache_bytes(self, tmp_path):
-        spec = montecarlo_spec(3)
-        flat = ResultCache(tmp_path / "flat")
-        store = ResultStore(tmp_path / "store")
-        CampaignRunner(spec, flat).run()
+        spec = CampaignSpec.load(YIELD_SPEC)
+        store = ResultCache(tmp_path / "store")
         CampaignRunner(spec, store).run()
+        flat = _imported_fixture(tmp_path)
         assert _aggregate_text(spec, store) == _aggregate_text(spec, flat)
+        # Every payload is byte-for-byte the file the flat writer left.
+        for config in spec.expand():
+            entry = store._entry_for_config(config)
+            assert store._payload_text(entry) == \
+                (FLAT_FIXTURE / entry).read_text()
 
     def test_store_is_the_resume_checkpoint(self, tmp_path):
         spec = montecarlo_spec(3)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         first = CampaignRunner(spec, store).run()
         assert (first.executed, first.skipped) == (3, 0)
         second = CampaignRunner(spec, store).run()
@@ -178,53 +182,50 @@ class TestStoreCampaignIdentity:
 
 class TestMigrate:
     def test_migrate_is_byte_identical(self, tmp_path):
-        spec = montecarlo_spec(3)
-        flat = ResultCache(tmp_path / "flat")
-        CampaignRunner(spec, flat).run()
-        flat.put(run_config(RunConfig.build("table1", "fast")), {})
-        store = ResultStore(tmp_path / "flat",
-                            db_path=tmp_path / "migrated.sqlite")
-        summary = store.migrate_from_cache(flat)
-        assert summary["scanned"] == 4
-        assert summary["migrated"] == 4
-        assert summary["legacy"] == 1
-        assert summary["skipped"] == 0
-        # Zero result diffs on the aggregate document...
-        assert _aggregate_text(spec, store) == _aggregate_text(spec, flat)
-        # ...because the payload text is stored verbatim.
-        for config in spec.expand():
-            file_text = flat.path_for_config(config).read_text()
-            entry = store._entry_for_config(config)
-            assert store._payload_text(entry) == file_text
+        spec = CampaignSpec.load(YIELD_SPEC)
+        flat = _flat_copy(tmp_path)
+        store = ResultCache(tmp_path / "store")
+        summary = store.import_flat_cache(flat)
+        assert summary == {"scanned": 6, "migrated": 6, "legacy": 0,
+                           "stale": 0, "skipped": 0}
+        # Every imported entry hits: the keys still match this build.
+        assert campaign_status(spec, store)["missing"] == 0
+        # The payload text is stored verbatim...
+        for path in sorted(flat.glob("*/*.json")):
+            entry = path.relative_to(flat).as_posix()
+            assert store._payload_text(entry) == path.read_text()
+        # ...so the report equals a fresh run's, byte for byte.
+        fresh = ResultCache(tmp_path / "fresh")
+        CampaignRunner(spec, fresh).run()
+        assert _aggregate_text(spec, store) == _aggregate_text(spec, fresh)
 
     def test_unreadable_files_are_skipped_not_raised(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        flat.put(run_config(RunConfig.build("table1", "fast")), {})
-        (flat.root / "table1" / "fast-deadbeef.json").write_text("{tor")
-        (flat.root / "table1" / "fast-beef.json").write_bytes(b"\xff\xfe")
-        store = ResultStore(tmp_path, db_path=tmp_path / "m.sqlite")
-        summary = store.migrate_from_cache(flat)
-        assert summary["scanned"] == 3
-        assert summary["migrated"] == 1
-        assert summary["skipped"] == 2
+        flat = _flat_copy(tmp_path)
+        (flat / "ext_yield" / "fast-deadbeef.json").write_text("{tor")
+        (flat / "ext_yield" / "fast-beef.json").write_bytes(b"\xff\xfe")
+        (flat / "ext_yield" / "fast-cafe.json").write_text("[1, 2]")
+        store = ResultCache(tmp_path, db_path=tmp_path / "m.sqlite")
+        summary = store.import_flat_cache(flat)
+        assert summary["scanned"] == 9
+        assert summary["migrated"] == 6
+        assert summary["skipped"] == 3
 
     def test_foreign_version_entries_go_stale_and_gc(self, tmp_path):
-        spec = montecarlo_spec(1)
-        flat = ResultCache(tmp_path)
-        CampaignRunner(spec, flat).run()
-        # Simulate an entry written by another package version: valid
-        # payload under a canonical-looking name with the wrong hash.
-        config = spec.expand()[0]
-        real = flat.path_for_config(config)
+        flat = _flat_copy(tmp_path)
+        # An entry written by another package version: valid payload
+        # under a canonical-looking name with the wrong hash.
+        real = sorted(flat.glob("ext_yield/*.json"))[0]
         foreign = real.with_name("fast-rc" + "0" * 16 + ".json")
         foreign.write_text(real.read_text())
-        store = ResultStore(tmp_path, db_path=tmp_path / "m.sqlite")
-        summary = store.migrate_from_cache(flat)
-        assert summary["migrated"] == 2
+        store = ResultCache(tmp_path, db_path=tmp_path / "m.sqlite")
+        summary = store.import_flat_cache(flat)
+        assert summary["migrated"] == 7
         assert summary["stale"] == 1
         # Stale rows never serve queries or probes...
-        assert len(StoreQuery(store, "ext_montecarlo").rows()) == 1
-        assert store.get_config(config) is not None
+        assert len(StoreQuery(store, "ext_yield").rows()) == 6
+        params = json.loads(real.read_text())["params"]
+        assert store.get_config(
+            RunConfig.build("ext_yield", "fast", params)) is not None
         # ...and gc reclaims them (dry run first, then for real).
         assert store.gc(dry_run=True) == \
             {"candidates": 1, "deleted": 0, "perf_candidates": 0,
@@ -233,19 +234,22 @@ class TestMigrate:
         assert store.counts()["stale"] == 0
 
     def test_gc_legacy_drops_kwargs_rows(self, tmp_path):
-        store = ResultStore(tmp_path)
-        result = run_config(RunConfig.build("table1", "fast"))
-        store.put(result, {})
-        store.put_config(result, RunConfig.build("table1", "fast"))
-        assert store.gc(legacy=True)["deleted"] == 1
-        assert store.counts()["by_kind"] == {"canonical": 1}
+        flat = _flat_copy(tmp_path)
+        # A pre-RunConfig entry: kwargs-hash file name, no "rc" prefix.
+        real = sorted(flat.glob("ext_yield/*.json"))[0]
+        real.rename(real.with_name("fast-0123456789abcdef.json"))
+        store = ResultCache(tmp_path, db_path=tmp_path / "m.sqlite")
+        assert store.import_flat_cache(flat)["legacy"] == 1
+        assert store.counts()["by_kind"] == {"canonical": 5, "legacy": 1}
+        assert store.gc()["deleted"] == 1
+        assert store.counts()["by_kind"] == {"canonical": 5}
 
 
 class TestStoreQuery:
     @pytest.fixture()
     def store(self, tmp_path):
         spec = montecarlo_spec(4)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         return store
 
@@ -317,10 +321,10 @@ class TestConcurrentWriters:
     _WORKER = """
 import sys
 from repro.experiments import RunConfig, run_config
-from repro.store import ResultStore
+from repro.exec.cache import ResultCache
 
 root, worker = sys.argv[1], int(sys.argv[2])
-store = ResultStore(root)
+store = ResultCache(root)
 result = run_config(RunConfig.build("ext_montecarlo", "fast",
                                     {{"seed": 1000 + worker}}))
 for k in range({per_proc}):
@@ -340,7 +344,7 @@ print(store.counts()["total"])
         for proc in procs:
             _out, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err.decode()
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         expected = self.N_PROCS * self.PER_PROC
         assert store.counts()["total"] == expected
         # Every row is individually readable (no torn payloads).
@@ -351,10 +355,10 @@ print(store.counts()["total"])
 
     def test_concurrent_shards_match_flat_ground_truth(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        store_dir, flat_dir = tmp_path / "store", tmp_path / "flat"
+        store_dir, serial_dir = tmp_path / "store", tmp_path / "serial"
         procs = [subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", "run",
-             str(YIELD_SPEC), "--store", "--shard", f"{i}/2",
+             str(YIELD_SPEC), "--shard", f"{i}/2",
              "--cache-dir", str(store_dir)],
             cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE) for i in (1, 2)]
@@ -363,19 +367,21 @@ print(store.counts()["total"])
             assert proc.returncode == 0, err.decode()
         serial = subprocess.run(
             [sys.executable, "-m", "repro", "campaign", "run",
-             str(YIELD_SPEC), "--cache-dir", str(flat_dir)],
+             str(YIELD_SPEC), "--cache-dir", str(serial_dir)],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=300)
         assert serial.returncode == 0, serial.stderr
         spec = CampaignSpec.load(YIELD_SPEC)
-        store_status = campaign_status(spec, ResultStore(store_dir),
+        store_status = campaign_status(spec, ResultCache(store_dir),
                                        n_shards=2)
-        flat_status = campaign_status(spec, ResultCache(flat_dir))
+        serial_status = campaign_status(spec, ResultCache(serial_dir))
         assert store_status["missing"] == 0
-        assert store_status["done"] == flat_status["done"]
-        # The acceptance criterion: byte-identical aggregate reports.
-        assert _aggregate_text(spec, ResultStore(store_dir)) == \
-            _aggregate_text(spec, ResultCache(flat_dir))
+        assert store_status["done"] == serial_status["done"]
+        # The acceptance criterion: byte-identical aggregate reports,
+        # against a serial run and against the recorded flat cache.
+        sharded = _aggregate_text(spec, ResultCache(store_dir))
+        assert sharded == _aggregate_text(spec, ResultCache(serial_dir))
+        assert sharded == _aggregate_text(spec, _imported_fixture(tmp_path))
 
 
 class TestAlertRules:
@@ -410,7 +416,7 @@ class TestAlertRules:
     def test_evaluate_and_engine_dedupe(self, tmp_path):
         spec = montecarlo_spec(
             2, alerts=[{"metric": "sigma_mV[row0]", "below": 1e6}])
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         alerts = evaluate_alerts(spec, collect_results(spec, store))
         assert len(alerts) == 2
@@ -442,7 +448,7 @@ class TestAlertRules:
                 {"metric": "sigma_mV[row0]", "below": 1e6,
                  "webhook": "http://127.0.0.1:1/unreachable"},
             ])
-            store = ResultStore(tmp_path)
+            store = ResultCache(tmp_path)
             CampaignRunner(spec, store).run()
             engine = AlertEngine(spec, store, hooks=[])
             outcome = engine.poll()    # the dead webhook must not raise
@@ -456,7 +462,7 @@ class TestAlertRules:
 class TestWatchAndDashboard:
     def test_status_with_eta_and_watch_line(self, tmp_path):
         spec = montecarlo_spec(3)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store, shard=(1, 2)).run()
         status = status_with_eta(spec, store)
         # The widest manifest partition drives the shard breakdown.
@@ -477,7 +483,7 @@ class TestWatchAndDashboard:
         # No shard has ever run: no manifests, no timings, no ETA —
         # the poll must still produce a complete, render-able document.
         spec = montecarlo_spec(3)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         status = status_with_eta(spec, store)
         assert status["missing"] == 3
         assert len(status["shards"]) == 1
@@ -498,7 +504,7 @@ class TestWatchAndDashboard:
         from repro.campaigns.runner import _ShardManifest
 
         spec = montecarlo_spec(2)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         for index in (1, 2):
             _ShardManifest(spec, store.root, (index, 2),
                            total=2, in_shard=1)
@@ -512,7 +518,7 @@ class TestWatchAndDashboard:
         # --max-polls 1 on an incomplete campaign: exactly one status
         # line, the final document still reports the misses.
         spec = montecarlo_spec(3)
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store, shard=(1, 3)).run()
         final = watch(spec, store, interval=0.0, max_polls=1,
                       stream=sys.stdout)
@@ -524,7 +530,7 @@ class TestWatchAndDashboard:
     def test_watch_polls_until_complete(self, tmp_path, capsys):
         spec = montecarlo_spec(
             2, alerts=[{"metric": "sigma_mV[row0]", "below": 1e6}])
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         final = watch(spec, store, interval=0.0, max_polls=3,
                       stream=sys.stdout)
@@ -537,7 +543,7 @@ class TestWatchAndDashboard:
     def test_dashboard_serves_json_endpoints(self, tmp_path):
         spec = montecarlo_spec(
             2, alerts=[{"metric": "sigma_mV[row0]", "below": 1e6}])
-        store = ResultStore(tmp_path)
+        store = ResultCache(tmp_path)
         CampaignRunner(spec, store).run()
         expected = results_document(spec, collect_results(spec, store))
         with CampaignDashboard(spec, store, hooks=[lambda a: None]) \
@@ -568,13 +574,16 @@ class TestWatchAndDashboard:
             assert err.value.code == 404
 
     def test_dashboard_works_over_flat_cache_too(self, tmp_path):
-        spec = montecarlo_spec(1)
-        cache = ResultCache(tmp_path)
-        CampaignRunner(spec, cache).run()
+        # A cache root an older build filled with flat JSON files is
+        # served once `store migrate` has imported it.
+        spec = CampaignSpec.load(YIELD_SPEC)
+        root = _flat_copy(tmp_path)
+        cache = ResultCache(root)
+        cache.import_flat_cache(root)
         with CampaignDashboard(spec, cache) as board:
             with urllib.request.urlopen(board.url + "/status",
                                         timeout=30) as response:
-                assert json.loads(response.read())["done"] == 1
+                assert json.loads(response.read())["done"] == 6
 
 
 class TestDashboardHttp:
@@ -622,38 +631,50 @@ class TestStoreCli:
         spec_path.write_text(json.dumps(montecarlo_spec(2).describe()))
         root = tmp_path / "cache"
         assert self._main(["campaign", "run", str(spec_path),
-                           "--cache-dir", str(root), "--store"]) == 0
+                           "--cache-dir", str(root)]) == 0
         assert (root / "store.sqlite").exists()
         assert not list(root.glob("ext_montecarlo/*.json"))
         capsys.readouterr()
         assert self._main(["campaign", "status", str(spec_path),
-                           "--cache-dir", str(root), "--store"]) == 0
+                           "--cache-dir", str(root)]) == 0
         assert "2/2 configs done" in capsys.readouterr().out
         assert self._main(["campaign", "watch", str(spec_path),
-                           "--cache-dir", str(root), "--store",
+                           "--cache-dir", str(root),
                            "--interval", "0", "--max-polls", "1",
                            "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["missing"] == 0
 
+    @pytest.mark.parametrize("command", ["run", "status", "report",
+                                         "watch", "dashboard"])
+    def test_campaign_has_no_backend_switch(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            self._main(["campaign", command, str(YIELD_SPEC), "--store"])
+        assert err.value.code == 2
+        assert "--store" in capsys.readouterr().err
+
+    def test_corrupt_database_is_an_error_line(self, tmp_path, capsys):
+        db = tmp_path / "store.sqlite"
+        db.write_bytes(b"not a sqlite file " * 64)
+        assert self._main(["campaign", "status", str(YIELD_SPEC),
+                           "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(db) in err
+
     def test_migrate_query_gc_round_trip(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(montecarlo_spec(2).describe()))
-        root = tmp_path / "cache"
-        assert self._main(["campaign", "run", str(spec_path),
-                           "--cache-dir", str(root)]) == 0
-        capsys.readouterr()
+        root = _flat_copy(tmp_path)
         assert self._main(["store", "migrate",
                            "--cache-dir", str(root)]) == 0
-        assert "2 migrated" in capsys.readouterr().out
-        assert self._main(["store", "query", "ext_montecarlo",
+        assert "6 migrated" in capsys.readouterr().out
+        assert self._main(["store", "query", "ext_yield",
                            "--cache-dir", str(root),
-                           "--where", "seed", "<", "1", "--json"]) == 0
+                           "--where", "seed", "<", "3200", "--json"]) == 0
         tidy = json.loads(capsys.readouterr().out)
-        assert tidy["count"] == 1
-        assert tidy["rows"][0]["params"]["seed"] == 0
-        assert self._main(["store", "query", "ext_montecarlo",
+        assert tidy["count"] == 2
+        assert sorted(r["params"]["seed"] for r in tidy["rows"]) == \
+            [2551, 3107]
+        assert self._main(["store", "query", "ext_yield",
                            "--cache-dir", str(root),
-                           "--figure", "sigma_mV[row0]", "seed"]) == 0
+                           "--figure", "pwm_yield", "seed"]) == 0
         assert "seed" in capsys.readouterr().out
         assert self._main(["store", "gc", "--cache-dir", str(root),
                            "--dry-run"]) == 0
