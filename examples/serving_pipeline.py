@@ -12,9 +12,11 @@ example walks the whole path the ``repro.serve`` subsystem provides:
 4. query ``/predict`` over HTTP (a whole batch in one request) and
    check the answers against the in-process batch inference engine;
 5. read back the server's ``/metrics`` counters;
-6. discover the experiment registry over ``GET /experiments`` and run
-   a schema-validated fast-fidelity experiment via
-   ``POST /experiments/<id>/run``.
+6. discover the experiment registry over ``GET /experiments``, read
+   one experiment's parameter schema from ``GET /experiments/<id>``
+   and print the ``python -m repro run`` command that runs it (the
+   server describes experiments; the CLI runs them into the result
+   cache).
 
 Run:  python examples/serving_pipeline.py
 """
@@ -93,17 +95,18 @@ def main() -> None:
                   f"mean batch {batcher['mean_batch_rows']} rows, "
                   f"mean latency {metrics['latency_ms_mean']} ms")
 
-            print("6. experiments as a served resource...")
+            print("6. experiments as a described resource...")
             status, schemas = http_json(server.url + "/experiments")
             print(f"   {schemas['count']} experiments discoverable "
                   "over GET /experiments — OK")
-            status, body = http_json(
-                server.url + "/experiments/ext_montecarlo/run",
-                {"params": {"seed": 21, "method": "vectorized"}})
-            assert status == 200, status
-            sigma = body["result"]["metrics"]["sigma_mV[row0]"]
-            print(f"   POST /experiments/ext_montecarlo/run (seed=21): "
-                  f"mismatch sigma {sigma:.2f} mV — OK")
+            status, spec = http_json(
+                server.url + "/experiments/ext_montecarlo")
+            assert status == 200 and spec["id"] == "ext_montecarlo", spec
+            params = ", ".join(p["name"] for p in spec["params"])
+            print(f"   GET /experiments/ext_montecarlo: {spec['title']} "
+                  f"(params: {params}) — OK")
+            print("   run it with: python -m repro run ext_montecarlo "
+                  "--seed 21 --method vectorized")
     print("serving pipeline complete")
 
 

@@ -85,8 +85,8 @@ Serving commands
     coalesces the rows read in one loop tick across connections
     (flushing at ``--max-batch`` rows) and shards slow-engine requests
     over ``--workers`` processes.  ``--campaign-dir`` names
-    the served campaign specs (default ``$REPRO_CAMPAIGN_DIR`` or
-    ``./campaigns``).
+    the campaign specs listed under ``/campaigns`` (default
+    ``$REPRO_CAMPAIGN_DIR`` or ``./campaigns``).
 """
 
 from __future__ import annotations
@@ -784,8 +784,7 @@ def _cmd_serve(args) -> int:
         campaign_dir=args.campaign_dir, workers=args.workers)
     known = ", ".join(m["name"] for m in store.list()) or "(store empty)"
     print(f"serving {server.url} — models: {known}", file=sys.stderr)
-    print("endpoints: POST /predict, POST /experiments/<id>/run, "
-          "POST /campaigns/<name>/run, GET /models /experiments "
+    print("endpoints: POST /predict, GET /models /experiments "
           "/engines /campaigns /healthz /metrics; Ctrl-C to stop",
           file=sys.stderr)
     server.run()

@@ -14,8 +14,9 @@ A campaign turns one registered experiment into a *population* of runs:
   metrics into one tidy table/JSON document that feeds
   :mod:`repro.reporting` for cross-config reports.
 
-Surfaces: ``python -m repro campaign run|status|report SPEC.json`` and
-the HTTP API's ``GET /campaigns`` / ``POST /campaigns/<name>/run``.
+Surfaces: ``python -m repro campaign run|status|report SPEC.json``,
+``campaign dashboard`` to watch one, and the serving API's
+``GET /campaigns`` listing.
 """
 
 from .results import (

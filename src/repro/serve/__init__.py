@@ -16,14 +16,15 @@ into something deployable:
     :class:`~repro.core.rc_model.RcBatchSolver`.
 ``repro.serve.scheduler``
     :class:`AsyncMicroBatcher` — the event-loop micro-batching request
-    scheduler (max batch size + max latency flush, rows coalesced
-    across connections) feeding the engine.
+    scheduler (flushes at the max batch size or at the end of the loop
+    tick, rows coalesced across connections) feeding the engine.
 ``repro.serve.server``
     :class:`ServingCore` — the HTTP-independent request handling
-    (validation, response/error shapes, experiment and campaign runs,
-    metrics) behind the JSON API (``/predict``, ``/models``,
-    ``/experiments``, ``/experiments/<id>/run``, ``/campaigns``,
-    ``/healthz``, ``/metrics``).
+    (validation, response/error shapes, metrics) behind the JSON API
+    (``/predict``, ``/models``, ``/experiments``, ``/engines``,
+    ``/campaigns``, ``/healthz``, ``/metrics``).  Experiments and
+    campaigns are described there, not run: ``python -m repro run``
+    and ``campaign run`` run them.
 ``repro.serve.aio_server``
     :class:`~repro.serve.aio_server.AsyncHttpServer` — the one
     HTTP/1.1 core (bind at construction, keep-alive, bounded parsing
@@ -48,6 +49,7 @@ from .aio_server import AsyncPerceptronServer
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     ModelStore,
+    NotFoundError,
     artifact_hash,
     deserialize_model,
     serialize_model,
@@ -55,7 +57,7 @@ from .artifacts import (
 from .engine import BatchInferenceEngine
 from .pool import EngineWorkerPool
 from .scheduler import AsyncMicroBatcher, BatchStats
-from .server import NotFoundError, ServingCore, ServingMetrics
+from .server import ServingCore, ServingMetrics
 
 __all__ = [
     "NotFoundError",

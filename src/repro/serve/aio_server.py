@@ -46,9 +46,6 @@ holds its request validation and response shapes):
   gauges refresh from an in-loop heartbeat; with telemetry enabled,
   each connection records a span (requests link to it via ``parent``)
   through the stack-free :meth:`repro.telemetry.trace.Tracer.record`.
-
-Experiment and campaign runs execute on the default thread executor —
-they are minutes-long CPU work that must not stall the predict path.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ from .server import (
 HEARTBEAT_INTERVAL = 0.25
 
 #: Largest accepted request body.  A 64-row ``/predict`` body is a few
-#: kilobytes; this leaves room for big batches and experiment overrides.
+#: kilobytes; this leaves room for big batches.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Longest wait for one request head or body.  A client that stalls
@@ -153,12 +150,10 @@ def _wants_prometheus(target: str, headers: Dict[str, str]) -> bool:
     return "text/plain" in accept or "openmetrics" in accept
 
 
-def _parse_body_json(body: bytes, *, required: bool) -> Any:
-    """Request body as JSON; ``{}`` when absent and optional."""
+def _parse_body_json(body: bytes) -> Any:
+    """Request body as JSON; an empty body is an error."""
     if not body:
-        if required:
-            raise AnalysisError("empty request body")
-        return {}
+        raise AnalysisError("empty request body")
     try:
         return json.loads(body)
     except json.JSONDecodeError as exc:
@@ -370,8 +365,9 @@ class AsyncHttpServer:
         raise NotImplementedError
 
     async def _run_blocking(self, fn, *args):
-        """Long synchronous work (experiments, store scans) goes to the
-        default thread executor so the loop keeps serving."""
+        """Blocking work (registry descriptions, store and directory
+        scans) goes to the default thread executor so the loop keeps
+        serving."""
         return await asyncio.get_running_loop().run_in_executor(
             None, partial(fn, *args))
 
@@ -583,35 +579,15 @@ class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
                     payload["batchers"] = self.batcher_metrics()
                     return 200, payload, 0
                 return "/metrics", metrics, None
-        elif method == "POST":
-            if path == "/predict":
-                raw: Dict[str, Any] = {"payload": None}
+        elif method == "POST" and path == "/predict":
+            raw: Dict[str, Any] = {"payload": None}
 
-                async def predict():
-                    raw["payload"] = _parse_body_json(body,
-                                                      required=True)
-                    result = await self.handle_predict_async(
-                        raw["payload"])
-                    return 200, result, result["count"]
-                return "/predict", predict, (
-                    lambda: predict_error_fields(raw["payload"]))
-            if path.startswith("/experiments/") and path.endswith("/run"):
-                experiment_id = path[len("/experiments/"):-len("/run")]
-
-                async def run_exp():
-                    payload = _parse_body_json(body, required=False)
-                    return 200, await self._run_blocking(
-                        self.handle_run_experiment, experiment_id,
-                        payload), 0
-                return "/experiments/run", run_exp, None
-            if path.startswith("/campaigns/") and path.endswith("/run"):
-                name = path[len("/campaigns/"):-len("/run")]
-
-                async def run_campaign():
-                    payload = _parse_body_json(body, required=False)
-                    return 200, await self._run_blocking(
-                        self.handle_run_campaign, name, payload), 0
-                return "/campaigns/run", run_campaign, None
+            async def predict():
+                raw["payload"] = _parse_body_json(body)
+                result = await self.handle_predict_async(raw["payload"])
+                return 200, result, result["count"]
+            return "/predict", predict, (
+                lambda: predict_error_fields(raw["payload"]))
 
         async def unknown():
             return 404, {"error": f"unknown endpoint {target}"}, 0

@@ -54,6 +54,10 @@ _UNHASHED_FIELDS = ("hash", "name", "created")
 PathLike = Union[str, Path]
 
 
+class NotFoundError(AnalysisError):
+    """A named resource (model, experiment, endpoint) does not exist."""
+
+
 # -- hashing ---------------------------------------------------------------
 
 def artifact_hash(doc: Dict[str, Any]) -> str:
@@ -334,7 +338,7 @@ class ModelStore:
         """Raw artifact document, hash-verified and schema-upgraded."""
         path = self.path_for(name)
         if not path.exists():
-            raise AnalysisError(f"no model {name!r} in {self.root}")
+            raise NotFoundError(f"no model {name!r} in {self.root}")
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""The serving JSON API for stored models, experiments and campaigns.
+"""The serving JSON API for stored models.
 
 JSON API (content type ``application/json`` throughout):
 
@@ -38,24 +38,13 @@ JSON API (content type ``application/json`` throughout):
 ``GET /experiments`` / ``GET /experiments/<id>``
     The self-describing experiment registry: typed parameter schemas
     straight from :func:`repro.experiments.describe`.
-``POST /experiments/<id>/run``
-    ``{"params": {...}, "fidelity": "fast"}`` (both optional) →
-    ``{"experiment_id", "config", "result", "cached"}``.  Parameters
-    are validated against the experiment's declared schema
-    (:meth:`~repro.experiments.spec.RunConfig.build`); the returned
-    ``result`` is the full :class:`ExperimentResult` JSON encoding
-    (loss-free — ``from_dict(result).render()`` reproduces the CLI
-    output).  Only fast fidelity is served; identical configs are
-    memoised per server process.
 ``GET /campaigns``
     Campaign specs found in the server's ``--campaign-dir`` (name,
     experiment, fidelity, expanded config count).
-``POST /campaigns/<name>/run``
-    Run a whole fast-fidelity campaign synchronously → the aggregated
-    tidy results document (:mod:`repro.campaigns.results`) plus a
-    rendered table.  Each config goes through the same per-process
-    memo as single experiment runs; paper-fidelity or oversized
-    campaigns are redirected to the sharded CLI.
+
+The server describes experiments and campaigns but does not run them:
+``python -m repro run`` and ``python -m repro campaign run`` do, into
+the result cache, and ``campaign dashboard`` watches a campaign.
 
 Each loaded model owns one micro-batcher, so predictions from
 concurrent requests against the same model coalesce into single
@@ -63,7 +52,7 @@ concurrent requests against the same model coalesce into single
 
 This module holds the HTTP-independent half of the server:
 :class:`ServingCore` — model loading, request validation, the
-prediction/error response shapes, experiment/campaign handling and
+prediction/error response shapes, the describing GET endpoints and
 metrics.  :class:`~repro.serve.aio_server.AsyncPerceptronServer` puts
 it on the asyncio HTTP core; ``python -m repro serve`` runs that.
 """
@@ -74,7 +63,6 @@ import json
 import math
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -83,17 +71,13 @@ from .. import telemetry
 from ..circuit.exceptions import AnalysisError, ConvergenceError
 from ..exec.batch import resolve_solver
 from ..telemetry.metrics import Registry
-from .artifacts import ModelStore, deserialize_model
+from .artifacts import ModelStore, NotFoundError, deserialize_model
 from .engine import (
     BatchInferenceEngine,
     model_decision_offset,
     model_n_features,
 )
 from .scheduler import AsyncMicroBatcher
-
-
-class NotFoundError(AnalysisError):
-    """A named resource (model, experiment, endpoint) does not exist."""
 
 
 class ServingMetrics:
@@ -199,10 +183,7 @@ def error_response(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     if isinstance(exc, NotFoundError):
         return 404, {"error": str(exc)}
     if isinstance(exc, AnalysisError):
-        # Unknown experiments/endpoints arrive as NotFoundError above;
-        # only the model store still signals absence by message.
-        message = str(exc)
-        return (404 if "no model" in message else 400), {"error": message}
+        return 400, {"error": str(exc)}
     if isinstance(exc, ConvergenceError):
         # Includes SingularMatrixError: the request was well-formed but
         # the circuit it asked for has no solution the solver can find.
@@ -263,14 +244,10 @@ class ServingCore:
     into the asyncio HTTP core; model access runs on its event loop.
     """
 
-    #: Most-recently-used experiment runs memoised per process.
-    experiment_memo_max = 128
-
-    #: Largest campaign servable over HTTP.  Must not exceed
-    #: ``experiment_memo_max``: a campaign bigger than the memo would
-    #: evict its own head while collecting, so the documented
-    #: "repeated runs replay instantly" would silently stop holding.
-    #: Bigger sweeps belong on the CLI (sharded, cached on disk).
+    #: Largest campaign ``GET /campaigns`` expands for an exact config
+    #: count.  Spec files are outside input: a bigger spec reports its
+    #: O(axes) declared bound instead, so a 10M-config file cannot cost
+    #: a full expansion on every listing request.
     campaign_config_max = 128
 
     def __init__(self, store: ModelStore, *, max_batch: int = 64,
@@ -284,13 +261,6 @@ class ServingCore:
         self.max_batch = max_batch
         self._models: Dict[str, _LoadedModel] = {}
         self._models_lock = threading.Lock()
-        # Experiment memo: identical validated configs replay without
-        # recomputation (RunConfig is frozen/hashable by design).
-        # LRU-bounded: the config space is unbounded (arbitrary seeds
-        # and grids), and each entry holds a full result document.
-        self._experiment_results: "OrderedDict[Any, Dict[str, Any]]" = \
-            OrderedDict()
-        self._experiments_lock = threading.Lock()
 
     # -- model access -----------------------------------------------------
 
@@ -425,7 +395,7 @@ class ServingCore:
             for key, gauge in gauges.items():
                 gauge.set(stats[key], model=name)
 
-    # -- experiments as a served resource ----------------------------------
+    # -- experiments, engines and campaigns, described --------------------
     #
     # The experiment registry is imported lazily: the serving layer
     # stays importable (and fast to start) without the experiment
@@ -450,71 +420,12 @@ class ServingCore:
         except AnalysisError as exc:
             raise NotFoundError(str(exc)) from None
 
-    def handle_run_experiment(self, experiment_id: str,
-                              payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one ``POST /experiments/<id>/run`` payload.
-
-        The body is config-validated against the experiment's declared
-        schema; bad parameters raise :class:`AnalysisError` (HTTP 400),
-        unknown experiments :class:`NotFoundError` (HTTP 404).
-        """
-        from ..experiments import RunConfig, get_spec, run_config
-
-        try:
-            get_spec(experiment_id)
-        except AnalysisError as exc:
-            raise NotFoundError(str(exc)) from None
-        if not isinstance(payload, dict):
-            raise AnalysisError("request body must be a JSON object")
-        extra = set(payload) - {"fidelity", "params"}
-        if extra:
-            raise AnalysisError(
-                f"unknown request field(s) {sorted(extra)}; "
-                "expected 'fidelity' and/or 'params'")
-        fidelity = payload.get("fidelity", "fast")
-        if fidelity != "fast":
-            raise AnalysisError(
-                f"only fidelity 'fast' is served over HTTP, got "
-                f"{fidelity!r}; run paper-fidelity campaigns through "
-                "the CLI (python -m repro run ...)")
-        params = payload.get("params")
-        if params is None:
-            params = {}
-        if not isinstance(params, dict):
-            raise AnalysisError("'params' must be a JSON object")
-        config = RunConfig.build(experiment_id, fidelity, params)
-        return self._memoised_run_config(config)
-
-    def _memoised_run_config(self, config) -> Dict[str, Any]:
-        """Run one validated config through the per-process LRU memo."""
-        from ..experiments import run_config
-
-        with self._experiments_lock:
-            memo = self._experiment_results.get(config)
-            if memo is not None:
-                self._experiment_results.move_to_end(config)
-                return memo
-        result = run_config(config)
-        response = {
-            "experiment_id": config.experiment_id,
-            "config": config.canonical_dict(),
-            "result": result.to_dict(),
-            "cached": False,
-        }
-        with self._experiments_lock:
-            self._experiment_results[config] = {**response, "cached": True}
-            while len(self._experiment_results) > self.experiment_memo_max:
-                self._experiment_results.popitem(last=False)
-        return response
-
-    # -- campaigns as a served resource -------------------------------------
-
     def list_campaigns(self) -> Dict[str, Any]:
         """``GET /campaigns``: specs found in the campaign directory.
 
         Config counts come from the O(axes) ``size_bound`` — a spec
         declaring millions of points must not cost a full expansion
-        per listing request.  Specs within the servable size cap are
+        per listing request.  Specs within ``campaign_config_max`` are
         expanded and report their exact (de-duplicated) count;
         anything over the cap reports the declared bound with
         ``n_configs_exact`` False.
@@ -527,6 +438,7 @@ class ServingCore:
             if isinstance(loaded, Exception):
                 entries.append({"file": path.name, "error": str(loaded)})
                 continue
+            names[loaded.name] = names.get(loaded.name, 0) + 1
             try:
                 # Expansion can fail where loading cannot (zip length
                 # mismatches, out-of-bounds sampled values); one bad
@@ -537,9 +449,6 @@ class ServingCore:
             except AnalysisError as exc:
                 entries.append({"name": loaded.name, "file": path.name,
                                 "error": str(exc)})
-                # Still counts toward name collisions: the run endpoint
-                # refuses duplicates whether or not the twin expands.
-                names[loaded.name] = names.get(loaded.name, 0) + 1
                 continue
             entries.append({
                 "name": loaded.name,
@@ -550,75 +459,8 @@ class ServingCore:
                 "axis_params": list(loaded.axis_params()),
                 "n_configs": n_configs,
                 "n_configs_exact": exact,
-                "servable": exact and loaded.fidelity == "fast",
             })
-            names[loaded.name] = names.get(loaded.name, 0) + 1
         for entry in entries:
             if names.get(entry.get("name", ""), 0) > 1:
                 entry["duplicate_name"] = True
         return {"count": len(entries), "campaigns": entries}
-
-    def handle_run_campaign(self, name: str,
-                            payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one ``POST /campaigns/<name>/run`` request synchronously.
-
-        Every config goes through the same per-process memo as
-        ``POST /experiments/<id>/run``, so repeated campaign runs (and
-        overlapping single-experiment requests) replay instantly.  Only
-        fast-fidelity specs are served; paper campaigns belong on the
-        CLI where they shard and persist.
-        """
-        from ..campaigns import (
-            find_campaigns,
-            results_document,
-            results_table,
-        )
-        from ..experiments.base import ExperimentResult
-
-        if not isinstance(payload, dict):
-            raise AnalysisError("request body must be a JSON object")
-        if payload:
-            raise AnalysisError(
-                f"campaign runs take no request fields, got "
-                f"{sorted(payload)} (parameters live in the spec file)")
-        matches = []
-        known = []
-        for path, loaded in find_campaigns(self.campaign_dir):
-            if isinstance(loaded, Exception):
-                continue
-            known.append(loaded.name)
-            if loaded.name == name:
-                matches.append((path, loaded))
-        if not matches:
-            raise NotFoundError(
-                f"unknown campaign {name!r}; available: {sorted(known)}")
-        if len(matches) > 1:
-            # Running "whichever file sorts last" would silently pick
-            # axes the client never saw — make the collision explicit.
-            raise AnalysisError(
-                f"campaign name {name!r} is declared by multiple spec "
-                f"files ({[p.name for p, _ in matches]}); rename one")
-        spec = matches[0][1]
-        if spec.fidelity != "fast":
-            raise AnalysisError(
-                f"only fast-fidelity campaigns are served over HTTP; "
-                f"{name!r} declares fidelity {spec.fidelity!r} — run it "
-                "through the CLI (python -m repro campaign run ...)")
-        bound = spec.size_bound()
-        if bound > self.campaign_config_max:
-            # Checked on the O(axes) bound *before* expanding: a huge
-            # spec must not cost the expansion it is being refused for.
-            raise AnalysisError(
-                f"campaign {name!r} declares {bound} configs, over the "
-                f"HTTP limit of {self.campaign_config_max}; run it "
-                "sharded through the CLI")
-        configs = spec.expand()
-        collected = []
-        for position, config in enumerate(configs):
-            response = self._memoised_run_config(config)
-            collected.append((position, config,
-                              ExperimentResult.from_dict(
-                                  response["result"])))
-        document = results_document(spec, collected)
-        document["table"] = results_table(spec, collected).render()
-        return document

@@ -526,15 +526,6 @@ class TestAioTransport:
                            ENGINE.margins(self.model, data.X[:3])):
             assert first != second
 
-    def test_experiment_run_over_aio(self):
-        status, raw = _raw(self.aio.host, self.aio.port, "POST",
-                           "/experiments/table1/run",
-                           json.dumps({"fidelity": "fast"}).encode())
-        body = json.loads(raw)
-        assert status == 200
-        assert body["experiment_id"] == "table1"
-        assert body["result"]["experiment_id"] == "table1"
-
     def test_workers_validation(self):
         with pytest.raises(AnalysisError):
             AsyncPerceptronServer(self.store, workers=-1)

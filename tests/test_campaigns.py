@@ -13,7 +13,7 @@ The contracts under test:
   must read as misses, never raise (the ResultCache regression net);
 * a campaign killed mid-run — a failing row write, or SIGKILL —
   resumes to a report byte-identical to an uninterrupted run;
-* the CLI and HTTP surfaces serve the same spec documents.
+* ``GET /campaigns`` lists the spec documents the CLI runs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import sqlite3
 import subprocess
 import sys
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -703,13 +702,6 @@ class TestHttpCampaigns:
         with urllib.request.urlopen(server.url + path, timeout=30) as r:
             return json.loads(r.read())
 
-    def _post(self, server, path, payload=b"{}"):
-        request = urllib.request.Request(
-            server.url + path, data=payload,
-            headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(request, timeout=120) as r:
-            return json.loads(r.read())
-
     def test_get_campaigns_lists_specs(self, server):
         doc = self._get(server, "/campaigns")
         names = {c["name"] for c in doc["campaigns"]}
@@ -718,27 +710,6 @@ class TestHttpCampaigns:
                            if c["name"] == "montecarlo-yield")
         assert yield_entry["n_configs"] == 6
         assert yield_entry["experiment"] == "ext_yield"
-
-    def test_run_campaign_returns_aggregate(self, server):
-        doc = self._post(server, "/campaigns/montecarlo-yield/run")
-        assert (doc["done"], doc["total"]) == (6, 6)
-        assert len(doc["rows"]) == 6
-        assert "pwm_yield" in doc["metrics"]
-        assert "campaign 'montecarlo-yield'" in doc["table"]
-        # Memoised: a second run replays the identical rows.
-        again = self._post(server, "/campaigns/montecarlo-yield/run")
-        assert again["rows"] == doc["rows"]
-
-    def test_unknown_campaign_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/campaigns/nope/run")
-        assert excinfo.value.code == 404
-
-    def test_request_fields_rejected(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/campaigns/montecarlo-yield/run",
-                       payload=b'{"fidelity": "paper"}')
-        assert excinfo.value.code == 400
 
     def test_no_campaign_dir_serves_empty_list(self, tmp_path):
         from repro.serve.artifacts import ModelStore
@@ -763,7 +734,7 @@ class TestHttpCampaigns:
         assert doc["count"] == 1
         assert "error" in doc["campaigns"][0]
 
-    def test_oversized_campaign_rejected_without_expansion(self, tmp_path):
+    def test_oversized_campaign_listed_without_expansion(self, tmp_path):
         from repro.serve.artifacts import ModelStore
         from repro.serve import AsyncPerceptronServer
 
@@ -783,18 +754,6 @@ class TestHttpCampaigns:
             entry = doc["campaigns"][0]
             assert entry["n_configs"] == 10_000_000
             assert entry["n_configs_exact"] is False
-            assert entry["servable"] is False
-            # Running it is refused before any config is built.
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post(srv, "/campaigns/huge/run")
-            assert excinfo.value.code == 400
-
-    def test_servable_cap_fits_the_memo(self):
-        from repro.serve import AsyncPerceptronServer
-
-        assert (AsyncPerceptronServer.campaign_config_max
-                <= AsyncPerceptronServer.experiment_memo_max), \
-            "a servable campaign must fit the memo or replay breaks"
 
     def test_expand_time_error_does_not_hide_valid_listings(self, tmp_path):
         from repro.serve.artifacts import ModelStore
@@ -831,8 +790,7 @@ class TestHttpCampaigns:
         camp_dir = tmp_path / "camps"
         camp_dir.mkdir()
         # Twin A expands fine; twin B only fails at expansion — the
-        # listing must still flag the collision the run endpoint will
-        # refuse.
+        # listing must still flag the collision.
         (camp_dir / "a.json").write_text(json.dumps({
             "name": "clash",
             "experiment": "ext_montecarlo",
@@ -850,12 +808,9 @@ class TestHttpCampaigns:
         with AsyncPerceptronServer(store, workers=0,
                                    campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
-            assert all(c.get("duplicate_name") for c in doc["campaigns"])
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post(srv, "/campaigns/clash/run")
-            assert excinfo.value.code == 400
+        assert all(c.get("duplicate_name") for c in doc["campaigns"])
 
-    def test_duplicate_campaign_names_flagged_and_refused(self, tmp_path):
+    def test_duplicate_campaign_names_flagged(self, tmp_path):
         from repro.serve.artifacts import ModelStore
         from repro.serve import AsyncPerceptronServer
 
@@ -871,9 +826,4 @@ class TestHttpCampaigns:
         with AsyncPerceptronServer(store, workers=0,
                                    campaign_dir=str(camp_dir)) as srv:
             doc = self._get(srv, "/campaigns")
-            assert all(c.get("duplicate_name") for c in doc["campaigns"])
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post(srv, "/campaigns/clash/run")
-            assert excinfo.value.code == 400
-            assert "multiple spec files" in json.loads(
-                excinfo.value.read())["error"]
+        assert all(c.get("duplicate_name") for c in doc["campaigns"])

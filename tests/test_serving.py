@@ -42,6 +42,7 @@ from repro.serve import (
     AsyncPerceptronServer,
     BatchInferenceEngine,
     ModelStore,
+    NotFoundError,
     deserialize_model,
     serialize_model,
 )
@@ -162,7 +163,7 @@ class TestArtifacts:
 
     def test_store_rejects_bad_names_and_misses(self, tmp_path):
         store = ModelStore(tmp_path)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(NotFoundError):
             store.load("missing")
         for bad in ("", "../escape", ".hidden"):
             with pytest.raises(AnalysisError):
@@ -375,7 +376,7 @@ class TestHttpServer:
 
 @pytest.mark.usefixtures("serving_stack")
 class TestExperimentEndpoints:
-    """Experiments join models as a served, self-describing resource."""
+    """Experiments are described over HTTP; the CLI runs them."""
 
     _get = TestHttpServer._get
     _post = TestHttpServer._post
@@ -396,79 +397,24 @@ class TestExperimentEndpoints:
         status, body = self._get("/experiments/fig99")
         assert status == 404 and "error" in body
 
-    def test_run_returns_rendered_equivalent_result(self):
-        from repro.experiments import (ExperimentResult, RunConfig,
-                                       run_config)
-
-        status, body = self._post("/experiments/table1/run", {})
-        assert status == 200
-        assert body["experiment_id"] == "table1"
-        assert body["config"]["fidelity"] == "fast"
-        served = ExperimentResult.from_dict(body["result"])
-        direct = run_config(RunConfig.build("table1", "fast"))
-        assert served.render() == direct.render()
-
-    def test_run_with_params_and_memoisation(self):
-        payload = {"params": {"seed": 21, "method": "vectorized"}}
-        status, first = self._post("/experiments/ext_montecarlo/run",
-                                   payload)
-        assert status == 200 and first["cached"] is False
-        assert first["config"]["params"]["seed"] == 21
-        status, second = self._post("/experiments/ext_montecarlo/run",
-                                    payload)
-        assert status == 200 and second["cached"] is True
-        assert second["result"] == first["result"]
-
-    def test_run_validation_errors(self):
-        cases = [
-            ("/experiments/fig99/run", {}, 404),
-            ("/experiments/ext_montecarlo/run",
-             {"params": {"trials": 10}}, 400),
-            ("/experiments/ext_montecarlo/run",
-             {"params": {"seed": "x"}}, 400),
-            ("/experiments/ext_montecarlo/run",
-             {"fidelity": "paper"}, 400),
-            ("/experiments/ext_montecarlo/run",
-             {"bogus": 1}, 400),
-            ("/experiments/ext_montecarlo/run",
-             {"params": [1, 2]}, 400),
-            # Falsy non-dict params are malformed too, not "defaults".
-            ("/experiments/ext_montecarlo/run",
-             {"params": 0}, 400),
-            ("/experiments/ext_montecarlo/run",
-             {"params": ""}, 400),
-            # fidelity must ride at the top level, never inside params
-            # (a silent drop here would ignore a requested fidelity).
-            ("/experiments/ext_montecarlo/run",
-             {"params": {"fidelity": "paper"}}, 400),
-        ]
-        for path, payload, expected in cases:
-            status, body = self._post(path, payload)
-            assert status == expected, (path, payload, body)
-            assert "error" in body
-
-    def test_experiment_memo_is_lru_bounded(self):
-        server = self.server
-        with server._experiments_lock:
-            server._experiment_results.clear()
-        original = server.experiment_memo_max
-        server.experiment_memo_max = 2
-        try:
-            for seed in (1, 2, 3):
-                self._post("/experiments/ext_sensitivity/run", {})
-                self._post("/experiments/ext_montecarlo/run",
-                           {"params": {"seed": seed}})
-            with server._experiments_lock:
-                assert len(server._experiment_results) == 2
-        finally:
-            server.experiment_memo_max = original
+    def test_removed_run_routes_404(self):
+        # Experiments run through the CLI, not the model server, so
+        # these paths are ordinary unknown endpoints.
+        before = self._get("/metrics")[1]["requests_total"]
+        for path in ("/experiments/table1/run",
+                     "/campaigns/montecarlo-yield/run"):
+            status, body = self._post(path, {})
+            assert status == 404
+            assert body == {"error": f"unknown endpoint {path}"}
+        after = self._get("/metrics")[1]["requests_total"]
+        assert after["unknown"] == before.get("unknown", 0) + 2
+        assert "/experiments/run" not in after
+        assert "/campaigns/run" not in after
 
     def test_experiment_metrics_labels(self):
         self._get("/experiments")
-        self._post("/experiments/table1/run", {})
         counters = self._get("/metrics")[1]["requests_total"]
         assert counters.get("/experiments", 0) >= 1
-        assert counters.get("/experiments/run", 0) >= 1
 
 
 def _post_predict(server, payload):
@@ -505,6 +451,26 @@ class TestModelHotReload:
                 status, body = _post_predict(server, {
                     "model": "m", "inputs": [[0.5, 0.5]], "vdd": bad})
                 assert status == 400 and "vdd" in body["error"], bad
+
+    def test_only_a_missing_artifact_is_a_404(self, tmp_path):
+        # Absence is a NotFoundError from the store, not the words
+        # "no model" somewhere in an error message.
+        store = ModelStore(tmp_path / "no models")
+        store.save("no model-b", _perceptron([3, 3], -3))
+        (store.root / "broken.json").write_text("{oops")
+        with AsyncPerceptronServer(store, workers=0) as server:
+            status, body = _post_predict(server, {
+                "model": "no model-b", "inputs": [[0.5]]})
+            assert status == 400 and "expects rows" in body["error"]
+            status, body = _post_predict(server, {
+                "model": "no model/x", "inputs": [[0.5, 0.5]]})
+            assert status == 400 and "invalid model name" in body["error"]
+            status, body = _post_predict(server, {
+                "model": "broken", "inputs": [[0.5, 0.5]]})
+            assert status == 400 and "corrupt artifact" in body["error"]
+            status, body = _post_predict(server, {
+                "model": "absent", "inputs": [[0.5, 0.5]]})
+            assert status == 404 and "no model 'absent'" in body["error"]
 
 
 class TestServingCli:
