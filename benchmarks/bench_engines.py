@@ -2,9 +2,9 @@
 
 Times the transistor-level (``spice``) supply sweep of the Fig. 2 cell
 at ``fidelity="paper"`` — the paper's 0.5–5 V grid, 150 steps/period —
-through the historical per-point shooting loop and through the stacked
-:class:`~repro.circuit.batch_transient.BatchTransientSolver` path,
-verifies the two agree bit for bit, and records the other engines'
+through scalar ``shooting`` of each point's bench and through the
+stacked :class:`~repro.circuit.batch_transient.BatchTransientSolver`
+path, verifies the two agree bit for bit, and records the other engines'
 timings on the same workload for the fidelity/speed ladder.  A second
 case times fig4's duty x Rout grid (fast fidelity) as per-point scalar
 shooting vs one ragged lock-step ``shooting_batch``, again checked bit
@@ -60,20 +60,27 @@ def bench_spice_sweep(quick: bool = False) -> dict:
     spice = get_engine("spice")
     design = CellDesign()
 
-    def sweep(batched: bool):
+    def per_point():
+        return {duty: np.array([shooting(
+            build_transcoding_inverter_bench(
+                duty, design=design, vdd=v, frequency=FREQUENCY,
+                input_amplitude=v, rout=ROUT),
+            1.0 / FREQUENCY, observe=["out"],
+            steps_per_period=steps).average("out") for v in vdd_grid])
+            for duty in DUTIES}
+
+    def batched():
         return {duty: spice.sweep_supply(
             design,
             CellStimulus(duty=duty, frequency=FREQUENCY, rout=ROUT),
-            vdd_grid, steps_per_period=steps, batched=batched)
+            vdd_grid, steps_per_period=steps)
             for duty in DUTIES}
 
-    # Warm both paths once (imports, caches) before timing.
+    # Warm the batched path once (imports, caches) before timing.
     spice.sweep_supply(design, CellStimulus(duty=0.5, rout=ROUT),
                        vdd_grid[:2], steps_per_period=steps)
-    t_loop, loop = best_of_with_result(lambda: sweep(batched=False),
-                                       repeats)
-    t_batch, batch = best_of_with_result(lambda: sweep(batched=True),
-                                         repeats)
+    t_loop, loop = best_of_with_result(per_point, repeats)
+    t_batch, batch = best_of_with_result(batched, repeats)
     identical = all(np.array_equal(loop[d], batch[d]) for d in DUTIES)
     return {
         "workload": "fig6/fig7 spice supply sweep",

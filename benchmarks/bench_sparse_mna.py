@@ -4,7 +4,7 @@ Four workloads:
 
 * the supply-ramp **waveform family** of ``ext_dynamic_supply`` — one
   lock-step :class:`~repro.circuit.batch_transient.BatchTransientSolver`
-  run vs the historical per-ramp transient loop (bit-identical);
+  run vs one scalar ``transient`` per ramp (bit-identical);
 * the full-perceptron **shooting Jacobian** — the 62-transistor Fig. 1
   netlist's PSS with its seven finite-difference probes stacked into one
   8-point batch vs the scalar probe loop (bit-identical);
@@ -38,6 +38,7 @@ from repro.circuit.sparse import HAS_SCIPY, SPARSE_MIN_SIZE
 from repro.core.full_perceptron import build_full_perceptron_circuit
 from repro.experiments.ext_dynamic_supply import (
     FREQUENCY,
+    IC_OUT,
     RAMP_TARGETS,
     _build,
     _run_family,
@@ -66,16 +67,18 @@ def bench_ramp_family(quick: bool = False) -> dict:
     t_ramp = n_windows * periods_per_window * period
     dt = period / 40
 
-    def run(batched: bool):
-        circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
-        return _run_family(circuits, t_ramp, dt, batched=batched,
-                           solver="auto")
+    def per_ramp():
+        return [transient(_build(t_ramp, v_end), t_ramp, dt,
+                          ic={"out": IC_OUT}, uic=True)
+                for v_end in RAMP_TARGETS]
 
-    run(batched=True)  # warm caches before timing
-    t_loop, loop = best_of_with_result(lambda: run(batched=False),
-                                       repeats)
-    t_batch, batch = best_of_with_result(lambda: run(batched=True),
-                                         repeats)
+    def batched():
+        circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
+        return _run_family(circuits, t_ramp, dt, solver="auto")
+
+    batched()  # warm caches before timing
+    t_loop, loop = best_of_with_result(per_ramp, repeats)
+    t_batch, batch = best_of_with_result(batched, repeats)
     identical = all(np.array_equal(s.X, b.X) and np.array_equal(s.t, b.t)
                     for s, b in zip(loop, batch))
     return {

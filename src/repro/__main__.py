@@ -57,11 +57,6 @@ Commands
 
 Execution flags (``run`` and ``all``)
 -------------------------------------
-``--jobs N``
-    Evaluate sweep/Monte-Carlo points on an ``N``-worker process pool
-    (``-1`` = one per CPU).  Installed as the session default executor,
-    so every experiment inherits it; results are identical to serial
-    runs, just faster.
 ``--no-cache`` / ``--cache-dir DIR``
     Paper-fidelity runs are cached in ``<cache-root>/store.sqlite``
     keyed by the canonical :class:`~repro.experiments.spec.RunConfig`
@@ -113,29 +108,7 @@ def _export(result, csv_dir: "Path | None") -> None:
         figure_to_csv(figure, csv_dir / f"{figure.figure_id}.csv")
 
 
-def _jobs_count(text: str) -> int:
-    """argparse type for ``--jobs``: an int that is ``-1`` or ``>= 1``.
-
-    ``0`` and anything below ``-1`` used to surface later as a confusing
-    process-pool failure; reject them at the parser with a clear message.
-    """
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid jobs count {text!r} (expected an integer)")
-    if jobs == 0 or jobs < -1:
-        raise argparse.ArgumentTypeError(
-            f"invalid jobs count {jobs}: use -1 for one worker per CPU "
-            "or a positive worker count")
-    return jobs
-
-
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_jobs_count, default=None,
-                        metavar="N",
-                        help="process-pool workers for sweep/Monte-Carlo "
-                             "points (-1 = one per CPU; default serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -196,7 +169,7 @@ def _finish_telemetry() -> None:
 #: dests already taken by the run-command plumbing; a experiment schema
 #: may never collide with these (guarded at parser-build time).
 _RESERVED_DESTS = {"command", "experiment_id", "fidelity", "help",
-                   "no_charts", "csv", "jobs", "no_cache", "cache_dir",
+                   "no_charts", "csv", "no_cache", "cache_dir",
                    "report", "set", "telemetry", "trace_out"}
 
 
@@ -258,7 +231,7 @@ def _resolve_cache(args) -> "ResultCache | None":
     return None
 
 
-def _run_cached(config: RunConfig, jobs, cache):
+def _run_cached(config: RunConfig, cache):
     """Run one config, announcing cache hits on stderr.
 
     The notice keeps stale replays distinguishable from fresh runs
@@ -272,7 +245,7 @@ def _run_cached(config: RunConfig, jobs, cache):
                   f"{cache.path_for_config(config)} "
                   "(use --no-cache to recompute)", file=sys.stderr)
             return hit
-    return run_config(config, jobs=jobs, cache=cache)
+    return run_config(config, cache=cache)
 
 
 def _parse_overrides(parser: argparse.ArgumentParser,
@@ -334,7 +307,7 @@ def _cmd_campaign(args) -> int:
 
     if args.campaign_command == "run":
         shard = parse_shard(args.shard) if args.shard else (1, 1)
-        runner = CampaignRunner(spec, cache, jobs=args.jobs, shard=shard)
+        runner = CampaignRunner(spec, cache, shard=shard)
 
         def progress(entry, fresh: bool) -> None:
             verb = "ran" if fresh else "hit"
@@ -839,7 +812,7 @@ def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
         spec = get_spec(args.experiment_id)
         config = RunConfig.build(spec.id, args.fidelity,
                                  _explicit_params(args, spec))
-        result = _run_cached(config, args.jobs, cache)
+        result = _run_cached(config, cache)
         print(result.render(charts=not args.no_charts))
         _export(result, args.csv)
         if result.profile is not None:
@@ -853,7 +826,7 @@ def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
     results = {}
     for eid in SPECS:
         config = RunConfig.build(eid, args.fidelity, overrides.get(eid))
-        result = _run_cached(config, args.jobs, cache)
+        result = _run_cached(config, cache)
         results[eid] = result
         print(result.render(charts=False))
         print()
@@ -944,11 +917,6 @@ def main(argv: "list[str] | None" = None) -> int:
                                "config hash, so N processes with "
                                "distinct I cover the campaign exactly "
                                "once; default 1/1)")
-    camp_run.add_argument("--jobs", type=_jobs_count, default=None,
-                          metavar="N",
-                          help="process-pool workers for the points "
-                               "inside each experiment (-1 = one per "
-                               "CPU; default serial)")
     _add_telemetry_flags(camp_run)
 
     camp_status = camp_sub.add_parser(

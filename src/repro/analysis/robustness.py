@@ -5,13 +5,10 @@ drawn per trial and applied to the switch-level engine through its
 ``cell_overrides`` hook; the resulting adder-output error distribution
 quantifies the paper's remark that its errors remain "affordable".
 
-Three execution paths produce the same campaign (equivalence is pinned
+Two execution paths produce the same campaign (equivalence is pinned
 by ``tests/test_exec_engine.py``):
 
-* ``method="loop"`` with the default executor — the reference
-  one-solve-per-trial path;
-* ``method="loop"`` with a process pool — identical records (sampling
-  happens up front in the parent process, solves are pure);
+* ``method="loop"`` — the reference one-solve-per-trial path;
 * ``method="vectorized"`` (the ``"auto"`` default) — one batched numpy
   solve for all trials via :mod:`repro.exec.batch`, drawing the same
   random numbers and agreeing to float-reassociation tolerance.
@@ -35,7 +32,6 @@ from ..exec.batch import (
     resolve_monte_carlo_method,
     sample_adder_mismatch,
 )
-from ..exec.executor import get_default_executor
 from ..tech.corners import CORNER_NAMES, MonteCarloSampler, corner
 
 
@@ -51,13 +47,6 @@ class MonteCarloStats:
 
     def percentile(self, q: float) -> float:
         return float(np.percentile(np.abs(self.errors), q))
-
-
-def _solve_legs(payload) -> float:
-    """Solve one trial's leg set (top-level, hence process-pool safe)."""
-    legs, cout, period, vdd = payload
-    solver = RcSwitchSolver(legs, cout=cout, period=period, vdd=vdd)
-    return solver.solve().average_voltage()
 
 
 def _mismatch_overrides(cfg, sampler: MonteCarloSampler) -> Dict[int, CellDesign]:
@@ -80,8 +69,7 @@ def adder_monte_carlo(adder: WeightedAdder, duties: Sequence[float],
                       seed: Optional[int] = None,
                       sampler: Optional[MonteCarloSampler] = None,
                       vdd: Optional[float] = None,
-                      method: str = "auto",
-                      executor=None) -> MonteCarloStats:
+                      method: str = "auto") -> MonteCarloStats:
     """Distribution of the adder error under per-cell device mismatch.
 
     The error is measured against the *nominal RC-engine* output (not
@@ -89,9 +77,8 @@ def adder_monte_carlo(adder: WeightedAdder, duties: Sequence[float],
 
     ``method`` selects the execution path: ``"vectorized"`` (one batched
     numpy solve, the ``"auto"`` default) or ``"loop"`` (one solve per
-    trial, distributed over ``executor`` — serial by default, a process
-    pool under the CLI's ``--jobs N``).  Both consume the sampler's RNG
-    identically, so campaigns agree across paths for a fixed seed.
+    trial, in process).  Both consume the sampler's RNG identically, so
+    campaigns agree across paths for a fixed seed.
     """
     if n_trials < 1:
         raise AnalysisError("need at least one trial")
@@ -111,14 +98,14 @@ def adder_monte_carlo(adder: WeightedAdder, duties: Sequence[float],
                                     supply).value
         arr = values - nominal
     else:
-        executor = executor or get_default_executor()
-        payloads = []
+        values = []
         for _ in range(n_trials):
             overrides = _mismatch_overrides(cfg, sampler)
             legs = adder.rc_legs(duties, weights, vdd=supply,
                                  cell_overrides=overrides)
-            payloads.append((tuple(legs), cfg.cout, cfg.period, supply))
-        values = executor.map(_solve_legs, payloads)
+            solver = RcSwitchSolver(legs, cout=cfg.cout,
+                                    period=cfg.period, vdd=supply)
+            values.append(solver.solve().average_voltage())
         arr = np.asarray([v - nominal for v in values])
     return MonteCarloStats(
         n_trials=n_trials,

@@ -9,12 +9,11 @@ on, and the strongest single-figure summary of the paper's robustness
 story.
 
 Execution mirrors :func:`repro.analysis.robustness.adder_monte_carlo`:
-``method="loop"`` is the reference per-part path (optionally spread
-over a process pool — identical results, since all RNG consumption
-happens up front in the parent process), ``method="vectorized"`` (the
-``"auto"`` default) batches all parts per dataset sample through
-:class:`~repro.core.rc_model.RcBatchSolver` and agrees with the loop to
-float tolerance while drawing the same random numbers.
+``method="loop"`` is the reference in-order per-part path;
+``method="vectorized"`` (the ``"auto"`` default) batches all parts per
+dataset sample through :class:`~repro.core.rc_model.RcBatchSolver` and
+agrees with the loop to float tolerance while drawing the same random
+numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ..exec.batch import (
     leg_resistance_arrays,
     sample_adder_mismatch,
 )
-from ..exec.executor import get_default_executor
 from ..tech.corners import MonteCarloSampler
 from .datasets import Dataset
 
@@ -65,23 +63,6 @@ def _mismatched_overrides(config, sampler: MonteCarloSampler) -> Dict[int, CellD
     return overrides
 
 
-def _part_accuracy(payload) -> float:
-    """Classify one part over the dataset (top-level, process-pool safe)."""
-    (perceptron, pos_overrides, neg_overrides, X, y, vdds) = payload
-    hits = 0
-    for x, label, vdd in zip(X, y, vdds):
-        duties = list(x) + [1.0]
-        pos = perceptron.pos_adder.evaluate(
-            duties, perceptron._pos_weights, engine="rc", vdd=vdd,
-            cell_overrides=pos_overrides)
-        neg = perceptron.neg_adder.evaluate(
-            duties, perceptron._neg_weights, engine="rc", vdd=vdd,
-            cell_overrides=neg_overrides)
-        prediction = int(perceptron.comparator.compare(pos.value, neg.value))
-        hits += int(prediction == int(label))
-    return hits / len(y)
-
-
 def _plain_differential(comparator) -> bool:
     """True when the decision reduces to ``(pos - neg) > offset``."""
     return (type(comparator) is DifferentialComparator
@@ -93,8 +74,7 @@ def perceptron_yield(perceptron: DifferentialPwmPerceptron,
                      vdd_sampler: Optional[Callable[[], float]] = None,
                      accuracy_threshold: float = 0.95,
                      seed: Optional[int] = None,
-                     method: str = "auto",
-                     executor=None) -> YieldResult:
+                     method: str = "auto") -> YieldResult:
     """Monte-Carlo yield of a differential PWM perceptron.
 
     Each simulated *part* draws fresh mismatch for both cell banks; each
@@ -104,9 +84,8 @@ def perceptron_yield(perceptron: DifferentialPwmPerceptron,
 
     ``method="vectorized"`` (the ``"auto"`` default) solves all parts at
     once per dataset sample; ``method="loop"`` runs the reference
-    per-part evaluation, distributed over ``executor``.  A comparator
-    with hysteresis is stateful across classifications, so it forces the
-    in-order loop path.
+    in-order per-part evaluation.  A comparator with hysteresis is
+    stateful across classifications, so it forces the loop path.
     """
     if n_parts < 1:
         raise AnalysisError("need at least one part")
@@ -119,14 +98,12 @@ def perceptron_yield(perceptron: DifferentialPwmPerceptron,
     n_samples = len(dataset)
     nominal_vdd = float(config.vdd)
 
-    if not _plain_differential(perceptron.comparator):
-        # Hysteresis carries state from one compare to the next: only
-        # the strictly-in-order scalar path reproduces it.
-        accuracies = _yield_loop_stateful(perceptron, dataset, n_parts,
-                                          vdd_sampler, sampler)
-        return _summarise(accuracies, n_parts, accuracy_threshold)
-
-    if method in ("auto", "vectorized"):
+    # Hysteresis carries state from one compare to the next: only the
+    # strictly-in-order loop reproduces it.
+    if method == "loop" or not _plain_differential(perceptron.comparator):
+        accuracies = _yield_loop(perceptron, dataset, n_parts,
+                                 vdd_sampler, sampler)
+    else:
         mismatch_pos, mismatch_neg = sample_adder_mismatch(
             sampler, config, n_parts, banks=2)
         vdds = _draw_vdds(vdd_sampler, n_parts, n_samples, nominal_vdd)
@@ -148,17 +125,6 @@ def perceptron_yield(perceptron: DifferentialPwmPerceptron,
             predictions = ((pos - neg) > offset).astype(int)
             hits += predictions == int(dataset.y[s])
         accuracies = list(hits / n_samples)
-    else:
-        executor = executor or get_default_executor()
-        payloads = []
-        for _part in range(n_parts):
-            pos_overrides = _mismatched_overrides(config, sampler)
-            neg_overrides = _mismatched_overrides(config, sampler)
-            vdds = [float(vdd_sampler()) if vdd_sampler else None
-                    for _ in range(n_samples)]
-            payloads.append((perceptron, pos_overrides, neg_overrides,
-                             dataset.X, dataset.y, vdds))
-        accuracies = executor.map(_part_accuracy, payloads)
     return _summarise(accuracies, n_parts, accuracy_threshold)
 
 
@@ -171,9 +137,10 @@ def _draw_vdds(vdd_sampler, n_parts: int, n_samples: int,
                      for _ in range(n_parts)])
 
 
-def _yield_loop_stateful(perceptron, dataset, n_parts, vdd_sampler,
-                         sampler) -> "List[float]":
-    """Strictly-serial reference path sharing the stateful comparator."""
+def _yield_loop(perceptron, dataset, n_parts, vdd_sampler,
+                sampler) -> "List[float]":
+    """Strictly-serial reference path; the only one that reproduces a
+    stateful (hysteresis) comparator."""
     config = perceptron.config
     accuracies: List[float] = []
     for _part in range(n_parts):

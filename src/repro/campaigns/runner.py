@@ -100,14 +100,13 @@ class CampaignRunner:
     """Execute one campaign shard through the experiment engine.
 
     ``shard`` is the CLI-facing 1-based ``(index, count)`` pair;
-    ``(1, 1)`` (the default) runs the whole campaign.  ``jobs`` is
-    forwarded to :func:`run_config` per config (the executor pool is
-    for points *within* an experiment; shard processes are the
-    between-config parallelism).
+    ``(1, 1)`` (the default) runs the whole campaign.  Each config runs
+    in-process through :func:`run_config`; shards are the way to
+    parallelise a campaign — launch ``N`` processes with distinct
+    ``--shard i/N``.
     """
 
     def __init__(self, spec: CampaignSpec, cache: ResultCache, *,
-                 jobs: Optional[int] = None,
                  shard: Tuple[int, int] = (1, 1)):
         index, count = shard
         if not (1 <= index <= count):
@@ -115,7 +114,6 @@ class CampaignRunner:
                 f"invalid shard {index}/{count}: need 1 <= index <= count")
         self.spec = spec
         self.cache = cache
-        self.jobs = jobs
         self.shard = (index, count)
         self.configs = spec.expand()
 
@@ -160,8 +158,7 @@ class CampaignRunner:
             fresh = not entry.cached
             t0 = time.perf_counter()
             if fresh:
-                result = run_config(entry.config, jobs=self.jobs,
-                                    cache=self.cache)
+                result = run_config(entry.config, cache=self.cache)
                 executed += 1
                 profile = getattr(result, "profile", None)
                 if profile is not None:

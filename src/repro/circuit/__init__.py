@@ -67,7 +67,6 @@ from .netlist import Circuit, SubCircuit
 from .pss import PssResult, settle_average, shooting
 from .sparse import HAS_SCIPY, SOLVERS, check_solver, choose_backend
 from .spice_export import to_spice, write_spice
-from .sweep import SweepResult, run_sweep, sweep, sweep1d
 from .transient import TransientResult, transient
 from .units import format_quantity, parse_quantity
 from .waveform import Waveform, concatenate
@@ -88,7 +87,6 @@ __all__ = [
     "BatchPssResult", "shooting_jacobian_batched",
     "shooting", "settle_average", "PssResult",
     "HAS_SCIPY", "SOLVERS", "check_solver", "choose_backend",
-    "sweep", "sweep1d", "run_sweep", "SweepResult",
     "to_spice", "write_spice",
     # measurements
     "Waveform", "concatenate", "flatness", "linear_fit",

@@ -859,7 +859,7 @@ class BatchPssResult:
 
     Every reduction mirrors :class:`~repro.circuit.pss.PssResult`, one
     value per point; :meth:`point` recovers a scalar result object.
-    Waves are stored per point (``(t, X)`` pairs): points differ in
+    Waves are stored per point (``(t, X, halvings)``): points differ in
     period and step count, and one point's step halvings refine only its
     own time grid.
     """
@@ -869,7 +869,7 @@ class BatchPssResult:
                  residuals: np.ndarray):
         self.circuits = circuits
         self.periods = periods          # (P,)
-        self._waves = waves             # per point: (t (T,), X (T, S))
+        self._waves = waves             # per point: (t, X, halvings)
         self.iterations = iterations    # (P,)
         self.residuals = residuals      # (P,)
 
@@ -879,7 +879,7 @@ class BatchPssResult:
 
     def _reduce(self, node: str, reduction: str) -> np.ndarray:
         out = np.zeros(self.n_points)
-        for p, (t, X) in enumerate(self._waves):
+        for p, (t, X, _) in enumerate(self._waves):
             idx = self.circuits[p].node_index(node)
             if idx >= 0:
                 out[p] = getattr(Waveform(t, X[:, idx]), reduction)()
@@ -893,8 +893,8 @@ class BatchPssResult:
         return self._reduce(node, "peak_to_peak")
 
     def point(self, p: int) -> PssResult:
-        t, X = self._waves[p]
-        waves = TransientResult(self.circuits[p], t, X)
+        t, X, halvings = self._waves[p]
+        waves = TransientResult(self.circuits[p], t, X, halvings)
         return PssResult(self.circuits[p], float(self.periods[p]), waves,
                          int(self.iterations[p]),
                          float(self.residuals[p]))
@@ -1003,7 +1003,7 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
             done = res < tol
             for i in np.nonzero(done)[0]:
                 lane = run.point(i * width)
-                waves[idx[open_[i]]] = (lane.t, lane.X)
+                waves[idx[open_[i]]] = (lane.t, lane.X, lane.halvings)
             iterations[idx[open_[done]]] = iteration
             keep = np.nonzero(~done)[0]
             if keep.size == 0:

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from .. import telemetry
 from ..circuit.elements.passives import Capacitor
 from ..circuit.elements.sources import PwmVoltage, Vdc, VProfile
 from ..circuit.exceptions import AnalysisError
 from ..circuit.netlist import Circuit
-from ..circuit.pss import PssResult, shooting
+from ..circuit.pss import PssResult
 from ..tech.mosfet_models import on_resistance
 from .behavioral import BehavioralAdder, CalibrationModel, eq2_output
 from .cells import CellDesign, and_cell_subckt
@@ -42,21 +40,15 @@ def adder_pss(circuits: Sequence[Circuit], period, *,
     stacks every point's base period run and finite-difference probes
     into one lock-step solve per netlist structure; each result is
     bit-identical to scalar :func:`~repro.circuit.pss.shooting`
-    (pinned by the equivalence tests).  Circuits the batch layer cannot
-    model (inductors, switches) fall back to the scalar engine.
+    (pinned by the equivalence tests).  Adder and perceptron netlists
+    hold only MOSFETs, passives and sources, which the batch layer
+    models.
     """
     from ..circuit.batch_transient import shooting_batch
 
-    try:
-        batch = shooting_batch(circuits, period, observe=observe,
-                               steps_per_period=steps_per_period,
-                               solver=solver)
-    except AnalysisError:
-        n = len(circuits)
-        return [shooting(c, float(T), observe=observe,
-                         steps_per_period=int(k), solver=solver)
-                for c, T, k in zip(circuits, np.broadcast_to(period, n),
-                                   np.broadcast_to(steps_per_period, n))]
+    batch = shooting_batch(circuits, period, observe=observe,
+                           steps_per_period=steps_per_period,
+                           solver=solver)
     return [batch.point(p) for p in range(batch.n_points)]
 
 

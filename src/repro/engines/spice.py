@@ -22,7 +22,6 @@ from ..circuit.batch_transient import shooting_batch
 from ..circuit.netlist import Circuit
 from ..circuit.pss import shooting
 from ..core.cells import CellDesign, build_transcoding_inverter_bench
-from ..exec.executor import get_default_executor
 from ..tech.corners import MonteCarloSampler
 from .base import CellStimulus, Engine, EngineCapabilities, engine
 
@@ -51,15 +50,6 @@ def _bench(design: CellDesign, stimulus: CellStimulus, *,
         input_amplitude=vdd, rout=stimulus.rout)
 
 
-def _measure_scalar(payload: "tuple") -> float:
-    """One scalar PSS point (top-level: process-pool safe)."""
-    design, stimulus, vdd, steps, solver = payload
-    pss = shooting(_bench(design, stimulus, vdd=vdd),
-                   1.0 / stimulus.frequency, observe=["out"],
-                   steps_per_period=steps, solver=solver)
-    return pss.average("out")
-
-
 @engine("spice", title="Transistor-level MNA shooting PSS")
 class SpiceEngine(Engine):
     """Level-1 MOSFET netlist solved to periodic steady state.
@@ -73,8 +63,10 @@ class SpiceEngine(Engine):
                  steps_per_period: int = DEFAULT_STEPS,
                  solver: str = "auto",
                  **options: Any) -> float:
-        return _measure_scalar((design, stimulus, stimulus.vdd,
-                                steps_per_period, solver))
+        pss = shooting(_bench(design, stimulus, vdd=stimulus.vdd),
+                       1.0 / stimulus.frequency, observe=["out"],
+                       steps_per_period=steps_per_period, solver=solver)
+        return pss.average("out")
 
     def sweep_supply(self, design: CellDesign, stimulus: CellStimulus,
                      vdd_values: Sequence[float],
@@ -87,39 +79,24 @@ class SpiceEngine(Engine):
                    stimuli: Sequence[CellStimulus],
                    vdd_values: Sequence[float], *,
                    steps_per_period: int = DEFAULT_STEPS,
-                   batched: Optional[bool] = None,
                    solver: str = "auto",
                    **options: Any) -> np.ndarray:
-        """``(stimulus, supply)`` grid; ``batched=None`` picks the
-        execution path.
+        """``(stimulus, supply)`` grid as one stacked MNA solve.
 
-        With a serial session executor the whole grid is one stacked
-        MNA solve (bit-identical to per-point solves; stimuli may differ
-        in duty and frequency).  Under a multi-worker executor (the
-        CLI's ``--jobs N``) the flattened per-point loop fans out
-        across the pool instead, preserving the promise that every
-        experiment inherits ``--jobs``.  Both paths produce identical
-        values, so the choice is purely about speed.
+        Every point is bit-identical to its scalar :meth:`evaluate`;
+        stimuli may differ in duty and frequency.
         """
         stimuli = self.check_stimuli(stimuli)
         vdds = self.check_vdd_grid(vdd_values)
         points = [(stimulus, float(v)) for stimulus in stimuli
                   for v in vdds]
-        if batched is None:
-            batched = getattr(get_default_executor(), "jobs", 1) <= 1
-        if batched:
-            pss = shooting_batch(
-                [_bench(design, stimulus, vdd=v) for stimulus, v in points],
-                [1.0 / stimulus.frequency for stimulus, _ in points],
-                observe=["out"], steps_per_period=steps_per_period,
-                solver=solver)
-            values = pss.averages("out")
-        else:
-            values = get_default_executor().map(
-                _measure_scalar, [(design, stimulus, v, steps_per_period,
-                                   solver) for stimulus, v in points])
-        return np.asarray(values, dtype=float).reshape(len(stimuli),
-                                                       vdds.size)
+        pss = shooting_batch(
+            [_bench(design, stimulus, vdd=v) for stimulus, v in points],
+            [1.0 / stimulus.frequency for stimulus, _ in points],
+            observe=["out"], steps_per_period=steps_per_period,
+            solver=solver)
+        return np.asarray(pss.averages("out"), dtype=float).reshape(
+            len(stimuli), vdds.size)
 
     def monte_carlo(self, design: CellDesign, stimulus: CellStimulus,
                     n_trials: int, *, seed: Optional[int] = None,

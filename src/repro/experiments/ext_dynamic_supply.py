@@ -11,12 +11,12 @@ ratio ``avg(Vout)/avg(Vdd)`` must stay at ``1 - duty`` throughout every
 ramp depth.
 
 All ramp profiles share their source timing (same ``t_ramp``, same PWM
-breakpoints), so engines with the ``batched_waveforms`` capability run
-the whole family as **one** lock-step
+breakpoints), so the whole family runs as **one** lock-step
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` solve —
-the per-waveform trajectories are bit-identical to the scalar per-ramp
-loop (pinned by the sparse-MNA equivalence tests), the wall clock is
-one Python stepping loop instead of one per ramp.
+the per-waveform trajectories are bit-identical to scalar per-ramp
+:func:`~repro.circuit.transient.transient` runs (pinned by the
+sparse-MNA equivalence tests), the wall clock is one Python stepping
+loop instead of one per ramp.
 
 The cell keeps Table I's 100 kΩ (Rout-dominance is what linearises the
 ratio) but uses a 0.1 pF capacitor, moving the averaging pole to
@@ -33,10 +33,10 @@ import numpy as np
 from ..circuit.batch_transient import BatchTransientSolver
 from ..circuit.elements.passives import Capacitor
 from ..circuit.netlist import Circuit
-from ..circuit.transient import TransientResult, transient
+from ..circuit.transient import TransientResult
 from ..core.cells import CellDesign, transcoding_inverter_subckt
 from ..reporting.figures import FigureData
-from ..engines import get_engine, require_capability
+from ..engines import require_capability
 from ..signals.pwm import rail_referenced_pwm
 from ..signals.supply import ramp
 from .base import ExperimentResult
@@ -56,6 +56,9 @@ COUT = 0.1e-12
 #: numbers and must not move when satellites are added.
 RAMP_TARGETS = (1.25, 2.0, 1.5, 1.0)
 
+#: Initial output voltage, volts: the settled ratio at the 2.5 V start.
+IC_OUT = 2.5 * (1 - DUTY)
+
 
 def _build(t_ramp: float, v_end: float = 1.25) -> Circuit:
     from dataclasses import replace
@@ -73,23 +76,18 @@ def _build(t_ramp: float, v_end: float = 1.25) -> Circuit:
 
 
 def _run_family(circuits: List[Circuit], t_ramp: float, dt: float, *,
-                batched: bool, solver: str) -> List[TransientResult]:
-    """One transient per ramp target — stacked or scalar.
+                solver: str) -> List[TransientResult]:
+    """One transient per ramp target, stacked into one lock-step solve.
 
-    The batched path seeds every point with the scalar path's exact
-    initial state (zeros + the ``out`` initial condition, the
-    ``uic=True`` convention), so its per-point trajectories are
-    bit-identical to the scalar loop.
+    Every point starts from scalar ``transient(..., ic={"out": V},
+    uic=True)``'s exact initial state (zeros plus the ``out`` initial
+    condition), so its trajectory is bit-identical to that scalar run.
     """
-    ic_out = 2.5 * (1 - DUTY)
-    if not batched:
-        return [transient(c, t_ramp, dt, ic={"out": ic_out}, uic=True,
-                          solver=solver) for c in circuits]
     batch = BatchTransientSolver(circuits, solver=solver)
     x0 = np.zeros((batch.n_points, batch.size))
     out_idx = circuits[0].node_index("out")
     if out_idx >= 0:
-        x0[:, out_idx] = ic_out
+        x0[:, out_idx] = IC_OUT
     result = batch.run(t_ramp, dt, x0=x0)
     return [result.point(p) for p in range(batch.n_points)]
 
@@ -108,18 +106,13 @@ def run(fidelity: str = "fast", engine: str = "spice",
     require_capability(engine, "dynamic_supply",
                        context="live supply-ramp transients",
                        experiment_id=EXPERIMENT_ID)
-    # Same-timing waveform families stack into one lock-step solve when
-    # the engine advertises it; others fall back to a per-ramp loop
-    # (identical numbers, more Python stepping).
-    batched = get_engine(engine).capabilities().batched_waveforms
     n_windows = 24 if fidelity == "paper" else 14
     periods_per_window = 10 if fidelity == "paper" else 8
     period = 1.0 / FREQUENCY
     t_ramp = n_windows * periods_per_window * period
     dt = period / (60 if fidelity == "paper" else 40)
     circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
-    results = _run_family(circuits, t_ramp, dt, batched=batched,
-                          solver=solver)
+    results = _run_family(circuits, t_ramp, dt, solver=solver)
 
     window = t_ramp / n_windows
     figure = FigureData(EXPERIMENT_ID, TITLE, "time (ns)", "ratio / volts")

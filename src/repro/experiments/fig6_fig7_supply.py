@@ -86,7 +86,7 @@ def _sweep(fidelity: str, vdd_values: Optional[Sequence[float]],
     options = {"steps_per_period": steps} \
         if eng.capabilities().level == "transistor" else {}
     # One call for the whole (duty, vdd) grid: the spice engine solves
-    # it as one batch, or fans the points out under --jobs N.
+    # it as one batch.
     values = eng.sweep_grid(
         CellDesign(), [CellStimulus(duty=duty, frequency=FREQUENCY,
                                     cout=COUT, rout=ROUT)

@@ -8,15 +8,13 @@ points:
 
 * :func:`run_config` executes a validated
   :class:`~repro.experiments.spec.RunConfig` — the single currency for
-  the Python API, the CLI and the HTTP surface;
+  the Python API, the CLI and campaigns;
 * :func:`run_all` runs the whole registry with per-experiment,
   schema-validated ``overrides``.
 
-Execution concerns are wired here once for all experiments: ``jobs``
-installs a process-pool default executor for the duration of the run
-(inherited by :func:`repro.circuit.sweep.run_sweep` and the
-Monte-Carlo/yield entry points); ``cache`` consults a
-:class:`repro.exec.cache.ResultCache` keyed by the canonical
+Every run executes in-process; its sweeps are batched solves.  The
+result cache is wired here once for all experiments: ``cache``
+consults a :class:`repro.exec.cache.ResultCache` keyed by the canonical
 :class:`RunConfig` encoding before running and stores the result
 after.
 """
@@ -28,7 +26,6 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from .. import telemetry
 from ..circuit.exceptions import AnalysisError
 from ..exec.cache import ResultCache
-from ..exec.executor import get_executor, use_executor
 
 # Curated registration order: the paper's artefacts in presentation
 # order first, then the extensions.  The decorator registers on import,
@@ -70,14 +67,12 @@ PAPER_ARTEFACTS = tuple(eid for eid, spec in SPECS.items()
                         if "paper" in spec.tags)
 
 
-def run_config(config: RunConfig, *, jobs: Optional[int] = None,
+def run_config(config: RunConfig, *,
                cache: Optional[ResultCache] = None) -> ExperimentResult:
     """Execute one validated :class:`RunConfig`.
 
-    ``jobs`` selects the parallel backend for the run (``None``/``1``
-    serial, ``-1`` one worker per CPU); ``cache`` short-circuits the
-    run when an entry for the config's canonical key exists and records
-    the result otherwise.
+    ``cache`` short-circuits the run when an entry for the config's
+    canonical key exists and records the result otherwise.
     """
     spec = get_spec(config.experiment_id)
     if cache is not None:
@@ -86,7 +81,7 @@ def run_config(config: RunConfig, *, jobs: Optional[int] = None,
             return hit
     rt = telemetry.active()
     if rt is None:
-        result = _execute(spec, config, jobs)
+        result = _execute(spec, config)
     else:
         # Every fresh execution is one "experiment" root span plus a
         # RunProfile window; the profile rides on the result as a plain
@@ -98,22 +93,18 @@ def run_config(config: RunConfig, *, jobs: Optional[int] = None,
                              "fidelity": config.fidelity}):
             with RunProfile(rt, experiment_id=config.experiment_id,
                             fidelity=config.fidelity) as prof:
-                result = _execute(spec, config, jobs)
+                result = _execute(spec, config)
         result.profile = prof.document()
     if cache is not None:
         cache.put_config(result, config)
     return result
 
 
-def _execute(spec, config: RunConfig, jobs: Optional[int]):
-    kwargs = config.param_dict()
-    if jobs is None:
-        return spec.runner(fidelity=config.fidelity, **kwargs)
-    with use_executor(get_executor(jobs)):
-        return spec.runner(fidelity=config.fidelity, **kwargs)
+def _execute(spec, config: RunConfig):
+    return spec.runner(fidelity=config.fidelity, **config.param_dict())
 
 
-def run_all(fidelity: str = "fast", *, jobs: Optional[int] = None,
+def run_all(fidelity: str = "fast", *,
             cache: Optional[ResultCache] = None,
             overrides: Optional[Mapping[str, Mapping[str, Any]]] = None
             ) -> "Dict[str, ExperimentResult]":
@@ -133,5 +124,5 @@ def run_all(fidelity: str = "fast", *, jobs: Optional[int] = None,
             f"{sorted(unknown)}; available: {sorted(SPECS)}")
     configs = {eid: RunConfig.build(eid, fidelity, overrides.get(eid))
                for eid in SPECS}
-    return {eid: run_config(config, jobs=jobs, cache=cache)
+    return {eid: run_config(config, cache=cache)
             for eid, config in configs.items()}

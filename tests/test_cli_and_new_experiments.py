@@ -1,5 +1,7 @@
 """The CLI entry point and the noise/energy/sensitivity experiments."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -7,6 +9,9 @@ from repro.analysis import adder_sensitivities
 from repro.circuit import AnalysisError
 from repro.core import AdderConfig, WeightedAdder
 from repro.experiments import REGISTRY, RunConfig, run_config
+
+YIELD_SPEC = (Path(__file__).resolve().parent.parent / "examples"
+              / "campaigns" / "montecarlo_yield.json")
 
 
 class TestCli:
@@ -30,18 +35,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["run", "fig99"])
 
-    @pytest.mark.parametrize("jobs", ["0", "-2", "-99", "two"])
-    def test_invalid_jobs_rejected_by_argparse(self, jobs, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1"],
+        ["all"],
+        ["campaign", "run", str(YIELD_SPEC)],
+    ], ids=["run", "all", "campaign"])
+    def test_jobs_flag_rejected(self, argv, capsys):
+        # Runs execute in-process; campaign shards are the only way to
+        # parallelise, so there is no --jobs flag on any command.
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["run", "table1", "--jobs", jobs])
+            cli_main(argv + ["--jobs", "2"])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid jobs count" in err
-
-    @pytest.mark.parametrize("jobs", ["1", "-1", "2"])
-    def test_valid_jobs_accepted(self, jobs, capsys):
-        assert cli_main(["run", "table1", "--jobs", jobs]) == 0
-        assert "table1" in capsys.readouterr().out
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestNoiseExperiment:

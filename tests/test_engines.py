@@ -180,24 +180,10 @@ class TestEngineEquivalence:
         stim = CellStimulus(duty=0.5, rout=100e3)
         batched = spice.sweep_supply(CellDesign(), stim, FAST_VDD,
                                      steps_per_period=60)
-        scalar = spice.sweep_supply(CellDesign(), stim, FAST_VDD,
-                                    steps_per_period=60, batched=False)
+        scalar = [shooting(cell_bench(v), PERIOD, observe=["out"],
+                           steps_per_period=60).average("out")
+                  for v in FAST_VDD]
         assert np.array_equal(batched, scalar)
-
-    def test_jobs_executor_selects_per_point_loop(self):
-        # Regression: with a multi-worker session executor installed
-        # (the CLI's --jobs N), the spice sweep auto-selects the
-        # executor-parallel per-point loop — same values either way.
-        from repro.exec.executor import ProcessExecutor, use_executor
-
-        spice = get_engine("spice")
-        stim = CellStimulus(duty=0.5, rout=100e3)
-        batched = spice.sweep_supply(CellDesign(), stim, FAST_VDD,
-                                     steps_per_period=60)
-        with use_executor(ProcessExecutor(2)):
-            pooled = spice.sweep_supply(CellDesign(), stim, FAST_VDD,
-                                        steps_per_period=60)
-        assert np.array_equal(batched, pooled)
 
     def test_spice_grid_is_one_batch_equal_to_row_sweeps(self, monkeypatch):
         from repro.engines import spice as spice_module
@@ -220,9 +206,6 @@ class TestEngineEquivalence:
                                 steps_per_period=60)
         assert calls == [len(stimuli) * len(FAST_VDD)]
         assert np.array_equal(grid, rows)
-        per_point = spice.sweep_grid(CellDesign(), stimuli, FAST_VDD,
-                                     steps_per_period=60, batched=False)
-        assert np.array_equal(per_point, rows)
 
     def test_base_grid_stacks_supply_sweeps(self):
         rc = get_engine("rc")

@@ -1,9 +1,7 @@
 """Equivalence and cache tests for the execution engine.
 
-The contract under test: serial, process-parallel and vectorised
-execution of the same campaign produce the same records —
-bit-identical between serial and parallel (same scalar ops, different
-processes), tolerance-identical for the vectorised path (same RNG
+The contract under test: the loop and vectorised execution of the same
+campaign produce the same records — tolerance-identical (same RNG
 draws, numpy-reassociated float reductions) — and cache hits replay
 results byte-identically.
 """
@@ -20,18 +18,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import adder_monte_carlo, make_blobs, perceptron_yield
-from repro.circuit import AnalysisError, run_sweep
+from repro.circuit import AnalysisError
 from repro.core import AdderConfig, WeightedAdder
 from repro.core.rc_model import RcBatchSolver, RcSwitchSolver, RcLeg
 from repro.core.training import PerceptronTrainer
-from repro.exec import (
-    ProcessExecutor,
-    ResultCache,
-    SerialExecutor,
-    derive_seed,
-    get_executor,
-    use_executor,
-)
+from repro.exec import ResultCache
 from repro.exec.batch import (
     batch_adder_values,
     leg_resistance_arrays,
@@ -43,75 +34,9 @@ from repro.tech.corners import MonteCarloSampler
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _double(x):
-    """Top-level, hence picklable for the process pool."""
-    return {"y": 2 * x}
-
-
-class TestExecutors:
-    def test_get_executor_mapping(self):
-        assert isinstance(get_executor(None), SerialExecutor)
-        assert isinstance(get_executor(1), SerialExecutor)
-        assert get_executor(3).jobs == 3
-        assert get_executor(-1).jobs >= 1
-
-    def test_serial_and_process_map_agree(self):
-        items = list(range(20))
-        serial = SerialExecutor().map(_double, items)
-        parallel = ProcessExecutor(2).map(_double, items)
-        assert serial == parallel
-
-    def test_process_pool_falls_back_on_closures(self):
-        captured = 3
-        result = ProcessExecutor(2).map(lambda v: v + captured, [1, 2])
-        assert result == [4, 5]
-
-    def test_use_executor_restores_default(self):
-        from repro.exec import get_default_executor
-        before = get_default_executor()
-        with use_executor(ProcessExecutor(2)):
-            assert get_default_executor().jobs == 2
-        assert get_default_executor() is before
-
-    def test_derive_seed_stable_and_decorrelated(self):
-        assert derive_seed(None, 5) is None
-        assert derive_seed(7, 3) == derive_seed(7, 3)
-        seeds = {derive_seed(7, i) for i in range(100)}
-        assert len(seeds) == 100
-
-
-class TestSweepExecution:
-    def test_serial_vs_parallel_records_identical(self):
-        grid = {"x": list(range(8))}
-        serial = run_sweep(_double, {"x": grid["x"]},
-                           executor=SerialExecutor())
-        parallel = run_sweep(_double, {"x": grid["x"]},
-                             executor=ProcessExecutor(2))
-        assert serial.records == parallel.records
-
-    def test_per_point_seeds_are_injected_and_stable(self):
-        def probe(x, seed):
-            return {"seed_seen": seed}
-
-        a = run_sweep(probe, {"x": [1, 2, 3]}, seed=11)
-        b = run_sweep(probe, {"x": [1, 2, 3]}, seed=11,
-                      executor=ProcessExecutor(2))
-        assert a.column("seed_seen") == b.column("seed_seen")
-        assert len(set(a.column("seed_seen"))) == 3
-
-
 class TestMonteCarloEquivalence:
     DUTIES = [0.5, 0.7, 0.9]
     WEIGHTS = [7, 5, 3]
-
-    def test_serial_vs_parallel_identical(self):
-        adder = WeightedAdder(AdderConfig())
-        serial = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                   n_trials=40, seed=3, method="loop")
-        parallel = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                     n_trials=40, seed=3, method="loop",
-                                     executor=ProcessExecutor(2))
-        assert serial.errors == parallel.errors
 
     def test_loop_vs_vectorized_same_draws(self):
         adder = WeightedAdder(AdderConfig())
@@ -161,15 +86,6 @@ class TestYieldEquivalence:
                                method="vectorized")
         assert loop.accuracies == vec.accuracies
         assert loop.yield_fraction == vec.yield_fraction
-
-    def test_serial_vs_parallel_identical(self, setup):
-        pwm, data = setup
-        serial = perceptron_yield(pwm, data, n_parts=6, seed=1,
-                                  method="loop")
-        parallel = perceptron_yield(pwm, data, n_parts=6, seed=1,
-                                    method="loop",
-                                    executor=ProcessExecutor(2))
-        assert serial.accuracies == parallel.accuracies
 
 
 class TestBatchSolver:
@@ -316,9 +232,9 @@ class TestResultCache:
 
 
 class TestCliFlags:
-    def test_no_cache_and_jobs_flags_accepted(self, capsys, tmp_path):
+    def test_no_cache_flag_accepted(self, capsys, tmp_path):
         from repro.__main__ import main as cli_main
-        assert cli_main(["run", "table1", "--no-cache", "--jobs", "1"]) == 0
+        assert cli_main(["run", "table1", "--no-cache"]) == 0
         assert "table1" in capsys.readouterr().out
 
     def test_cache_dir_flag_populates_cache(self, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Measurement helpers and the sweep harness."""
+"""Measurement helpers."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.circuit import (
     AnalysisError,
-    SweepResult,
     flatness,
     linear_fit,
     max_linearity_error,
     r_squared,
     relative_error,
-    sweep,
-    sweep1d,
 )
 
 
@@ -64,50 +61,3 @@ class TestRelativeError:
 
     def test_zero_reference(self):
         assert relative_error(0.2, 0.0) == pytest.approx(0.2)
-
-
-class TestSweep:
-    def test_product_grid(self):
-        result = sweep(lambda a, b: {"sum": a + b},
-                       {"a": [1, 2], "b": [10, 20]})
-        assert len(result) == 4
-        assert result.column("sum") == [11, 21, 12, 22]
-
-    def test_where_filter(self):
-        result = sweep(lambda a, b: {"sum": a + b},
-                       {"a": [1, 2], "b": [10, 20]})
-        only_a1 = result.where(a=1)
-        assert len(only_a1) == 2
-        assert only_a1.column("b") == [10, 20]
-
-    def test_missing_column_raises(self):
-        result = sweep1d(lambda v: {"y": v}, "v", [1, 2])
-        with pytest.raises(AnalysisError):
-            result.column("nope")
-
-    def test_error_recorded_when_requested(self):
-        def sometimes_fails(v):
-            if v == 2:
-                raise ValueError("boom")
-            return {"y": v * v}
-
-        result = sweep1d(sometimes_fails, "v", [1, 2, 3], on_error="record")
-        assert len(result) == 3
-        assert "error" in result.records[1]
-        assert result.records[0]["y"] == 1
-
-    def test_error_raises_by_default(self):
-        def fails(v):
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            sweep1d(fails, "v", [1])
-
-    def test_bad_on_error_mode(self):
-        with pytest.raises(AnalysisError):
-            sweep(lambda v: {}, {"v": [1]}, on_error="ignore")
-
-    def test_sweep1d_equivalent_to_sweep(self):
-        a = sweep1d(lambda v: {"y": 2 * v}, "v", [1, 2, 3])
-        b = sweep(lambda v: {"y": 2 * v}, {"v": [1, 2, 3]})
-        assert a.column("y") == b.column("y")

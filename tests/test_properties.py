@@ -1,12 +1,7 @@
-"""Property-based tests (hypothesis) for sweep records and PWM encoding.
+"""Property-based tests (hypothesis) for PWM encoding.
 
-Two families the execution-engine refactor leans on:
-
-* :class:`repro.circuit.sweep.SweepResult` — ``where``/``column``
-  invariants and failure recording must hold for arbitrary grids, since
-  every experiment funnels through them;
-* :mod:`repro.signals.pwm` — duty-cycle encode/decode/quantise round
-  trips, the input side of every perceptron evaluation.
+:mod:`repro.signals.pwm` — duty-cycle encode/decode/quantise round
+trips, the input side of every perceptron evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import AnalysisError, run_sweep, sweep
+from repro.circuit import AnalysisError
 from repro.signals.pwm import (
     decode_duty,
     encode_duty,
@@ -26,73 +21,6 @@ from repro.signals.pwm import (
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
-small_grid = st.lists(st.integers(min_value=-50, max_value=50),
-                      min_size=1, max_size=6, unique=True)
-
-
-class TestSweepProperties:
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(xs=small_grid, ys=small_grid)
-    def test_product_shape_and_columns(self, xs, ys):
-        result = sweep(lambda x, y: {"sum": x + y}, {"x": xs, "y": ys})
-        assert len(result) == len(xs) * len(ys)
-        # Columns come back in grid order and merge point + measurement.
-        assert result.column("sum") == [
-            r["x"] + r["y"] for r in result.records]
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(xs=small_grid, pick=st.integers(min_value=0, max_value=5))
-    def test_where_partitions_records(self, xs, pick):
-        result = sweep(lambda x: {"y": x * 2}, {"x": xs})
-        target = xs[pick % len(xs)]
-        kept = result.where(x=target)
-        assert len(kept) == 1 and kept.records[0]["x"] == target
-        assert len(result.where(x=max(xs) + 1)) == 0
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(base=st.floats(min_value=0.01, max_value=100,
-                          allow_nan=False, allow_infinity=False),
-           n=st.integers(min_value=1, max_value=7))
-    def test_where_matches_computed_floats(self, base, n):
-        # Grid values built by repeated addition rarely equal n*base
-        # exactly; where() must still find them (the isclose fix).
-        values, acc = [], 0.0
-        for _ in range(n):
-            acc += base
-            values.append(acc)
-        result = sweep(lambda v: {"y": v}, {"v": values})
-        assert len(result.where(v=n * base)) >= 1
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(xs=small_grid, bad=st.integers(min_value=-50, max_value=50))
-    def test_failure_recording_partitions(self, xs, bad):
-        def fn(x):
-            if x == bad:
-                raise ValueError("boom")
-            return {"y": x}
-
-        result = run_sweep(fn, {"x": xs}, on_error="record")
-        assert len(result) == len(xs)
-        assert len(result.failures) + len(result.ok) == len(result)
-        for record in result.failures:
-            assert record["x"] == bad and "boom" in record["error"]
-        for record in result.ok:
-            assert record["y"] == record["x"]
-        if bad in xs:
-            with pytest.raises(ValueError):
-                run_sweep(fn, {"x": xs}, on_error="raise")
-
-    def test_column_missing_raises(self):
-        result = sweep(lambda x: {"y": x}, {"x": [1, 2]})
-        with pytest.raises(AnalysisError):
-            result.column("z")
-
-    def test_where_regression_float_exact_equality(self):
-        # Regression: 0.1 * 3 != 0.3 exactly, but must match.
-        values = [0.1 * k for k in range(5)]
-        result = sweep(lambda v: {"y": v}, {"v": values})
-        assert len(result.where(v=0.3)) == 1
-        assert len(result.where(v=0.30000000000000004)) == 1
 
 
 class TestPwmEncodingProperties:

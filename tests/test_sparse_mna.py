@@ -189,6 +189,7 @@ class TestRandomTopologies:
 class TestBatchedEquivalence:
     def test_ramp_family_batched_bit_identical_to_scalar(self):
         from repro.experiments.ext_dynamic_supply import (
+            IC_OUT,
             RAMP_TARGETS,
             _build,
             _run_family,
@@ -196,12 +197,11 @@ class TestBatchedEquivalence:
 
         t_ramp = 16e-9          # a short ramp keeps the test cheap;
         dt = 2e-9 / 40          # the solver path is the full one
+        scalar = [transient(_build(t_ramp, v_end), t_ramp, dt,
+                            ic={"out": IC_OUT}, uic=True)
+                  for v_end in RAMP_TARGETS]
         circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
-        scalar = _run_family(circuits, t_ramp, dt, batched=False,
-                             solver="auto")
-        circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
-        batched = _run_family(circuits, t_ramp, dt, batched=True,
-                              solver="auto")
+        batched = _run_family(circuits, t_ramp, dt, solver="auto")
         assert len(scalar) == len(batched) == len(RAMP_TARGETS)
         for s, b in zip(scalar, batched):
             assert np.array_equal(s.t, b.t)
@@ -259,7 +259,7 @@ def _cell(duty, frequency=500e6, rout=100e3, amplitude=None):
 
 def _assert_pss_equal(make, periods, steps, observe=("out",)):
     """``shooting_batch`` over the family equals per-point ``shooting``
-    bit for bit: waves, iterations and residuals."""
+    bit for bit: waves, step halvings, iterations and residuals."""
     refs = [shooting(make(p), float(periods[p]), observe=list(observe),
                      steps_per_period=int(steps[p]))
             for p in range(len(periods))]
@@ -269,6 +269,7 @@ def _assert_pss_equal(make, periods, steps, observe=("out",)):
         lane = got.point(p)
         assert np.array_equal(lane.waves.t, ref.waves.t)
         assert np.array_equal(lane.waves.X, ref.waves.X)
+        assert lane.waves.halvings == ref.waves.halvings
     assert np.array_equal(got.iterations, [r.iterations for r in refs])
     assert np.array_equal(got.residuals, [r.residual for r in refs])
     return refs
