@@ -426,34 +426,45 @@ class TestAioTransport:
         conn.close()
 
     def test_concurrent_connections_coalesce(self):
-        """Rows from different connections ride shared batches."""
+        """Rows from different connections ride shared batches.
+
+        The server loop is held while twelve clients connect and send,
+        so every request already waits in its socket when the loop
+        resumes: the arrival is concurrent by construction, not by how
+        the clients happen to be scheduled.
+        """
         before = self.aio.batcher_metrics().get("demo",
                                                 {"batches": 0,
                                                  "rows": 0})
+        body = json.dumps({"model": "demo",
+                           "inputs": [[0.5, 0.5]]}).encode()
+        request = (f"POST /predict HTTP/1.1\r\n"
+                   f"Host: x\r\nContent-Type: application/json\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n"
+                   ).encode() + body
+        held, release = threading.Event(), threading.Event()
 
-        async def blast():
-            async def one():
-                reader, writer = await asyncio.open_connection(
-                    self.aio.host, self.aio.port)
-                body = json.dumps({"model": "demo",
-                                   "inputs": [[0.5, 0.5]]}).encode()
-                head = (f"POST /predict HTTP/1.1\r\n"
-                        f"Host: x\r\nContent-Type: application/json\r\n"
-                        f"Content-Length: {len(body)}\r\n\r\n"
-                        ).encode() + body
-                writer.write(head)
-                await writer.drain()
-                raw = await reader.readuntil(b"\r\n\r\n")
-                length = int([ln.split(b":")[1] for ln in
-                              raw.split(b"\r\n")
-                              if ln.lower().startswith(
-                                  b"content-length")][0])
-                await reader.readexactly(length)
-                writer.close()
+        def hold():
+            held.set()
+            release.wait(timeout=15)
 
-            await asyncio.gather(*[one() for _ in range(12)])
-
-        asyncio.run(blast())
+        self.aio._loop.call_soon_threadsafe(hold)
+        assert held.wait(timeout=15)
+        socks = []
+        try:
+            for _ in range(12):
+                sock = socket.create_connection(
+                    (self.aio.host, self.aio.port), timeout=15)
+                socks.append(sock)
+                sock.sendall(request)
+        finally:
+            release.set()
+        for sock in socks:
+            with sock:
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                assert response.read()
         after = self.aio.batcher_metrics()["demo"]
         new_rows = after["rows"] - before["rows"]
         new_batches = after["batches"] - before["batches"]

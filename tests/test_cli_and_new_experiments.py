@@ -35,6 +35,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["run", "fig99"])
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "-99", "two"])
+    def test_invalid_jobs_rejected_by_argparse(self, jobs, capsys):
+        # There is no --jobs flag any more, so every value is refused.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "table1", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run", "table1"],
         ["all"],
