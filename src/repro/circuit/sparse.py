@@ -18,13 +18,16 @@ owns the backend decision:
   ``numpy.linalg.LinAlgError`` so existing Newton loops handle both
   backends with one ``except`` clause.
 
-scipy is an *optional* dependency: without it ``"auto"`` silently stays
-dense and an explicit ``"sparse"`` request fails with an actionable
-message at validation time (not mid-solve).
+scipy is an *optional* dependency and loads on the first sparse
+factorisation, not at import: :data:`HAS_SCIPY` only asks whether it is
+installed, so the paper's dense-only workloads never load it.  Without
+it ``"auto"`` silently stays dense and an explicit ``"sparse"`` request
+fails with an actionable message at validation time (not mid-solve).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Optional
 
 import numpy as np
@@ -32,15 +35,7 @@ import numpy as np
 from .. import telemetry
 from .exceptions import AnalysisError
 
-try:
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    HAS_SCIPY = True
-except ImportError:  # pragma: no cover - exercised on scipy-free installs
-    csc_matrix = None
-    splu = None
-    HAS_SCIPY = False
+HAS_SCIPY = importlib.util.find_spec("scipy") is not None
 
 #: Legal values of the ``solver`` knob, in registry order.
 SOLVERS = ("auto", "dense", "sparse")
@@ -110,6 +105,18 @@ def choose_backend(size: int, fill: float, solver: str = "auto") -> str:
     return "dense"
 
 
+def _splu(G: np.ndarray):
+    """CSC + ``splu`` factorisation of one dense matrix.
+
+    The only place scipy.sparse is imported: it loads on the first sparse
+    factorisation, so dense-only processes never pay for it.
+    """
+    if not HAS_SCIPY:  # pragma: no cover - guarded by check_solver
+        raise AnalysisError("sparse solve requires scipy")
+    from scipy.sparse import csc_matrix, linalg
+    return linalg.splu(csc_matrix(G))
+
+
 def sparse_solve(G: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Solve one ``(S, S) @ x = (S,)`` system via CSC + splu.
 
@@ -117,12 +124,9 @@ def sparse_solve(G: np.ndarray, I: np.ndarray) -> np.ndarray:
     ``numpy.linalg.LinAlgError`` (callers already translate that into
     :class:`~repro.circuit.exceptions.SingularMatrixError`).
     """
-    if not HAS_SCIPY:  # pragma: no cover - guarded by check_solver
-        raise AnalysisError("sparse solve requires scipy")
     telemetry.count("repro_mna_lu_factorizations_total", backend="sparse")
     try:
-        lu = splu(csc_matrix(G))
-        return lu.solve(I)
+        return _splu(G).solve(I)
     except RuntimeError as exc:  # splu signals singularity this way
         raise np.linalg.LinAlgError(str(exc)) from None
 
@@ -135,14 +139,12 @@ def sparse_solve_batch(G_stack: np.ndarray, I_stack: np.ndarray) -> np.ndarray:
     just through sparse LU.  Singular blocks raise
     ``numpy.linalg.LinAlgError`` like the scalar wrapper.
     """
-    if not HAS_SCIPY:  # pragma: no cover - guarded by check_solver
-        raise AnalysisError("sparse solve requires scipy")
     telemetry.count("repro_mna_lu_factorizations_total",
                     G_stack.shape[0], backend="sparse")
     out = np.empty_like(I_stack)
     try:
         for p in range(G_stack.shape[0]):
-            out[p] = splu(csc_matrix(G_stack[p])).solve(I_stack[p])
+            out[p] = _splu(G_stack[p]).solve(I_stack[p])
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
     return out

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
+import numpy as np
+
 #: Thermal voltage at room temperature (300 K), volts.
 THERMAL_VOLTAGE = 0.02585
 
@@ -183,6 +185,10 @@ def gate_capacitances(params: MosfetParams, width: float,
     return cgs, cgd, cj
 
 
+#: ``scipy.special.expit``, bound by the first :func:`ids_full_vec` call.
+_expit = None
+
+
 def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     """Vectorised :func:`ids_full` over arrays of devices.
 
@@ -190,9 +196,13 @@ def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     device, ``vt`` is the threshold magnitude.  Returns ``(id, gm, gds)``
     arrays with the same conventions as :func:`ids_full`.  This is the
     hot path of the transient engine, so it avoids Python-level loops.
+
+    scipy's ``expit`` is bound on the first call, so importing this
+    module (and every behavioural or RC path) needs numpy alone.
     """
-    import numpy as np
-    from scipy.special import expit
+    global _expit
+    if _expit is None:
+        from scipy.special import expit as _expit
 
     vgs = sign * (vg - vs)
     vds = sign * (vd - vs)
@@ -204,7 +214,7 @@ def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     z = (vgs_f - vt) / scale
     # logaddexp/expit are overflow-safe for any z.
     vov = scale * np.logaddexp(0.0, z)
-    dvov = expit(z)
+    dvov = _expit(z)
     clm = 1.0 + lam * vds_f
     triode = vds_f < vov
     core_tri = vov * vds_f - 0.5 * vds_f * vds_f
@@ -248,8 +258,6 @@ def on_resistance_vec(beta, vt_mag, lam, n_sub, vgs,
     (:mod:`repro.exec.batch`): one call replaces thousands of scalar
     :func:`ids_full` evaluations.
     """
-    import numpy as np
-
     scale = 2.0 * n_sub * THERMAL_VOLTAGE
     z = (np.asarray(vgs, float) - np.asarray(vt_mag, float)) / scale
     vov = scale * np.logaddexp(0.0, z)

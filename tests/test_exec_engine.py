@@ -231,6 +231,43 @@ class TestResultCache:
         assert done.stdout.strip() == "[]"
 
 
+class TestScipyLoadsOnFirstUse:
+    """scipy is off the start-up path: ``scipy.special`` loads on the
+    first transistor evaluation, ``scipy.sparse`` on the first sparse
+    factorisation, and neither when the packages are imported."""
+
+    @staticmethod
+    def _scipy_modules_after(script):
+        script += ("import json, sys\n"
+                   "print(json.dumps(sorted(m for m in sys.modules\n"
+                   "                        if m.split('.')[0] == 'scipy')))\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_serving_a_behavioural_model_never_loads_scipy(self):
+        loaded = self._scipy_modules_after(
+            "import repro.experiments\n"
+            "import repro.serve.aio_server\n"
+            "from repro.analysis import make_blobs\n"
+            "from repro.core.training import PerceptronTrainer\n"
+            "from repro.serve.engine import BatchInferenceEngine\n"
+            "data = make_blobs(n_per_class=10, n_features=2, seed=7)\n"
+            "model = PerceptronTrainer(2, seed=7).fit(\n"
+            "    data.X, data.y, epochs=10).perceptron\n"
+            "BatchInferenceEngine().model_margins(model, data.X)\n")
+        assert loaded == []
+
+    def test_transistor_experiment_loads_only_scipy_special(self):
+        loaded = self._scipy_modules_after(
+            "from repro.experiments import RunConfig, run_config\n"
+            "run_config(RunConfig.build('fig4', 'fast'))\n")
+        assert "scipy.special" in loaded
+        assert "scipy.sparse" not in loaded
+
+
 class TestCliFlags:
     def test_no_cache_flag_accepted(self, capsys, tmp_path):
         from repro.__main__ import main as cli_main
