@@ -5,9 +5,10 @@ transistor-level engine (shooting PSS over the batched MNA path), the
 hottest instrumented code in the repository:
 
 * **disabled overhead** — the zero-cost-when-disabled contract.  Every
-  hot function is a thin wrapper (``telemetry.active()`` + ``None``
-  check) around an untouched ``_impl``; timing the wrapper against a
-  direct ``_impl`` call measures exactly what instrumentation costs
+  hot function is decorated with :func:`repro.telemetry.traced`, a
+  thin wrapper (one ``None`` check) around the untouched function it
+  keeps as ``__wrapped__``; timing the wrapper against a direct
+  ``__wrapped__`` call measures exactly what instrumentation costs
   when telemetry is off.  The floor assertion holds it **under 3%**.
 * **enabled overhead** — what a traced + counted run costs relative to
   a disabled one (spans, counters and histogram observations on every
@@ -51,13 +52,10 @@ def _run_wrapped(adder: WeightedAdder, steps: int):
 
 
 def _run_impl(adder: WeightedAdder, steps: int):
-    """The same solve through the raw ``_impl`` entry points (as if the
-    telemetry wrappers had never been added)."""
-    return adder._evaluate_impl(
-        DUTIES, WEIGHTS, engine="spice", vdd=None, frequency=None,
-        frequencies=None, phases=None, input_amplitude=None,
-        steps_per_period=steps, cell_overrides=None,
-        solver="auto")
+    """The same solve through the untraced ``__wrapped__`` entry point
+    (as if the telemetry wrapper had never been added)."""
+    return WeightedAdder.evaluate.__wrapped__(
+        adder, DUTIES, WEIGHTS, engine="spice", steps_per_period=steps)
 
 
 @benchmark("script.telemetry.overhead",

@@ -43,7 +43,8 @@ from .elements.sources import PwmVoltage, Vdc, VoltageSource, Vpulse
 from .exceptions import AnalysisError, ConvergenceError
 from .mna import MnaContext
 from .netlist import Circuit
-from .pss import PssResult, _newton_update, _observed
+from .pss import (_PSS_FAILURES, PssResult, _newton_update, _note_pss,
+                  _observed)
 from .sparse import (
     check_solver,
     choose_backend,
@@ -578,6 +579,11 @@ class BatchTransientSolver:
 
     # -- Newton -----------------------------------------------------------
 
+    @telemetry.traced(
+        "mna.newton",
+        tags=lambda self, x0, *_, **__: {
+            "analysis": "batch-transient", "points": x0.shape[0],
+            "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
                       be: np.ndarray, geq: np.ndarray, lanes, *,
                       max_iter: int = 80, vlimit: float = 1.0,
@@ -595,19 +601,6 @@ class BatchTransientSolver:
         no convergence in ``max_iter``).
         """
         rt = telemetry.active()
-        if rt is None:
-            return self._solve_newton_impl(
-                x0, t, dt, be, geq, lanes, max_iter=max_iter, vlimit=vlimit,
-                abstol=abstol, reltol=reltol, itol=itol, rt=None)
-        with rt.tracer.span("mna.newton",
-                            {"analysis": "batch-transient",
-                             "points": x0.shape[0], "size": self.size}):
-            return self._solve_newton_impl(
-                x0, t, dt, be, geq, lanes, max_iter=max_iter, vlimit=vlimit,
-                abstol=abstol, reltol=reltol, itol=itol, rt=rt)
-
-    def _solve_newton_impl(self, x0, t, dt, be, geq, lanes, *, max_iter,
-                           vlimit, abstol, reltol, itol, rt):
         G_base = self._base_stack(lanes, dt, be, geq)
         I_t_base = self._I_static[self._circ[lanes]].T.copy()   # (S, B)
         # Scalar assembly order: sources first, then reactive companions.
@@ -900,6 +893,16 @@ class BatchPssResult:
                          float(self.residuals[p]))
 
 
+def _note_batch_pss(rt, span, result: BatchPssResult) -> None:
+    """Counters and the iterations tag of one finished batched solve."""
+    span.set_tag("iterations", int(result.iterations.max()))
+    rt.count("repro_pss_solves_total", result.n_points)
+    rt.count("repro_pss_iterations_total", int(result.iterations.sum()))
+
+
+@telemetry.traced("pss.shooting_batch",
+                  tags=lambda circuits, *_, **__: {"points": len(circuits)},
+                  done=_note_batch_pss, fails=_PSS_FAILURES)
 def shooting_batch(circuits: Sequence[Circuit], period, *,
                    steps_per_period=200,
                    observe: Optional[Sequence[str]] = None,
@@ -923,36 +926,6 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
     ``x0`` gives one start state per point.  Defaults mirror the scalar
     engine's.
     """
-    return _traced_shooting(
-        "pss.shooting_batch", {"points": len(circuits)}, circuits, period,
-        dict(steps_per_period=steps_per_period, observe=observe, x0=x0,
-             warmup_periods=warmup_periods, max_iterations=max_iterations,
-             tol=tol, fd_delta=fd_delta, method=method,
-             update_limit=update_limit, solver=solver))
-
-
-def _traced_shooting(name, tags, circuits, period, kwargs) -> BatchPssResult:
-    """:func:`_shooting_batch_impl`, under span ``name`` and counted
-    when telemetry is on."""
-    rt = telemetry.active()
-    if rt is None:
-        return _shooting_batch_impl(circuits, period, **kwargs)
-    with rt.tracer.span(name, tags) as sp:
-        try:
-            result = _shooting_batch_impl(circuits, period, **kwargs)
-        except ConvergenceError:
-            rt.count("repro_pss_convergence_failures_total")
-            raise
-        sp.set_tag("iterations", int(result.iterations.max()))
-        rt.count("repro_pss_solves_total", result.n_points)
-        rt.count("repro_pss_iterations_total", int(result.iterations.sum()))
-        return result
-
-
-def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
-                         x0, warmup_periods, max_iterations, tol,
-                         fd_delta, method, update_limit,
-                         solver) -> BatchPssResult:
     circuits = list(circuits)
     if not circuits:
         raise AnalysisError("need at least one circuit to batch")
@@ -1026,6 +999,14 @@ def _shooting_batch_impl(circuits, period, *, steps_per_period, observe,
     return BatchPssResult(circuits, periods, waves, iterations, residuals)
 
 
+#: :func:`shooting_batch` without its span and counters, for
+#: :func:`shooting_jacobian_batched`, which records its own.
+_shooting_batch = shooting_batch.__wrapped__
+
+
+@telemetry.traced("pss.shooting_jacobian",
+                  tags=lambda circuit, *_, **__: {"circuit": circuit.name},
+                  done=_note_pss, fails=_PSS_FAILURES)
 def shooting_jacobian_batched(circuit: Circuit, period: float, *,
                               steps_per_period: int = 200,
                               observe: Optional[Sequence[str]] = None,
@@ -1043,11 +1024,9 @@ def shooting_jacobian_batched(circuit: Circuit, period: float, *,
     iterates, residuals and waves equal the scalar
     :func:`~repro.circuit.pss.shooting` sequence bit for bit.
     """
-    return _traced_shooting(
-        "pss.shooting_jacobian", {"circuit": circuit.name}, [circuit],
-        period,
-        dict(steps_per_period=steps_per_period, observe=observe,
-             x0=None if x0 is None else [x0],
-             warmup_periods=warmup_periods, max_iterations=max_iterations,
-             tol=tol, fd_delta=fd_delta, method=method,
-             update_limit=update_limit, solver=solver)).point(0)
+    return _shooting_batch(
+        [circuit], period, steps_per_period=steps_per_period,
+        observe=observe, x0=None if x0 is None else [x0],
+        warmup_periods=warmup_periods, max_iterations=max_iterations,
+        tol=tol, fd_delta=fd_delta, method=method,
+        update_limit=update_limit, solver=solver).point(0)

@@ -152,6 +152,10 @@ class MnaContext:
 
     # -- Newton ---------------------------------------------------------------
 
+    @telemetry.traced(
+        "mna.newton",
+        tags=lambda self, *_, analysis, mode, **__: {
+            "analysis": analysis, "mode": mode, "size": self.size})
     def solve_newton(self, x0: Optional[np.ndarray], t: float, *,
                      mode: str = "tran", dt: Optional[float] = None,
                      method: str = "trap", source_scale: float = 1.0,
@@ -165,24 +169,6 @@ class MnaContext:
         :class:`ConvergenceError` when the damped Newton iteration fails.
         """
         rt = telemetry.active()
-        if rt is None:
-            return self._solve_newton_impl(
-                x0, t, mode=mode, dt=dt, method=method,
-                source_scale=source_scale, gshunt=gshunt,
-                max_iter=max_iter, vlimit=vlimit, abstol=abstol,
-                reltol=reltol, itol=itol, analysis=analysis, rt=None)
-        with rt.tracer.span("mna.newton",
-                            {"analysis": analysis, "mode": mode,
-                             "size": self.size}):
-            return self._solve_newton_impl(
-                x0, t, mode=mode, dt=dt, method=method,
-                source_scale=source_scale, gshunt=gshunt,
-                max_iter=max_iter, vlimit=vlimit, abstol=abstol,
-                reltol=reltol, itol=itol, analysis=analysis, rt=rt)
-
-    def _solve_newton_impl(self, x0, t, *, mode, dt, method, source_scale,
-                           gshunt, max_iter, vlimit, abstol, reltol, itol,
-                           analysis, rt) -> np.ndarray:
         G_base, I_base = self._base_for_point(
             t, mode=mode, dt=dt, method=method,
             source_scale=source_scale, gshunt=gshunt)

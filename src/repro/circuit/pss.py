@@ -105,6 +105,20 @@ def _newton_update(A: np.ndarray, r: np.ndarray,
     return np.clip(dx, -update_limit, update_limit)
 
 
+#: Every :class:`ConvergenceError` out of a shooting solve counts once.
+_PSS_FAILURES = (ConvergenceError, "repro_pss_convergence_failures_total")
+
+
+def _note_pss(rt, span, result: PssResult) -> None:
+    """Counters and the iterations tag of one finished shooting solve."""
+    span.set_tag("iterations", result.iterations)
+    rt.count("repro_pss_solves_total")
+    rt.count("repro_pss_iterations_total", result.iterations)
+
+
+@telemetry.traced("pss.shooting",
+                  tags=lambda circuit, *_, **__: {"circuit": circuit.name},
+                  done=_note_pss, fails=_PSS_FAILURES)
 def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
              observe: Optional[Sequence[str]] = None,
              x0: Optional[np.ndarray] = None, warmup_periods: int = 2,
@@ -134,35 +148,6 @@ def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
         finite-difference noise; clamping keeps the update physical and
         the iteration falls back to (fast) fixed-point behaviour there.
     """
-    rt = telemetry.active()
-    if rt is None:
-        return _shooting_impl(
-            circuit, period, steps_per_period=steps_per_period,
-            observe=observe, x0=x0, warmup_periods=warmup_periods,
-            max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-            method=method, update_limit=update_limit, ctx=ctx,
-            solver=solver)
-    with rt.tracer.span("pss.shooting",
-                        {"circuit": circuit.name}) as sp:
-        try:
-            result = _shooting_impl(
-                circuit, period, steps_per_period=steps_per_period,
-                observe=observe, x0=x0, warmup_periods=warmup_periods,
-                max_iterations=max_iterations, tol=tol, fd_delta=fd_delta,
-                method=method, update_limit=update_limit, ctx=ctx,
-                solver=solver)
-        except ConvergenceError:
-            rt.count("repro_pss_convergence_failures_total")
-            raise
-        sp.set_tag("iterations", result.iterations)
-        rt.count("repro_pss_solves_total")
-        rt.count("repro_pss_iterations_total", result.iterations)
-        return result
-
-
-def _shooting_impl(circuit, period, *, steps_per_period, observe, x0,
-                   warmup_periods, max_iterations, tol, fd_delta, method,
-                   update_limit, ctx, solver) -> PssResult:
     if period <= 0:
         raise AnalysisError("period must be positive")
     circuit.compile()

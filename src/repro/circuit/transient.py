@@ -76,6 +76,17 @@ class TransientResult:
         )
 
 
+def _note_steps(rt, span, result: TransientResult) -> None:
+    """Step and halving counters of one finished transient run."""
+    span.set_tag("steps", len(result.t) - 1)
+    rt.count("repro_mna_steps_total", len(result.t) - 1)
+    rt.count("repro_mna_step_halvings_total", result.halvings)
+
+
+@telemetry.traced("mna.transient",
+                  tags=lambda circuit, *_, method, **__: {
+                      "circuit": circuit.name, "method": method},
+                  done=_note_steps)
 def transient(circuit: Circuit, tstop: float, dt: float, *,
               tstart: float = 0.0, method: str = "trap",
               ic: Optional[Mapping[str, float]] = None, uic: bool = False,
@@ -103,26 +114,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         "sparse", see :mod:`repro.circuit.sparse`).  Ignored when an
         explicit ``ctx`` is supplied (the context owns the choice).
     """
-    rt = telemetry.active()
-    if rt is None:
-        return _transient_impl(circuit, tstop, dt, tstart=tstart,
-                               method=method, ic=ic, uic=uic, x0=x0,
-                               ctx=ctx, max_retries=max_retries,
-                               solver=solver)
-    with rt.tracer.span("mna.transient",
-                        {"circuit": circuit.name, "method": method}) as sp:
-        result = _transient_impl(circuit, tstop, dt, tstart=tstart,
-                                 method=method, ic=ic, uic=uic, x0=x0,
-                                 ctx=ctx, max_retries=max_retries,
-                                 solver=solver)
-        sp.set_tag("steps", len(result.t) - 1)
-        rt.count("repro_mna_steps_total", len(result.t) - 1)
-        rt.count("repro_mna_step_halvings_total", result.halvings)
-        return result
-
-
-def _transient_impl(circuit, tstop, dt, *, tstart, method, ic, uic, x0,
-                    ctx, max_retries, solver) -> TransientResult:
     if tstop <= tstart:
         raise AnalysisError(f"tstop ({tstop}) must exceed tstart ({tstart})")
     if dt <= 0:

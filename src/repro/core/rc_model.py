@@ -272,16 +272,9 @@ class RcBatchSolver:
             ordered.append(1.0)
         return ordered
 
+    @telemetry.traced("rc.solve", tags=lambda self: {
+        "kind": "batch", "points": int(self.r_up.shape[0])})
     def solve(self) -> RcBatchSolution:
-        rt = telemetry.active()
-        if rt is None:
-            return self._solve_impl()
-        with rt.tracer.span("rc.solve",
-                            {"kind": "batch",
-                             "points": int(self.r_up.shape[0])}):
-            return self._solve_impl()
-
-    def _solve_impl(self) -> RcBatchSolution:
         fractions = self._interval_fractions()
         g_up_legs = 1.0 / self.r_up      # (B, L)
         g_down_legs = 1.0 / self.r_down  # (B, L)
@@ -352,15 +345,9 @@ class RcSwitchSolver:
             ordered.append(1.0)
         return ordered
 
+    @telemetry.traced("rc.solve", tags=lambda self: {
+        "kind": "switch", "legs": len(self.legs)})
     def solve(self) -> RcSolution:
-        rt = telemetry.active()
-        if rt is None:
-            return self._solve_impl()
-        with rt.tracer.span("rc.solve",
-                            {"kind": "switch", "legs": len(self.legs)}):
-            return self._solve_impl()
-
-    def _solve_impl(self) -> RcSolution:
         fractions = self._interval_fractions()
         intervals: List[_Interval] = []
         for f0, f1 in zip(fractions[:-1], fractions[1:]):

@@ -260,6 +260,8 @@ class WeightedAdder:
 
     # -- unified evaluation --------------------------------------------------------
 
+    @telemetry.traced("adder.evaluate",
+                      tags=lambda *_, engine, **__: {"engine": engine})
     def evaluate(self, duties: Sequence[float], weights: Sequence[int], *,
                  engine: str = "rc", vdd: Optional[float] = None,
                  frequency: Optional[float] = None,
@@ -276,26 +278,6 @@ class WeightedAdder:
         transistor engine (which runs PSS over the least common period);
         the RC engine requires a shared period.
         """
-        rt = telemetry.active()
-        if rt is None:
-            return self._evaluate_impl(
-                duties, weights, engine=engine, vdd=vdd,
-                frequency=frequency, frequencies=frequencies,
-                phases=phases, input_amplitude=input_amplitude,
-                steps_per_period=steps_per_period,
-                cell_overrides=cell_overrides, solver=solver)
-        with rt.tracer.span("adder.evaluate", {"engine": engine}):
-            return self._evaluate_impl(
-                duties, weights, engine=engine, vdd=vdd,
-                frequency=frequency, frequencies=frequencies,
-                phases=phases, input_amplitude=input_amplitude,
-                steps_per_period=steps_per_period,
-                cell_overrides=cell_overrides, solver=solver)
-
-    def _evaluate_impl(self, duties, weights, *, engine, vdd, frequency,
-                       frequencies, phases, input_amplitude,
-                       steps_per_period, cell_overrides,
-                       solver) -> AdderResult:
         if engine not in ENGINES:
             raise AnalysisError(f"unknown engine {engine!r}; use {ENGINES}")
         cfg = self.config

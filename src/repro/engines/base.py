@@ -187,31 +187,26 @@ def _instrument_engine(eng: Engine) -> Engine:
     One central wrap point instead of per-engine edits: every
     registered engine gets ``engine.<op>`` spans, a
     ``repro_engine_calls_total{engine,op}`` counter and a
-    ``repro_engine_latency_seconds{engine,op}`` histogram.  The wrapper
-    costs one ``active()`` check per call when telemetry is disabled.
+    ``repro_engine_latency_seconds{engine,op}`` histogram (seconds
+    since the span opened).  The :func:`~repro.telemetry.traced`
+    wrapper costs one ``None`` check per call when telemetry is
+    disabled.
     """
     import time
 
-    def wrap(op: str, orig):
-        def wrapped(*args, **kwargs):
-            rt = telemetry.active()
-            if rt is None:
-                return orig(*args, **kwargs)
-            t0 = time.perf_counter()
-            with rt.tracer.span(f"engine.{op}", {"engine": eng.id}):
-                result = orig(*args, **kwargs)
+    def note_call(op: str):
+        def done(rt, span, result):
             rt.count("repro_engine_calls_total", engine=eng.id, op=op)
             rt.observe("repro_engine_latency_seconds",
-                       time.perf_counter() - t0, engine=eng.id, op=op)
-            return result
-
-        wrapped.__name__ = orig.__name__
-        wrapped.__doc__ = orig.__doc__
-        wrapped.__wrapped__ = orig
-        return wrapped
+                       time.perf_counter() - span._t0_perf,
+                       engine=eng.id, op=op)
+        return done
 
     for op in _INSTRUMENTED_OPS:
-        setattr(eng, op, wrap(op, getattr(eng, op)))
+        trace = telemetry.traced(
+            f"engine.{op}", tags=lambda *_, **__: {"engine": eng.id},
+            done=note_call(op))
+        setattr(eng, op, trace(getattr(eng, op)))
     return eng
 
 

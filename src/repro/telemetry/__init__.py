@@ -13,7 +13,15 @@ Three pillars, all dependency-free (stdlib only):
 
 Everything is **off by default and zero-cost when off**: the module
 keeps a single global :class:`Runtime` that is ``None`` until
-:func:`enable` is called.  Hot paths guard with::
+:func:`enable` is called.  A traced entry point is decorated once::
+
+    @telemetry.traced("mna.transient",
+                      tags=lambda circuit, *_, method, **__: {...},
+                      done=_note_steps)
+    def transient(circuit, tstop, dt, *, method="trap", ...):
+
+and costs one ``None`` check and a direct call when disabled
+(:func:`traced`).  Counters inside a loop guard with::
 
     rt = telemetry.active()
     if rt is not None:
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import os
 import sys
 from typing import Any, Dict, Iterator, Optional
@@ -167,6 +176,44 @@ def span(name: str, **tags: Any):
     if rt is None:
         return _NULL_SPAN
     return rt.tracer.span(name, tags)
+
+
+def traced(name: str, *, tags, done=None, fails=None):
+    """Decorate a function to run under span ``name`` when telemetry is on.
+
+    Disabled, the wrapper is one ``None`` check and a direct call.
+    Enabled, it opens the span with the tags that ``tags`` returns when
+    given the call's arguments (keyword-only defaults filled in), calls
+    the function, then ``done(rt, span, result)`` inside the span (the
+    site's counters and result tags).  ``fails=(exc_type, counter)``
+    counts ``counter`` once when the call raises ``exc_type``.
+    ``functools.wraps`` keeps the signature, docstring and
+    ``__wrapped__`` (the untraced function).
+    """
+    failure, failure_counter = fails or ((), None)
+
+    def decorate(fn):
+        kwdefaults = fn.__kwdefaults__ or {}
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            rt = _STATE
+            if rt is None:
+                return fn(*args, **kwargs)
+            span_tags = tags(*args, **{**kwdefaults, **kwargs})
+            with rt.tracer.span(name, span_tags) as sp:
+                try:
+                    result = fn(*args, **kwargs)
+                except failure:
+                    rt.count(failure_counter)
+                    raise
+                if done is not None:
+                    done(rt, sp, result)
+                return result
+
+        return wrapper
+
+    return decorate
 
 
 def count(name: str, amount: float = 1.0, **labels: Any) -> None:

@@ -14,16 +14,15 @@ The contracts under test:
   experiment payloads or the campaign aggregate document;
 * the comparator applies per-benchmark relative noise bands in both
   metric directions and classifies new/missing entries;
-* ``perf gate`` fails (exit != 0) on an injected slowdown in a hot
-  ``_impl`` and names both the benchmark and the dominant span from
-  the traced re-run;
+* ``perf gate`` fails (exit != 0) on an injected slowdown inside the
+  traced MNA transient and names both the benchmark and the dominant
+  span from the traced re-run;
 * the CLI surface (``perf list|run|history|compare|gate``) and the
   dashboard ``/perf`` endpoint serve the same data.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import time
 import urllib.request
@@ -37,7 +36,7 @@ from repro.campaigns import (
     collect_results,
     results_document,
 )
-from repro.circuit import AnalysisError
+from repro.circuit import AnalysisError, MnaContext
 from repro.exec import ResultCache
 from repro.experiments import RunConfig, run_config
 from repro.perf import (
@@ -378,19 +377,19 @@ class TestComparator:
 
 @pytest.fixture()
 def slow_transient(monkeypatch):
-    """Inject a deliberate slowdown into the hot MNA transient _impl.
+    """Inject a deliberate slowdown into every MNA transient run.
 
-    The package ``__init__`` rebinds the name ``transient`` to the
-    function, so the module must come from importlib.
+    The sleep sits in ``MnaContext.breakpoints``, which ``transient``
+    calls once per run inside its own ``mna.transient`` span and
+    outside any child span.
     """
-    tr = importlib.import_module("repro.circuit.transient")
-    real = tr._transient_impl
+    real = MnaContext.breakpoints
 
     def slowed(*args, **kwargs):
         time.sleep(0.02)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tr, "_transient_impl", slowed)
+    monkeypatch.setattr(MnaContext, "breakpoints", slowed)
     return slowed
 
 

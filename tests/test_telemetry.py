@@ -8,6 +8,9 @@ Pins the guarantees observability rests on:
 * the trace is structurally sound — nested spans carry correct
   parent/child links, export/load round-trips through JSONL, and tag
   cardinality stays bounded on real solver runs;
+* each ``@telemetry.traced`` entry point emits exactly its spans and
+  tag keys and moves its counters by exact amounts, and every name the
+  benchmark's layer tracer hooks exists;
 * the metrics registry renders valid Prometheus text exposition, and
   ``ServingMetrics`` snapshots are atomic across instruments under
   concurrent observers (the single-lock fix);
@@ -19,8 +22,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +293,225 @@ class TestShootingTraceRoundTrip:
         circuits = {e["tags"].get("circuit") for e in events
                     if "circuit" in e["tags"]}
         assert len(circuits) == 1
+
+
+# -- what each traced entry point records -----------------------------------
+
+
+def _rc_pulse(r: float = 1e3):
+    """A pulse-driven RC: linear, so every count below is exact."""
+    from repro.circuit import Capacitor, Circuit, Resistor, Vpulse
+
+    c = Circuit("rc_pulse")
+    c.add(Vpulse("VIN", "in", "0", v1=0.0, v2=1.0, rise=1e-9, fall=1e-9,
+                 width=4e-9, period=10e-9))
+    c.add(Resistor("R1", "in", "out", r))
+    c.add(Capacitor("C1", "out", "0", 1e-12))
+    return c
+
+
+def _newton():
+    from repro.circuit import MnaContext
+    MnaContext(_rc_pulse()).solve_newton(None, 0.0, mode="dc")
+
+
+def _batch_newton():
+    from repro.circuit.batch_transient import BatchTransientSolver
+    BatchTransientSolver([_rc_pulse(), _rc_pulse()]).run(
+        20e-9, 1e-9, x0=np.zeros((2, 3)))
+
+
+def _transient():
+    from repro.circuit import transient
+    transient(_rc_pulse(), 20e-9, 1e-9)
+
+
+def _shooting(**kw):
+    from repro.circuit import shooting
+    shooting(_rc_pulse(kw.pop("r", 1e4)), 10e-9, steps_per_period=20, **kw)
+
+
+def _shooting_batch(**kw):
+    from repro.circuit.batch_transient import shooting_batch
+    rs = kw.pop("rs", (1e4, 2e4))
+    shooting_batch([_rc_pulse(r) for r in rs], 10e-9, steps_per_period=20,
+                   **kw)
+
+
+def _shooting_jacobian():
+    from repro.circuit.batch_transient import shooting_jacobian_batched
+    shooting_jacobian_batched(_rc_pulse(1e4), 10e-9, steps_per_period=20)
+
+
+def _rc_batch():
+    from repro.core.rc_model import RcBatchSolver
+    RcBatchSolver(duty=[0.5], phase=[0.0], r_up=[[1e3], [2e3]],
+                  r_down=[[1e3], [1e3]], v_up=1.0, cout=1e-12,
+                  period=1e-9).solve()
+
+
+def _rc_switch():
+    from repro.core.rc_model import RcLeg, RcSwitchSolver
+    RcSwitchSolver([RcLeg(1e3, 1e3, 0.5)], cout=1e-12, period=1e-9,
+                   vdd=2.5).solve()
+
+
+def _adder():
+    from repro.core.weighted_adder import AdderConfig, WeightedAdder
+    WeightedAdder(AdderConfig()).evaluate((0.2, 0.6, 0.8), (5, 6, 7))
+
+
+def _engine_op(op):
+    def call():
+        from repro.core.cells import CellDesign
+        from repro.engines.base import CellStimulus, get_engine
+        eng = get_engine("behavioral")
+        if op == "evaluate":
+            eng.evaluate(CellDesign(), CellStimulus(duty=0.5))
+        else:
+            eng.sweep_supply(CellDesign(), CellStimulus(duty=0.5),
+                             [1.0, 2.5])
+    return call
+
+
+_NEWTON = ["analysis", "mode", "size"]
+_BATCH_NEWTON = ["analysis", "mode", "points", "size"]
+_TRAN = ["circuit", "method", "steps"]
+_BATCH_TRAN = ["points", "size"]
+
+#: id -> (call, {span name: sorted tag keys}, {counter: exact delta}).
+#: Counters outside the table (backend decisions, iterations by
+#: backend, latency histograms) are not pinned here.
+TRACED_ENTRY_POINTS = {
+    "mna.solve_newton": (_newton, {"mna.newton": _NEWTON}, {
+        "repro_mna_newton_solves_total": 1.0}),
+    "batch._solve_newton": (_batch_newton, {
+        "mna.newton": ["analysis", "points", "size"],
+        "mna.transient.batch": _BATCH_TRAN}, {
+        "repro_mna_newton_solves_total": 20.0,
+        "repro_mna_steps_total": 40.0,
+        "repro_mna_step_halvings_total": 0.0}),
+    "transient": (_transient, {
+        "mna.newton": _NEWTON, "mna.transient": _TRAN}, {
+        "repro_mna_newton_solves_total": 21.0,
+        "repro_mna_steps_total": 20.0,
+        "repro_mna_step_halvings_total": 0.0}),
+    "shooting": (_shooting, {
+        "mna.newton": _NEWTON, "mna.transient": _TRAN,
+        "pss.shooting": ["circuit", "iterations"]}, {
+        "repro_mna_newton_solves_total": 101.0,
+        "repro_mna_steps_total": 100.0,
+        "repro_mna_step_halvings_total": 0.0,
+        "repro_pss_solves_total": 1.0,
+        "repro_pss_iterations_total": 2.0}),
+    "shooting_batch": (_shooting_batch, {
+        "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
+        "pss.shooting_batch": ["iterations", "points"]}, {
+        "repro_mna_newton_solves_total": 82.0,
+        "repro_mna_steps_total": 240.0,
+        "repro_mna_step_halvings_total": 0.0,
+        "repro_pss_solves_total": 2.0,
+        "repro_pss_iterations_total": 4.0}),
+    "shooting_jacobian_batched": (_shooting_jacobian, {
+        "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
+        "pss.shooting_jacobian": ["circuit", "iterations"]}, {
+        "repro_mna_newton_solves_total": 81.0,
+        "repro_mna_steps_total": 120.0,
+        "repro_mna_step_halvings_total": 0.0,
+        "repro_pss_solves_total": 1.0,
+        "repro_pss_iterations_total": 2.0}),
+    "RcBatchSolver.solve": (_rc_batch, {
+        "rc.solve": ["kind", "points"]}, {}),
+    "RcSwitchSolver.solve": (_rc_switch, {
+        "rc.solve": ["kind", "legs"]}, {}),
+    "WeightedAdder.evaluate": (_adder, {
+        "adder.evaluate": ["engine"], "rc.solve": ["kind", "legs"]}, {}),
+    "engine.evaluate": (_engine_op("evaluate"), {
+        "engine.evaluate": ["engine"]}, {
+        'repro_engine_calls_total{engine="behavioral",op="evaluate"}': 1.0,
+        'repro_engine_latency_seconds{engine="behavioral",op="evaluate"}'
+        '#count': 1.0}),
+    "engine.sweep_supply": (_engine_op("sweep_supply"), {
+        "engine.sweep_supply": ["engine"]}, {
+        'repro_engine_calls_total{engine="behavioral",op="sweep_supply"}':
+            1.0,
+        'repro_engine_latency_seconds{engine="behavioral",'
+        'op="sweep_supply"}#count': 1.0}),
+}
+
+
+def _recorded(call):
+    """Span name -> tag keys, and the counter values, of one call."""
+    with telemetry.session() as rt:
+        call()
+    spans = {}
+    for event in rt.tracer.events():
+        spans.setdefault(event["name"], set()).update(event["tags"])
+    return ({name: sorted(keys) for name, keys in spans.items()},
+            rt.registry.flat_values())
+
+
+class TestTracedEntryPoints:
+    """Every traced entry point emits its span, with its tag keys, and
+    moves its counters by exact amounts; nothing else is emitted."""
+
+    @pytest.mark.parametrize("entry", sorted(TRACED_ENTRY_POINTS))
+    def test_spans_tags_and_counters(self, entry):
+        call, spans, counters = TRACED_ENTRY_POINTS[entry]
+        got_spans, got_counters = _recorded(call)
+        assert got_spans == spans
+        assert {k: got_counters.get(k) for k in counters} == counters
+        if not any(k.startswith("repro_pss_") for k in counters):
+            assert not any(k.startswith("repro_pss_") for k in got_counters)
+
+    def test_span_tag_values(self):
+        with telemetry.session() as rt:
+            _shooting()
+        (pss,) = [e for e in rt.tracer.events()
+                  if e["name"] == "pss.shooting"]
+        assert pss["tags"] == {"circuit": "rc_pulse", "iterations": 2}
+        trans = [e for e in rt.tracer.events()
+                 if e["name"] == "mna.transient"]
+        assert trans[0]["tags"] == {"circuit": "rc_pulse",
+                                    "method": "trap", "steps": 20}
+
+    @pytest.mark.parametrize("run", [
+        lambda: _shooting(r=1e6, max_iterations=1),
+        lambda: _shooting_batch(rs=(1e6,), max_iterations=1),
+    ], ids=["shooting", "shooting_batch"])
+    def test_forced_non_convergence_counts_one_failure(self, run):
+        from repro.circuit import ConvergenceError
+
+        with telemetry.session() as rt:
+            with pytest.raises(ConvergenceError):
+                run()
+        counters = rt.registry.flat_values()
+        assert counters["repro_pss_convergence_failures_total"] == 1.0
+        assert "repro_pss_solves_total" not in counters
+        (root,) = [e for e in rt.tracer.events() if e["parent"] is None]
+        assert root["name"].startswith("pss.")
+        assert root["tags"]["error"] == "ConvergenceError"
+
+
+class TestPerfbenchHooks:
+    def test_every_hook_target_exists(self):
+        """The benchmark's layer tracer finds every name it hooks."""
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+            "import repro.experiments, repro.serve.aio_server\n"
+            "import tracer\n"
+            "t = tracer.LayerTracer()\n"
+            "tracer.install_circuit_hooks(t)\n"
+            "tracer.install_serve_hooks(t)\n"
+            "assert t.missing == [], t.missing\n"
+            "print('ok')\n")
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
 
 # -- error surfaces (resolve_solver names the experiment) --------------------
