@@ -14,11 +14,17 @@ owns everything that is not application logic:
   pipelining per connection, one task per connection;
 * **bounded parsing** — requests are assembled from the stream as
   bytes arrive (head at the blank line, body by ``Content-Length``).
-  A malformed head, an unsupported method, a chunked body, a bad or
-  oversized ``Content-Length`` (:data:`MAX_BODY_BYTES`) each get one
-  JSON error reply and a close; a head or body read that stalls for
-  :data:`READ_TIMEOUT_S` (an idle keep-alive connection included)
-  closes the connection.
+  A malformed head (two differing ``Content-Length`` values included),
+  an oversized head, an unsupported method, a chunked body, a
+  ``Content-Length`` that is not ``1*DIGIT`` or exceeds
+  :data:`MAX_BODY_BYTES` each get one JSON error reply and a close.  A
+  head or body read that has not finished :data:`READ_TIMEOUT_S` after
+  it began (an idle keep-alive connection included) aborts the
+  connection.  The deadline costs no timer per read: each connection
+  keeps one lazily re-armed timer (:class:`_ReadDeadline`).  Every
+  rejection and expired read is counted by reason
+  (:data:`REJECTION_REASONS`, exported by the serving API as
+  ``repro_http_rejections_total``).
 
 Subclasses supply ``_dispatch`` (one parsed request in, ``(status,
 body, content_type)`` out).  Two exist: :class:`AsyncPerceptronServer`
@@ -88,28 +94,62 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 READ_TIMEOUT_S = 60.0
 
 
-def _content_length(headers: Dict[str, str]
-                    ) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Body length from the headers, or ``(0, (status, message))`` for a
-    value the server refuses (400 malformed, 413 over the cap)."""
-    raw = headers.get("content-length") or "0"
+#: Label values of ``repro_http_rejections_total``: one per limit the
+#: HTTP core enforces.  ``read_deadline`` counts reads aborted by
+#: :data:`READ_TIMEOUT_S`; every other reason is a request answered
+#: with an error and a close.
+REJECTION_REASONS = ("malformed_head", "head_too_large",
+                     "unsupported_method", "chunked_body",
+                     "bad_content_length", "body_too_large",
+                     "read_deadline")
+
+
+class _Rejection(Exception):
+    """A request the core refuses: ``(reason, status, message)``."""
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """Body length from the headers; raises :class:`_Rejection` for a
+    value that is not ``1*DIGIT`` (400) or exceeds the cap (413)."""
+    raw = headers.get("content-length")
+    if raw is None:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise _Rejection("bad_content_length", 400,
+                         f"invalid Content-Length {raw!r}")
+    digits = raw.lstrip("0") or "0"
+    # The length test first: int() refuses strings over 4300 digits.
+    if len(digits) > len(str(MAX_BODY_BYTES)) or \
+            int(digits) > MAX_BODY_BYTES:
+        raise _Rejection("body_too_large", 413,
+                         f"request body of {digits} bytes exceeds the "
+                         f"{MAX_BODY_BYTES}-byte limit")
+    return int(digits)
+
+
+def _check_head(blob: bytes, allowed_methods: Tuple[str, ...]
+                ) -> Tuple[str, str, str, Dict[str, str], int]:
+    """``(method, target, version, headers, body length)`` of a request
+    the core accepts; raises :class:`_Rejection` for any other."""
     try:
-        length = int(raw)
-    except ValueError:
-        length = -1
-    if length < 0:
-        return 0, (400, f"invalid Content-Length {raw!r}")
-    if length > MAX_BODY_BYTES:
-        return 0, (413, f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte limit")
-    return length, None
+        method, target, version, headers = _parse_head(blob)
+    except ValueError as exc:
+        raise _Rejection("malformed_head", 400, str(exc)) from None
+    if method not in allowed_methods:
+        raise _Rejection("unsupported_method", 501,
+                         f"unsupported method {method}")
+    if "transfer-encoding" in headers:
+        raise _Rejection("chunked_body", 501,
+                         "chunked transfer encoding is not supported")
+    return method, target, version, headers, _content_length(headers)
 
 
 def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
     """Request line + headers from one ``...\\r\\n\\r\\n`` block.
 
     Header names are lower-cased (HTTP headers are case-insensitive);
-    raises ``ValueError`` on anything malformed.
+    raises ``ValueError`` on anything malformed, including two
+    ``Content-Length`` headers that differ (RFC 9112 section 6.3).
     """
     lines = blob.decode("latin-1").split("\r\n")
     parts = lines[0].split()
@@ -123,7 +163,13 @@ def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
         name, sep, value = line.partition(":")
         if not sep or not name or name != name.strip() or " " in name:
             raise ValueError(f"malformed header line {line!r}")
-        headers[name.lower()] = value.strip()
+        # Optional whitespace is SP and HTAB only: str.strip() would
+        # also drop "\xa0" and read "41\xa0" as a valid length.
+        name, value = name.lower(), value.strip(" \t")
+        if name == "content-length" and \
+                headers.get(name, value) != value:
+            raise ValueError("conflicting Content-Length headers")
+        headers[name] = value
     return method, target, version, headers
 
 
@@ -158,6 +204,65 @@ def _parse_body_json(body: bytes) -> Any:
         return json.loads(body)
     except json.JSONDecodeError as exc:
         raise AnalysisError(f"request body is not JSON: {exc}") from exc
+
+
+class _ReadDeadline:
+    """One connection's read deadline, on one lazily re-armed timer.
+
+    A head or body read (an idle keep-alive wait is a head read) must
+    finish :data:`READ_TIMEOUT_S` after it began.  Scheduling and
+    cancelling a loop timer per read would cost two per request;
+    instead :meth:`begin` records the loop time a read starts and
+    arms the timer only when none is pending.  When the timer fires,
+    a read still pending from the start it was armed for aborts the
+    transport; a later read re-arms it for that read's due time, and
+    with no read pending it lapses until the next :meth:`begin`.
+    """
+
+    __slots__ = ("_loop", "_transport", "_start", "_armed", "_handle",
+                 "expired")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 transport: asyncio.BaseTransport):
+        self._loop = loop
+        self._transport = transport
+        self._start: Optional[float] = None
+        self._armed: Optional[float] = None
+        self._handle: Optional[asyncio.TimerHandle] = None
+        #: Set once the deadline has aborted the connection.
+        self.expired = False
+
+    def begin(self) -> None:
+        """A read starts now."""
+        self._start = start = self._loop.time()
+        if self._handle is None:
+            self._arm(start)
+
+    def end(self) -> None:
+        """The read finished (or failed) before its deadline."""
+        self._start = None
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _arm(self, start: float) -> None:
+        # READ_TIMEOUT_S is read at run time: tests shorten it.
+        self._armed = start
+        self._handle = self._loop.call_at(start + READ_TIMEOUT_S,
+                                          self._fire)
+
+    def _fire(self) -> None:
+        self._handle = None
+        start = self._start
+        if start is None:
+            return
+        if start == self._armed:
+            self.expired = True
+            self._transport.abort()
+        else:
+            self._arm(start)
 
 
 class AsyncHttpServer:
@@ -277,50 +382,32 @@ class AsyncHttpServer:
         self._open_connections += 1
         t0 = time.perf_counter()
         served = 0
+        deadline = _ReadDeadline(asyncio.get_running_loop(),
+                                 writer.transport)
         try:
             while True:
+                deadline.begin()
                 try:
-                    async with asyncio.timeout(READ_TIMEOUT_S):
-                        head = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        TimeoutError):
-                    break          # client went away or went quiet
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    break      # client went away, or its read expired
                 except asyncio.LimitOverrunError:
-                    await self._write_response(
-                        writer, 400,
-                        encode_json({"error": "request head too large"}),
-                        keep_alive=False)
+                    deadline.end()
+                    await self._refuse(writer, "head_too_large", 400,
+                                       "request head too large")
                     break
+                deadline.end()
                 try:
-                    method, target, version, headers = _parse_head(head)
-                except ValueError as exc:
-                    await self._write_response(
-                        writer, 400, encode_json({"error": str(exc)}),
-                        keep_alive=False)
-                    break
-                if method not in self.allowed_methods:
-                    await self._write_response(
-                        writer, 501, encode_json({
-                            "error": f"unsupported method {method}"}),
-                        keep_alive=False)
-                    break
-                if "transfer-encoding" in headers:
-                    await self._write_response(
-                        writer, 501, encode_json({
-                            "error": "chunked transfer encoding is "
-                                     "not supported"}),
-                        keep_alive=False)
-                    break
-                length, error = _content_length(headers)
-                if error is not None:
-                    await self._write_response(
-                        writer, error[0], encode_json({"error": error[1]}),
-                        keep_alive=False)
+                    method, target, version, headers, length = \
+                        _check_head(head, self.allowed_methods)
+                except _Rejection as rejection:
+                    await self._refuse(writer, *rejection.args)
                     break
                 body = b""
                 if length > 0:
-                    async with asyncio.timeout(READ_TIMEOUT_S):
-                        body = await reader.readexactly(length)
+                    deadline.begin()
+                    body = await reader.readexactly(length)
+                    deadline.end()
                 keep_alive = (version == "HTTP/1.1" and "close" not in
                               headers.get("connection", "").lower())
                 status, out, content_type = await self._dispatch(
@@ -331,10 +418,12 @@ class AsyncHttpServer:
                     content_type=content_type)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                TimeoutError, OSError):
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
+            deadline.cancel()
+            if deadline.expired:
+                self._count_rejection("read_deadline")
             self._open_connections -= 1
             self._writers.discard(writer)
             if task is not None:
@@ -347,6 +436,20 @@ class AsyncHttpServer:
             writer.close()
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
+
+    async def _refuse(self, writer: asyncio.StreamWriter, reason: str,
+                      status: int, message: str) -> None:
+        """Count one rejection and answer it with a JSON error; the
+        caller closes the connection."""
+        self._count_rejection(reason)
+        await self._write_response(writer, status,
+                                   encode_json({"error": message}),
+                                   keep_alive=False)
+
+    def _count_rejection(self, reason: str) -> None:
+        """One request refused or read expired, by
+        :data:`REJECTION_REASONS` label.  The core keeps no metrics
+        registry; subclasses that export metrics count here."""
 
     @staticmethod
     async def _write_response(writer: asyncio.StreamWriter, status: int,
@@ -404,6 +507,15 @@ class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
         self._conn_gauge = reg.gauge(
             "repro_open_connections",
             "Currently open HTTP connections.")
+        self._rejections = reg.counter(
+            "repro_http_rejections_total",
+            "Requests refused by an HTTP limit, and reads aborted by "
+            "the read deadline, by reason.", labelnames=("reason",))
+        for reason in REJECTION_REASONS:
+            self._rejections.inc(0, reason=reason)
+
+    def _count_rejection(self, reason: str) -> None:
+        self._rejections.inc(reason=reason)
 
     async def handle_predict_async(self,
                                    payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -301,6 +301,9 @@ class ModelStore:
 
     def __init__(self, root: PathLike):
         self.root = Path(root)
+        #: Validated artifact path (a ``str``) per name that has existed,
+        #: so :meth:`stat` costs one ``os.stat`` per request.
+        self._stat_paths: Dict[str, str] = {}
 
     def path_for(self, name: str) -> Path:
         if not name or any(c in name for c in "/\\\0") or name.startswith("."):
@@ -328,10 +331,12 @@ class ModelStore:
         every request while still noticing re-exports.  ``None`` means
         the artifact is missing (or unreadable) right now.
         """
+        path = self._stat_paths.get(name) or str(self.path_for(name))
         try:
-            st = self.path_for(name).stat()
+            st = os.stat(path)
         except OSError:
             return None
+        self._stat_paths[name] = path
         return (st.st_mtime_ns, st.st_size)
 
     def load_doc(self, name: str) -> Dict[str, Any]:

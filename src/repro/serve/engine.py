@@ -368,6 +368,13 @@ class BatchInferenceEngine:
                 return self.margins_rc(model, X, vdd=vdd)
             raise AnalysisError(
                 f"cannot serve model of type {type(model).__name__}")
+        return self.behavioral_margins(model, X, vdd=vdd)
+
+    def behavioral_margins(self, model, X, *,
+                           vdd: Optional[ArrayLike] = None) -> np.ndarray:
+        """:meth:`model_margins` at the behavioural level, without the
+        registry lookups: for callers that already routed the request
+        to the ``"behavioral"`` engine (the serving micro-batcher)."""
         if isinstance(model, PwmMlp):
             if model.output is None:
                 raise AnalysisError(

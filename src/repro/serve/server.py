@@ -232,7 +232,9 @@ class _LoadedModel:
             supply: "float | np.ndarray" = nominal
             if vdds is not None:
                 supply = np.where(np.isnan(vdds), nominal, vdds)
-            return engine.model_margins(model, features, vdd=supply)
+            # handle_predict_async routed the request by engine id;
+            # the flush skips model_margins' registry lookups.
+            return engine.behavioral_margins(model, features, vdd=supply)
 
         self.batcher = AsyncMicroBatcher(handler, max_batch=max_batch)
 
@@ -345,10 +347,11 @@ class ServingCore:
         solver = payload.get("solver", "auto")
         if not isinstance(solver, str):
             raise AnalysisError("'solver' must be an MNA backend string")
-        if engine == "behavioral":
+        if engine == "behavioral" and solver != "auto":
             # The hot path has no MNA system; reject a non-default
             # backend with the same registry-backed error the slow
-            # paths raise instead of silently ignoring it.
+            # paths raise instead of silently ignoring it.  ("auto"
+            # always passes, so the default costs no registry lookup.)
             resolve_solver(solver, engine_id=engine)
         return PredictRequest(name, loaded, X, vdd, engine, solver)
 

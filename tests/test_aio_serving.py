@@ -11,7 +11,11 @@ Pins the guarantees the serving plane rests on:
 * ``/predict`` error bodies always carry ``error``/``model``/
   ``engine`` in that order;
 * the HTTP core binds at construction, bounds malformed, oversized
-  and stalled requests, and keeps serving afterwards;
+  and stalled requests (a read's deadline runs from its start), counts
+  each refusal under its own reason, and keeps serving afterwards;
+* per-request work stays per request: keep-alive reads share one
+  deadline timer, and default behavioural requests skip the engine
+  registry;
 * schema-v3 artifacts round-trip custom cell designs and older
   documents migrate (v2 → v3, v1 → v3);
 * the worker pool dispatches by artifact document with per-process
@@ -26,6 +30,7 @@ import dataclasses
 import http.client
 import json
 import os
+import select
 import signal
 import socket
 import threading
@@ -63,6 +68,21 @@ from repro.telemetry.metrics import validate_prometheus_text
 ENGINE = BatchInferenceEngine()
 
 WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "serve_wire.json"
+
+
+def _until_closed(sock):
+    """Bytes the server sends before it hangs up (a reset is a hang-up:
+    an aborted connection may reset rather than close)."""
+    raw = b""
+    try:
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    except ConnectionResetError:
+        pass
+    return raw
 
 
 def _raw(host, port, method, path, body=None):
@@ -472,13 +492,23 @@ class TestAioTransport:
         assert new_batches < 12    # coalescing actually happened
 
     @pytest.mark.parametrize("value,status", [
-        ("abc", 400), ("-5", 400), ("9999999999", 413)])
+        ("abc", 400), ("-5", 400), ("9999999999", 413),
+        # RFC 9112 section 6.3: Content-Length is 1*DIGIT, and two
+        # differing values are an error, not "the last one wins".
+        ("4_1", 400), ("+41", 400), pytest.param("", 400, id="empty-400"),
+        pytest.param("41\xa0", 400, id="41-nbsp-400"),
+        pytest.param("3\r\nContent-Length: 41", 400,
+                     id="3-then-41-400")])
     def test_bad_content_length_answered_and_closed(self, value, status):
+        # A valid 41-byte /predict body follows the head: a lenient
+        # parser would read it and answer 200.
+        body = b'{"model": "demo", "inputs": [[0.3, 0.7]]}'
+        assert len(body) == 41
         with socket.create_connection((self.aio.host, self.aio.port),
                                       timeout=15) as sock:
             sock.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: " + value.encode()
-                         + b"\r\n\r\n")
+                         b"Content-Length: " + value.encode("latin-1")
+                         + b"\r\n\r\n" + body)
             raw = b""
             while True:          # the server closes after answering
                 chunk = sock.recv(65536)
@@ -610,6 +640,159 @@ class TestAioTransport:
             assert raw == b""
         # The next connection is still served.
         assert self._get("/healthz")[0] == 200
+
+    def test_trickled_head_is_cut_off_from_read_start(self, monkeypatch):
+        # The deadline runs from the start of the read, not from the
+        # last byte: a head trickled one byte every 20 ms never
+        # finishes, and is closed about READ_TIMEOUT_S after it began.
+        monkeypatch.setattr(aio_server, "READ_TIMEOUT_S", 0.3)
+        head = b"POST /predict HTTP/1.1\r\nX-Pad: " + b"a" * 500
+        closed_after = None
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15) as sock:
+            t0 = time.monotonic()
+            for byte in head:
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    closed_after = time.monotonic() - t0
+                    break
+                if select.select([sock], [], [], 0.02)[0]:
+                    assert _until_closed(sock) == b""
+                    closed_after = time.monotonic() - t0
+                    break
+        assert closed_after is not None and closed_after < 1.5, \
+            closed_after
+        assert self._get("/healthz")[0] == 200
+
+    def test_keep_alive_reads_share_one_timer(self):
+        # 200 requests on one connection arm the connection's read
+        # deadline a constant number of times, not once or twice per
+        # request.  The heartbeat's sleeps also schedule loop timers:
+        # one per HEARTBEAT_INTERVAL is allowed for.
+        loop = self.aio._loop
+        call_at = loop.call_at
+        scheduled = []
+
+        def counting(when, callback, *args, **kwargs):
+            scheduled.append(callback)
+            return call_at(when, callback, *args, **kwargs)
+
+        payload = json.dumps({"model": "demo",
+                              "inputs": [[0.4, 0.6]]}).encode()
+        conn = http.client.HTTPConnection(self.aio.host, self.aio.port,
+                                          timeout=15)
+        loop.call_at = counting
+        t0 = time.monotonic()
+        try:
+            for _ in range(200):
+                conn.request("POST", "/predict", body=payload,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            elapsed = time.monotonic() - t0
+            del loop.call_at
+            conn.close()
+        heartbeats = elapsed / aio_server.HEARTBEAT_INTERVAL + 1
+        assert len(scheduled) <= 3 + heartbeats, (len(scheduled), elapsed)
+
+    def test_default_requests_skip_the_engine_registry(self, monkeypatch):
+        # The default behavioural request was routed by engine id once;
+        # neither parsing nor the batcher flush repeats the registry's
+        # capability and solver checks.
+        import repro.engines
+        import repro.engines.base
+        import repro.exec.batch
+        from repro.serve import server as serve_server
+
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(repro.engines, "require_capability")
+        count(repro.engines.base, "require_capability")
+        count(repro.exec.batch, "resolve_solver")
+        count(serve_server, "resolve_solver")
+        conn = http.client.HTTPConnection(self.aio.host, self.aio.port,
+                                          timeout=15)
+        try:
+            for i in range(50):
+                conn.request("POST", "/predict", body=json.dumps(
+                    {"model": "demo", "inputs": [[0.01 * i, 0.5]]}),
+                    headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            conn.close()
+        assert calls == []
+        # A pinned non-default solver still gets the registry's 400.
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict",
+                           json.dumps({"model": "demo",
+                                       "inputs": [[0.3, 0.7]],
+                                       "solver": "sparse"}).encode())
+        assert status == 400
+        assert "only applies to transistor-level engines" in \
+            json.loads(raw)["error"]
+        assert calls == ["resolve_solver"]
+
+    def _rejections(self):
+        status, raw = self._get("/metrics?format=prometheus")
+        assert status == 200
+        counts = {}
+        for line in raw.decode().splitlines():
+            if line.startswith("repro_http_rejections_total{"):
+                sample, value = line.split()
+                counts[sample.split('"')[1]] = float(value)
+        return counts
+
+    @pytest.mark.parametrize("reason,sent", [
+        ("malformed_head", b"GARBAGE\r\n\r\n"),
+        ("head_too_large",
+         b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000),
+        ("unsupported_method", b"PUT /predict HTTP/1.1\r\n\r\n"),
+        ("chunked_body", b"POST /predict HTTP/1.1\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"),
+        ("bad_content_length",
+         b"POST /predict HTTP/1.1\r\nContent-Length: +5\r\n\r\n"),
+        ("body_too_large", b"POST /predict HTTP/1.1\r\n"
+                           b"Content-Length: 9999999999\r\n\r\n"),
+        ("read_deadline", b"POST /predict HTTP/1.1\r\nHost: x\r\n"),
+    ])
+    def test_each_limit_counts_its_own_rejection(self, monkeypatch,
+                                                 reason, sent):
+        monkeypatch.setattr(aio_server, "READ_TIMEOUT_S", 0.2)
+        before = self._rejections()
+        assert set(before) == set(aio_server.REJECTION_REASONS)
+        # Successes count nothing.
+        assert self._get("/healthz")[0] == 200
+        status, _ = _raw(self.aio.host, self.aio.port, "POST",
+                         "/predict",
+                         json.dumps({"model": "demo",
+                                     "inputs": [[0.3, 0.7]]}).encode())
+        assert status == 200
+        assert self._rejections() == before
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15) as sock:
+            sock.sendall(sent)
+            _until_closed(sock)
+        # An expired read is counted as its handler unwinds, which may
+        # be just after the client sees the close.
+        after, wait_until = self._rejections(), time.monotonic() + 5
+        while after == before and time.monotonic() < wait_until:
+            time.sleep(0.01)
+            after = self._rejections()
+        assert {r: after[r] - before[r] for r in before} == \
+            {r: float(r == reason) for r in before}
 
 
 # -- HTTP parser fuzzing -------------------------------------------------------
