@@ -14,7 +14,8 @@ owns everything that is not application logic:
   pipelining per connection, one task per connection;
 * **bounded parsing** — requests are assembled from the stream as
   bytes arrive (head at the blank line, body by ``Content-Length``).
-  A malformed head (two differing ``Content-Length`` values included),
+  A malformed head (a request line not split by single spaces, or two
+  differing ``Content-Length`` values, included),
   an oversized head, an unsupported method, a chunked body, a
   ``Content-Length`` that is not ``1*DIGIT`` or exceeds
   :data:`MAX_BODY_BYTES` each get one JSON error reply and a close.  A
@@ -148,12 +149,17 @@ def _parse_head(blob: bytes) -> Tuple[str, str, str, Dict[str, str]]:
     """Request line + headers from one ``...\\r\\n\\r\\n`` block.
 
     Header names are lower-cased (HTTP headers are case-insensitive);
-    raises ``ValueError`` on anything malformed, including two
-    ``Content-Length`` headers that differ (RFC 9112 section 6.3).
+    raises ``ValueError`` on anything malformed, including a request
+    line not split by single spaces (RFC 9112 section 3: no tabs, no
+    runs of spaces) and two ``Content-Length`` headers that differ
+    (RFC 9112 section 6.3).
     """
     lines = blob.decode("latin-1").split("\r\n")
-    parts = lines[0].split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+    parts = lines[0].split(" ")
+    # Equal to the whitespace split only when every separator is one
+    # SP and no part holds other whitespace.
+    if len(parts) != 3 or parts != lines[0].split() \
+            or not parts[2].startswith("HTTP/"):
         raise ValueError(f"malformed request line {lines[0]!r}")
     method, target, version = parts
     headers: Dict[str, str] = {}
@@ -499,14 +505,15 @@ class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
         self.pool = EngineWorkerPool(workers, on_restart=restarts.inc)
         self._lag_gauge = reg.gauge(
             "repro_eventloop_lag_seconds",
-            "Event-loop scheduling lag sampled by the serve heartbeat.")
+            "Event-loop scheduling lag sampled by the serve heartbeat."
+        ).labels()
         self._pool_depth_gauge = reg.gauge(
             "repro_worker_pool_queue_depth",
             "Slow-engine requests submitted to the worker pool and "
-            "not yet finished.")
+            "not yet finished.").labels()
         self._conn_gauge = reg.gauge(
             "repro_open_connections",
-            "Currently open HTTP connections.")
+            "Currently open HTTP connections.").labels()
         self._rejections = reg.counter(
             "repro_http_rejections_total",
             "Requests refused by an HTTP limit, and reads aborted by "

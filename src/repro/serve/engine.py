@@ -49,6 +49,18 @@ from ..exec.batch import batch_adder_values, leg_resistance_arrays
 ArrayLike = Union[float, np.ndarray]
 
 
+def check_duty_range(X: np.ndarray) -> np.ndarray:
+    """Raise unless every entry of the float array ``X`` is a duty
+    cycle in [0, 1].
+
+    Two reductions suffice: ``min``/``max`` propagate NaN and NaN fails
+    both comparisons, so non-finite entries are rejected too.
+    """
+    if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):
+        raise AnalysisError("duty cycles must be finite and lie in [0, 1]")
+    return X
+
+
 def check_duty_matrix(X, n_features: int) -> np.ndarray:
     """Validate a ``(samples, features)`` duty matrix (vectorised
     counterpart of :func:`repro.core.encoding.check_duties`)."""
@@ -59,10 +71,25 @@ def check_duty_matrix(X, n_features: int) -> np.ndarray:
         raise AnalysisError(
             f"duty matrix must be (n_samples, {n_features}), got "
             f"{X.shape}")
-    if X.size and not (np.isfinite(X).all()
-                       and np.min(X) >= 0.0 and np.max(X) <= 1.0):
-        raise AnalysisError("duty cycles must be finite and lie in [0, 1]")
-    return X
+    return check_duty_range(X)
+
+
+def _eq2(duties: np.ndarray, weights: Sequence[int], n_bits: int,
+         vdd: ArrayLike) -> np.ndarray:
+    """Paper Eq. 2 with trusted weights: the one accumulation behind
+    :func:`eq2_output_vec` and the engine's margins.
+
+    ``weights`` may hold one entry more than ``duties`` has columns;
+    that last weight rides the always-on bias channel and is added as
+    ``acc + w``, exactly the ``acc + 1.0 * w`` of a column of ones.
+    """
+    acc = np.zeros(duties.shape[0])
+    for j in range(duties.shape[1]):
+        acc = acc + duties[:, j] * weights[j]
+    if len(weights) > duties.shape[1]:
+        acc = acc + weights[-1]
+    return (np.asarray(vdd, dtype=float) * acc
+            / (len(weights) * max_weight(n_bits)))
 
 
 def eq2_output_vec(duties: np.ndarray, weights: Sequence[int], *,
@@ -82,10 +109,7 @@ def eq2_output_vec(duties: np.ndarray, weights: Sequence[int], *,
             f"{k} duty columns vs {len(weights)} weights")
     if k == 0:
         raise AnalysisError("adder needs at least one input")
-    acc = np.zeros(duties.shape[0])
-    for j in range(k):
-        acc = acc + duties[:, j] * weights[j]
-    return np.asarray(vdd, dtype=float) * acc / (k * max_weight(n_bits))
+    return _eq2(duties, weights, n_bits, vdd)
 
 
 def calibration_apply_vec(calibration: CalibrationModel,
@@ -102,6 +126,39 @@ def calibration_apply_vec(calibration: CalibrationModel,
     return np.clip(acc, 0.0, 1.0) * vdd
 
 
+def _adder_volts(adder, duties: np.ndarray, weights: Sequence[int],
+                 vdd: ArrayLike) -> np.ndarray:
+    """Behavioural output voltages of one :class:`WeightedAdder` bank
+    (calibration applied when the adder carries one).  ``weights`` are
+    trusted: models validate theirs when they are set."""
+    v = _eq2(duties, weights, adder.config.n_bits, vdd)
+    calibration = adder._behavioral.calibration
+    if calibration is not None:
+        v = calibration_apply_vec(calibration, v, vdd)
+    return v
+
+
+def _differential(perceptron: DifferentialPwmPerceptron, X: np.ndarray,
+                  supply: ArrayLike) -> np.ndarray:
+    """``v_pos - v_neg`` over a checked duty matrix; the bias channel's
+    weight is the last of each bank's weights."""
+    return (_adder_volts(perceptron.pos_adder, X,
+                         perceptron._pos_weights, supply)
+            - _adder_volts(perceptron.neg_adder, X,
+                           perceptron._neg_weights, supply))
+
+
+def _hidden(layer: PwmHiddenLayer, X: np.ndarray,
+            supply: ArrayLike) -> np.ndarray:
+    """:meth:`BatchInferenceEngine.hidden_features` over a checked duty
+    matrix."""
+    out = np.empty((X.shape[0], len(layer.units)))
+    for u, unit in enumerate(layer.units):
+        ratio = _differential(unit, X, supply) / supply
+        out[:, u] = np.clip(0.5 + layer.gain * ratio, 0.0, 1.0)
+    return out
+
+
 def _plain_differential(comparator) -> bool:
     """True when the decision reduces to ``(pos - neg) > offset``."""
     return (type(comparator) is DifferentialComparator
@@ -115,38 +172,23 @@ class BatchInferenceEngine:
     shares a single instance across its worker threads.
     """
 
-    # -- adder level ------------------------------------------------------
-
-    def adder_outputs(self, adder, duties: np.ndarray,
-                      weights: Sequence[int], *,
-                      vdd: ArrayLike) -> np.ndarray:
-        """Behavioural output voltages for a ``(samples, channels)``
-        duty matrix through one :class:`WeightedAdder` (calibration
-        applied when the adder carries one)."""
-        cfg = adder.config
-        v = eq2_output_vec(duties, weights, n_bits=cfg.n_bits, vdd=vdd)
-        calibration = adder._behavioral.calibration
-        if calibration is not None:
-            v = calibration_apply_vec(calibration, v, vdd)
-        return v
-
     # -- differential perceptron ------------------------------------------
 
     def margins(self, perceptron: DifferentialPwmPerceptron, X, *,
-                vdd: Optional[ArrayLike] = None) -> np.ndarray:
+                vdd: Optional[ArrayLike] = None,
+                _checked: bool = False) -> np.ndarray:
         """Analog decision margins ``v_pos - v_neg`` (volts), one per row.
 
         ``vdd`` may be a scalar or a per-row array; ``None`` uses the
-        model's nominal supply.
+        model's nominal supply.  ``_checked`` marks ``X`` as a float
+        duty matrix its caller already validated with
+        :func:`check_duty_matrix` (the serving flush: ``parse_predict``
+        checks every request once).
         """
-        X = check_duty_matrix(X, perceptron.n_features)
+        if not _checked:
+            X = check_duty_matrix(X, perceptron.n_features)
         supply = perceptron.config.vdd if vdd is None else vdd
-        duties = np.column_stack([X, np.ones(X.shape[0])])
-        v_pos = self.adder_outputs(perceptron.pos_adder, duties,
-                                   perceptron._pos_weights, vdd=supply)
-        v_neg = self.adder_outputs(perceptron.neg_adder, duties,
-                                   perceptron._neg_weights, vdd=supply)
-        return v_pos - v_neg
+        return _differential(perceptron, X, supply)
 
     def predict(self, perceptron: DifferentialPwmPerceptron, X, *,
                 vdd: Optional[ArrayLike] = None) -> np.ndarray:
@@ -231,17 +273,7 @@ class BatchInferenceEngine:
         differential margin, ratiometric gain, clip to [0, 1].
         """
         X = check_duty_matrix(X, layer.units[0].n_features)
-        supply = layer.config.vdd if vdd is None else vdd
-        out = np.empty((X.shape[0], len(layer.units)))
-        duties = np.column_stack([X, np.ones(X.shape[0])])
-        for u, unit in enumerate(layer.units):
-            v_pos = self.adder_outputs(unit.pos_adder, duties,
-                                       unit._pos_weights, vdd=supply)
-            v_neg = self.adder_outputs(unit.neg_adder, duties,
-                                       unit._neg_weights, vdd=supply)
-            ratio = (v_pos - v_neg) / supply
-            out[:, u] = np.clip(0.5 + layer.gain * ratio, 0.0, 1.0)
-        return out
+        return _hidden(layer, X, layer.config.vdd if vdd is None else vdd)
 
     def predict_mlp(self, mlp: PwmMlp, X, *,
                     vdd: Optional[ArrayLike] = None) -> np.ndarray:
@@ -368,21 +400,27 @@ class BatchInferenceEngine:
                 return self.margins_rc(model, X, vdd=vdd)
             raise AnalysisError(
                 f"cannot serve model of type {type(model).__name__}")
-        return self.behavioral_margins(model, X, vdd=vdd)
+        return self.behavioral_margins(
+            model, check_duty_matrix(X, model_n_features(model)), vdd=vdd)
 
-    def behavioral_margins(self, model, X, *,
+    def behavioral_margins(self, model, X: np.ndarray, *,
                            vdd: Optional[ArrayLike] = None) -> np.ndarray:
         """:meth:`model_margins` at the behavioural level, without the
-        registry lookups: for callers that already routed the request
-        to the ``"behavioral"`` engine (the serving micro-batcher)."""
+        registry lookups or the input check: for callers that already
+        routed the request to the ``"behavioral"`` engine and validated
+        ``X`` with :func:`check_duty_matrix` (the serving micro-batcher,
+        whose rows ``parse_predict`` checked)."""
         if isinstance(model, PwmMlp):
             if model.output is None:
                 raise AnalysisError(
                     "network is not trained; call fit() first")
-            hidden = self.hidden_features(model.hidden, X, vdd=vdd)
-            return self.margins(model.output, hidden, vdd=vdd)
+            layer = model.hidden
+            hidden = _hidden(layer, X,
+                             layer.config.vdd if vdd is None else vdd)
+            return self.margins(model.output, hidden, vdd=vdd,
+                                _checked=True)
         if isinstance(model, DifferentialPwmPerceptron):
-            return self.margins(model, X, vdd=vdd)
+            return self.margins(model, X, vdd=vdd, _checked=True)
         raise AnalysisError(
             f"cannot serve model of type {type(model).__name__}")
 

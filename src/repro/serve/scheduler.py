@@ -113,8 +113,12 @@ def _check_rows(features) -> np.ndarray:
 
 def _stack_batch(batch: List[_Request]):
     """Vertically stack one flush: ``(features, vdds)`` in submit
-    order, ``vdds`` None when every row rides the nominal supply."""
-    features = np.vstack([r.features for r in batch])
+    order, ``vdds`` None when every row rides the nominal supply.  A
+    one-request flush (every full-batch request) keeps its matrix."""
+    if len(batch) == 1:
+        features = batch[0].features
+    else:
+        features = np.vstack([r.features for r in batch])
     vdds = None
     if any(r.vdd is not None for r in batch):
         vdds = np.concatenate([

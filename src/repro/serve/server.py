@@ -74,6 +74,7 @@ from ..telemetry.metrics import Registry
 from .artifacts import ModelStore, NotFoundError, deserialize_model
 from .engine import (
     BatchInferenceEngine,
+    check_duty_range,
     model_decision_offset,
     model_n_features,
 )
@@ -119,20 +120,34 @@ class ServingMetrics:
             "Largest single-request latency observed.")
         self._uptime = reg.gauge(
             "repro_uptime_seconds", "Seconds since server start.")
+        # Bound once, so observe() validates no labels: the unlabelled
+        # series here, each endpoint's pair on its first request (the
+        # router's endpoint labels are a fixed set).
+        self._errors_series = self._errors.labels()
+        self._predictions_series = self._predictions.labels()
+        self._predict_latency_series = self._predict_latency.labels()
+        self._latency_max_series = self._latency_max.labels()
+        self._by_endpoint: Dict[str, Tuple[Any, Any]] = {}
 
     def observe(self, endpoint: str, seconds: float, *, rows: int = 0,
                 error: bool = False) -> None:
         with self.registry.lock:
-            self._requests.inc(endpoint=endpoint)
+            bound = self._by_endpoint.get(endpoint)
+            if bound is None:
+                bound = self._by_endpoint[endpoint] = (
+                    self._requests.labels(endpoint=endpoint),
+                    self._latency.labels(endpoint=endpoint))
+            requests, latency = bound
+            requests.inc()
             if rows:
-                self._predictions.inc(rows)
+                self._predictions_series.inc(rows)
             if error:
-                self._errors.inc()
-            self._latency.observe(seconds, endpoint=endpoint)
+                self._errors_series.inc()
+            latency.observe(seconds)
             if endpoint == "/predict":
-                self._predict_latency.observe(seconds)
-            if seconds > self._latency_max.value():
-                self._latency_max.set(seconds)
+                self._predict_latency_series.observe(seconds)
+            if seconds > self._latency_max_series.value():
+                self._latency_max_series.set(seconds)
 
     def snapshot(self) -> Dict[str, Any]:
         with self.registry.lock:
@@ -232,8 +247,9 @@ class _LoadedModel:
             supply: "float | np.ndarray" = nominal
             if vdds is not None:
                 supply = np.where(np.isnan(vdds), nominal, vdds)
-            # handle_predict_async routed the request by engine id;
-            # the flush skips model_margins' registry lookups.
+            # handle_predict_async routed the request by engine id and
+            # parse_predict checked its rows: the flush skips
+            # model_margins' registry lookups and input check.
             return engine.behavioral_margins(model, features, vdd=supply)
 
         self.batcher = AsyncMicroBatcher(handler, max_batch=max_batch)
@@ -353,18 +369,21 @@ class ServingCore:
             # paths raise instead of silently ignoring it.  ("auto"
             # always passes, so the default costs no registry lookup.)
             resolve_solver(solver, engine_id=engine)
+        # The one range check of these rows: the batcher flush trusts
+        # them, so one bad request cannot fail its batch neighbours.
+        check_duty_range(X)
         return PredictRequest(name, loaded, X, vdd, engine, solver)
 
     @staticmethod
     def predict_response(request: PredictRequest,
                          margins: np.ndarray) -> Dict[str, Any]:
         """The ``/predict`` success body (key order is contract)."""
-        margins = np.asarray(margins)
+        margins = np.asarray(margins, dtype=float)
         predictions = (margins > request.loaded.offset).astype(int)
         return {
             "model": request.name,
-            "predictions": [int(p) for p in predictions],
-            "margins": [float(m) for m in margins],
+            "predictions": predictions.tolist(),
+            "margins": margins.tolist(),
             "count": int(request.X.shape[0]),
             "engine": request.engine,
             "solver": request.solver,

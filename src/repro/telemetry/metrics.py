@@ -9,6 +9,12 @@ Dependency-free metrics primitives in the Prometheus data model:
   is what fixes the read-vs-observe race the serve plane used to have;
 * instruments are cheap label-keyed series maps — ``counter.inc(3,
   endpoint="/predict")`` touches one dict entry under the lock;
+* hot paths bind their series once: ``counter.labels(endpoint=
+  "/predict")`` validates the labels and returns a child whose
+  ``inc``/``value`` (gauges: also ``set``; histograms: ``observe``)
+  skip that validation, as ``prometheus_client``'s ``.labels(...)``
+  does.  A bound update renders exactly as the unbound one, and binding
+  alone creates no series;
 * :meth:`Registry.prometheus_text` renders the standard text exposition
   format (``# HELP``/``# TYPE`` + samples, cumulative histogram
   buckets) and :func:`validate_prometheus_text` is a line-format
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -77,6 +84,8 @@ class _Instrument:
     """Base of one named metric family (shared lock, label-keyed series)."""
 
     kind = "untyped"
+    #: The :class:`_Child` type :meth:`labels` hands out.
+    _child: type
 
     def __init__(self, registry: "Registry", name: str, help: str,
                  labelnames: Sequence[str]):
@@ -95,75 +104,108 @@ class _Instrument:
                 f"got {tuple(sorted(labels))}")
         return tuple(str(labels[k]) for k in self.labelnames)
 
+    def labels(self, **labels: Any) -> "_Child":
+        """The series ``labels`` name, validated once: a child whose
+        updates skip label validation (``prometheus_client``'s
+        ``.labels(...)``).  Binding creates no series; the first update
+        does, exactly as the unbound call would."""
+        return self._child(self, self._key(labels))
+
     def series_count(self) -> int:
         raise NotImplementedError
 
 
-class Counter(_Instrument):
+class _Child:
+    """One series of an instrument, its label key resolved once."""
+
+    __slots__ = ("_inst", "_key")
+
+    def __init__(self, inst: _Instrument, key: Tuple[str, ...]):
+        self._inst = inst
+        self._key = key
+
+
+class _CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._inst._inc(self._key, amount)
+
+    def value(self) -> float:
+        return self._inst._value(self._key)
+
+
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._inst._set(self._key, value)
+
+
+class _HistogramChild(_Child):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self._inst._observe(self._key, value)
+
+
+class _Scalar(_Instrument):
+    """One float per series: the shared half of counters and gauges."""
+
+    def __init__(self, registry, name, help, labelnames):
+        super().__init__(registry, name, help, labelnames)
+        self._series: Dict[Tuple[str, ...], float] = {}
+        if not self.labelnames:
+            self._series[()] = 0.0
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self._inc(self._key(labels), amount)
+
+    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
+        with self.registry.lock:
+            self._series[key] = self._series.get(key, 0.0) + amount
+
+    def value(self, **labels: Any) -> float:
+        return self._value(self._key(labels))
+
+    def _value(self, key: Tuple[str, ...]) -> float:
+        with self.registry.lock:
+            return self._series.get(key, 0.0)
+
+    def values_by_label(self) -> Dict[Tuple[str, ...], float]:
+        with self.registry.lock:
+            return dict(self._series)
+
+    def series_count(self) -> int:
+        with self.registry.lock:
+            return len(self._series)
+
+
+class Counter(_Scalar):
     """Monotonically increasing sum, optionally labelled."""
 
     kind = "counter"
+    _child = _CounterChild
 
-    def __init__(self, registry, name, help, labelnames):
-        super().__init__(registry, name, help, labelnames)
-        self._series: Dict[Tuple[str, ...], float] = {}
-        if not self.labelnames:
-            self._series[()] = 0.0
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = self._key(labels)
         with self.registry.lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        key = self._key(labels)
-        with self.registry.lock:
-            return self._series.get(key, 0.0)
 
-    def values_by_label(self) -> Dict[Tuple[str, ...], float]:
-        with self.registry.lock:
-            return dict(self._series)
-
-    def series_count(self) -> int:
-        with self.registry.lock:
-            return len(self._series)
-
-
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """A value that can go up and down (last write wins)."""
 
     kind = "gauge"
-
-    def __init__(self, registry, name, help, labelnames):
-        super().__init__(registry, name, help, labelnames)
-        self._series: Dict[Tuple[str, ...], float] = {}
-        if not self.labelnames:
-            self._series[()] = 0.0
+    _child = _GaugeChild
 
     def set(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
+        self._set(self._key(labels), value)
+
+    def _set(self, key: Tuple[str, ...], value: float) -> None:
         with self.registry.lock:
             self._series[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = self._key(labels)
-        with self.registry.lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        key = self._key(labels)
-        with self.registry.lock:
-            return self._series.get(key, 0.0)
-
-    def values_by_label(self) -> Dict[Tuple[str, ...], float]:
-        with self.registry.lock:
-            return dict(self._series)
-
-    def series_count(self) -> int:
-        with self.registry.lock:
-            return len(self._series)
 
 
 class _HistogramSeries:
@@ -179,6 +221,7 @@ class Histogram(_Instrument):
     """Fixed-bucket distribution (upper bounds; ``+Inf`` is implicit)."""
 
     kind = "histogram"
+    _child = _HistogramChild
 
     def __init__(self, registry, name, help, labelnames,
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -192,16 +235,18 @@ class Histogram(_Instrument):
             self._series[()] = _HistogramSeries(len(bounds))
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        # The first bound >= value; NaN lands in no finite bucket.
+        i = bisect_left(self.buckets, value)
         with self.registry.lock:
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = _HistogramSeries(
                     len(self.buckets))
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.counts[i] += 1
-                    break
+            if i < len(self.buckets) and value <= self.buckets[i]:
+                series.counts[i] += 1
             series.sum += value
             series.count += 1
 

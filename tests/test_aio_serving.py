@@ -10,12 +10,16 @@ Pins the guarantees the serving plane rests on:
   bodies alike — so clients see no change across releases;
 * ``/predict`` error bodies always carry ``error``/``model``/
   ``engine`` in that order;
-* the HTTP core binds at construction, bounds malformed, oversized
-  and stalled requests (a read's deadline runs from its start), counts
-  each refusal under its own reason, and keeps serving afterwards;
+* the HTTP core binds at construction, bounds malformed (a request
+  line not split by single spaces included), oversized and stalled
+  requests (a read's deadline runs from its start), counts each
+  refusal under its own reason, and keeps serving afterwards;
 * per-request work stays per request: keep-alive reads share one
-  deadline timer, and default behavioural requests skip the engine
-  registry;
+  deadline timer, default behavioural requests skip the engine
+  registry, and steady ``/predict`` traffic validates no metric labels
+  and no model weights;
+* ``parse_predict`` range-checks each request's rows, so a bad row
+  fails only its own request, never its batch neighbours;
 * schema-v3 artifacts round-trip custom cell designs and older
   documents migrate (v2 → v3, v1 → v3);
 * the worker pool dispatches by artifact document with per-process
@@ -744,6 +748,101 @@ class TestAioTransport:
         assert "only applies to transistor-level engines" in \
             json.loads(raw)["error"]
         assert calls == ["resolve_solver"]
+
+    def test_steady_predicts_bind_metrics_and_trust_weights(
+            self, monkeypatch):
+        # After each endpoint's first request, /predict validates no
+        # metric labels and re-checks no model weight: both happen once
+        # (labels when a series is bound, weights in set_weights).
+        from repro.core import encoding
+        from repro.telemetry import metrics
+
+        def post(conn, rows):
+            conn.request("POST", "/predict", body=json.dumps(
+                {"model": "demo", "inputs": rows}),
+                headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        conn = http.client.HTTPConnection(self.aio.host, self.aio.port,
+                                          timeout=15)
+        try:
+            post(conn, [[0.3, 0.7]])
+            count(metrics._Instrument, "_key")
+            count(encoding, "_check_weight")
+            rows = self.data.X[:20].tolist()   # > max_batch: two flushes
+            for i in range(50):
+                post(conn, rows if i % 5 == 0 else [[0.01 * i, 0.5]])
+        finally:
+            conn.close()
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"),
+                                     float("inf")])
+    def test_bad_row_fails_only_its_own_request(self, bad):
+        # Both requests reach the batcher in one loop tick, so before
+        # parse_predict checked the range they shared a flush and the
+        # bad row failed its neighbour too.
+        good_rows = [[0.3, 0.6], [0.9, 0.1]]
+
+        async def together():
+            return await asyncio.gather(
+                self.aio.handle_predict_async(
+                    {"model": "demo", "inputs": good_rows}),
+                self.aio.handle_predict_async(
+                    {"model": "demo", "inputs": [[0.3, 0.6], [bad, 0.6]]}),
+                return_exceptions=True)
+
+        good, failed = asyncio.run_coroutine_threadsafe(
+            together(), self.aio._loop).result(timeout=15)
+        assert isinstance(failed, AnalysisError)
+        assert "duty cycles must be finite and lie in [0, 1]" in \
+            str(failed)
+        assert good["count"] == 2
+        assert good["margins"] == \
+            ENGINE.margins(self.model, good_rows).tolist()
+        # Over HTTP (json.loads accepts NaN and Infinity) it is a 400.
+        status, raw = _raw(self.aio.host, self.aio.port, "POST",
+                           "/predict",
+                           json.dumps({"model": "demo",
+                                       "inputs": [[bad, 0.6]]}).encode())
+        assert status == 400
+        assert json.loads(raw) == {
+            "error": "duty cycles must be finite and lie in [0, 1]",
+            "model": "demo", "engine": "behavioral"}
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(b"GET\t/healthz\tHTTP/1.1", id="tabs"),
+        pytest.param(b"GET   /healthz  HTTP/1.1", id="space-runs"),
+        pytest.param(b"GET /healthz  HTTP/1.1", id="double-space"),
+        pytest.param(b" GET /healthz HTTP/1.1", id="leading-space")])
+    def test_request_line_needs_single_spaces(self, line):
+        # RFC 9112 section 3: method, target and version are separated
+        # by exactly one SP each.
+        before = self._rejections()
+        with socket.create_connection((self.aio.host, self.aio.port),
+                                      timeout=15) as sock:
+            sock.sendall(line + b"\r\nHost: x\r\n\r\n")
+            raw = _until_closed(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "malformed request line" in json.loads(body)["error"]
+        after = self._rejections()
+        assert {r: after[r] - before[r] for r in before} == \
+            {r: float(r == "malformed_head") for r in before}
+        assert self._get("/healthz")[0] == 200
 
     def _rejections(self):
         status, raw = self._get("/metrics?format=prometheus")

@@ -5,8 +5,10 @@ Pins the three guarantees serving rests on:
 * artifact round trips are loss-free (weights/bias/calibration exactly
   preserved, across schema versions — hypothesis-backed);
 * the batched behavioural forward pass is bit-identical to the scalar
-  path on arbitrary random models (hypothesis-backed), and the batched
-  RC supply sweep matches the scalar switch-level engine;
+  path on arbitrary random models (hypothesis-backed) and to the
+  validating ``eq2_output_vec`` (the served margins trust the model's
+  weights and the rows ``parse_predict`` checked), and the batched RC
+  supply sweep matches the scalar switch-level engine;
 * the HTTP server delivers exactly the engine's answers under bad
   input, hot reloads and concurrency (the micro-batcher itself is
   pinned in ``test_aio_serving.py``).
@@ -37,6 +39,7 @@ from repro.core.behavioral import CalibrationModel
 from repro.core.network import PwmMlp
 from repro.core.perceptron import DifferentialPwmPerceptron
 from repro.core.training import PerceptronTrainer
+from repro.core.weighted_adder import AdderConfig
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
     AsyncPerceptronServer,
@@ -47,7 +50,11 @@ from repro.serve import (
     serialize_model,
 )
 from repro.serve.artifacts import artifact_hash, upgrade_artifact
-from repro.serve.engine import model_n_features
+from repro.serve.engine import (
+    calibration_apply_vec,
+    eq2_output_vec,
+    model_n_features,
+)
 
 ENGINE = BatchInferenceEngine()
 
@@ -57,6 +64,23 @@ duty = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 coeffs = st.lists(st.floats(min_value=-0.5, max_value=1.5,
                             allow_nan=False, allow_infinity=False),
                   min_size=2, max_size=4)
+
+
+def _eq2_reference_margins(p, X, vdd):
+    """``v_pos - v_neg`` through the validating :func:`eq2_output_vec`,
+    the bias as an explicit column of ones."""
+    duties = np.column_stack([X, np.ones(len(X))])
+
+    def bank(adder, weights):
+        v = eq2_output_vec(duties, weights, n_bits=p.config.n_bits,
+                           vdd=vdd)
+        calibration = adder._behavioral.calibration
+        if calibration is not None:
+            v = calibration_apply_vec(calibration, v, vdd)
+        return v
+
+    return (bank(p.pos_adder, p._pos_weights)
+            - bank(p.neg_adder, p._neg_weights))
 
 
 def _perceptron(weights, bias, pos_cal=None, neg_cal=None):
@@ -236,6 +260,54 @@ class TestEngineEquivalence:
         batched = ENGINE.margins(p, X, vdd=vdds)
         scalar = [p.decide(X[i], vdd=vdds[i]).v_out for i in range(2)]
         assert np.array_equal(batched, np.array(scalar))
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 6])
+    @pytest.mark.parametrize("calibrated", [False, True])
+    @pytest.mark.parametrize("per_row_vdd", [False, True])
+    def test_served_margins_match_eq2_output_vec(self, n_bits, calibrated,
+                                                 per_row_vdd):
+        """The flush's trusted accumulation (bias added as ``acc + w``)
+        equals validated :func:`eq2_output_vec` over a column of ones,
+        bit for bit."""
+        limit = (1 << n_bits) - 1
+        rng = np.random.default_rng(n_bits)
+        p = DifferentialPwmPerceptron(
+            [int(w) for w in rng.integers(-limit, limit + 1, 3)],
+            bias=-limit, config=AdderConfig(n_bits=n_bits))
+        if calibrated:
+            p.pos_adder = p.pos_adder.with_calibration(
+                CalibrationModel([0.02, 0.9, 0.05]))
+            p.neg_adder = p.neg_adder.with_calibration(
+                CalibrationModel([-0.01, 1.1]))
+        X = rng.uniform(0.0, 1.0, (17, 3))
+        X[0] = [0.0, 1.0, 0.5]
+        vdd = rng.uniform(0.6, 4.0, 17) if per_row_vdd else 1.7
+        expected = _eq2_reference_margins(p, X, vdd)
+        assert np.array_equal(ENGINE.behavioral_margins(p, X, vdd=vdd),
+                              expected)
+        assert np.array_equal(ENGINE.margins(p, X, vdd=vdd), expected)
+        assert np.array_equal(ENGINE.model_margins(p, X, vdd=vdd),
+                              expected)
+
+    @pytest.mark.parametrize("per_row_vdd", [False, True])
+    def test_served_mlp_margins_match_eq2_output_vec(self, per_row_vdd):
+        data = make_blobs(n_per_class=12, n_features=2, separation=0.35,
+                          spread=0.09, seed=4)
+        mlp = PwmMlp(2, 4, seed=4)
+        mlp.fit(data.X, data.y, epochs=5)
+        X = data.X[:9]
+        vdd = np.linspace(0.8, 3.0, 9) if per_row_vdd else None
+        supply = mlp.config.vdd if vdd is None else vdd
+        hidden = np.column_stack([
+            np.clip(0.5 + mlp.hidden.gain
+                    * _eq2_reference_margins(unit, X, supply) / supply,
+                    0.0, 1.0)
+            for unit in mlp.hidden.units])
+        expected = _eq2_reference_margins(mlp.output, hidden, supply)
+        assert np.array_equal(ENGINE.behavioral_margins(mlp, X, vdd=vdd),
+                              expected)
+        assert np.array_equal(ENGINE.model_margins(mlp, X, vdd=vdd),
+                              expected)
 
     def test_input_validation(self):
         p = _perceptron([1, -1], 0)

@@ -11,8 +11,10 @@ Pins the guarantees observability rests on:
 * each ``@telemetry.traced`` entry point emits exactly its spans and
   tag keys and moves its counters by exact amounts, and every name the
   benchmark's layer tracer hooks exists;
-* the metrics registry renders valid Prometheus text exposition, and
-  ``ServingMetrics`` snapshots are atomic across instruments under
+* the metrics registry renders valid Prometheus text exposition,
+  bound children (``labels(...)``) render exactly as unbound updates,
+  ``ServingMetrics`` renders a fixed observe sequence byte for byte as
+  recorded, and its snapshots are atomic across instruments under
   concurrent observers (the single-lock fix);
 * the error surfaces (``resolve_solver``) name the offending
   experiment.
@@ -120,6 +122,60 @@ class TestMetrics:
         assert buckets[-1]["labels"]["le"] == "+Inf"
         assert buckets[-1]["value"] == 2
         assert len(buckets) == len(DEFAULT_BUCKETS) + 1
+
+    def test_bound_children_render_as_unbound_updates(self):
+        def fill(bound):
+            reg = Registry()
+            c = reg.counter("c_total", "C.", labelnames=("k",))
+            g = reg.gauge("g", "G.", labelnames=("k",))
+            h = reg.histogram("h", "H.", labelnames=("k",),
+                              buckets=(0.1, 1.0))
+            plain = reg.gauge("plain", "P.")
+            if bound:
+                ca, cb = c.labels(k="a"), c.labels(k="b")
+                ca.inc()
+                ca.inc(2.5)
+                cb.inc(0)
+                g.labels(k="a").set(3)
+                g.labels(k="a").inc(-0.5)
+                ha = h.labels(k="a")
+                for v in (0.05, 0.1, 0.5, 7.0, float("nan")):
+                    ha.observe(v)
+                plain.labels().set(1.25)
+            else:
+                c.inc(k="a")
+                c.inc(2.5, k="a")
+                c.inc(0, k="b")
+                g.set(3, k="a")
+                g.inc(-0.5, k="a")
+                for v in (0.05, 0.1, 0.5, 7.0, float("nan")):
+                    h.observe(v, k="a")
+                plain.set(1.25)
+            return reg
+
+        bound, unbound = fill(True), fill(False)
+        assert bound.prometheus_text() == unbound.prometheus_text()
+        assert json.dumps(bound.snapshot()) == \
+            json.dumps(unbound.snapshot())
+        counts = bound.snapshot()["h"]["series"][0]["counts"]
+        assert counts == [2, 1]          # 7.0 and NaN: +Inf only
+
+    def test_bound_child_validates_once_and_creates_no_series(self):
+        reg = Registry()
+        c = reg.counter("c_total", labelnames=("k",))
+        child = c.labels(k="a")
+        assert c.series_count() == 0
+        assert child.value() == 0.0
+        child.inc(4)
+        assert child.value() == c.value(k="a") == 4
+        with pytest.raises(ValueError, match="only go up"):
+            child.inc(-1)
+        with pytest.raises(ValueError, match="takes labels"):
+            c.labels(wrong="x")
+        with pytest.raises(AttributeError):
+            child.set(1)                 # counters cannot be set
+        h = reg.histogram("h", labelnames=("k",)).labels(k="a")
+        assert not hasattr(h, "inc")
 
     def test_validator_rejects_malformed(self):
         with pytest.raises(ValueError, match="no # TYPE family"):
@@ -615,6 +671,25 @@ class TestServingMetricsAtomicity:
                                 "requests_total", "uptime_seconds"]
         assert isinstance(snap["errors_total"], int)
         assert isinstance(snap["requests_total"]["/healthz"], int)
+
+    def test_exposition_pinned_across_bound_series(self):
+        """A fixed observe sequence renders byte for byte as recorded
+        when every update still validated its labels
+        (``tests/fixtures/serving_metrics_exposition.json``)."""
+        from repro.serve.server import ServingMetrics
+
+        fixture = json.loads(
+            (Path(__file__).parent / "fixtures"
+             / "serving_metrics_exposition.json").read_text())
+        metrics = ServingMetrics()
+        for endpoint, seconds, rows, error in fixture["sequence"]:
+            metrics.observe(endpoint, seconds, rows=rows, error=error)
+        assert metrics.registry.prometheus_text() == \
+            fixture["prometheus_text"]
+        assert metrics.registry.snapshot() == fixture["registry_snapshot"]
+        snap = metrics.snapshot()
+        del snap["uptime_seconds"]
+        assert snap == fixture["snapshot"]
 
 
 class TestMetricsEndpoint:
