@@ -1,35 +1,25 @@
 """Monte-Carlo robustness analysis of the weighted adder.
 
 Per-cell Pelgrom mismatch (threshold voltage and transconductance) is
-drawn per trial and applied to the switch-level engine through its
-``cell_overrides`` hook; the resulting adder-output error distribution
-quantifies the paper's remark that its errors remain "affordable".
-
-Two execution paths produce the same campaign (equivalence is pinned
-by ``tests/test_exec_engine.py``):
-
-* ``method="loop"`` — the reference one-solve-per-trial path;
-* ``method="vectorized"`` (the ``"auto"`` default) — one batched numpy
-  solve for all trials via :mod:`repro.exec.batch`, drawing the same
-  random numbers and agreeing to float-reassociation tolerance.
+drawn per trial and applied to the switch-level engine; the resulting
+adder-output error distribution quantifies the paper's remark that its
+errors remain "affordable".  A campaign is one batched numpy solve for
+all trials via :mod:`repro.exec.batch`; its output is pinned against
+recorded per-trial reference results by ``tests/test_exec_engine.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..circuit.exceptions import AnalysisError
-from ..core.cells import CellDesign
-from ..core.rc_model import RcSwitchSolver
 from ..core.weighted_adder import WeightedAdder
 from ..exec.batch import (
-    MC_METHODS,
     batch_adder_values,
     leg_resistance_arrays,
-    resolve_monte_carlo_method,
     sample_adder_mismatch,
 )
 from ..tech.corners import CORNER_NAMES, MonteCarloSampler, corner
@@ -49,64 +39,27 @@ class MonteCarloStats:
         return float(np.percentile(np.abs(self.errors), q))
 
 
-def _mismatch_overrides(cfg, sampler: MonteCarloSampler) -> Dict[int, CellDesign]:
-    """Draw one trial's per-cell overrides (the scalar reference path)."""
-    overrides: Dict[int, CellDesign] = {}
-    for i in range(cfg.n_inputs):
-        for b in range(cfg.n_bits):
-            design = cfg.cell.scaled(float(1 << b))
-            nm = sampler.sample(design.wn, design.length)
-            pm = sampler.sample(design.wp, design.length)
-            overrides[i * cfg.n_bits + b] = replace(
-                design,
-                nmos=nm.apply(design.nmos),
-                pmos=pm.apply(design.pmos))
-    return overrides
-
-
 def adder_monte_carlo(adder: WeightedAdder, duties: Sequence[float],
                       weights: Sequence[int], *, n_trials: int = 100,
                       seed: Optional[int] = None,
                       sampler: Optional[MonteCarloSampler] = None,
-                      vdd: Optional[float] = None,
-                      method: str = "auto") -> MonteCarloStats:
+                      vdd: Optional[float] = None) -> MonteCarloStats:
     """Distribution of the adder error under per-cell device mismatch.
 
     The error is measured against the *nominal RC-engine* output (not
     Eq. 2), isolating mismatch from the systematic engine deviation.
-
-    ``method`` selects the execution path: ``"vectorized"`` (one batched
-    numpy solve, the ``"auto"`` default) or ``"loop"`` (one solve per
-    trial, in process).  Both consume the sampler's RNG identically, so
-    campaigns agree across paths for a fixed seed.
+    All trials are drawn in one sampler call and solved as one batch.
     """
     if n_trials < 1:
         raise AnalysisError("need at least one trial")
-    # The switch-level engine batches whole trial sets; "auto" resolves
-    # against its registry capabilities (engines without
-    # batched_monte_carlo would drop to the per-trial loop).
-    method = resolve_monte_carlo_method(method, engine_id="rc")
     cfg = adder.config
     sampler = sampler or MonteCarloSampler(seed=seed)
     supply = cfg.vdd if vdd is None else vdd
     nominal = adder.evaluate(duties, weights, engine="rc", vdd=vdd).value
-
-    if method == "vectorized":
-        mismatch, = sample_adder_mismatch(sampler, cfg, n_trials)
-        r_up, r_down = leg_resistance_arrays(cfg, mismatch, supply)
-        values = batch_adder_values(cfg, duties, weights, r_up, r_down,
-                                    supply).value
-        arr = values - nominal
-    else:
-        values = []
-        for _ in range(n_trials):
-            overrides = _mismatch_overrides(cfg, sampler)
-            legs = adder.rc_legs(duties, weights, vdd=supply,
-                                 cell_overrides=overrides)
-            solver = RcSwitchSolver(legs, cout=cfg.cout,
-                                    period=cfg.period, vdd=supply)
-            values.append(solver.solve().average_voltage())
-        arr = np.asarray([v - nominal for v in values])
+    mismatch, = sample_adder_mismatch(sampler, cfg, n_trials)
+    r_up, r_down = leg_resistance_arrays(cfg, mismatch, supply)
+    arr = batch_adder_values(cfg, duties, weights, r_up, r_down,
+                             supply).value - nominal
     return MonteCarloStats(
         n_trials=n_trials,
         mean_error=float(arr.mean()),

@@ -18,7 +18,7 @@ import numpy as np
 from ..circuit.exceptions import AnalysisError
 from ..circuit.measure import max_linearity_error, r_squared
 from .cells import CellDesign
-from .rc_model import RcLeg, RcSwitchSolver
+from .rc_model import RcLeg, RcSolution, RcSwitchSolver
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,16 @@ class CellOperatingPoint:
     cout: float = 1e-12
 
 
+def _cell_solution(design: CellDesign, op: CellOperatingPoint,
+                   leg_duty: float, cout: Optional[float] = None) -> RcSolution:
+    """Switch-level steady state of one cell's output leg."""
+    leg = RcLeg(r_up=design.pull_up_resistance(op.vdd),
+                r_down=design.pull_down_resistance(op.vdd),
+                duty=leg_duty, v_up=op.vdd)
+    return RcSwitchSolver([leg], cout=op.cout if cout is None else cout,
+                          period=1.0 / op.frequency, vdd=op.vdd).solve()
+
+
 def cell_transfer_curve(design: CellDesign, op: CellOperatingPoint,
                         duties: Sequence[float]) -> "list[float]":
     """Switch-level transfer curve ``Vout(duty)`` of the inverter cell.
@@ -37,15 +47,8 @@ def cell_transfer_curve(design: CellDesign, op: CellOperatingPoint,
     The inverter pulls up while the input is *low*, so the leg duty is
     the complement of the input duty.
     """
-    outputs = []
-    for duty in duties:
-        leg = RcLeg(r_up=design.pull_up_resistance(op.vdd),
-                    r_down=design.pull_down_resistance(op.vdd),
-                    duty=1.0 - float(duty), v_up=op.vdd)
-        sol = RcSwitchSolver([leg], cout=op.cout, period=1.0 / op.frequency,
-                             vdd=op.vdd).solve()
-        outputs.append(sol.average_voltage())
-    return outputs
+    return [_cell_solution(design, op, 1.0 - float(duty)).average_voltage()
+            for duty in duties]
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,7 @@ def rout_ablation(routs: Sequence[float], *,
             raise AnalysisError("rout values must be positive")
         d = replace(design, rout=float(rout) * design.scale)
         curve = cell_transfer_curve(d, op, duties)
-        leg = RcLeg(r_up=d.pull_up_resistance(op.vdd),
-                    r_down=d.pull_down_resistance(op.vdd),
-                    duty=0.5, v_up=op.vdd)
-        sol = RcSwitchSolver([leg], cout=op.cout, period=1.0 / op.frequency,
-                             vdd=op.vdd).solve()
+        sol = _cell_solution(d, op, 0.5)
         points.append(RoutAblationPoint(
             rout=float(rout),
             r2=r_squared(duties, curve),
@@ -98,11 +97,7 @@ def cout_ablation(couts: Sequence[float], *,
     for cout in couts:
         if cout <= 0:
             raise AnalysisError("cout values must be positive")
-        leg = RcLeg(r_up=design.pull_up_resistance(op.vdd),
-                    r_down=design.pull_down_resistance(op.vdd),
-                    duty=0.5, v_up=op.vdd)
-        sol = RcSwitchSolver([leg], cout=float(cout),
-                             period=1.0 / op.frequency, vdd=op.vdd).solve()
+        sol = _cell_solution(design, op, 0.5, cout=float(cout))
         points.append(CoutAblationPoint(
             cout=float(cout),
             ripple=sol.ripple(),

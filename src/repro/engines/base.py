@@ -66,11 +66,11 @@ class CellStimulus:
 class EngineCapabilities:
     """What an engine models and how it executes.
 
-    The flags drive dispatch decisions across the stack: the Monte-Carlo
-    layer picks vectorised vs. per-trial execution from
-    ``batched_monte_carlo``, serving refuses engines without
-    ``serving_margins``, and the dynamic-supply experiment requires
-    ``dynamic_supply``.
+    The flags drive dispatch decisions across the stack: serving
+    refuses engines without ``serving_margins``, and the dynamic-supply
+    experiment requires ``dynamic_supply``.  ``batched_monte_carlo``
+    describes the engine (``GET /engines`` reports it); the Monte-Carlo
+    campaigns always run batched on the switch-level engine.
     """
 
     level: str                     #: "behavioral" | "switch" | "transistor"

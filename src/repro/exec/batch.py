@@ -1,14 +1,11 @@
 """Vectorised Monte-Carlo batching for the switch-level adder engine.
 
-The scalar mismatch path perturbs each cell's devices, rebuilds
-:class:`~repro.core.rc_model.RcLeg` objects and runs one
-:class:`~repro.core.rc_model.RcSwitchSolver` per trial — thousands of
-Python-level solves per campaign.  This module flattens a whole campaign
-into numpy arrays:
+A mismatch campaign perturbs every cell's devices in every trial.  This
+module flattens a whole campaign into numpy arrays:
 
 1. :func:`sample_adder_mismatch` draws every trial's device mismatch in
-   **one** RNG call, in exactly the order the scalar path consumes the
-   generator, so both paths see the same random numbers;
+   **one** RNG call, in the order a per-trial draw would consume the
+   generator (trial, bank, cell, NMOS then PMOS);
 2. :func:`leg_resistance_arrays` converts the perturbed device
    parameters into ``(B, L)`` pull-up/pull-down resistance arrays with
    the vectorised square-law model
@@ -17,9 +14,8 @@ into numpy arrays:
    :class:`~repro.core.rc_model.RcBatchSolver` — one vectorised periodic
    solve for the whole batch.
 
-Agreement with the scalar path is tolerance-based (identical RNG draws,
-float reductions reassociated by numpy); the equivalence tests pin it to
-``rtol=1e-9``.
+``tests/test_exec_engine.py`` pins campaigns against recorded
+per-trial reference results (``rtol=1e-9``).
 """
 
 from __future__ import annotations
@@ -34,32 +30,6 @@ from ..core.encoding import check_duties, check_weights
 from ..core.rc_model import RcBatchSolver
 from ..tech.corners import MonteCarloSampler
 from ..tech.mosfet_models import on_resistance_vec
-
-#: Monte-Carlo execution backends accepted by the ensemble layer.
-MC_METHODS = ("auto", "loop", "vectorized")
-
-
-def resolve_monte_carlo_method(method: str, *,
-                               engine_id: str = "rc") -> str:
-    """Resolve a Monte-Carlo ``method`` against the engine registry.
-
-    ``"auto"`` asks the target engine's
-    :meth:`~repro.engines.base.Engine.capabilities` whether it can
-    batch a whole trial set into one solve (``batched_monte_carlo``):
-    capable engines run ``"vectorized"``, the rest fall back to the
-    per-trial ``"loop"``.  Explicit methods pass through unchanged;
-    unknown method names or engine ids fail with the registry's help.
-    """
-    from ..engines import get_engine
-
-    if method not in MC_METHODS:
-        raise AnalysisError(
-            f"unknown method {method!r}; use {MC_METHODS}")
-    if method != "auto":
-        get_engine(engine_id)  # still validate the engine id
-        return method
-    capable = get_engine(engine_id).capabilities().batched_monte_carlo
-    return "vectorized" if capable else "loop"
 
 
 def resolve_solver(solver: str, *, engine_id: str = "spice",
@@ -120,8 +90,8 @@ def _cell_geometry(config) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Per-leg ``(wn, wp, rout_eff)`` arrays in flat cell order.
 
     Built from :meth:`CellDesign.scaled` so the binary-weighted sizing
-    rule lives in exactly one place (the scalar path uses the same
-    designs).
+    rule lives in exactly one place (``WeightedAdder.rc_legs`` uses the
+    same designs).
     """
     designs = [config.cell.scaled(float(1 << b))
                for _i in range(config.n_inputs)
@@ -137,10 +107,10 @@ def sample_adder_mismatch(sampler: MonteCarloSampler, config,
                           banks: int = 1) -> "list[MismatchBatch]":
     """Draw mismatch for ``n_trials`` trials (and ``banks`` cell banks).
 
-    The RNG is consumed in the scalar order — per trial (and per bank):
-    for each flat cell, NMOS ``(delta_vt, kp)`` then PMOS
-    ``(delta_vt, kp)`` — so a campaign vectorised with this function
-    sees bit-identical draws to the per-trial loop it replaces.
+    The RNG is consumed per trial (and per bank): for each flat cell,
+    NMOS ``(delta_vt, kp)`` then PMOS ``(delta_vt, kp)`` — the same draws
+    as one :meth:`MonteCarloSampler.sample` call per device in that
+    order.
     """
     if n_trials < 1:
         raise AnalysisError("need at least one trial")

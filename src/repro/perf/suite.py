@@ -14,8 +14,7 @@ meaningful.
 
 Absolute-seconds benchmarks carry wide noise bands (100%) because the
 committed baseline is measured on a different machine than any given
-CI runner; the dimensionless speedup ratio is machine-stable and gets
-a tighter band.  The heavyweight end-to-end numbers stay in the
+CI runner.  The heavyweight end-to-end numbers stay in the
 ``benchmarks/bench_*.py`` scripts (registered separately as
 ``script.*`` report benchmarks).
 """
@@ -27,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import best_of
 from .registry import benchmark
 
 
@@ -92,9 +90,8 @@ def _mna_transient_ladder(quick: bool = False):
            title="vectorised Monte-Carlo mismatch batch",
            tags=("gate", "exec"), repeats=3, warmup=1,
            quick_repeats=2, noise=1.0,
-           description="adder_monte_carlo(method='vectorized') on one "
-                       "Table II row — the 51x exec-engine win's fast "
-                       "path.")
+           description="adder_monte_carlo on one Table II row: every "
+                       "trial in one batched switch-level solve.")
 def _exec_montecarlo_vectorized(quick: bool = False):
     from ..analysis import adder_monte_carlo
     from ..core.weighted_adder import AdderConfig, WeightedAdder
@@ -106,40 +103,9 @@ def _exec_montecarlo_vectorized(quick: bool = False):
 
     def workload():
         return adder_monte_carlo(adder, row.duties, row.weights,
-                                 n_trials=n_trials, seed=3,
-                                 method="vectorized")
+                                 n_trials=n_trials, seed=3)
 
     return workload
-
-
-@benchmark("exec.montecarlo.speedup",
-           title="Monte-Carlo loop-vs-vectorised speedup ratio",
-           kind="report", metric="speedup", unit="x",
-           lower_is_better=False, tags=("gate", "exec"), noise=0.6,
-           description="Dimensionless loop/vectorised ratio on one "
-                       "Table II row — machine-stable, so it guards "
-                       "the exec-engine win across CI runners.")
-def _exec_montecarlo_speedup(quick: bool = False):
-    from ..analysis import adder_monte_carlo
-    from ..core.weighted_adder import AdderConfig, WeightedAdder
-    from ..experiments.table2_adder import PAPER_ROWS
-
-    adder = WeightedAdder(AdderConfig())
-    row = PAPER_ROWS[0]
-    n_trials = 40 if quick else 200
-
-    def run(method: str):
-        return adder_monte_carlo(adder, row.duties, row.weights,
-                                 n_trials=n_trials, seed=3,
-                                 method=method)
-
-    repeats = 1 if quick else 2
-    t_loop = best_of(lambda: run("loop"), repeats, warmup=1)
-    t_vec = best_of(lambda: run("vectorized"), repeats, warmup=1)
-    return {"n_trials": n_trials,
-            "loop_seconds": t_loop,
-            "vectorized_seconds": t_vec,
-            "speedup": t_loop / t_vec}
 
 
 @benchmark("serve.batch_predict",

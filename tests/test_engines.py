@@ -27,7 +27,6 @@ from repro.engines import (
     get_engine,
     require_capability,
 )
-from repro.exec.batch import resolve_monte_carlo_method
 
 PERIOD = 1.0 / 500e6
 FAST_VDD = (1.0, 2.5, 4.0)
@@ -376,15 +375,6 @@ class TestShootingBatch:
 
 
 class TestCapabilityDispatch:
-    def test_monte_carlo_method_resolution(self):
-        assert resolve_monte_carlo_method("auto", engine_id="rc") == \
-            "vectorized"
-        assert resolve_monte_carlo_method("loop", engine_id="rc") == "loop"
-        with pytest.raises(AnalysisError, match="unknown method"):
-            resolve_monte_carlo_method("turbo")
-        with pytest.raises(AnalysisError, match="unknown engine"):
-            resolve_monte_carlo_method("auto", engine_id="warp")
-
     def test_dynamic_supply_requires_capability(self):
         from repro.experiments.ext_dynamic_supply import run
 

@@ -1,9 +1,10 @@
 """Equivalence and cache tests for the execution engine.
 
-The contract under test: the loop and vectorised execution of the same
-campaign produce the same records — tolerance-identical (same RNG
-draws, numpy-reassociated float reductions) — and cache hits replay
-results byte-identically.
+The contract under test: the batched Monte-Carlo and yield campaigns
+reproduce the per-trial loops they replaced — recorded in
+``tests/fixtures/rc_loop_reference.json`` — to float-reassociation
+tolerance (same RNG draws), and cache hits replay results
+byte-identically.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import adder_monte_carlo, make_blobs, perceptron_yield
-from repro.circuit import AnalysisError
 from repro.core import AdderConfig, WeightedAdder
 from repro.core.rc_model import RcBatchSolver, RcSwitchSolver, RcLeg
 from repro.core.training import PerceptronTrainer
@@ -32,38 +32,26 @@ from repro.experiments import RunConfig, run_config
 from repro.tech.corners import MonteCarloSampler
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads(
+    (REPO_ROOT / "tests" / "fixtures" / "rc_loop_reference.json").read_text())
+
+
+def _unhex(values):
+    return np.array([float.fromhex(v) for v in values])
 
 
 class TestMonteCarloEquivalence:
-    DUTIES = [0.5, 0.7, 0.9]
-    WEIGHTS = [7, 5, 3]
-
     def test_loop_vs_vectorized_same_draws(self):
+        ref = REFERENCE["monte_carlo"]
         adder = WeightedAdder(AdderConfig())
-        loop = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                 n_trials=40, seed=3, method="loop")
-        vec = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                n_trials=40, seed=3, method="vectorized")
-        np.testing.assert_allclose(vec.errors, loop.errors,
+        vec = adder_monte_carlo(adder, ref["duties"], ref["weights"],
+                                n_trials=ref["n_trials"], seed=ref["seed"])
+        np.testing.assert_allclose(vec.errors, _unhex(ref["errors"]),
                                    rtol=1e-9, atol=1e-15)
-
-    def test_auto_is_vectorized(self):
-        adder = WeightedAdder(AdderConfig())
-        auto = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                 n_trials=10, seed=5)
-        vec = adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                                n_trials=10, seed=5, method="vectorized")
-        assert auto.errors == vec.errors
-
-    def test_unknown_method_rejected(self):
-        adder = WeightedAdder(AdderConfig())
-        with pytest.raises(AnalysisError):
-            adder_monte_carlo(adder, self.DUTIES, self.WEIGHTS,
-                              n_trials=2, method="gpu")
 
 
 class TestYieldEquivalence:
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def setup(self):
         data = make_blobs(n_per_class=8, n_features=2, separation=0.35,
                           spread=0.09, seed=13)
@@ -76,19 +64,60 @@ class TestYieldEquivalence:
         rng = np.random.default_rng(seed)
         return lambda: float(rng.uniform(1.2, 3.5))
 
+    def _yield(self, pwm, data, ref):
+        return perceptron_yield(pwm, data, n_parts=ref["n_parts"],
+                                seed=ref["seed"],
+                                vdd_sampler=self._sampler(ref["seed"]))
+
     def test_loop_vs_vectorized_identical_records(self, setup):
         pwm, data = setup
-        loop = perceptron_yield(pwm, data, n_parts=8, seed=13,
-                                vdd_sampler=self._sampler(13),
-                                method="loop")
-        vec = perceptron_yield(pwm, data, n_parts=8, seed=13,
-                               vdd_sampler=self._sampler(13),
-                               method="vectorized")
-        assert loop.accuracies == vec.accuracies
-        assert loop.yield_fraction == vec.yield_fraction
+        ref = REFERENCE["yield"]
+        vec = self._yield(pwm, data, ref)
+        assert list(vec.accuracies) == ref["accuracies"]
+        assert vec.yield_fraction == ref["yield_fraction"]
+
+    @pytest.mark.parametrize("prior_state", [False, True])
+    def test_hysteresis_matches_per_part_loop(self, setup, prior_state):
+        # Each part's comparator starts low, whatever state the
+        # perceptron's comparator is in, and that state is left alone.
+        pwm, data = setup
+        ref = REFERENCE["yield_hysteresis"]
+        pwm.comparator.hysteresis = ref["hysteresis"]
+        pwm.comparator._state = prior_state
+        result = self._yield(pwm, data, ref)
+        assert list(result.accuracies) == ref["accuracies"]
+        assert pwm.comparator._state is prior_state
 
 
 class TestBatchSolver:
+    def test_batch_matches_recorded_solver(self):
+        ref = REFERENCE["rc_batch"]
+        sol = RcBatchSolver(ref["duty"], ref["phase"],
+                            [_unhex(row) for row in ref["r_up"]],
+                            [_unhex(row) for row in ref["r_down"]],
+                            v_up=ref["v_up"], cout=ref["cout"],
+                            period=ref["period"]).solve()
+        for name in ("average_voltage", "ripple", "supply_power"):
+            got = [float.hex(float(v)) for v in getattr(sol, name)()]
+            assert got == ref[name], name
+
+    def test_point_is_batch_size_invariant(self):
+        ref = REFERENCE["rc_batch"]
+        r_up = [_unhex(row) for row in ref["r_up"]]
+        r_down = [_unhex(row) for row in ref["r_down"]]
+        batch = RcBatchSolver(ref["duty"], ref["phase"], r_up, r_down,
+                              v_up=ref["v_up"], cout=ref["cout"],
+                              period=ref["period"]).solve()
+        for b, v_up in enumerate(ref["v_up"]):
+            one = RcBatchSolver(ref["duty"], ref["phase"], [r_up[b]],
+                                [r_down[b]], v_up=v_up, cout=ref["cout"],
+                                period=ref["period"]).solve().point(0)
+            point = batch.point(b)
+            for name in ("average_voltage", "ripple", "supply_power",
+                         "settling_time_constant"):
+                assert getattr(point, name)() == getattr(one, name)()
+                assert isinstance(getattr(point, name)(), float)
+
     def test_batch_matches_scalar_solver(self):
         legs = [RcLeg(r_up=1e3 * (i + 1), r_down=2e3 * (i + 1),
                       duty=d, phase=p, v_up=2.5)

@@ -37,6 +37,14 @@ class TestValidation:
         with pytest.raises(AnalysisError):
             RcSwitchSolver([single_leg(0.5)], cout=0.0, period=1e-9, vdd=2.5)
 
+    def test_legs_use_the_solver_rails(self):
+        with pytest.raises(AnalysisError, match="vdd"):
+            RcSwitchSolver([single_leg(0.5, vdd=3.3)], cout=1e-12,
+                           period=1e-9, vdd=2.5)
+        with pytest.raises(AnalysisError, match="ground"):
+            RcSwitchSolver([RcLeg(1e3, 1e3, 0.5, v_down=0.1)], cout=1e-12,
+                           period=1e-9, vdd=2.5)
+
 
 class TestSingleLeg:
     def test_symmetric_leg_average_equals_duty(self):
@@ -71,6 +79,11 @@ class TestSingleLeg:
         sol = RcSwitchSolver([single_leg(0.5, r=100e3)], cout=10e-12,
                              period=1e-9, vdd=2.5).solve()
         assert sol.ripple() < 0.01
+
+    def test_settling_constant_is_rc(self):
+        sol = RcSwitchSolver([single_leg(0.3, r=20e3)], cout=1e-12,
+                             period=2e-9, vdd=2.5).solve()
+        assert sol.settling_time_constant() == pytest.approx(20e-9)
 
     def test_supply_power_drawn_only_when_up(self):
         sol = RcSwitchSolver([single_leg(0.0)], cout=1e-12, period=2e-9,
