@@ -37,11 +37,18 @@ from .. import telemetry
 from ..tech.mosfet_models import ids_full_vec
 from .dc import operating_point
 from .elements.base import SOURCE
-from .elements.mosfet import GMIN_DS
+from .elements.mosfet import GMIN_DS, Mosfet
 from .elements.passives import Capacitor, Inductor
 from .elements.sources import PwmVoltage, Vdc, VoltageSource, Vpulse
 from .exceptions import AnalysisError, ConvergenceError
-from .mna import MnaContext
+from .mna import (
+    NEWTON_ABSTOL,
+    NEWTON_ITOL,
+    NEWTON_MAX_ITER,
+    NEWTON_RELTOL,
+    NEWTON_VLIMIT,
+    MnaContext,
+)
 from .netlist import Circuit
 from .pss import (_PSS_FAILURES, PssResult, _newton_update, _note_pss,
                   _observed)
@@ -93,23 +100,16 @@ def _sparse_rows(G: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 
 def _structure_signature(circuit: Circuit) -> tuple:
-    """Per-element structural identity of a circuit (compiles it)."""
+    """What a batch must share (compiles the circuit): the node names,
+    each element's type, name and branches, and the terminals of every
+    element except MOSFETs and capacitors.  Those two are stamped
+    through per-point tables, so weight patterns that wire a gate to the
+    supply on one point and to ground on another batch together."""
     circuit.compile()
-    return (circuit.size,) + tuple(
-        (type(el).__name__, el.name, el._idx, el._branch)
+    return (tuple(circuit.node_names),) + tuple(
+        (type(el).__name__, el.name, el._branch,
+         None if isinstance(el, (Mosfet, Capacitor)) else el._idx)
         for el in circuit.flat_elements)
-
-
-def _stacked_lin(cache: dict, base: np.ndarray, b: int,
-                 size: int) -> np.ndarray:
-    """Flat indices of the pattern ``base`` into every block of a
-    ``(b, S, S)`` stack (block ``i`` offset by ``i*S*S``), cached per
-    ``b``."""
-    lin = cache.get(b)
-    if lin is None:
-        offsets = np.arange(b, dtype=np.intp) * size * size
-        lin = cache[b] = (offsets[:, None] + base[None, :]).ravel()
-    return lin
 
 
 def _per_point(value, n: int, name: str) -> np.ndarray:
@@ -123,19 +123,44 @@ def _per_point(value, n: int, name: str) -> np.ndarray:
     return arr.copy()
 
 
+def _lane_tables(lin: List[list], sign: List[list]
+                 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Stack per-point scatter entries into ``(P, E)`` tables.
+
+    ``lin`` and ``sign`` hold one list per point, entry for entry in the
+    scalar assembler's order; ``None`` marks an entry that point does not
+    stamp (a ground terminal).  Entries no point stamps are dropped, so
+    a single-wiring batch keeps exactly the scalar pattern.  The rest
+    are masked per point: index 0 (a cell of the lane's own block) with
+    sign 0.0, whose ``+-0.0`` adds leave every cell's bits unchanged.
+    Returns ``(kept, lin, sign)`` with ``kept`` the surviving entry
+    positions.
+    """
+    stamped = np.array([[v is not None for v in row] for row in lin],
+                       dtype=bool).reshape(len(lin), -1)
+    kept = np.nonzero(stamped.any(axis=0))[0]
+    lin_tab = np.array([[0 if v is None else v for v in row] for row in lin],
+                       dtype=np.intp).reshape(stamped.shape)[:, kept]
+    sign_tab = np.where(stamped, np.array(sign, dtype=float).reshape(
+        stamped.shape), 0.0)[:, kept]
+    return kept, lin_tab, sign_tab
+
+
 class _BatchCapacitors:
     """Vectorised companion models for every capacitor in the batch.
 
     Values are ``(K, P)`` — one row per capacitor, one column per
-    circuit.  The companion state (``v_prev``/``i_prev``) is ``(K, L)``,
-    one column per lane of the current run, and every lane carries its
-    own step size and method, so conductances are ``factor * C / dt``
-    per lane.
+    circuit — and so are the terminals: a weight bit may wire a gate to
+    the supply on one point and to ground on another.  The companion
+    state (``v_prev``/``i_prev``) is ``(K, L)``, one column per lane of
+    the current run, and every lane carries its own step size and
+    method, so conductances are ``factor * C / dt`` per lane.  Methods
+    take ``lanes`` (a slice or an index array into the run's lanes)
+    naming the rows they get.
     """
 
     def __init__(self, caps_by_point: List[List[Capacitor]], size: int):
-        caps = caps_by_point[0]
-        self.n = len(caps)
+        self.n = len(caps_by_point[0])
         self.size = size
         # Per-point values, (K, P): parasitic caps scale with device
         # geometry, which Monte-Carlo batches perturb per point.
@@ -144,75 +169,88 @@ class _BatchCapacitors:
                           ).reshape(len(caps_by_point), self.n).T
         if self.n == 0:
             return
-        a = np.array([c._idx[0] for c in caps], dtype=np.intp)
-        b = np.array([c._idx[1] for c in caps], dtype=np.intp)
-        self.a_gather = np.where(a >= 0, a, size)
-        self.b_gather = np.where(b >= 0, b, size)
+        idx = np.array([[c._idx for c in point_caps]
+                        for point_caps in caps_by_point], dtype=np.intp)
+        # Padded-state gathers per point, (P, K): ground reads the zero
+        # column.
+        self._a = np.where(idx[:, :, 0] >= 0, idx[:, :, 0], size)
+        self._b = np.where(idx[:, :, 1] >= 0, idx[:, :, 1], size)
         self.ic = np.array([[np.nan if c.ic is None else c.ic
                              for c in point_caps]
                             for point_caps in caps_by_point]).T
         self._live = self.c > 0.0
+        live = np.nonzero(self._live.any(axis=1))[0]
         # G and RHS scatter patterns in element order (a then b rows;
         # for G the scalar add_conductance sequence aa, bb, -ab, -ba),
         # so cells shared by several caps accumulate exactly as the
         # scalar assembler sums them.
-        g_lin, g_sign, g_cap = [], [], []
-        rows, signs, caps_idx = [], [], []
-        for k in range(self.n):
-            if not self._live[k].any():
-                continue
-            ak, bk = a[k], b[k]
-            cells = [(ak, ak, 1.0), (bk, bk, 1.0)]
-            if ak >= 0 and bk >= 0:
-                cells += [(ak, bk, -1.0), (bk, ak, -1.0)]
-            for r, col, s in cells:
-                if r >= 0:
-                    g_lin.append(r * size + col)
-                    g_sign.append(s)
-                    g_cap.append(k)
-            for node, s in ((ak, -1.0), (bk, 1.0)):
-                if node >= 0:
-                    rows.append(node)
-                    signs.append(s)
-                    caps_idx.append(k)
-        self._g_lin = np.asarray(g_lin, dtype=np.intp)
-        self._g_sign = np.asarray(g_sign)
-        self._g_cap = np.asarray(g_cap, dtype=np.intp)
-        self._lin_by_size: "Dict[int, np.ndarray]" = {}
-        self._rhs_rows = np.asarray(rows, dtype=np.intp)
-        self._rhs_signs = np.asarray(signs)[:, None]
-        self._rhs_caps = np.asarray(caps_idx, dtype=np.intp)
+        g_lin, g_sign, i_rows, i_sign = [], [], [], []
+        for ab in idx[:, live]:
+            g_lin.append([r * size + c if r >= 0 and c >= 0 else None
+                          for a, b in ab
+                          for r, c in ((a, a), (b, b), (a, b), (b, a))])
+            g_sign.append([1.0, 1.0, -1.0, -1.0] * live.size)
+            i_rows.append([node if node >= 0 else None
+                           for a, b in ab for node in (a, b)])
+            i_sign.append([-1.0, 1.0] * live.size)
+        kept, self._g_lin, self._g_sign = _lane_tables(g_lin, g_sign)
+        self._g_cap = live[kept // 4]
+        kept, self._i_rows, self._i_sign = _lane_tables(i_rows, i_sign)
+        self._i_cap = live[kept // 2]
 
-    def _voltages(self, x_t_padded: np.ndarray) -> np.ndarray:
-        """Element voltages ``(K, B)`` from padded ``(S+1, B)`` states."""
-        return x_t_padded[self.a_gather] - x_t_padded[self.b_gather]
-
-    def init_state(self, x_t_padded: np.ndarray, circ: np.ndarray) -> None:
-        """Bind the run's lanes (``circ`` names each lane's circuit)."""
+    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
+        """Bind the run's lanes (``circ`` names each lane's circuit) and
+        their start states, padded ``(L, S+1)``."""
         self._c_lanes = self.c[:, circ]
         if self.n == 0:
             return
+        n_lanes = circ.size
         self._live_lanes = self._live[:, circ]
-        self.v_prev = self._voltages(x_t_padded)
+        self._pad_off = np.arange(n_lanes)[:, None] * (self.size + 1)
+        self._g_off = np.arange(n_lanes)[:, None] * (self.size * self.size)
+        self._cols = np.arange(n_lanes)[None, :]
+        self._lane_ab = np.stack([self._a[circ].T, self._b[circ].T])
+        self._lane_g = (self._g_lin[circ], self._g_sign[circ])
+        self._lane_i = (self._i_rows[circ].T, self._i_sign[circ].T)
+        self._full = (self._lane_ab + self._pad_off.T,
+                      (self._lane_g[0] + self._g_off).ravel(),
+                      (self._lane_i[0] * n_lanes + self._cols).ravel(),
+                      self._lane_g[1], self._lane_i[1])
+        self.v_prev = self._voltages(x_pad_cols, slice(None))
         ic = self.ic[:, circ]
         has_ic = np.isfinite(ic)
         if has_ic.any():
             self.v_prev[has_ic] = ic[has_ic]
         self.i_prev = np.zeros_like(self.v_prev)
 
+    def _voltages(self, x_pad_cols: np.ndarray, lanes) -> np.ndarray:
+        """Element voltages ``(K, B)`` from padded ``(B, S+1)`` states."""
+        if isinstance(lanes, slice):
+            ab = self._full[0]
+        else:
+            ab = self._lane_ab[:, :, lanes] \
+                + self._pad_off[:lanes.size].T
+        va, vb = x_pad_cols.take(ab)
+        return va - vb
+
     def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
         """Companion conductances ``(K, B)``: ``C/dt`` for backward
         Euler, ``2C/dt`` for trapezoidal, per lane."""
         return np.where(be, 1.0, 2.0) * self._c_lanes[:, lanes] / dt
 
-    def add_geq_stack(self, G_stack: np.ndarray, geq: np.ndarray) -> None:
+    def add_geq_stack(self, G_stack: np.ndarray, geq: np.ndarray,
+                      lanes) -> None:
         """Companion conductances onto the stacked base, ``(B, S, S)``."""
-        if self.n == 0 or self._g_lin.size == 0:
+        if self.n == 0 or self._g_cap.size == 0:
             return
-        lin = _stacked_lin(self._lin_by_size, self._g_lin,
-                           G_stack.shape[0], self.size)
+        if isinstance(lanes, slice):
+            lin, sign = self._full[1], self._full[3]
+        else:
+            lin = (self._lane_g[0][lanes] + self._g_off[:lanes.size]).ravel()
+            sign = self._lane_g[1][lanes]
+        # Flat 1-D indices: ufunc.at is several times slower on 2-D ones.
         np.add.at(G_stack.reshape(-1), lin,
-                  (geq.T[:, self._g_cap] * self._g_sign).ravel())
+                  (geq.T.take(self._g_cap, axis=1) * sign).ravel())
 
     def _history(self, be: np.ndarray,
                  lanes) -> "tuple[np.ndarray, np.ndarray]":
@@ -225,19 +263,25 @@ class _BatchCapacitors:
     def stamp_rhs(self, I_t: np.ndarray, geq: np.ndarray, be: np.ndarray,
                   lanes) -> None:
         """Equivalent currents into the transposed RHS ``(S, B)``."""
-        if self.n == 0 or self._rhs_rows.size == 0:
+        if self.n == 0 or self._i_cap.size == 0:
             return
         v_prev, i_term = self._history(be, lanes)
         ieq = -geq * v_prev - i_term
+        if isinstance(lanes, slice):
+            lin, sign = self._full[2], self._full[4]
+        else:
+            b = lanes.size
+            lin = (self._lane_i[0][:, lanes] * b + self._cols[:, :b]).ravel()
+            sign = self._lane_i[1][:, lanes]
         # add_current(a, b, ieq): I[a] -= ieq, I[b] += ieq.
-        np.add.at(I_t, self._rhs_rows,
-                  self._rhs_signs * ieq.take(self._rhs_caps, axis=0))
+        np.add.at(I_t.reshape(-1), lin,
+                  (sign * ieq.take(self._i_cap, axis=0)).ravel())
 
-    def accept_step(self, x_t_padded: np.ndarray, geq: np.ndarray,
+    def accept_step(self, x_pad_cols: np.ndarray, geq: np.ndarray,
                     be: np.ndarray, lanes) -> None:
         if self.n == 0:
             return
-        v_new = self._voltages(x_t_padded)
+        v_new = self._voltages(x_pad_cols, lanes)
         v_prev, i_term = self._history(be, lanes)
         i_new = geq * (v_new - v_prev) - i_term
         self.i_prev[:, lanes] = np.where(self._live_lanes[:, lanes],
@@ -248,45 +292,69 @@ class _BatchCapacitors:
 class _BatchMosfets:
     """Vectorised MOSFET stamping over ``(B, M)`` devices.
 
-    Index arrays come from the shared structure; device parameters are
-    gathered per lane, so Monte-Carlo batches (same netlist, perturbed
-    geometry) stamp exactly like supply sweeps.
+    Device parameters, terminals and stamp patterns are per point and
+    gathered per lane, so Monte-Carlo batches (perturbed geometry) and
+    weight-pattern batches (a weight bit wires a gate to the supply or
+    to ground) stamp exactly like supply sweeps.
     """
 
     def __init__(self, contexts: List[MnaContext]):
         groups = [ctx.mosfet_group for ctx in contexts]
-        g0 = groups[0]
-        self.m = g0.n
-        if self.m == 0:
+        self.m = m = groups[0].n
+        if m == 0:
             return
-        self.size = contexts[0].size
-        self.d_gather, self.g_gather, self.s_gather = \
-            g0.d_gather, g0.g_gather, g0.s_gather
-        self.sign = g0.sign
-        # Per-point device parameters beta, vt, lam, n_sub, each (P, M)
-        # and gathered per lane along axis 0, which keeps every operand
-        # of the device equations contiguous (strided ones are slower).
+        self.size = size = contexts[0].size
+        # Per-point device parameters sign, beta, vt, lam, n_sub, each
+        # (P, M) and gathered per lane along axis 0, which keeps every
+        # operand of the device equations contiguous.
         self.params = [np.stack([getattr(g, f) for g in groups])
-                       for f in ("beta", "vt", "lam", "n_sub")]
-        self.valid_idx = np.nonzero(g0.valid)[0]
-        self._base_lin = g0.lin
-        self._lin_by_size: "Dict[int, np.ndarray]" = {}
-        #: per-batch-size scratch: (gm/gt block buffer, current buffer).
-        self._buf_by_size: "dict[int, tuple]" = {}
-        # Stamp pattern: per device the 8 G entries are +/-gm then
-        # +/-gds blocks; building them as one broadcast multiply (exact
-        # for +/-1 factors) replaces eight buffer writes per iteration.
-        self._signs = np.array([1.0, -1.0, -1.0, 1.0,
-                                1.0, 1.0, -1.0, -1.0])[None, :, None]
-        self._d_valid_idx = np.nonzero(g0.d_valid)[0]
-        self._s_valid_idx = np.nonzero(g0.s_valid)[0]
-        self._i_rows = np.concatenate([g0.d[self._d_valid_idx],
-                                       g0.s[self._s_valid_idx]])
+                       for f in ("sign", "beta", "vt", "lam", "n_sub")]
+        # Padded-state columns of drain, gate and source, (3, P, M).
+        self._terms = np.stack([np.stack([g.d_gather, g.g_gather,
+                                          g.s_gather]) for g in groups],
+                               axis=1)
+        # G entries in the scalar _MosfetGroup.stamp order: per block,
+        # gm (d,g)+ (d,s)- (s,g)- (s,s)+ then gds (d,d)+ (s,s)+ (d,s)-
+        # (s,d)-, each block over all devices.  Values come from one
+        # (B, 2M) [gm | gds + GMIN_DS] buffer through a source-column
+        # table; +-1 factors are exact.
+        g_lin, g_sign, i_rows, i_sign = [], [], [], []
+        for g in groups:
+            rows = (g.d, g.d, g.s, g.s, g.d, g.s, g.d, g.s)
+            cols = (g.g, g.s, g.g, g.s, g.d, g.s, g.s, g.d)
+            g_lin.append([r * size + c if r >= 0 and c >= 0 else None
+                          for rr, cc in zip(rows, cols)
+                          for r, c in zip(rr.tolist(), cc.tolist())])
+            g_sign.append(np.repeat([1.0, -1.0, -1.0, 1.0,
+                                     1.0, 1.0, -1.0, -1.0], m).tolist())
+            # RHS: -ieq into every drain row, then +ieq into every
+            # source row, as the scalar stamp's two scatters.
+            i_rows.append([v if v >= 0 else None
+                           for v in np.concatenate([g.d, g.s]).tolist()])
+            i_sign.append([-1.0] * m + [1.0] * m)
+        kept, self._g_lin, self._g_sign = _lane_tables(g_lin, g_sign)
+        self._g_src = np.where(kept < 4 * m, kept % m, m + kept % m)
+        kept, self._i_rows, self._i_sign = _lane_tables(i_rows, i_sign)
+        self._i_src = kept % m
+        #: per-batch-size scratch for the [gm | gt] buffer.
+        self._buf_by_size: "dict[int, np.ndarray]" = {}
 
     def bind(self, circ: np.ndarray) -> None:
-        """Gather the device parameters of the run's lanes."""
-        if self.m:
-            self._lane_params = [p[circ] for p in self.params]
+        """Gather the device parameters and tables of the run's lanes."""
+        if not self.m:
+            return
+        n_lanes = circ.size
+        self._lane_params = [p[circ] for p in self.params]
+        self._pad_off = np.arange(n_lanes)[:, None] * (self.size + 1)
+        self._g_off = np.arange(n_lanes)[:, None] * (self.size * self.size)
+        self._cols = np.arange(n_lanes)[None, :]
+        self._lane_terms = self._terms[:, circ]
+        self._lane_g = (self._g_lin[circ], self._g_sign[circ])
+        self._lane_i = (self._i_rows[circ].T, self._i_sign[circ].T)
+        self._full = (self._lane_terms + self._pad_off,
+                      (self._lane_g[0] + self._g_off).ravel(),
+                      (self._lane_i[0] * n_lanes + self._cols).ravel(),
+                      self._lane_g[1], self._lane_i[1])
 
     def stamp(self, G_stack: np.ndarray, I_t: np.ndarray,
               x_pad_cols: np.ndarray, rows) -> None:
@@ -295,39 +363,35 @@ class _BatchMosfets:
         ``G_stack`` is ``(B, S, S)``, ``I_t`` the transposed RHS
         ``(S, B)``, ``x_pad_cols`` the padded states ``(B, S+1)``
         (last column zero for ground gathers) and ``rows`` the lanes
-        (an index array or slice), which select device parameters.
+        (an index array or slice), which select device parameters and
+        terminals.  All three arrays are C-contiguous.
         """
-        # A full working set arrives as slice(None): no gathers.
-        beta, vt, lam, n_sub = (
-            self._lane_params if isinstance(rows, slice)
-            else [p[rows] for p in self._lane_params])
+        m = self.m
         b = x_pad_cols.shape[0]
-        lin = _stacked_lin(self._lin_by_size, self._base_lin, b, self.size)
-        vd = x_pad_cols[:, self.d_gather]    # (B, M)
-        vg = x_pad_cols[:, self.g_gather]
-        vs = x_pad_cols[:, self.s_gather]
-        ids, gm, gds = ids_full_vec(vd, vg, vs, self.sign, beta,
-                                    vt, lam, n_sub)
-        gt = gds + GMIN_DS
+        if isinstance(rows, slice):
+            # A full working set: the run's tables, no gathers.
+            sign, beta, vt, lam, n_sub = self._lane_params
+            terms, g_lin, i_lin, g_sign, i_sign = self._full
+        else:
+            sign, beta, vt, lam, n_sub = [p[rows] for p in self._lane_params]
+            terms = self._lane_terms[:, rows] + self._pad_off[:b]
+            g_lin = (self._lane_g[0][rows] + self._g_off[:b]).ravel()
+            g_sign = self._lane_g[1][rows]
+            i_lin = (self._lane_i[0][:, rows] * b + self._cols[:, :b]).ravel()
+            i_sign = self._lane_i[1][:, rows]
+        vd, vg, vs = x_pad_cols.take(terms)         # each (B, M)
+        ids, gm, gds = ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub)
         ieq = ids - gm * (vg - vs) - gds * (vd - vs)
-        bufs = self._buf_by_size.get(b)
-        if bufs is None:
-            bufs = (np.empty((b, 2, self.m)),
-                    np.empty((self._i_rows.size, b)))
-            self._buf_by_size[b] = bufs
-        gmgt, i_vals = bufs
-        # (B, 2, M) -> repeat -> (B, 8, M) * +/-1 -> (B, 8M): the
-        # factors are exact, so the entries equal the scalar engine's
-        # concatenation order.
-        gmgt[:, 0] = gm
-        gmgt[:, 1] = gt
-        vals = (gmgt.repeat(4, axis=1) * self._signs).reshape(b, 8 * self.m)
-        np.add.at(G_stack.reshape(-1), lin,
-                  vals.take(self.valid_idx, axis=1).ravel())
-        nd = self._d_valid_idx.size
-        np.negative(ieq.take(self._d_valid_idx, axis=1).T, out=i_vals[:nd])
-        i_vals[nd:] = ieq.take(self._s_valid_idx, axis=1).T
-        np.add.at(I_t, self._i_rows, i_vals)
+        gmgt = self._buf_by_size.get(b)
+        if gmgt is None:
+            gmgt = self._buf_by_size[b] = np.empty((b, 2 * m))
+        gmgt[:, :m] = gm
+        np.add(gds, GMIN_DS, out=gmgt[:, m:])
+        # Flat 1-D indices: ufunc.at is several times slower on 2-D ones.
+        np.add.at(G_stack.reshape(-1), g_lin,
+                  (gmgt.take(self._g_src, axis=1) * g_sign).ravel())
+        np.add.at(I_t.reshape(-1), i_lin,
+                  (ieq.T.take(self._i_src, axis=0) * i_sign).ravel())
 
 
 class _BatchSources:
@@ -360,40 +424,49 @@ class _BatchSources:
                                ).reshape(len(const), len(sources_by_point))
         self._pulse_rows = np.array(
             [first[k]._branch[0] for k in pulse], dtype=np.intp)
-        # (7, K, P): v1, v2, delay, rise, width, fall, period.
-        self._pulse = np.array([[[getattr(pt[k], f) for pt in sources_by_point]
-                                 for k in pulse]
-                                for f in ("v1", "v2", "delay", "rise",
-                                          "width", "fall", "period")])
+        # (9, K, P): v1, v2, delay, rise, width, fall, period, then the
+        # ramp spans v2 - v1 and v1 - v2; (2, K, P): zero rise, zero fall.
+        pulse_params = np.array([[[getattr(pt[k], f)
+                                   for pt in sources_by_point]
+                                  for k in pulse]
+                                 for f in ("v1", "v2", "delay", "rise",
+                                           "width", "fall", "period")]
+                                ).reshape(7, len(pulse),
+                                          len(sources_by_point))
+        v1, v2 = pulse_params[0], pulse_params[1]
+        self._pulse = np.concatenate([pulse_params, [v2 - v1, v1 - v2]])
+        self._pulse_zero = pulse_params[[3, 5]] == 0
 
     def bind(self, circ: np.ndarray) -> None:
         """Gather the source values of the run's lanes."""
         self._circ = circ
         self._const_lanes = self._const[:, circ]
-        self._pulse_lanes = self._pulse[:, :, circ] \
-            if self._pulse_rows.size else None
+        self._pulse_lanes = self._pulse[:, :, circ]
+        self._pulse_zero_lanes = self._pulse_zero[:, :, circ]
 
     def stamp(self, I_t: np.ndarray, t: np.ndarray, lanes) -> None:
-        circ = self._circ[lanes]
         if self._const_rows.size:
             I_t[self._const_rows] += self._const_lanes[:, lanes]
         if self._pulse_rows.size:
-            v1, v2, delay, rise, width, fall, period = \
+            v1, v2, delay, rise, width, fall, period, up, down = \
                 self._pulse_lanes[:, :, lanes]
+            rise0, fall0 = self._pulse_zero_lanes[:, :, lanes]
             # Vpulse.value, branch for branch, as masked arrays.
             tau = (t - delay) % period
-            ramp_up = v1 + (v2 - v1) * tau / rise
+            ramp_up = v1 + up * tau / rise
             tau2 = tau - rise
             tau3 = tau2 - width
-            ramp_down = v2 + (v1 - v2) * tau3 / fall
+            ramp_down = v2 + down * tau3 / fall
             I_t[self._pulse_rows] += np.where(
                 t < delay, v1,
-                np.where(tau < rise, np.where(rise == 0, v2, ramp_up),
+                np.where(tau < rise, np.where(rise0, v2, ramp_up),
                          np.where(tau2 < width, v2,
                                   np.where(tau3 < fall,
-                                           np.where(fall == 0, v1,
-                                                    ramp_down),
+                                           np.where(fall0, v1, ramp_down),
                                            v1))))
+        if not (self._other or self._isrc):
+            return
+        circ = self._circ[lanes]
         for k in self._other:
             br = self._by_point[0][k]._branch[0]
             I_t[br] += [self._by_point[p][k].value(tb)
@@ -489,8 +562,9 @@ class BatchTransientSolver:
             if _structure_signature(ctx.circuit) != signature:
                 raise AnalysisError(
                     "batched circuits must share element structure "
-                    "(same elements on the same nodes); rebuild the "
-                    "family from one parametrised builder")
+                    "(same nodes, same elements, and the same terminals "
+                    "for everything but MOSFETs and capacitors); "
+                    "rebuild the family from one parametrised builder")
         for ctx in self.contexts:
             if ctx.other_nonlinear:
                 raise AnalysisError(
@@ -527,6 +601,10 @@ class BatchTransientSolver:
             self.size)
         self._mosfets = _BatchMosfets(self.contexts)
         self._bp_cache: "dict[tuple, list]" = {}
+        # Per-column Newton tolerance: abstol on node voltages, itol on
+        # branch currents.
+        self._tol = np.full(self.size, NEWTON_ITOL)
+        self._tol[:self.n_nodes] = NEWTON_ABSTOL
 
     # -- assembly ----------------------------------------------------------
 
@@ -548,12 +626,6 @@ class BatchTransientSolver:
             out[lane, :len(bps)] = bps
         return out
 
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        """Transpose states to ``(S+1, B)`` with a zero ground row."""
-        x_t = np.zeros((self.size + 1, x.shape[0]))
-        x_t[:-1] = x.T
-        return x_t
-
     def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
                     geq: np.ndarray) -> np.ndarray:
         """Static + source + companion matrices for the lanes, ``(B, S, S)``.
@@ -573,7 +645,7 @@ class BatchTransientSolver:
         off = ~nominal
         if off.any():
             sub = self._G_fixed[self._circ[ids[off]]]
-            self._caps.add_geq_stack(sub, geq[:, off])
+            self._caps.add_geq_stack(sub, geq[:, off], ids[off])
             G[off] = sub
         return G
 
@@ -585,24 +657,24 @@ class BatchTransientSolver:
             "analysis": "batch-transient", "points": x0.shape[0],
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
-                      be: np.ndarray, geq: np.ndarray, lanes, *,
-                      max_iter: int = 80, vlimit: float = 1.0,
-                      abstol: float = 1e-6, reltol: float = 1e-4,
-                      itol: float = 1e-9) -> "tuple[np.ndarray, np.ndarray]":
+                      be: np.ndarray, geq: np.ndarray,
+                      lanes) -> "tuple[np.ndarray, np.ndarray]":
         """Damped Newton at one step, vectorised over lanes.
 
         ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal) and the
         companion conductances ``geq`` ``(K, B)`` are per lane.
         Block-diagonal structure keeps every lane's iterate sequence
-        identical to the scalar engine's: updates, clamping and
-        the convergence test apply per lane, and a converged lane leaves
-        the working set while the rest keep iterating.  Returns the
-        states and a mask of lanes that failed (non-finite solution or
-        no convergence in ``max_iter``).
+        identical to the scalar engine's (same ``NEWTON_*`` settings):
+        updates, clamping and the convergence test apply per lane, and a
+        converged lane leaves the working set while the rest keep
+        iterating.  Returns the states and a mask of lanes that failed
+        (non-finite solution or no convergence in ``NEWTON_MAX_ITER``).
         """
         rt = telemetry.active()
         G_base = self._base_stack(lanes, dt, be, geq)
-        I_t_base = self._I_static[self._circ[lanes]].T.copy()   # (S, B)
+        # (S, B), C-contiguous: the stamps scatter through flat indices.
+        I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
+                    else self._I_t_static.take(lanes, axis=1))
         # Scalar assembly order: sources first, then reactive companions.
         self._sources.stamp(I_t_base, t, lanes)
         self._caps.stamp_rhs(I_t_base, geq, be, lanes)
@@ -610,10 +682,7 @@ class BatchTransientSolver:
 
         x = x0.copy()                                # (B, S)
         n = self.n_nodes
-        # Per-column tolerance: abstol on node voltages, itol on branch
-        # currents.
-        tol = np.full(self.size, itol)
-        tol[:n] = abstol
+        tol = self._tol
         n_lanes = x.shape[0]
         failed = np.zeros(n_lanes, dtype=bool)
         has_nonlinear = self._mosfets.m > 0
@@ -622,12 +691,12 @@ class BatchTransientSolver:
         # changes the others' iterates nor its own frozen solution.
         work = np.arange(n_lanes)
 
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, NEWTON_MAX_ITER + 1):
             full = work.size == n_lanes
             # Fancy indexing already copies, so subsets skip the
             # explicit copy (and a full slice-selected base is a view).
             G = G_base.copy() if full else G_base[work]
-            I_t = I_t_base.copy() if full else I_t_base[:, work]
+            I_t = I_t_base.copy() if full else I_t_base.take(work, axis=1)
             x_work = x if full else x[work]
             if has_nonlinear:
                 xpad = self._xpad_cols[:work.size]
@@ -644,40 +713,43 @@ class BatchTransientSolver:
                 x_new = _sparse_rows(G, I_t.T)
             else:
                 x_new = _batched_solve(G, I_t.T)
-            finite = np.isfinite(x_new).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(x_new).all():
                 # Diverged or singular (the gufunc signals singular
                 # matrices with NaNs): those lanes fail this attempt.
+                finite = np.isfinite(x_new).all(axis=1)
                 failed[work[~finite]] = True
                 work, x_new = work[finite], x_new[finite]
                 x_work = x_work[finite]
                 if work.size == 0:
                     break
+                full = False
             if not has_nonlinear:
                 x[work] = x_new
                 work = work[:0]
                 break
             dx = x_new - x_work
-            dv = dx[:, :n]
-            abs_dv = np.abs(dv)
-            if abs_dv.max() > vlimit:
-                clamped = (abs_dv > vlimit).any(axis=1)
-            else:
-                clamped = np.zeros(work.size, dtype=bool)
-            if clamped.any():
+            abs_dx = np.abs(dx)
+            # One fused test, elementwise equal to the scalar engine's
+            # separate v/i tests.
+            conv = (abs_dx <= tol + NEWTON_RELTOL * np.abs(x_new)
+                    ).all(axis=1)
+            if abs_dx[:, :n].max() > NEWTON_VLIMIT:
+                clamped = (abs_dx[:, :n] > NEWTON_VLIMIT).any(axis=1)
                 rows = work[clamped]
-                x[rows, :n] += np.clip(dv[clamped], -vlimit, vlimit)
+                x[rows, :n] += np.clip(dx[clamped, :n], -NEWTON_VLIMIT,
+                                       NEWTON_VLIMIT)
                 x[rows, n:] += dx[clamped, n:]
-            stepped = ~clamped
-            if stepped.any():
+                stepped = ~clamped
                 x[work[stepped]] = x_new[stepped]
-                # One fused pass, elementwise equal to the scalar
-                # engine's separate v/i tests.
-                ok = stepped & (np.abs(dx) <= tol + reltol * np.abs(x_new)
-                                ).all(axis=1)
-                work = work[~ok]
-                if work.size == 0:
-                    break
+                conv &= stepped
+            elif full:
+                x[...] = x_new
+            else:
+                x[work] = x_new
+            if conv.all():
+                work = work[:0]
+                break
+            work = work[~conv]
         failed[work] = True
         if rt is not None:
             if not failed.all():
@@ -760,8 +832,12 @@ class BatchTransientSolver:
         self._circ = circ
         self._lane_ids = np.arange(n_lanes)
         self._dt_nominal = dt
-        self._xpad_cols = np.zeros((n_lanes, self.size + 1))
-        self._caps.init_state(self._padded(x), circ)
+        self._I_t_static = self._I_static[circ].T.copy()
+        # Padded states (last column zero for ground gathers), shared by
+        # the MOSFET stamps and the capacitor voltages.
+        xpad = self._xpad_cols = np.zeros((n_lanes, self.size + 1))
+        xpad[:, :-1] = x
+        self._caps.init_state(xpad, circ)
         self._sources.bind(circ)
         self._mosfets.bind(circ)
         # The run's nominal-step matrices, one per integration method.
@@ -769,7 +845,8 @@ class BatchTransientSolver:
         for be in (False, True):
             G = self._G_fixed[circ]
             self._caps.add_geq_stack(
-                G, self._caps.geq(slice(None), dt, np.full(n_lanes, be)))
+                G, self._caps.geq(slice(None), dt, np.full(n_lanes, be)),
+                slice(None))
             stacks.append(G)
         self._G_trap, self._G_be = stacks
 
@@ -824,7 +901,9 @@ class BatchTransientSolver:
                 pending = pending[failed]
                 attempts += 1
 
-            self._caps.accept_step(self._padded(x_acc), geq, be, ix)
+            xpad = self._xpad_cols[:x_acc.shape[0]]
+            xpad[:, :-1] = x_acc
+            self._caps.accept_step(xpad, geq, be, ix)
             countdown[ix] -= 1
             t[ix] = t_new
             x[ix] = x_acc

@@ -24,6 +24,16 @@ from .sparse import check_solver, choose_backend, matrix_fill, sparse_solve
 #: Default conductance from every node to ground, for matrix regularity.
 DEFAULT_GMIN = 1e-12
 
+#: Damped-Newton settings shared by the scalar and batched engines:
+#: iteration cap, per-iteration node-voltage step limit (V), and the
+#: convergence test ``|dx| <= tol + NEWTON_RELTOL * |x|`` with ``tol``
+#: NEWTON_ABSTOL on node voltages and NEWTON_ITOL on branch currents.
+NEWTON_MAX_ITER = 80
+NEWTON_VLIMIT = 1.0
+NEWTON_ABSTOL = 1e-6
+NEWTON_RELTOL = 1e-4
+NEWTON_ITOL = 1e-9
+
 
 def _note_newton(rt, iterations: int, backend: Optional[str]) -> None:
     """Record one converged Newton solve (telemetry enabled only)."""
@@ -159,9 +169,12 @@ class MnaContext:
     def solve_newton(self, x0: Optional[np.ndarray], t: float, *,
                      mode: str = "tran", dt: Optional[float] = None,
                      method: str = "trap", source_scale: float = 1.0,
-                     gshunt: float = 0.0, max_iter: int = 80,
-                     vlimit: float = 1.0, abstol: float = 1e-6,
-                     reltol: float = 1e-4, itol: float = 1e-9,
+                     gshunt: float = 0.0,
+                     max_iter: int = NEWTON_MAX_ITER,
+                     vlimit: float = NEWTON_VLIMIT,
+                     abstol: float = NEWTON_ABSTOL,
+                     reltol: float = NEWTON_RELTOL,
+                     itol: float = NEWTON_ITOL,
                      analysis: str = "newton") -> np.ndarray:
         """Solve the (possibly nonlinear) MNA system at one time point.
 

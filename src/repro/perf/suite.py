@@ -3,10 +3,10 @@
 Every benchmark here is **quick-capable** (sized to finish in well
 under a second per repeat with ``--quick`` on a single-core CI runner)
 and tagged ``gate`` so ``repro perf gate`` exercises the whole stack
-by default: circuit (shooting PSS + dense MNA transient), exec
-(vectorised Monte-Carlo), serving (batched inference plus closed-loop
-HTTP load generation against the asyncio server), and the SQLite
-store (indexed axis query).  Workload factories do all setup outside
+by default: circuit (shooting PSS, the scalar MNA transient and the
+lock-step batched transient), exec (vectorised Monte-Carlo), serving
+(batched inference plus closed-loop HTTP load generation against the
+asyncio server), and the SQLite store (indexed axis query).  Workload factories do all setup outside
 the timed region; the returned callables traverse the instrumented
 spans (``adder.evaluate`` → ``pss.shooting`` → ``mna.transient`` →
 ``mna.newton``, …), which is what makes gate span-attribution
@@ -82,6 +82,33 @@ def _mna_transient_ladder(quick: bool = False):
 
     def workload():
         return transient(circuit, t_stop, dt)
+
+    return workload
+
+
+@benchmark("mna.batch_transient.cell",
+           title="4-lane lock-step transient of the Fig. 2 cell",
+           tags=("gate", "circuit"), repeats=3, warmup=1,
+           quick_repeats=2, noise=1.0,
+           description="BatchTransientSolver over ext_dynamic_supply's "
+                       "four supply-ramp cells: the batched Newton "
+                       "stepper (device evaluation, stamps, lock-step "
+                       "Newton) under every transistor-level "
+                       "experiment.")
+def _mna_batch_transient_cell(quick: bool = False):
+    from ..experiments.ext_dynamic_supply import (
+        FREQUENCY,
+        RAMP_TARGETS,
+        _build,
+        _run_family,
+    )
+
+    t_stop = (2 if quick else 6) / FREQUENCY
+    dt = 1.0 / FREQUENCY / 40
+    circuits = [_build(t_stop, v_end) for v_end in RAMP_TARGETS]
+
+    def workload():
+        return _run_family(circuits, t_stop, dt, solver="auto")
 
     return workload
 

@@ -207,9 +207,13 @@ def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     vgs = sign * (vg - vs)
     vds = sign * (vd - vs)
     reverse = vds < 0.0
-    # Work in the forward frame for every device.
+    # Work in the forward frame for every device.  ``flip`` is exactly
+    # -1 on reversed devices and +1 elsewhere, so multiplying by it
+    # negates or keeps a value bit for bit (``abs`` would turn a PMOS
+    # ``vds`` of -0.0 into +0.0 and flip the sign of a zero current).
+    flip = np.where(reverse, -1.0, 1.0)
     vgs_f = np.where(reverse, vgs - vds, vgs)
-    vds_f = np.where(reverse, -vds, vds)
+    vds_f = vds * flip
     scale = 2.0 * n_sub * THERMAL_VOLTAGE
     z = (vgs_f - vt) / scale
     # logaddexp/expit are overflow-safe for any z.
@@ -219,17 +223,14 @@ def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     triode = vds_f < vov
     core_tri = vov * vds_f - 0.5 * vds_f * vds_f
     core_sat = 0.5 * vov * vov
-    core = np.where(triode, core_tri, core_sat)
-    ids_f = beta * core * clm
-    gm_f = np.where(triode, beta * vds_f * clm * dvov,
-                    beta * vov * clm * dvov)
+    ids_f = beta * np.where(triode, core_tri, core_sat) * clm
+    # gm is beta * (vds_f in triode, vov in saturation) * clm * dvov.
+    gm_f = beta * np.where(triode, vds_f, vov) * clm * dvov
     gds_f = np.where(triode, beta * ((vov - vds_f) * clm + core_tri * lam),
                      beta * core_sat * lam)
     # Undo the source/drain swap.
-    ids_e = np.where(reverse, -ids_f, ids_f)
-    gm_e = np.where(reverse, -gm_f, gm_f)
-    gds_e = np.where(reverse, gm_f + gds_f, gds_f)
-    return sign * ids_e, gm_e, gds_e
+    return (sign * (ids_f * flip), gm_f * flip,
+            np.where(reverse, gm_f + gds_f, gds_f))
 
 
 def on_resistance(params: MosfetParams, width: float, length: float,

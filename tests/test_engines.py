@@ -287,6 +287,18 @@ class TestBatchTransient:
         with pytest.raises(AnalysisError, match="share element structure"):
             BatchTransientSolver([a, b])
 
+    def test_node_name_mismatch_rejected(self):
+        # Same elements on the same node indices, other node names.
+        def make(out):
+            c = Circuit("rc")
+            c.add(Vdc("V1", "in", "0", 1.0))
+            c.add(Resistor("R1", "in", out, "1k"))
+            c.add(Capacitor("C1", out, "0", "1p"))
+            return c
+
+        with pytest.raises(AnalysisError, match="share element structure"):
+            BatchTransientSolver([make("out"), make("y")])
+
     def test_timing_mismatch_matches_scalar(self):
         # Same structure, different duty -> different breakpoints: each
         # lane walks its own time grid and equals its scalar run.
