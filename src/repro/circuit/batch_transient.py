@@ -1,30 +1,40 @@
 """Batched MNA transient and shooting PSS over independent sweep points.
 
-A sweep of one bench — supply, duty cycle, frequency, Monte-Carlo
-draws — is a family of circuits that share *structure* (the same
-elements on the same nodes) and differ in element values and source
-timing.  Solving them one at a time repeats the whole Python stepping
-machinery (breakpoint handling, companion updates, Newton bookkeeping)
-once per point; that overhead, not LAPACK, dominates the wall clock for
-the paper's small benches.
+A sweep of one bench — supply, duty cycle, frequency, weight pattern,
+Monte-Carlo draws — is a family of circuits that share *structure*:
+the same node names and the same elements (type, name, branches), with
+every element other than a MOSFET or a capacitor on the same nodes.
+Points differ in element values, source timing, and MOSFET/capacitor
+terminals, which is how a weight bit wires a cell's gate to the supply
+on one point and to ground on another.  Solving points one at a time
+repeats the whole Python stepping machinery (breakpoint handling,
+companion updates, Newton bookkeeping) once per point; that overhead,
+not LAPACK, dominates the wall clock for the paper's small benches.
 
 :class:`BatchTransientSolver` integrates such a family in *ragged*
 lock-step.  Every batch row (a "lane") keeps its own breakpoint list,
 step size, time, backward-Euler countdown and step-halving retries; the
 loop advances by step index, and a lane that reaches its stop time
-leaves the working set.  Each Newton iteration stamps all ``(B, M)``
-MOSFETs at once and solves one stacked ``(B, S, S)`` system.  Because
-the stack is block-diagonal, each lane's iterates — including the
-halved retries after a Newton failure, which only that lane takes — are
-exactly the scalar engine's: results are bit-identical to per-point
+leaves the working set.  Each Newton pass stamps all ``(B, M)`` MOSFETs
+at once through per-point terminal, scatter and sign tables (built once
+per solver, gathered once per run) and solves one stacked ``(B, S, S)``
+system.  A table entry that a point does not stamp (a ground terminal)
+adds ``+-0.0`` to its own lane's block, so every G and I cell sums its
+terms in the scalar assembler's element order.  Because the stack is
+block-diagonal, each lane's iterates — including the halved retries
+after a Newton failure, which only that lane takes — are exactly the
+scalar engine's: results are bit-identical to per-point
 :func:`repro.circuit.transient.transient` runs (pinned by
-``tests/test_sparse_mna.py``).
+``tests/test_sparse_mna.py`` and ``tests/test_batch_kernels.py``).
 
 :func:`shooting_batch` lifts the same trick to periodic steady state:
 each iteration stacks every open point's base period run and its
-finite-difference probes into one lock-step run, and a point's PSS is
-captured at the iteration where *it* converges — matching the scalar
-:func:`repro.circuit.pss.shooting` point for point.
+finite-difference probes (unchanged: one ``fd_delta`` probe per
+observed node) into one lock-step run, and a point's PSS is captured at
+the iteration where *it* converges — matching the scalar
+:func:`repro.circuit.pss.shooting` point for point.  Points group by
+the structure above, so a weight-pattern sweep of the adder or the
+perceptron is one group.
 """
 
 from __future__ import annotations
@@ -123,27 +133,68 @@ def _per_point(value, n: int, name: str) -> np.ndarray:
     return arr.copy()
 
 
-def _lane_tables(lin: List[list], sign: List[list]
-                 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Stack per-point scatter entries into ``(P, E)`` tables.
+class _Scatter:
+    """Per-point G and RHS scatter tables of one element kind.
 
-    ``lin`` and ``sign`` hold one list per point, entry for entry in the
-    scalar assembler's order; ``None`` marks an entry that point does not
-    stamp (a ground terminal).  Entries no point stamps are dropped, so
-    a single-wiring batch keeps exactly the scalar pattern.  The rest
-    are masked per point: index 0 (a cell of the lane's own block) with
-    sign 0.0, whose ``+-0.0`` adds leave every cell's bits unchanged.
-    Returns ``(kept, lin, sign)`` with ``kept`` the surviving entry
-    positions.
+    ``g_lin`` (flat ``S*S`` cells), ``i_rows`` (RHS rows) and their
+    signs hold one list per point, entry for entry in the scalar
+    assembler's order; ``None`` marks an entry that point does not
+    stamp (a ground terminal).  Entries no point stamps are dropped
+    (``g_kept``/``i_kept`` index the survivors), so a single-wiring
+    batch keeps exactly the scalar pattern.  The rest are masked per
+    point: cell or row 0 of the lane's own block with sign 0.0, whose
+    ``+-0.0`` adds leave every cell's bits unchanged (no cell is ever
+    -0.0, and the stamped values are finite: Newton clamps node steps to
+    ``NEWTON_VLIMIT``).  :meth:`bind` gathers the tables for a run's
+    lanes; :meth:`g` and :meth:`i` give flat 1-D scatter indices
+    (``ufunc.at`` is several times slower on 2-D ones) and sign tables
+    for a slice or index array of lanes.
     """
-    stamped = np.array([[v is not None for v in row] for row in lin],
-                       dtype=bool).reshape(len(lin), -1)
-    kept = np.nonzero(stamped.any(axis=0))[0]
-    lin_tab = np.array([[0 if v is None else v for v in row] for row in lin],
-                       dtype=np.intp).reshape(stamped.shape)[:, kept]
-    sign_tab = np.where(stamped, np.array(sign, dtype=float).reshape(
-        stamped.shape), 0.0)[:, kept]
-    return kept, lin_tab, sign_tab
+
+    def __init__(self, g_lin: List[list], g_sign: List[list],
+                 i_rows: List[list], i_sign: List[list], size: int):
+        self.g_kept, self._g_lin, self._g_sign = self._stack(g_lin, g_sign)
+        self.i_kept, self._i_rows, self._i_sign = self._stack(i_rows, i_sign)
+        self._block = size * size
+
+    @staticmethod
+    def _stack(index: List[list], sign: List[list]):
+        stamped = np.array([[v is not None for v in row] for row in index],
+                           dtype=bool).reshape(len(index), -1)
+        kept = np.nonzero(stamped.any(axis=0))[0]
+        table = np.array([[0 if v is None else v for v in row]
+                          for row in index],
+                         dtype=np.intp).reshape(stamped.shape)[:, kept]
+        signs = np.where(stamped, np.array(sign, dtype=float).reshape(
+            stamped.shape), 0.0)[:, kept]
+        return kept, table, signs
+
+    def bind(self, circ: np.ndarray) -> None:
+        n_lanes = circ.size
+        self._lane_g = (self._g_lin[circ], self._g_sign[circ])
+        self._lane_i = (self._i_rows[circ].T, self._i_sign[circ].T)
+        self._g_off = np.arange(n_lanes)[:, None] * self._block
+        self._cols = np.arange(n_lanes)[None, :]
+        self._full_g = ((self._lane_g[0] + self._g_off).ravel(),
+                        self._lane_g[1])
+        self._full_i = ((self._lane_i[0] * n_lanes + self._cols).ravel(),
+                        self._lane_i[1])
+
+    def g(self, lanes) -> "tuple[np.ndarray, np.ndarray]":
+        """Indices into a flat ``(B, S, S)`` stack and ``(B, E)`` signs."""
+        if isinstance(lanes, slice):
+            return self._full_g
+        return ((self._lane_g[0][lanes] + self._g_off[:lanes.size]).ravel(),
+                self._lane_g[1][lanes])
+
+    def i(self, lanes) -> "tuple[np.ndarray, np.ndarray]":
+        """Indices into a flat transposed ``(S, B)`` RHS and ``(F, B)``
+        signs."""
+        if isinstance(lanes, slice):
+            return self._full_i
+        b = lanes.size
+        return ((self._lane_i[0][:, lanes] * b + self._cols[:, :b]).ravel(),
+                self._lane_i[1][:, lanes])
 
 
 class _BatchCapacitors:
@@ -193,10 +244,9 @@ class _BatchCapacitors:
             i_rows.append([node if node >= 0 else None
                            for a, b in ab for node in (a, b)])
             i_sign.append([-1.0, 1.0] * live.size)
-        kept, self._g_lin, self._g_sign = _lane_tables(g_lin, g_sign)
-        self._g_cap = live[kept // 4]
-        kept, self._i_rows, self._i_sign = _lane_tables(i_rows, i_sign)
-        self._i_cap = live[kept // 2]
+        self._scatter = _Scatter(g_lin, g_sign, i_rows, i_sign, size)
+        self._g_cap = live[self._scatter.g_kept // 4]
+        self._i_cap = live[self._scatter.i_kept // 2]
 
     def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
         """Bind the run's lanes (``circ`` names each lane's circuit) and
@@ -204,18 +254,11 @@ class _BatchCapacitors:
         self._c_lanes = self.c[:, circ]
         if self.n == 0:
             return
-        n_lanes = circ.size
         self._live_lanes = self._live[:, circ]
-        self._pad_off = np.arange(n_lanes)[:, None] * (self.size + 1)
-        self._g_off = np.arange(n_lanes)[:, None] * (self.size * self.size)
-        self._cols = np.arange(n_lanes)[None, :]
+        self._scatter.bind(circ)
+        self._pad_off = np.arange(circ.size)[None, :] * (self.size + 1)
         self._lane_ab = np.stack([self._a[circ].T, self._b[circ].T])
-        self._lane_g = (self._g_lin[circ], self._g_sign[circ])
-        self._lane_i = (self._i_rows[circ].T, self._i_sign[circ].T)
-        self._full = (self._lane_ab + self._pad_off.T,
-                      (self._lane_g[0] + self._g_off).ravel(),
-                      (self._lane_i[0] * n_lanes + self._cols).ravel(),
-                      self._lane_g[1], self._lane_i[1])
+        self._full_ab = self._lane_ab + self._pad_off
         self.v_prev = self._voltages(x_pad_cols, slice(None))
         ic = self.ic[:, circ]
         has_ic = np.isfinite(ic)
@@ -225,11 +268,8 @@ class _BatchCapacitors:
 
     def _voltages(self, x_pad_cols: np.ndarray, lanes) -> np.ndarray:
         """Element voltages ``(K, B)`` from padded ``(B, S+1)`` states."""
-        if isinstance(lanes, slice):
-            ab = self._full[0]
-        else:
-            ab = self._lane_ab[:, :, lanes] \
-                + self._pad_off[:lanes.size].T
+        ab = (self._full_ab if isinstance(lanes, slice) else
+              self._lane_ab[:, :, lanes] + self._pad_off[:, :lanes.size])
         va, vb = x_pad_cols.take(ab)
         return va - vb
 
@@ -243,12 +283,7 @@ class _BatchCapacitors:
         """Companion conductances onto the stacked base, ``(B, S, S)``."""
         if self.n == 0 or self._g_cap.size == 0:
             return
-        if isinstance(lanes, slice):
-            lin, sign = self._full[1], self._full[3]
-        else:
-            lin = (self._lane_g[0][lanes] + self._g_off[:lanes.size]).ravel()
-            sign = self._lane_g[1][lanes]
-        # Flat 1-D indices: ufunc.at is several times slower on 2-D ones.
+        lin, sign = self._scatter.g(lanes)
         np.add.at(G_stack.reshape(-1), lin,
                   (geq.T.take(self._g_cap, axis=1) * sign).ravel())
 
@@ -267,12 +302,7 @@ class _BatchCapacitors:
             return
         v_prev, i_term = self._history(be, lanes)
         ieq = -geq * v_prev - i_term
-        if isinstance(lanes, slice):
-            lin, sign = self._full[2], self._full[4]
-        else:
-            b = lanes.size
-            lin = (self._lane_i[0][:, lanes] * b + self._cols[:, :b]).ravel()
-            sign = self._lane_i[1][:, lanes]
+        lin, sign = self._scatter.i(lanes)
         # add_current(a, b, ieq): I[a] -= ieq, I[b] += ieq.
         np.add.at(I_t.reshape(-1), lin,
                   (sign * ieq.take(self._i_cap, axis=0)).ravel())
@@ -332,10 +362,10 @@ class _BatchMosfets:
             i_rows.append([v if v >= 0 else None
                            for v in np.concatenate([g.d, g.s]).tolist()])
             i_sign.append([-1.0] * m + [1.0] * m)
-        kept, self._g_lin, self._g_sign = _lane_tables(g_lin, g_sign)
+        self._scatter = _Scatter(g_lin, g_sign, i_rows, i_sign, size)
+        kept = self._scatter.g_kept
         self._g_src = np.where(kept < 4 * m, kept % m, m + kept % m)
-        kept, self._i_rows, self._i_sign = _lane_tables(i_rows, i_sign)
-        self._i_src = kept % m
+        self._i_src = self._scatter.i_kept % m
         #: per-batch-size scratch for the [gm | gt] buffer.
         self._buf_by_size: "dict[int, np.ndarray]" = {}
 
@@ -343,18 +373,11 @@ class _BatchMosfets:
         """Gather the device parameters and tables of the run's lanes."""
         if not self.m:
             return
-        n_lanes = circ.size
         self._lane_params = [p[circ] for p in self.params]
-        self._pad_off = np.arange(n_lanes)[:, None] * (self.size + 1)
-        self._g_off = np.arange(n_lanes)[:, None] * (self.size * self.size)
-        self._cols = np.arange(n_lanes)[None, :]
+        self._scatter.bind(circ)
+        self._pad_off = np.arange(circ.size)[:, None] * (self.size + 1)
         self._lane_terms = self._terms[:, circ]
-        self._lane_g = (self._g_lin[circ], self._g_sign[circ])
-        self._lane_i = (self._i_rows[circ].T, self._i_sign[circ].T)
-        self._full = (self._lane_terms + self._pad_off,
-                      (self._lane_g[0] + self._g_off).ravel(),
-                      (self._lane_i[0] * n_lanes + self._cols).ravel(),
-                      self._lane_g[1], self._lane_i[1])
+        self._full_terms = self._lane_terms + self._pad_off
 
     def stamp(self, G_stack: np.ndarray, I_t: np.ndarray,
               x_pad_cols: np.ndarray, rows) -> None:
@@ -371,14 +394,10 @@ class _BatchMosfets:
         if isinstance(rows, slice):
             # A full working set: the run's tables, no gathers.
             sign, beta, vt, lam, n_sub = self._lane_params
-            terms, g_lin, i_lin, g_sign, i_sign = self._full
+            terms = self._full_terms
         else:
             sign, beta, vt, lam, n_sub = [p[rows] for p in self._lane_params]
             terms = self._lane_terms[:, rows] + self._pad_off[:b]
-            g_lin = (self._lane_g[0][rows] + self._g_off[:b]).ravel()
-            g_sign = self._lane_g[1][rows]
-            i_lin = (self._lane_i[0][:, rows] * b + self._cols[:, :b]).ravel()
-            i_sign = self._lane_i[1][:, rows]
         vd, vg, vs = x_pad_cols.take(terms)         # each (B, M)
         ids, gm, gds = ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub)
         ieq = ids - gm * (vg - vs) - gds * (vd - vs)
@@ -387,9 +406,10 @@ class _BatchMosfets:
             gmgt = self._buf_by_size[b] = np.empty((b, 2 * m))
         gmgt[:, :m] = gm
         np.add(gds, GMIN_DS, out=gmgt[:, m:])
-        # Flat 1-D indices: ufunc.at is several times slower on 2-D ones.
+        g_lin, g_sign = self._scatter.g(rows)
         np.add.at(G_stack.reshape(-1), g_lin,
                   (gmgt.take(self._g_src, axis=1) * g_sign).ravel())
+        i_lin, i_sign = self._scatter.i(rows)
         np.add.at(I_t.reshape(-1), i_lin,
                   (ieq.T.take(self._i_src, axis=0) * i_sign).ravel())
 
@@ -533,12 +553,14 @@ class BatchTransientResult:
 class BatchTransientSolver:
     """Ragged lock-step transient integration of same-structure circuits.
 
-    All circuits must share their element structure (names, types, node
-    bindings); element values and source timing — rails, amplitudes,
-    duty cycles, frequencies, device geometry — are free to differ per
-    point.  Unsupported in batches: inductors and non-MOSFET nonlinear
-    devices (switches), which keep per-element Python state the
-    vectorised layer does not model.
+    All circuits must share their structure (node names; element names,
+    types and branches; the node bindings of everything but MOSFETs and
+    capacitors); element values, source timing and MOSFET/capacitor
+    terminals — rails, amplitudes, duty cycles, frequencies, device
+    geometry, weight wirings — are free to differ per point.
+    Unsupported in batches: inductors and non-MOSFET nonlinear devices
+    (switches), which keep per-element Python state the vectorised layer
+    does not model.
     """
 
     def __init__(self, circuits: Sequence[Circuit], *,
@@ -995,9 +1017,14 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
 
     ``period`` and ``steps_per_period`` take one value or one per
     circuit, so duty, frequency and supply sweeps batch alike.  Circuits
-    are grouped by structure internally (any mix may be passed); each
-    group's shooting iterations run its open points' base period runs
-    and finite-difference probes as one speculative lock-step run.  The
+    are grouped by structure internally (any mix may be passed): one
+    group per set of node names, element types, names and branches, and
+    terminals of every element other than MOSFETs and capacitors.  Those
+    two may be wired differently per point, so the weight patterns of
+    one adder or perceptron sweep share a group.  Each group's shooting
+    iterations run its open points' base period runs and
+    finite-difference probes (one ``fd_delta`` probe per observed node,
+    as in the scalar engine) as one speculative lock-step run.  The
     stack is block-diagonal, so each point's iterates equal the scalar
     :func:`~repro.circuit.pss.shooting` sequence; its waves are captured
     at the iteration where *its* residual first drops under ``tol``

@@ -38,11 +38,12 @@ def adder_pss(circuits: Sequence[Circuit], period, *,
     ``period`` and ``steps_per_period`` take one value or one per
     circuit.  :func:`~repro.circuit.batch_transient.shooting_batch`
     stacks every point's base period run and finite-difference probes
-    into one lock-step solve per netlist structure; each result is
-    bit-identical to scalar :func:`~repro.circuit.pss.shooting`
-    (pinned by the equivalence tests).  Adder and perceptron netlists
-    hold only MOSFETs, passives and sources, which the batch layer
-    models.
+    into one lock-step solve per netlist structure — weight bits only
+    rewire MOSFET gates and their capacitors, so a weight-pattern sweep
+    is one solve; each result is bit-identical to scalar
+    :func:`~repro.circuit.pss.shooting` (pinned by the equivalence
+    tests).  Adder and perceptron netlists hold only MOSFETs, passives
+    and sources, which the batch layer models.
     """
     from ..circuit.batch_transient import shooting_batch
 
@@ -319,9 +320,9 @@ class WeightedAdder:
         (``duties``, ``weights`` and optionally ``vdd``, ``frequency``,
         ``frequencies``, ``phases``, ``input_amplitude``) plus an
         optional per-point ``steps_per_period``.  All points run as one
-        :func:`adder_pss` call, so points with the same weights (the
-        same netlist structure) share a lock-step stack; each result
-        equals its single-point :meth:`evaluate` bit for bit.
+        :func:`adder_pss` call and, whatever their weights, share one
+        lock-step stack; each result equals its single-point
+        :meth:`evaluate` bit for bit.
         """
         circuits, periods, steps, theory = [], [], [], []
         for point in points:

@@ -39,7 +39,8 @@ def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
     metrics = {"mismatches": 0, "transistors": 0}
     points = [(duties, weights, float(vdd))
               for duties, weights in CASES for vdd in vdd_points]
-    # One batched PSS: the two (7,7,7) cases share a netlist structure.
+    # One batched PSS: weight patterns rewire only MOSFET gates, so
+    # every case shares one lock-step group.
     results = evaluate_full_perceptrons(points, THETA,
                                         steps_per_period=steps,
                                         solver=solver)
