@@ -1,4 +1,8 @@
-"""Batched MNA transient and shooting PSS over independent sweep points.
+"""The MNA time stepper: lock-step transient and shooting PSS.
+
+Every transient and periodic-steady-state run goes through
+:class:`BatchTransientSolver`; :func:`repro.circuit.transient.transient`
+and :func:`shooting` are its one-lane calls.
 
 A sweep of one bench — supply, duty cycle, frequency, weight pattern,
 Monte-Carlo draws — is a family of circuits that share *structure*:
@@ -6,35 +10,36 @@ the same node names and the same elements (type, name, branches), with
 every element other than a MOSFET or a capacitor on the same nodes.
 Points differ in element values, source timing, and MOSFET/capacitor
 terminals, which is how a weight bit wires a cell's gate to the supply
-on one point and to ground on another.  Solving points one at a time
-repeats the whole Python stepping machinery (breakpoint handling,
-companion updates, Newton bookkeeping) once per point; that overhead,
-not LAPACK, dominates the wall clock for the paper's small benches.
+on one point and to ground on another.  Such a family integrates as one
+stack of lanes, so the Python stepping machinery (breakpoint handling,
+companion updates, Newton bookkeeping) runs once per step for all of
+them; that overhead, not LAPACK, dominates the wall clock for the
+paper's small benches.
 
-:class:`BatchTransientSolver` integrates such a family in *ragged*
-lock-step.  Every batch row (a "lane") keeps its own breakpoint list,
+The stepper is *ragged*: every lane keeps its own breakpoint list,
 step size, time, backward-Euler countdown and step-halving retries; the
 loop advances by step index, and a lane that reaches its stop time
 leaves the working set.  Each Newton pass stamps all ``(B, M)`` MOSFETs
 at once through per-point terminal, scatter and sign tables (built once
-per solver, gathered once per run) and solves one stacked ``(B, S, S)``
-system.  A table entry that a point does not stamp (a ground terminal)
-adds ``+-0.0`` to its own lane's block, so every G and I cell sums its
-terms in the scalar assembler's element order.  Because the stack is
+per solver, gathered once per run), then any other nonlinear element
+(switches) lane by lane, and solves one stacked ``(B, S, S)`` system.
+Capacitors and inductors are vectorised trapezoidal/backward-Euler
+companions.  A table entry that a point does not stamp (a ground
+terminal) adds ``+-0.0`` to its own lane's block, so every G and I cell
+sums its terms in one fixed element order.  Because the stack is
 block-diagonal, each lane's iterates — including the halved retries
-after a Newton failure, which only that lane takes — are exactly the
-scalar engine's: results are bit-identical to per-point
-:func:`repro.circuit.transient.transient` runs (pinned by
-``tests/test_sparse_mna.py`` and ``tests/test_batch_kernels.py``).
+after a Newton failure, which only that lane takes — do not depend on
+the other lanes: a point's result in a batch equals its one-lane run
+bit for bit (pinned by ``tests/test_sparse_mna.py``, and against the
+recorded output of the former scalar step loop by
+``tests/fixtures/scalar_mna_reference.json``).
 
 :func:`shooting_batch` lifts the same trick to periodic steady state:
 each iteration stacks every open point's base period run and its
-finite-difference probes (unchanged: one ``fd_delta`` probe per
-observed node) into one lock-step run, and a point's PSS is captured at
-the iteration where *it* converges — matching the scalar
-:func:`repro.circuit.pss.shooting` point for point.  Points group by
-the structure above, so a weight-pattern sweep of the adder or the
-perceptron is one group.
+finite-difference probes (one ``fd_delta`` probe per observed node)
+into one lock-step run, and a point's PSS is captured at the iteration
+where *it* converges.  Points group by the structure above, so a
+weight-pattern sweep of the adder or the perceptron is one group.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from .mna import (
     MnaContext,
 )
 from .netlist import Circuit
-from .pss import (_PSS_FAILURES, PssResult, _newton_update, _note_pss,
-                  _observed)
 from .sparse import (
     check_solver,
     choose_backend,
@@ -69,8 +72,14 @@ from .sparse import (
     sparse_solve,
     sparse_solve_batch,
 )
-from .transient import BE_STEPS_AFTER_BREAKPOINT, MIN_STEP, TransientResult
 from .waveform import Waveform
+
+#: Steps integrated with backward Euler right after each breakpoint
+#: (the standard damping of trapezoidal ringing at source corners).
+BE_STEPS_AFTER_BREAKPOINT = 2
+
+#: Smallest allowed time step before the stepper gives up, seconds.
+MIN_STEP = 1e-18
 
 try:
     # The gufunc behind np.linalg.solve.  Binding it directly skips
@@ -136,12 +145,12 @@ def _per_point(value, n: int, name: str) -> np.ndarray:
 class _Scatter:
     """Per-point G and RHS scatter tables of one element kind.
 
-    ``g_lin`` (flat ``S*S`` cells), ``i_rows`` (RHS rows) and their
-    signs hold one list per point, entry for entry in the scalar
-    assembler's order; ``None`` marks an entry that point does not
-    stamp (a ground terminal).  Entries no point stamps are dropped
+    ``g_lin`` (flat ``S*S`` cells) and ``i_rows`` (RHS rows) are
+    ``(P, E)`` tables, entry for entry in the elements' own stamping
+    order, with signs per entry; ``-1`` marks an entry that point does
+    not stamp (a ground terminal).  Entries no point stamps are dropped
     (``g_kept``/``i_kept`` index the survivors), so a single-wiring
-    batch keeps exactly the scalar pattern.  The rest are masked per
+    batch keeps exactly the elements' own pattern.  The rest are masked per
     point: cell or row 0 of the lane's own block with sign 0.0, whose
     ``+-0.0`` adds leave every cell's bits unchanged (no cell is ever
     -0.0, and the stamped values are finite: Newton clamps node steps to
@@ -151,23 +160,18 @@ class _Scatter:
     for a slice or index array of lanes.
     """
 
-    def __init__(self, g_lin: List[list], g_sign: List[list],
-                 i_rows: List[list], i_sign: List[list], size: int):
+    def __init__(self, g_lin: np.ndarray, g_sign: np.ndarray,
+                 i_rows: np.ndarray, i_sign: np.ndarray, size: int):
         self.g_kept, self._g_lin, self._g_sign = self._stack(g_lin, g_sign)
         self.i_kept, self._i_rows, self._i_sign = self._stack(i_rows, i_sign)
         self._block = size * size
 
     @staticmethod
-    def _stack(index: List[list], sign: List[list]):
-        stamped = np.array([[v is not None for v in row] for row in index],
-                           dtype=bool).reshape(len(index), -1)
+    def _stack(index: np.ndarray, sign: np.ndarray):
+        stamped = index >= 0
         kept = np.nonzero(stamped.any(axis=0))[0]
-        table = np.array([[0 if v is None else v for v in row]
-                          for row in index],
-                         dtype=np.intp).reshape(stamped.shape)[:, kept]
-        signs = np.where(stamped, np.array(sign, dtype=float).reshape(
-            stamped.shape), 0.0)[:, kept]
-        return kept, table, signs
+        return (kept, np.where(stamped, index, 0)[:, kept],
+                np.where(stamped, sign, 0.0)[:, kept])
 
     def bind(self, circ: np.ndarray) -> None:
         n_lanes = circ.size
@@ -212,39 +216,36 @@ class _BatchCapacitors:
 
     def __init__(self, caps_by_point: List[List[Capacitor]], size: int):
         self.n = len(caps_by_point[0])
+        if self.n == 0:
+            return
         self.size = size
         # Per-point values, (K, P): parasitic caps scale with device
         # geometry, which Monte-Carlo batches perturb per point.
         self.c = np.array([[c.capacitance for c in point_caps]
-                           for point_caps in caps_by_point]
-                          ).reshape(len(caps_by_point), self.n).T
-        if self.n == 0:
-            return
+                           for point_caps in caps_by_point]).T
         idx = np.array([[c._idx for c in point_caps]
                         for point_caps in caps_by_point], dtype=np.intp)
-        # Padded-state gathers per point, (P, K): ground reads the zero
-        # column.
-        self._a = np.where(idx[:, :, 0] >= 0, idx[:, :, 0], size)
-        self._b = np.where(idx[:, :, 1] >= 0, idx[:, :, 1], size)
+        # Padded-state gathers of both terminals, (2, K, P): ground
+        # reads the zero column.
+        self._ab = np.where(idx >= 0, idx, size).transpose(2, 1, 0)
         self.ic = np.array([[np.nan if c.ic is None else c.ic
                              for c in point_caps]
                             for point_caps in caps_by_point]).T
         self._live = self.c > 0.0
+        self._dead = not self._live.all()
         live = np.nonzero(self._live.any(axis=1))[0]
         # G and RHS scatter patterns in element order (a then b rows;
-        # for G the scalar add_conductance sequence aa, bb, -ab, -ba),
-        # so cells shared by several caps accumulate exactly as the
-        # scalar assembler sums them.
-        g_lin, g_sign, i_rows, i_sign = [], [], [], []
-        for ab in idx[:, live]:
-            g_lin.append([r * size + c if r >= 0 and c >= 0 else None
-                          for a, b in ab
-                          for r, c in ((a, a), (b, b), (a, b), (b, a))])
-            g_sign.append([1.0, 1.0, -1.0, -1.0] * live.size)
-            i_rows.append([node if node >= 0 else None
-                           for a, b in ab for node in (a, b)])
-            i_sign.append([-1.0, 1.0] * live.size)
-        self._scatter = _Scatter(g_lin, g_sign, i_rows, i_sign, size)
+        # for G the add_conductance sequence aa, bb, -ab, -ba), so cells
+        # shared by several caps accumulate exactly as
+        # Capacitor.stamp_reactive sums them.
+        ab = idx[:, live]                                # (P, K live, 2)
+        rows, cols = ab[:, :, [0, 1, 0, 1]], ab[:, :, [0, 1, 1, 0]]
+        g_lin = np.where((rows >= 0) & (cols >= 0), rows * size + cols, -1)
+        self._scatter = _Scatter(
+            g_lin.reshape(len(idx), -1),
+            np.array([1.0, 1.0, -1.0, -1.0] * live.size),
+            ab.reshape(len(idx), -1),
+            np.array([-1.0, 1.0] * live.size), size)
         self._g_cap = live[self._scatter.g_kept // 4]
         self._i_cap = live[self._scatter.i_kept // 2]
 
@@ -252,18 +253,15 @@ class _BatchCapacitors:
         """Bind the run's lanes (``circ`` names each lane's circuit) and
         their start states, padded ``(L, S+1)``."""
         self._c_lanes = self.c[:, circ]
-        if self.n == 0:
-            return
         self._live_lanes = self._live[:, circ]
         self._scatter.bind(circ)
         self._pad_off = np.arange(circ.size)[None, :] * (self.size + 1)
-        self._lane_ab = np.stack([self._a[circ].T, self._b[circ].T])
+        self._lane_ab = self._ab[:, :, circ]
         self._full_ab = self._lane_ab + self._pad_off
         self.v_prev = self._voltages(x_pad_cols, slice(None))
         ic = self.ic[:, circ]
         has_ic = np.isfinite(ic)
-        if has_ic.any():
-            self.v_prev[has_ic] = ic[has_ic]
+        self.v_prev[has_ic] = ic[has_ic]
         self.i_prev = np.zeros_like(self.v_prev)
 
     def _voltages(self, x_pad_cols: np.ndarray, lanes) -> np.ndarray:
@@ -275,14 +273,13 @@ class _BatchCapacitors:
 
     def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
         """Companion conductances ``(K, B)``: ``C/dt`` for backward
-        Euler, ``2C/dt`` for trapezoidal, per lane."""
-        return np.where(be, 1.0, 2.0) * self._c_lanes[:, lanes] / dt
+        Euler, ``2C/dt`` for trapezoidal, per lane (``2.0 - be`` is
+        exactly 1.0 or 2.0)."""
+        return (2.0 - be) * self._c_lanes[:, lanes] / dt
 
     def add_geq_stack(self, G_stack: np.ndarray, geq: np.ndarray,
                       lanes) -> None:
         """Companion conductances onto the stacked base, ``(B, S, S)``."""
-        if self.n == 0 or self._g_cap.size == 0:
-            return
         lin, sign = self._scatter.g(lanes)
         np.add.at(G_stack.reshape(-1), lin,
                   (geq.T.take(self._g_cap, axis=1) * sign).ravel())
@@ -290,16 +287,16 @@ class _BatchCapacitors:
     def _history(self, be: np.ndarray,
                  lanes) -> "tuple[np.ndarray, np.ndarray]":
         """``v_prev`` and the trapezoidal ``i_prev`` term (0 under BE;
-        ``x - 0.0`` is exactly ``x``, so BE lanes match the scalar
-        engine's term-free update)."""
-        return self.v_prev[:, lanes], np.where(be, 0.0,
-                                               self.i_prev[:, lanes])
+        ``x - 0.0`` is exactly ``x``, so BE lanes match the term-free
+        backward-Euler update)."""
+        i_prev = self.i_prev[:, lanes]
+        if np.count_nonzero(be):
+            i_prev = np.where(be, 0.0, i_prev)
+        return self.v_prev[:, lanes], i_prev
 
     def stamp_rhs(self, I_t: np.ndarray, geq: np.ndarray, be: np.ndarray,
                   lanes) -> None:
         """Equivalent currents into the transposed RHS ``(S, B)``."""
-        if self.n == 0 or self._i_cap.size == 0:
-            return
         v_prev, i_term = self._history(be, lanes)
         ieq = -geq * v_prev - i_term
         lin, sign = self._scatter.i(lanes)
@@ -309,14 +306,72 @@ class _BatchCapacitors:
 
     def accept_step(self, x_pad_cols: np.ndarray, geq: np.ndarray,
                     be: np.ndarray, lanes) -> None:
-        if self.n == 0:
-            return
         v_new = self._voltages(x_pad_cols, lanes)
         v_prev, i_term = self._history(be, lanes)
         i_new = geq * (v_new - v_prev) - i_term
-        self.i_prev[:, lanes] = np.where(self._live_lanes[:, lanes],
-                                         i_new, 0.0)
+        if self._dead:
+            # A zero capacitor carries no current (+0.0, as its own
+            # accept_step sets it).
+            i_new = np.where(self._live_lanes[:, lanes], i_new, 0.0)
+        self.i_prev[:, lanes] = i_new
         self.v_prev[:, lanes] = v_new
+
+
+class _BatchInductors:
+    """Vectorised companion models for every inductor in the batch.
+
+    An inductor owns its branch row ``v_a - v_b - req * i = -req *
+    i_prev - v_prev`` (trapezoidal, ``req = 2L/dt``; backward Euler
+    drops ``v_prev`` and uses ``req = L/dt``).  Its ``+-1`` coupling
+    entries are value-independent and live in the solver's fixed base;
+    no other element touches its branch row or column, so the ``-req``
+    diagonal and the history term are single adds.  Inductor terminals
+    are part of the batch structure; values are per point, ``(K, P)``.
+    Same interface as :class:`_BatchCapacitors`.
+    """
+
+    def __init__(self, inductors_by_point: List[List[Inductor]],
+                 size: int):
+        self.n = len(inductors_by_point[0])
+        if self.n == 0:
+            return
+        first = inductors_by_point[0]
+        self._br = np.array([el._branch[0] for el in first], dtype=np.intp)
+        ab = np.array([el._idx for el in first], dtype=np.intp)
+        self._a, self._b = np.where(ab >= 0, ab, size).T
+        self.l = np.array([[el.inductance for el in point]
+                           for point in inductors_by_point]).T
+        self.ic = np.array([[np.nan if el.ic is None else el.ic
+                             for el in point]
+                            for point in inductors_by_point]).T
+
+    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
+        self._l_lanes = self.l[:, circ]
+        self.i_prev = x_pad_cols.T[self._br]
+        ic = self.ic[:, circ]
+        has_ic = np.isfinite(ic)
+        self.i_prev[has_ic] = ic[has_ic]
+        self.v_prev = np.zeros_like(self.i_prev)
+
+    def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
+        """Companion resistances ``req`` ``(K, B)``."""
+        return (2.0 - be) * self._l_lanes[:, lanes] / dt
+
+    def add_geq_stack(self, G_stack: np.ndarray, req: np.ndarray,
+                      lanes) -> None:
+        # The diagonal cell holds 0.0 before: 0.0 - req is -req.
+        G_stack[:, self._br, self._br] -= req.T
+
+    def stamp_rhs(self, I_t: np.ndarray, req: np.ndarray, be: np.ndarray,
+                  lanes) -> None:
+        I_t[self._br] += -req * self.i_prev[:, lanes] - np.where(
+            be, 0.0, self.v_prev[:, lanes])
+
+    def accept_step(self, x_pad_cols: np.ndarray, req: np.ndarray,
+                    be: np.ndarray, lanes) -> None:
+        x_t = x_pad_cols.T
+        self.i_prev[:, lanes] = x_t[self._br]
+        self.v_prev[:, lanes] = x_t[self._a] - x_t[self._b]
 
 
 class _BatchMosfets:
@@ -343,26 +398,23 @@ class _BatchMosfets:
         self._terms = np.stack([np.stack([g.d_gather, g.g_gather,
                                           g.s_gather]) for g in groups],
                                axis=1)
-        # G entries in the scalar _MosfetGroup.stamp order: per block,
-        # gm (d,g)+ (d,s)- (s,g)- (s,s)+ then gds (d,d)+ (s,s)+ (d,s)-
+        # G entries in the _MosfetGroup.stamp order: per block, gm
+        # (d,g)+ (d,s)- (s,g)- (s,s)+ then gds (d,d)+ (s,s)+ (d,s)-
         # (s,d)-, each block over all devices.  Values come from one
         # (B, 2M) [gm | gds + GMIN_DS] buffer through a source-column
         # table; +-1 factors are exact.
-        g_lin, g_sign, i_rows, i_sign = [], [], [], []
-        for g in groups:
-            rows = (g.d, g.d, g.s, g.s, g.d, g.s, g.d, g.s)
-            cols = (g.g, g.s, g.g, g.s, g.d, g.s, g.s, g.d)
-            g_lin.append([r * size + c if r >= 0 and c >= 0 else None
-                          for rr, cc in zip(rows, cols)
-                          for r, c in zip(rr.tolist(), cc.tolist())])
-            g_sign.append(np.repeat([1.0, -1.0, -1.0, 1.0,
-                                     1.0, 1.0, -1.0, -1.0], m).tolist())
-            # RHS: -ieq into every drain row, then +ieq into every
-            # source row, as the scalar stamp's two scatters.
-            i_rows.append([v if v >= 0 else None
-                           for v in np.concatenate([g.d, g.s]).tolist()])
-            i_sign.append([-1.0] * m + [1.0] * m)
-        self._scatter = _Scatter(g_lin, g_sign, i_rows, i_sign, size)
+        d, gate, src = (np.stack([getattr(g, f) for g in groups])
+                        for f in ("d", "g", "s"))            # (P, M)
+        rows = np.concatenate([d, d, src, src, d, src, d, src], axis=1)
+        cols = np.concatenate([gate, src, gate, src, d, src, src, d],
+                              axis=1)
+        # RHS: -ieq into every drain row, then +ieq into every source
+        # row, as _MosfetGroup.stamp's two scatters.
+        self._scatter = _Scatter(
+            np.where((rows >= 0) & (cols >= 0), rows * size + cols, -1),
+            np.repeat([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0], m),
+            np.concatenate([d, src], axis=1),
+            np.repeat([-1.0, 1.0], m), size)
         kept = self._scatter.g_kept
         self._g_src = np.where(kept < 4 * m, kept % m, m + kept % m)
         self._i_src = self._scatter.i_kept % m
@@ -415,13 +467,16 @@ class _BatchMosfets:
 
 
 class _BatchSources:
-    """Per-lane source values into the transposed RHS.
+    """Per-lane source values for the transposed RHS.
 
-    DC rails gather one value per circuit; PWM/pulse drivers evaluate
-    one array expression over every lane's own timing and time, with
-    the branch order and arithmetic of the scalar ``Vpulse.value`` (so
-    results stay bit-identical); anything else calls each point's
-    ``value(t)``.
+    Every voltage source owns its branch row, so its RHS cell is
+    ``0.0 + value(t)`` (the static RHS is zero there).  :meth:`values`
+    gives those cells for any lanes and times at once: DC rails gather
+    one value per circuit; PWM/pulse drivers evaluate one array
+    expression with the branch order and arithmetic of
+    ``Vpulse.value`` (so values are bit-identical to it); anything else
+    calls each point's ``value(t)``.  Current sources add into node
+    rows, lane by lane, in element order (:meth:`stamp`).
     """
 
     def __init__(self, sources_by_point: List[List]):
@@ -437,69 +492,175 @@ class _BatchSources:
                 pulse.append(k)
             else:
                 self._other.append(k)
-        self._const_rows = np.array(
-            [first[k]._branch[0] for k in const], dtype=np.intp)
+        #: Branch rows of the voltage sources: DC, pulse, then others.
+        self.rows = np.array([first[k]._branch[0]
+                              for k in const + pulse + self._other],
+                             dtype=np.intp)
+        n_points = len(sources_by_point)
+        self._n_const, self._n_pulse = len(const), len(pulse)
         self._const = np.array([[pt[k].voltage for pt in sources_by_point]
-                                for k in const]
-                               ).reshape(len(const), len(sources_by_point))
-        self._pulse_rows = np.array(
-            [first[k]._branch[0] for k in pulse], dtype=np.intp)
+                                for k in const]).reshape(len(const),
+                                                         n_points)
         # (9, K, P): v1, v2, delay, rise, width, fall, period, then the
-        # ramp spans v2 - v1 and v1 - v2; (2, K, P): zero rise, zero fall.
+        # ramp spans v2 - v1 and v1 - v2.
         pulse_params = np.array([[[getattr(pt[k], f)
                                    for pt in sources_by_point]
                                   for k in pulse]
                                  for f in ("v1", "v2", "delay", "rise",
                                            "width", "fall", "period")]
-                                ).reshape(7, len(pulse),
-                                          len(sources_by_point))
+                                ).reshape(7, len(pulse), n_points)
         v1, v2 = pulse_params[0], pulse_params[1]
         self._pulse = np.concatenate([pulse_params, [v2 - v1, v1 - v2]])
-        self._pulse_zero = pulse_params[[3, 5]] == 0
 
-    def bind(self, circ: np.ndarray) -> None:
-        """Gather the source values of the run's lanes."""
-        self._circ = circ
-        self._const_lanes = self._const[:, circ]
-        self._pulse_lanes = self._pulse[:, :, circ]
-        self._pulse_zero_lanes = self._pulse_zero[:, :, circ]
-
-    def stamp(self, I_t: np.ndarray, t: np.ndarray, lanes) -> None:
-        if self._const_rows.size:
-            I_t[self._const_rows] += self._const_lanes[:, lanes]
-        if self._pulse_rows.size:
+    def values(self, circ: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """RHS cells ``(Kv, B)`` of the voltage sources for lanes of
+        circuits ``circ`` at times ``t``."""
+        out = np.empty((self.rows.size, circ.size))
+        kc, kp = self._n_const, self._n_const + self._n_pulse
+        out[:kc] = self._const[:, circ]
+        if kp > kc:
             v1, v2, delay, rise, width, fall, period, up, down = \
-                self._pulse_lanes[:, :, lanes]
-            rise0, fall0 = self._pulse_zero_lanes[:, :, lanes]
-            # Vpulse.value, branch for branch, as masked arrays.
+                self._pulse[:, :, circ]
+            # Vpulse.value as masked arrays: its branches from last to
+            # first, each overriding the later ones.  The zero-rise and
+            # zero-fall branches need no mask: tau >= 0 never falls
+            # below a zero rise, and a lane past the flat top has
+            # tau3 >= 0, never below a zero fall (the ramps' 0/0 there
+            # are overridden).
             tau = (t - delay) % period
-            ramp_up = v1 + up * tau / rise
             tau2 = tau - rise
             tau3 = tau2 - width
-            ramp_down = v2 + down * tau3 / fall
-            I_t[self._pulse_rows] += np.where(
-                t < delay, v1,
-                np.where(tau < rise, np.where(rise0, v2, ramp_up),
-                         np.where(tau2 < width, v2,
-                                  np.where(tau3 < fall,
-                                           np.where(fall0, v1, ramp_down),
-                                           v1))))
-        if not (self._other or self._isrc):
-            return
-        circ = self._circ[lanes]
-        for k in self._other:
-            br = self._by_point[0][k]._branch[0]
-            I_t[br] += [self._by_point[p][k].value(tb)
-                        for p, tb in zip(circ, t.tolist())]
+            value = np.where(tau3 < fall, v2 + down * tau3 / fall, v1)
+            value = np.where(tau2 < width, v2, value)
+            value = np.where(tau < rise, v1 + up * tau / rise, value)
+            out[kc:kp] = np.where(t < delay, v1, value)
+        circ_list, t_list = circ.tolist(), t.tolist()
+        for row, k in enumerate(self._other, start=kp):
+            out[row] = [self._by_point[p][k].value(tb)
+                        for p, tb in zip(circ_list, t_list)]
+        return 0.0 + out
+
+    def stamp(self, I_t: np.ndarray, values: np.ndarray, t: np.ndarray,
+              circ: np.ndarray) -> None:
+        """Source stamps into the transposed RHS ``(S, B)`` of lanes of
+        circuits ``circ`` at times ``t``; ``values`` from
+        :meth:`values`."""
+        I_t[self.rows] = values
         for k in self._isrc:
             a, b = self._by_point[0][k]._idx
-            for col, (p, tb) in enumerate(zip(circ, t.tolist())):
+            for col, (p, tb) in enumerate(zip(circ.tolist(), t.tolist())):
                 el = self._by_point[p][k]
                 i = el._fn(tb) if hasattr(el, "_fn") else el.current
                 if a >= 0:
                     I_t[a, col] -= i
                 if b >= 0:
                     I_t[b, col] += i
+
+
+class _StepPlan:
+    """The step grid of one lane, from a given stepping state.
+
+    Steps end on the lane's breakpoints (``targets``, the stop time
+    last); the first ``BE_STEPS_AFTER_BREAKPOINT`` steps after each one
+    (and after the start) are backward Euler.  Per step: ``h``, ``be``,
+    the end time ``t[k + 1]``, and the target index and BE countdown it
+    started from (to re-plan a lane after a halved step).  The grid only
+    depends on timing, so a solver caches one plan per circuit and
+    timing, and with it the source values on the grid (``v``).
+    """
+
+    def __init__(self, targets: list, dt: float, stop: float,
+                 force_be: bool, t: float, pos: int, countdown: int):
+        eps = dt * 1e-9
+        self.targets, self.dt, self.stop = targets, dt, stop
+        self.force_be, self.eps = force_be, eps
+        times, h, be, pos_k, countdown_k = [t], [], [], [], []
+        while t < stop:
+            target = targets[pos]
+            step = min(dt, target - t)
+            h.append(step)
+            be.append(force_be or countdown > 0)
+            pos_k.append(pos)
+            countdown_k.append(countdown)
+            t = t + step
+            times.append(t)
+            pos, countdown = self.after_step(t, pos, countdown)
+        self.t = np.array(times)
+        self.h = np.array(h)
+        self.be = np.array(be, dtype=bool)
+        self.pos = pos_k
+        self.countdown = countdown_k
+        self.n = len(h)
+        self.v: Optional[np.ndarray] = None
+
+    def after_step(self, t: float, pos: int,
+                   countdown: int) -> "tuple[int, int]":
+        """Target index and countdown after a step from ``pos`` that
+        ended at ``t``: a step within ``eps`` of its target sits on the
+        breakpoint, which restarts the countdown and moves the target
+        past every breakpoint within ``eps``."""
+        countdown -= 1
+        if self.targets[pos] - t <= self.eps:
+            countdown = BE_STEPS_AFTER_BREAKPOINT
+            pos = _skip_targets(self.targets, pos, t + self.eps)
+        return pos, countdown
+
+
+def _skip_targets(targets: list, pos: int, t: float) -> int:
+    """First target index at or after ``pos`` lying beyond ``t``."""
+    while pos < len(targets) and targets[pos] <= t:
+        pos += 1
+    return pos
+
+
+class TransientResult:
+    """Sampled solution of one transient run."""
+
+    def __init__(self, circuit: Circuit, t: np.ndarray, X: np.ndarray,
+                 halvings: int = 0):
+        self.circuit = circuit
+        self.t = t
+        self.X = X
+        #: Step-size halvings taken after Newton failures.
+        self.halvings = halvings
+
+    @property
+    def final_x(self) -> np.ndarray:
+        return self.X[-1].copy()
+
+    def node(self, name: str) -> Waveform:
+        """Node voltage waveform."""
+        idx = self.circuit.node_index(name)
+        if idx < 0:
+            return Waveform(self.t, np.zeros_like(self.t), name)
+        return Waveform(self.t, self.X[:, idx], name)
+
+    def branch_current(self, element_name: str) -> Waveform:
+        """Branch current of a voltage source or inductor (a→b through
+        the element; negative = delivering power for a supply)."""
+        el = self.circuit.element(element_name)
+        if not el._branch:
+            raise AnalysisError(f"{element_name!r} has no branch current")
+        return Waveform(self.t, self.X[:, el._branch[0]],
+                        f"I({element_name})")
+
+    def supply_power(self, source_name: str) -> Waveform:
+        """Instantaneous power *delivered by* the named voltage source."""
+        el = self.circuit.element(source_name)
+        if not el._branch:
+            raise AnalysisError(f"{source_name!r} has no branch current")
+        v = np.array([el.value(tk) for tk in self.t])
+        i = self.X[:, el._branch[0]]
+        return Waveform(self.t, -v * i, f"P({source_name})")
+
+    def average_power(self, source_name: str) -> float:
+        return self.supply_power(source_name).average()
+
+    def __repr__(self) -> str:
+        return (
+            f"<TransientResult {self.circuit.name!r} samples={len(self.t)} "
+            f"t=[{self.t[0]:.4g}, {self.t[-1]:.4g}]s>"
+        )
 
 
 class BatchTransientResult:
@@ -557,10 +718,10 @@ class BatchTransientSolver:
     types and branches; the node bindings of everything but MOSFETs and
     capacitors); element values, source timing and MOSFET/capacitor
     terminals — rails, amplitudes, duty cycles, frequencies, device
-    geometry, weight wirings — are free to differ per point.
-    Unsupported in batches: inductors and non-MOSFET nonlinear devices
-    (switches), which keep per-element Python state the vectorised layer
-    does not model.
+    geometry, weight wirings — are free to differ per point.  Every
+    element kind integrates: capacitors and inductors as vectorised
+    companions, MOSFETs through the batched device kernel, other
+    nonlinear elements (switches) through their own per-lane stamps.
     """
 
     def __init__(self, circuits: Sequence[Circuit], *,
@@ -587,42 +748,42 @@ class BatchTransientSolver:
                     "(same nodes, same elements, and the same terminals "
                     "for everything but MOSFETs and capacitors); "
                     "rebuild the family from one parametrised builder")
-        for ctx in self.contexts:
-            if ctx.other_nonlinear:
-                raise AnalysisError(
-                    "batched transient does not support non-MOSFET "
-                    "nonlinear elements (switches); use the scalar "
-                    "engine")
-            if any(isinstance(el, Inductor) for el in ctx.reactive_elements):
-                raise AnalysisError(
-                    "batched transient does not support inductors yet; "
-                    "use the scalar engine")
 
-        # Voltage-source structure stamps (branch KCL + voltage rows)
-        # are value-independent exact +/-1 entries in cells the static
-        # stamps never touch: fold them into the per-point static base.
-        G_sources = np.zeros((self.size, self.size))
-        sys_view = ctx0.sys_view(G_sources, np.zeros(self.size))
-        names = [el.name for el in ctx0.circuit.by_category[SOURCE]]
-        for el in ctx0.circuit.by_category[SOURCE]:
-            if isinstance(el, VoltageSource):
+        # Voltage-source and inductor coupling stamps (branch KCL +
+        # voltage rows) are value-independent exact +/-1 entries in
+        # cells no other element touches: fold them into the per-point
+        # static base.
+        G_coupling = np.zeros((self.size, self.size))
+        sys_view = ctx0.sys_view(G_coupling, np.zeros(self.size))
+        for el in ctx0.circuit.flat_elements:
+            if isinstance(el, (VoltageSource, Inductor)):
                 a, b = el._idx
                 br = el._branch[0]
                 sys_view.stamp_branch_kcl(a, b, br)
                 sys_view.stamp_branch_voltage_row(br, a, b)
-        self._G_fixed = np.stack([ctx._G_static for ctx in self.contexts]) \
-            + G_sources[None, :, :]
-        self._I_static = np.stack([ctx._I_static for ctx in self.contexts])
+        self._G_fixed = np.array([ctx._G_static for ctx in self.contexts]) \
+            + G_coupling
+        self._I_static = np.array([ctx._I_static for ctx in self.contexts])
+        names = [el.name for el in ctx0.circuit.by_category[SOURCE]]
         by_name = [{el.name: el for el in ctx.circuit.by_category[SOURCE]}
                    for ctx in self.contexts]
         self._sources = _BatchSources([[bn[n] for n in names]
                                        for bn in by_name])
+        reactive = [ctx.reactive_elements for ctx in self.contexts]
         self._caps = _BatchCapacitors(
-            [[el for el in ctx.reactive_elements
-              if isinstance(el, Capacitor)] for ctx in self.contexts],
+            [[el for el in r if isinstance(el, Capacitor)] for r in reactive],
             self.size)
+        self._inductors = _BatchInductors(
+            [[el for el in r if isinstance(el, Inductor)] for r in reactive],
+            self.size)
+        #: Companion groups with elements, in RHS stamping order.
+        self._reactive = [g for g in (self._caps, self._inductors) if g.n]
         self._mosfets = _BatchMosfets(self.contexts)
-        self._bp_cache: "dict[tuple, list]" = {}
+        #: Per point: the non-MOSFET nonlinear elements, stamped lane by
+        #: lane after the MOSFETs.
+        self._switches = [ctx.other_nonlinear for ctx in self.contexts]
+        self._nonlinear = self._mosfets.m > 0 or bool(self._switches[0])
+        self._plans: "dict[tuple, _StepPlan]" = {}
         # Per-column Newton tolerance: abstol on node voltages, itol on
         # branch currents.
         self._tol = np.full(self.size, NEWTON_ITOL)
@@ -630,26 +791,25 @@ class BatchTransientSolver:
 
     # -- assembly ----------------------------------------------------------
 
-    def _breakpoints(self, circ: np.ndarray, tstart: float,
-                     tstop: np.ndarray) -> np.ndarray:
-        """Per-lane step targets ``(L, W)``: interior breakpoints, then
-        the stop time, padded with ``inf``."""
-        rows = []
-        for p, t1 in zip(circ.tolist(), tstop.tolist()):
-            key = (p, tstart, t1)
-            bps = self._bp_cache.get(key)
-            if bps is None:
-                bps = [b for b in self.contexts[p].breakpoints(tstart, t1)
-                       if tstart < b < t1] + [t1]
-                self._bp_cache[key] = bps
-            rows.append(bps)
-        out = np.full((len(rows), max(map(len, rows)) + 1), np.inf)
-        for lane, bps in enumerate(rows):
-            out[lane, :len(bps)] = bps
-        return out
+    def _plan(self, p: int, tstart: float, tstop: float, dt: float,
+              force_be: bool) -> _StepPlan:
+        """The step grid of circuit ``p`` over ``[tstart, tstop]`` and
+        its source values, cached per timing."""
+        key = (p, tstart, tstop, dt, force_be)
+        plan = self._plans.get(key)
+        if plan is None:
+            targets = [b for b in self.contexts[p].breakpoints(tstart, tstop)
+                       if tstart < b < tstop] + [tstop]
+            eps = dt * 1e-9
+            plan = self._plans[key] = _StepPlan(
+                targets, dt, tstop - eps, force_be, tstart,
+                _skip_targets(targets, 0, tstart + eps),
+                BE_STEPS_AFTER_BREAKPOINT)
+            plan.v = self._sources.values(np.full(plan.n, p), plan.t[1:]).T
+        return plan
 
     def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
-                    geq: np.ndarray) -> np.ndarray:
+                    comp: list) -> np.ndarray:
         """Static + source + companion matrices for the lanes, ``(B, S, S)``.
 
         Steps at a lane's nominal size reuse the run's precomputed
@@ -657,8 +817,10 @@ class BatchTransientSolver:
         assemble their own.  Callers copy before stamping.
         """
         nominal = dt == self._dt_nominal[lanes]
-        if nominal.all() and (be.all() or not be.any()):
-            return (self._G_be if be[0] else self._G_trap)[lanes]
+        # count_nonzero: the cheapest all/any on the small masks here.
+        n_be = np.count_nonzero(be)
+        if np.count_nonzero(nominal) == dt.size and n_be in (0, dt.size):
+            return (self._G_be if n_be else self._G_trap)[lanes]
         ids = self._lane_ids[lanes]
         G = self._G_trap[ids]
         sel = nominal & be
@@ -667,9 +829,21 @@ class BatchTransientSolver:
         off = ~nominal
         if off.any():
             sub = self._G_fixed[self._circ[ids[off]]]
-            self._caps.add_geq_stack(sub, geq[:, off], ids[off])
+            for group, g in zip(self._reactive, comp):
+                group.add_geq_stack(sub, g[:, off], ids[off])
             G[off] = sub
         return G
+
+    def _stamp_switches(self, G: np.ndarray, I_t: np.ndarray,
+                        x: np.ndarray, t: np.ndarray, rows) -> None:
+        """Each lane's non-MOSFET nonlinear stamps, element by element
+        into its own block (``G[j]``, ``I_t[:, j]``)."""
+        view = self.contexts[0].sys_view(G[0], I_t[:, 0])
+        circ = self._circ[rows].tolist()
+        for j, (p, tj) in enumerate(zip(circ, t.tolist())):
+            view.G, view.I = G[j], I_t[:, j]
+            for el in self._switches[p]:
+                el.stamp_nonlinear(view, x[j], tj)
 
     # -- Newton -----------------------------------------------------------
 
@@ -679,27 +853,28 @@ class BatchTransientSolver:
             "analysis": "batch-transient", "points": x0.shape[0],
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
-                      be: np.ndarray, geq: np.ndarray,
+                      be: np.ndarray, comp: list, src: np.ndarray,
                       lanes) -> "tuple[np.ndarray, np.ndarray]":
         """Damped Newton at one step, vectorised over lanes.
 
-        ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal) and the
-        companion conductances ``geq`` ``(K, B)`` are per lane.
-        Block-diagonal structure keeps every lane's iterate sequence
-        identical to the scalar engine's (same ``NEWTON_*`` settings):
-        updates, clamping and the convergence test apply per lane, and a
-        converged lane leaves the working set while the rest keep
-        iterating.  Returns the states and a mask of lanes that failed
+        ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
+        companion values ``comp`` (one ``(K, B)`` array per companion
+        group) and the source values ``src`` ``(Kv, B)`` are per lane.  Updates, clamping and the convergence test
+        (the ``NEWTON_*`` settings) apply per lane, and a converged lane
+        leaves the working set while the rest keep iterating; the
+        block-diagonal stack keeps every lane's iterates independent of
+        the others.  Returns the states and a mask of lanes that failed
         (non-finite solution or no convergence in ``NEWTON_MAX_ITER``).
         """
         rt = telemetry.active()
-        G_base = self._base_stack(lanes, dt, be, geq)
+        G_base = self._base_stack(lanes, dt, be, comp)
         # (S, B), C-contiguous: the stamps scatter through flat indices.
         I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
                     else self._I_t_static.take(lanes, axis=1))
-        # Scalar assembly order: sources first, then reactive companions.
-        self._sources.stamp(I_t_base, t, lanes)
-        self._caps.stamp_rhs(I_t_base, geq, be, lanes)
+        # Assembly order: sources, then reactive companions.
+        self._sources.stamp(I_t_base, src, t, self._circ[lanes])
+        for group, g in zip(self._reactive, comp):
+            group.stamp_rhs(I_t_base, g, be, lanes)
         lane_ids = self._lane_ids[lanes]
 
         x = x0.copy()                                # (B, S)
@@ -707,7 +882,6 @@ class BatchTransientSolver:
         tol = self._tol
         n_lanes = x.shape[0]
         failed = np.zeros(n_lanes, dtype=bool)
-        has_nonlinear = self._mosfets.m > 0
         # Positions of lanes still iterating.  The stacked system is
         # block-diagonal, so dropping a converged lane's rows neither
         # changes the others' iterates nor its own frozen solution.
@@ -720,11 +894,15 @@ class BatchTransientSolver:
             G = G_base.copy() if full else G_base[work]
             I_t = I_t_base.copy() if full else I_t_base.take(work, axis=1)
             x_work = x if full else x[work]
-            if has_nonlinear:
-                xpad = self._xpad_cols[:work.size]
-                xpad[:, :-1] = x_work
-                self._mosfets.stamp(G, I_t, xpad,
-                                    lanes if full else lane_ids[work])
+            if self._nonlinear:
+                rows = lanes if full else lane_ids[work]
+                if self._mosfets.m:
+                    xpad = self._xpad_cols[:work.size]
+                    xpad[:, :-1] = x_work
+                    self._mosfets.stamp(G, I_t, xpad, rows)
+                if self._switches[0]:
+                    self._stamp_switches(G, I_t, x_work,
+                                         t if full else t[work], rows)
             if self._backend is None:
                 self._backend = choose_backend(
                     self.size, matrix_fill(G[0]), self.solver)
@@ -735,24 +913,25 @@ class BatchTransientSolver:
                 x_new = _sparse_rows(G, I_t.T)
             else:
                 x_new = _batched_solve(G, I_t.T)
-            if not np.isfinite(x_new).all():
+            finite = np.isfinite(x_new)
+            if np.count_nonzero(finite) != finite.size:
                 # Diverged or singular (the gufunc signals singular
                 # matrices with NaNs): those lanes fail this attempt.
-                finite = np.isfinite(x_new).all(axis=1)
+                finite = finite.all(axis=1)
                 failed[work[~finite]] = True
                 work, x_new = work[finite], x_new[finite]
                 x_work = x_work[finite]
                 if work.size == 0:
                     break
                 full = False
-            if not has_nonlinear:
+            if not self._nonlinear:
                 x[work] = x_new
                 work = work[:0]
                 break
             dx = x_new - x_work
             abs_dx = np.abs(dx)
-            # One fused test, elementwise equal to the scalar engine's
-            # separate v/i tests.
+            # One fused test: abstol on node voltages, itol on branch
+            # currents, reltol on both.
             conv = (abs_dx <= tol + NEWTON_RELTOL * np.abs(x_new)
                     ).all(axis=1)
             if abs_dx[:, :n].max() > NEWTON_VLIMIT:
@@ -795,8 +974,11 @@ class BatchTransientSolver:
         names the circuit each lane integrates (default: one lane per
         circuit, in order; a circuit may back several lanes).  ``x0`` is
         the stacked initial state ``(L, S)``; ``None`` solves each
-        lane's DC operating point at ``tstart`` first (scalar, so the
-        starting states match per-point runs exactly).
+        lane's DC operating point at ``tstart`` first.  The first
+        ``BE_STEPS_AFTER_BREAKPOINT`` steps, and as many after every
+        source breakpoint, are backward Euler (``method="be"``: all of
+        them); a lane whose Newton solve fails halves its step and
+        retries, up to ``max_retries`` times per step.
         """
         circ = (np.arange(self.n_points) if points is None
                 else np.asarray(points, dtype=np.intp))
@@ -838,121 +1020,233 @@ class BatchTransientSolver:
                      int(result.halvings.sum()))
         return result
 
-    @staticmethod
-    def _advance(rows, t, eps, targets, pos, nxt) -> None:
-        """Move each lane's next target past breakpoints at or before
-        ``t + eps``, as the scalar loop skips them."""
-        rows = rows[nxt[rows] <= t[rows] + eps[rows]]
-        while rows.size:
-            pos[rows] += 1
-            nxt[rows] = targets[rows, pos[rows]]
-            rows = rows[nxt[rows] <= t[rows] + eps[rows]]
-
     def _integrate(self, circ, tstart, tstop, dt, method, x,
                    max_retries) -> BatchTransientResult:
         n_lanes = circ.size
         self._circ = circ
-        self._lane_ids = np.arange(n_lanes)
+        self._lane_ids = lane_ids = np.arange(n_lanes)
         self._dt_nominal = dt
         self._I_t_static = self._I_static[circ].T.copy()
         # Padded states (last column zero for ground gathers), shared by
-        # the MOSFET stamps and the capacitor voltages.
+        # the MOSFET stamps and the companion updates.
         xpad = self._xpad_cols = np.zeros((n_lanes, self.size + 1))
         xpad[:, :-1] = x
-        self._caps.init_state(xpad, circ)
-        self._sources.bind(circ)
+        reactive = self._reactive
+        for group in reactive:
+            group.init_state(xpad, circ)
         self._mosfets.bind(circ)
         # The run's nominal-step matrices, one per integration method.
         stacks = []
         for be in (False, True):
             G = self._G_fixed[circ]
-            self._caps.add_geq_stack(
-                G, self._caps.geq(slice(None), dt, np.full(n_lanes, be)),
-                slice(None))
+            be_lanes = np.full(n_lanes, be)
+            for group in reactive:
+                group.add_geq_stack(G, group.geq(slice(None), dt, be_lanes),
+                                    slice(None))
             stacks.append(G)
         self._G_trap, self._G_be = stacks
 
-        targets = self._breakpoints(circ, tstart, tstop)
-        eps = dt * 1e-9
-        stop = tstop - eps
-        t = np.full(n_lanes, float(tstart))
-        pos = np.zeros(n_lanes, dtype=np.intp)
-        nxt = targets[:, 0].copy()       # each lane's next step target
-        # Steps left on backward Euler; the initial ramp is a corner
-        # too.  Below zero means trapezoidal, as zero does.
-        countdown = np.full(n_lanes, BE_STEPS_AFTER_BREAKPOINT)
-        halvings = np.zeros(n_lanes, dtype=int)
+        # Every lane's step grid, planned up front (and again for a lane
+        # after a halved step): step ``k`` ends at ``T[k + 1]`` with
+        # size ``H[k]``, method ``BE[k]`` and source values ``V[k]``.
         force_be = method == "be"
-        times: List[np.ndarray] = [t.copy()]
+        plans = [self._plan(p, tstart, t1, h, force_be) for p, t1, h in
+                 zip(circ.tolist(), tstop.tolist(), dt.tolist())]
+        n_steps = np.array([plan.n for plan in plans])
+        T = np.empty((n_steps.max() + 1, n_lanes))
+        H = np.zeros((T.shape[0] - 1, n_lanes))
+        BE = np.zeros(H.shape, dtype=bool)
+        V = np.zeros((H.shape[0], self._sources.rows.size, n_lanes))
+        lane_plans = [(plan, 0) for plan in plans]
+        by_plan: "Dict[int, List[int]]" = {}
+        for lane, plan in enumerate(plans):
+            by_plan.setdefault(id(plan), []).append(lane)
+        for lanes in by_plan.values():
+            self._put_plan(lanes, 0, plans[lanes[0]], T, H, BE, V)
+        halvings = np.zeros(n_lanes, dtype=int)
         states: List[np.ndarray] = [x.copy()]
 
-        self._advance(self._lane_ids, t, eps, targets, pos, nxt)
-        act = self._lane_ids[t < stop]
+        act = lane_ids[n_steps > 0]
+        k = 0
+        # A step at or before which no lane of ``act`` finishes (0:
+        # look again after this step).
+        k_done = 0
         while act.size:
             # Lanes still stepping; a full working set indexes by slice
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
-            t_act, next_bp = t[ix], nxt[ix]
-            h = np.minimum(dt[ix], next_bp - t_act)
-            be = (countdown[ix] > 0) | force_be
-            t_new = t_act + h
-            geq = self._caps.geq(ix, h, be)
-
-            # Newton failures halve only the failing lanes' steps and
-            # retry them, exactly as the scalar loop does per point.
-            x_acc, failed = self._solve_newton(x[ix], t_new, h, be, geq, ix)
-            pending = np.nonzero(failed)[0]
-            attempts = 1
-            while pending.size:
-                rows = act[pending]
-                h[pending] *= 0.5
-                be[pending] = True
-                halvings[rows] += 1
-                if attempts == max_retries or (h[pending] < MIN_STEP).any():
-                    raise ConvergenceError(
-                        "batched transient step failed even at minimum "
-                        "step size", analysis="batch-transient",
-                        time=float(t_act[pending[0]]))
-                t_new[pending] = t_act[pending] + h[pending]
-                geq[:, pending] = self._caps.geq(rows, h[pending],
-                                                 be[pending])
-                x_new, failed = self._solve_newton(
-                    x[rows], t_new[pending], h[pending], be[pending],
-                    geq[:, pending], rows)
-                x_acc[pending[~failed]] = x_new[~failed]
-                pending = pending[failed]
-                attempts += 1
+            h, be, t_new = H[k][ix], BE[k][ix], T[k + 1][ix]
+            comp = [group.geq(ix, h, be) for group in reactive]
+            x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
+                                               V[k][:, ix], ix)
+            if np.count_nonzero(failed):
+                # Newton failures halve only the failing lanes' steps
+                # and retry them with backward Euler; those lanes then
+                # leave their plan and get a new one from there.
+                h, be, t_new = h.copy(), be.copy(), t_new.copy()
+                t_act = T[k][ix]
+                pending = np.flatnonzero(failed)
+                halved = act[pending]
+                attempts = 1
+                while pending.size:
+                    rows = act[pending]
+                    h[pending] *= 0.5
+                    be[pending] = True
+                    halvings[rows] += 1
+                    if (attempts == max_retries
+                            or (h[pending] < MIN_STEP).any()):
+                        raise ConvergenceError(
+                            "transient step failed even at minimum step "
+                            "size", analysis="batch-transient",
+                            time=float(t_act[pending[0]]))
+                    t_new[pending] = t_act[pending] + h[pending]
+                    for group, g in zip(reactive, comp):
+                        g[:, pending] = group.geq(rows, h[pending],
+                                                  be[pending])
+                    x_new, failed = self._solve_newton(
+                        x[rows], t_new[pending], h[pending], be[pending],
+                        [g[:, pending] for g in comp],
+                        self._sources.values(circ[rows], t_new[pending]),
+                        rows)
+                    x_acc[pending[~failed]] = x_new[~failed]
+                    pending = pending[failed]
+                    attempts += 1
+                for lane in halved.tolist():
+                    plan, k0 = lane_plans[lane]
+                    j = k - k0
+                    t_lane = float(t_new[np.flatnonzero(act == lane)[0]])
+                    pos, countdown = plan.after_step(
+                        t_lane, plan.pos[j], plan.countdown[j])
+                    new = _StepPlan(plan.targets, plan.dt, plan.stop,
+                                    plan.force_be, t_lane, pos, countdown)
+                    new.v = self._sources.values(
+                        np.full(new.n, circ[lane]), new.t[1:]).T
+                    lane_plans[lane] = (new, k + 1)
+                    n_steps[lane] = k + 1 + new.n
+                    if n_steps[lane] + 1 > T.shape[0]:
+                        grow = n_steps[lane] + 1 - T.shape[0]
+                        T = np.concatenate([T, np.repeat(T[-1:], grow, 0)])
+                        H, BE, V = (np.concatenate(
+                            [a, np.zeros((grow,) + a.shape[1:], a.dtype)])
+                            for a in (H, BE, V))
+                    self._put_plan([lane], k + 1, new, T, H, BE, V)
+                k_done = 0
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
             xpad[:, :-1] = x_acc
-            self._caps.accept_step(xpad, geq, be, ix)
-            countdown[ix] -= 1
-            t[ix] = t_new
+            for group, g in zip(reactive, comp):
+                group.accept_step(xpad, g, be, ix)
             x[ix] = x_acc
-            times.append(t.copy())
             states.append(x.copy())
-            # Steps never pass their target, so a lane within eps of it
-            # sits on the breakpoint: restart its BE countdown and move
-            # its target past every breakpoint within eps.
-            hit = act[next_bp - t_new <= eps[ix]]
-            if hit.size:
-                countdown[hit] = BE_STEPS_AFTER_BREAKPOINT
-                self._advance(hit, t, eps, targets, pos, nxt)
-            act = act[t_new < stop[ix]]
+            k += 1
+            if k >= k_done:
+                act = act[n_steps[act] > k]
+                k_done = n_steps[act].min() if act.size else 0
 
-        times = np.stack(times)
-        # Finished lanes repeat their stop time, so a lane's step count
-        # is the number of earlier rows.
-        steps = (times < times[-1]).sum(axis=0)
+        # Finished lanes repeat their stop time.
         return BatchTransientResult([self.circuits[p] for p in circ.tolist()],
-                                    times, np.stack(states), steps, halvings)
+                                    T[:len(states)], np.array(states),
+                                    n_steps, halvings)
+
+    @staticmethod
+    def _put_plan(lanes: list, k0: int, plan: _StepPlan, T, H, BE,
+                  V) -> None:
+        """Write ``plan`` into the run's step arrays of ``lanes`` from
+        step ``k0`` on."""
+        k1 = k0 + plan.n
+        T[k0:k1 + 1, lanes] = plan.t[:, None]
+        T[k1 + 1:, lanes] = plan.t[-1]
+        H[k0:k1, lanes] = plan.h[:, None]
+        H[k1:, lanes] = 0.0
+        BE[k0:k1, lanes] = plan.be[:, None]
+        V[k0:k1, :, lanes] = plan.v[:, :, None]
+
+
+class PssResult:
+    """Converged periodic steady state over one period."""
+
+    def __init__(self, circuit: Circuit, period: float,
+                 final_period: TransientResult, iterations: int,
+                 residual: float):
+        self.circuit = circuit
+        self.period = period
+        self.waves = final_period
+        self.iterations = iterations
+        self.residual = residual
+
+    def node(self, name: str) -> Waveform:
+        return self.waves.node(name)
+
+    def average(self, node: str) -> float:
+        """Period-average voltage of ``node`` — the perceptron output
+        quantity used throughout the paper."""
+        return self.waves.node(node).average()
+
+    def ripple(self, node: str) -> float:
+        return self.waves.node(node).peak_to_peak()
+
+    def supply_power(self, source_name: str) -> float:
+        """Period-average power delivered by the named source, watts."""
+        return self.waves.supply_power(source_name).average()
+
+    def __repr__(self) -> str:
+        return (
+            f"<PssResult {self.circuit.name!r} T={self.period:.4g}s "
+            f"iters={self.iterations} residual={self.residual:.3g}>"
+        )
+
+
+def _observed(circuit: Circuit, observe: Optional[Sequence[str]]
+              ) -> np.ndarray:
+    """Indices of the shooting nodes: ``observe``, else the nodes that
+    carry explicit capacitors (the designed slow nodes)."""
+    names = list(observe or ())
+    if not names:
+        for el in circuit.elements:
+            if isinstance(el, Capacitor):
+                for node in el.node_names:
+                    if circuit.node_index(node) >= 0 and node not in names:
+                        names.append(node)
+    if not names:
+        raise AnalysisError(
+            "shooting needs at least one observed node; none carry "
+            "explicit capacitors and none were given")
+    obs_idx = np.array([circuit.node_index(n) for n in names])
+    if np.any(obs_idx < 0):
+        raise AnalysisError("cannot observe the ground node")
+    return obs_idx
+
+
+def _newton_update(A: np.ndarray, r: np.ndarray,
+                   update_limit: float) -> np.ndarray:
+    """Solve ``(I - A) dx = r`` (Newton on ``F(x) - x = 0``), falling
+    back to fixed-point iteration (``dx = r``) on singular or
+    non-finite solves, then clamp to ``update_limit``."""
+    try:
+        dx = np.linalg.solve(np.eye(len(r)) - A, r)
+    except np.linalg.LinAlgError:
+        dx = r
+    if not np.all(np.isfinite(dx)):
+        dx = r
+    return np.clip(dx, -update_limit, update_limit)
+
+
+#: Every :class:`ConvergenceError` out of a shooting solve counts once.
+_PSS_FAILURES = (ConvergenceError, "repro_pss_convergence_failures_total")
+
+
+def _note_pss(rt, span, result: PssResult) -> None:
+    """Counters and the iterations tag of one finished shooting solve."""
+    span.set_tag("iterations", result.iterations)
+    rt.count("repro_pss_solves_total")
+    rt.count("repro_pss_iterations_total", result.iterations)
 
 
 class BatchPssResult:
     """Periodic steady states of a circuit batch.
 
-    Every reduction mirrors :class:`~repro.circuit.pss.PssResult`, one
-    value per point; :meth:`point` recovers a scalar result object.
+    Every reduction mirrors :class:`PssResult`, one value per point;
+    :meth:`point` gives one point's :class:`PssResult`.
     Waves are stored per point (``(t, X, halvings)``): points differ in
     period and step count, and one point's step halvings refine only its
     own time grid.
@@ -1023,14 +1317,12 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
     two may be wired differently per point, so the weight patterns of
     one adder or perceptron sweep share a group.  Each group's shooting
     iterations run its open points' base period runs and
-    finite-difference probes (one ``fd_delta`` probe per observed node,
-    as in the scalar engine) as one speculative lock-step run.  The
-    stack is block-diagonal, so each point's iterates equal the scalar
-    :func:`~repro.circuit.pss.shooting` sequence; its waves are captured
-    at the iteration where *its* residual first drops under ``tol``
-    (exactly the scalar return), and it then leaves the working set.
-    ``x0`` gives one start state per point.  Defaults mirror the scalar
-    engine's.
+    finite-difference probes (one ``fd_delta`` probe per observed node)
+    as one speculative lock-step run.  The stack is block-diagonal, so
+    each point's iterates equal its one-point :func:`shooting` run; its
+    waves are captured at the iteration where *its* residual first drops
+    under ``tol``, and it then leaves the working set.  ``x0`` gives one
+    start state per point; the other arguments are :func:`shooting`'s.
     """
     circuits = list(circuits)
     if not circuits:
@@ -1039,7 +1331,7 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
     periods = _per_point(period, n_points, "period")
     if np.any(periods <= 0):
         raise AnalysisError("period must be positive")
-    # period / steps, as the scalar engine divides (float by int).
+    # period / steps per point (float by int).
     dt = periods / np.broadcast_to(np.asarray(steps_per_period),
                                    (n_points,))
     groups: "Dict[tuple, List[int]]" = {}
@@ -1088,7 +1380,7 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
             if keep.size == 0:
                 break
             # Finite-difference Jacobian of the period map per point,
-            # then the scalar engine's Newton update.
+            # then a Newton update of the observed nodes.
             A = ((fx_all[keep][:, 1:, obs_idx] - fx[keep][:, None, obs_idx])
                  / fd_delta).transpose(0, 2, 1)
             x_next = fx[keep].copy()
@@ -1098,41 +1390,55 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
             x, open_ = x_next, open_[keep]
         else:
             raise ConvergenceError(
-                f"batched shooting did not converge in {max_iterations} "
+                f"shooting did not converge in {max_iterations} "
                 f"iterations ({open_.size} of {n_points} points open, "
                 f"worst residual {float(np.max(residuals[idx[open_]])):.3g}"
                 " V)", analysis="pss")
     return BatchPssResult(circuits, periods, waves, iterations, residuals)
 
 
-#: :func:`shooting_batch` without its span and counters, for
-#: :func:`shooting_jacobian_batched`, which records its own.
-_shooting_batch = shooting_batch.__wrapped__
-
-
-@telemetry.traced("pss.shooting_jacobian",
+@telemetry.traced("pss.shooting",
                   tags=lambda circuit, *_, **__: {"circuit": circuit.name},
                   done=_note_pss, fails=_PSS_FAILURES)
-def shooting_jacobian_batched(circuit: Circuit, period: float, *,
-                              steps_per_period: int = 200,
-                              observe: Optional[Sequence[str]] = None,
-                              x0: Optional[np.ndarray] = None,
-                              warmup_periods: int = 2,
-                              max_iterations: int = 15,
-                              tol: float = 1e-4, fd_delta: float = 5e-3,
-                              method: str = "trap",
-                              update_limit: float = 2.0,
-                              solver: str = "auto") -> PssResult:
-    """Newton-shooting PSS of **one** circuit through :func:`shooting_batch`.
+def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
+             observe: Optional[Sequence[str]] = None,
+             x0: Optional[np.ndarray] = None, warmup_periods: int = 2,
+             max_iterations: int = 15, tol: float = 1e-4,
+             fd_delta: float = 5e-3, method: str = "trap",
+             update_limit: float = 2.0,
+             solver: str = "auto") -> PssResult:
+    """Newton-shooting PSS of one circuit: a one-point :func:`shooting_batch`.
 
-    Each shooting iteration's base period run and its finite-difference
-    probes (one per observed node) run as one lock-step solve;
-    iterates, residuals and waves equal the scalar
-    :func:`~repro.circuit.pss.shooting` sequence bit for bit.
+    From the DC operating point at ``t = 0`` (or ``x0``) and
+    ``warmup_periods`` plain periods, each iteration integrates one
+    period from ``x`` together with one ``fd_delta`` probe per observed
+    node (one lock-step run), estimates the period map's Jacobian on the
+    observed nodes by finite differences and takes a Newton step on
+    them, carrying the fast nodes' end state; it stops once the largest
+    observed residual ``|x(T) - x(0)|`` is below ``tol`` volts.
+
+    Parameters
+    ----------
+    period:
+        The driving period (all periodic sources must share it).
+    steps_per_period:
+        Nominal transient resolution inside one period.
+    observe:
+        Names of the slow nodes to apply Newton to.  Defaults to the
+        nodes with explicit capacitors.
+    update_limit:
+        Per-node clamp on the Newton correction, volts.  Rail-saturated
+        slow nodes can make ``(I - A)`` nearly singular through
+        finite-difference noise; clamping keeps the update physical and
+        the iteration falls back to (fast) fixed-point behaviour there.
     """
-    return _shooting_batch(
+    return shooting_batch.__wrapped__(
         [circuit], period, steps_per_period=steps_per_period,
         observe=observe, x0=None if x0 is None else [x0],
         warmup_periods=warmup_periods, max_iterations=max_iterations,
         tol=tol, fd_delta=fd_delta, method=method,
         update_limit=update_limit, solver=solver).point(0)
+
+
+#: The former name of :func:`shooting` (profiling hooks use it).
+shooting_jacobian_batched = shooting

@@ -58,7 +58,7 @@ def operating_point(circuit: Circuit, *, t: float = 0.0,
     """
     ctx = ctx or MnaContext(circuit)
     try:
-        x = ctx.solve_newton(x0, t, mode="dc", analysis="op")
+        x = ctx.solve_newton(x0, t, analysis="op")
         return OpPoint(circuit, x, t)
     except ConvergenceError:
         pass
@@ -66,7 +66,7 @@ def operating_point(circuit: Circuit, *, t: float = 0.0,
     x = x0
     try:
         for gshunt in _GSHUNT_LADDER:
-            x = ctx.solve_newton(x, t, mode="dc", gshunt=gshunt,
+            x = ctx.solve_newton(x, t, gshunt=gshunt,
                                  analysis="op/gmin")
         return OpPoint(circuit, x, t)
     except ConvergenceError:
@@ -74,7 +74,7 @@ def operating_point(circuit: Circuit, *, t: float = 0.0,
     # Source stepping.
     x = None
     for scale in np.linspace(0.05, 1.0, 20):
-        x = ctx.solve_newton(x, t, mode="dc", source_scale=float(scale),
+        x = ctx.solve_newton(x, t, source_scale=float(scale),
                              analysis="op/source-step")
     return OpPoint(circuit, x, t)
 

@@ -7,8 +7,8 @@ assembler when its stamps must be refreshed:
     Pure linear conductances (resistors, fixed controlled sources).
     Stamped once per matrix structure.
 ``reactive``
-    Energy-storage elements (capacitors, inductors).  Stamped once per
-    time step via integration companion models; keep internal state.
+    Energy-storage elements (capacitors, inductors).  Open/short in DC;
+    the time stepper integrates them with vectorised companion models.
 ``source``
     Independent sources.  Stamped once per time point.
 ``nonlinear``
@@ -107,19 +107,8 @@ class Element:
     def stamp_source(self, sys: "MnaSystem", t: float, scale: float = 1.0) -> None:
         raise NotImplementedError
 
-    def stamp_reactive(self, sys: "MnaSystem", dt: float, method: str) -> None:
-        raise NotImplementedError
-
     def stamp_nonlinear(self, sys: "MnaSystem", x: np.ndarray, t: float) -> None:
         raise NotImplementedError
-
-    # -- state hooks (reactive elements) ------------------------------------
-
-    def init_state(self, x: np.ndarray) -> None:
-        """Initialise integration state from a full solution vector."""
-
-    def accept_step(self, x: np.ndarray, dt: float, method: str) -> None:
-        """Commit the step just solved; update companion-model state."""
 
     def stamp_dc(self, sys: "MnaSystem") -> None:
         """DC-operating-point stamp for reactive elements.
@@ -215,10 +204,6 @@ class MnaSystem:
 
     def set_branch_rhs(self, br: int, value: float) -> None:
         self.I[br] += value
-
-    def add_branch_self(self, br: int, value: float) -> None:
-        """Add a coefficient on the branch's own current in its row."""
-        self.G[br, br] += value
 
 
 def node_voltage(x: np.ndarray, idx: int) -> float:

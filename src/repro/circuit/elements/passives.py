@@ -49,7 +49,12 @@ class Resistor(Element):
 
 
 class Capacitor(Element):
-    """Ideal linear capacitor integrated with BE or trapezoidal companions."""
+    """Ideal linear capacitor integrated with BE or trapezoidal companions.
+
+    Transient runs use the lock-step stepper's vectorised companions
+    (``_BatchCapacitors``); the per-element companion methods below are
+    the reference those are pinned against, lane by lane.
+    """
 
     category = REACTIVE
 
@@ -74,15 +79,6 @@ class Capacitor(Element):
         if self.ic is not None:
             self._v_prev = self.ic
         self._i_prev = 0.0
-
-    def set_voltage_state(self, v: float) -> None:
-        """Force the companion-model state (used by PSS restarts)."""
-        self._v_prev = float(v)
-        self._i_prev = 0.0
-
-    @property
-    def voltage_state(self) -> float:
-        return self._v_prev
 
     def stamp_reactive(self, sys: MnaSystem, dt: float, method: str) -> None:
         a, b = self._idx
@@ -111,13 +107,13 @@ class Capacitor(Element):
         self._v_prev = v_new
         self._i_prev = i_new
 
-    def current_state(self) -> float:
-        """Capacitor current at the last accepted step."""
-        return self._i_prev
-
 
 class Inductor(Element):
-    """Ideal linear inductor.  Uses a branch-current unknown."""
+    """Ideal linear inductor.  Uses a branch-current unknown.
+
+    Transient runs integrate it through the lock-step stepper's
+    vectorised companions (``_BatchInductors``).
+    """
 
     category = REACTIVE
     n_branch_vars = 1
@@ -130,37 +126,9 @@ class Inductor(Element):
             raise NetlistError(f"{name}: inductance must be non-negative")
         #: Optional initial current override (amps, flowing a→b).
         self.ic = None if ic is None else float(ic)
-        self._i_prev = 0.0
-        self._v_prev = 0.0
 
     def clone(self, name: str, nodes: Sequence[str]) -> "Inductor":
         return Inductor(name, nodes[0], nodes[1], self.inductance, ic=self.ic)
-
-    def init_state(self, x: np.ndarray) -> None:
-        br = self._branch[0]
-        self._i_prev = float(x[br])
-        if self.ic is not None:
-            self._i_prev = self.ic
-        self._v_prev = 0.0
-
-    def stamp_reactive(self, sys: MnaSystem, dt: float, method: str) -> None:
-        a, b = self._idx
-        br = self._branch[0]
-        sys.stamp_branch_kcl(a, b, br)
-        sys.stamp_branch_voltage_row(br, a, b)
-        if method == "be":
-            req = self.inductance / dt
-            sys.add_branch_self(br, -req)
-            sys.set_branch_rhs(br, -req * self._i_prev)
-        else:
-            req = 2.0 * self.inductance / dt
-            sys.add_branch_self(br, -req)
-            sys.set_branch_rhs(br, -req * self._i_prev - self._v_prev)
-
-    def accept_step(self, x: np.ndarray, dt: float, method: str) -> None:
-        a, b = self._idx
-        self._i_prev = float(x[self._branch[0]])
-        self._v_prev = voltage_between(x, a, b)
 
     def stamp_dc(self, sys: MnaSystem) -> None:
         """DC behaviour: a short circuit (zero-volt branch)."""

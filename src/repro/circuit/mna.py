@@ -1,10 +1,13 @@
-"""MNA assembly and damped Newton–Raphson solution.
+"""MNA assembly for one compiled circuit, and the DC Newton solve.
 
 :class:`MnaContext` caches everything that does not change between
-solves: static (linear) stamps, the vectorised index arrays for MOSFET
-groups, and scratch matrices.  Analyses (DC, transient, PSS) share one
-context per circuit, which is what makes the Python engine fast enough
-for the paper's 54-transistor adder.
+solves: static (linear) stamps plus ``gmin``, the vectorised index
+arrays of the MOSFET group, and a scratch system.  Its damped Newton
+(:meth:`MnaContext.solve_newton`) solves one DC point — capacitors open,
+inductors shorted — for the operating point, DC sweeps and the AC bias.
+Transient and PSS runs step through the lock-step stepper in
+:mod:`repro.circuit.batch_transient`, which builds on the same contexts
+and shares the ``NEWTON_*`` settings below.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .sparse import check_solver, choose_backend, matrix_fill, sparse_solve
 #: Default conductance from every node to ground, for matrix regularity.
 DEFAULT_GMIN = 1e-12
 
-#: Damped-Newton settings shared by the scalar and batched engines:
+#: Damped-Newton settings shared by the DC solve and the time stepper:
 #: iteration cap, per-iteration node-voltage step limit (V), and the
 #: convergence test ``|dx| <= tol + NEWTON_RELTOL * |x|`` with ``tol``
 #: NEWTON_ABSTOL on node voltages and NEWTON_ITOL on branch currents.
@@ -138,23 +141,15 @@ class MnaContext:
 
     # -- assembly helpers --------------------------------------------------
 
-    def _base_for_point(self, t: float, *, mode: str, dt: Optional[float],
-                        method: str, source_scale: float,
+    def _base_for_point(self, t: float, *, source_scale: float,
                         gshunt: float) -> "tuple[np.ndarray, np.ndarray]":
-        """Static + source + reactive stamps for one (t, dt) point."""
+        """Static + source + DC reactive stamps at time ``t``."""
         sys = self.sys
         sys.load_from(self._G_static, self._I_static)
         for el in self.source_elements:
             el.stamp_source(sys, t, source_scale)
-        if mode == "dc":
-            for el in self.reactive_elements:
-                el.stamp_dc(sys)
-        else:
-            if dt is None or dt <= 0:
-                raise ConvergenceError("transient stamping needs dt > 0",
-                                       analysis="mna")
-            for el in self.reactive_elements:
-                el.stamp_reactive(sys, dt, method)
+        for el in self.reactive_elements:
+            el.stamp_dc(sys)
         if gshunt > 0.0:
             for i in range(self.n_nodes):
                 sys.G[i, i] += gshunt
@@ -164,11 +159,10 @@ class MnaContext:
 
     @telemetry.traced(
         "mna.newton",
-        tags=lambda self, *_, analysis, mode, **__: {
-            "analysis": analysis, "mode": mode, "size": self.size})
+        tags=lambda self, *_, analysis, **__: {
+            "analysis": analysis, "size": self.size})
     def solve_newton(self, x0: Optional[np.ndarray], t: float, *,
-                     mode: str = "tran", dt: Optional[float] = None,
-                     method: str = "trap", source_scale: float = 1.0,
+                     source_scale: float = 1.0,
                      gshunt: float = 0.0,
                      max_iter: int = NEWTON_MAX_ITER,
                      vlimit: float = NEWTON_VLIMIT,
@@ -176,15 +170,14 @@ class MnaContext:
                      reltol: float = NEWTON_RELTOL,
                      itol: float = NEWTON_ITOL,
                      analysis: str = "newton") -> np.ndarray:
-        """Solve the (possibly nonlinear) MNA system at one time point.
+        """Solve the (possibly nonlinear) DC MNA system at time ``t``.
 
         Returns the converged solution vector; raises
         :class:`ConvergenceError` when the damped Newton iteration fails.
         """
         rt = telemetry.active()
         G_base, I_base = self._base_for_point(
-            t, mode=mode, dt=dt, method=method,
-            source_scale=source_scale, gshunt=gshunt)
+            t, source_scale=source_scale, gshunt=gshunt)
         x = np.zeros(self.size) if x0 is None else np.asarray(x0, dtype=float).copy()
         has_nonlinear = self.mosfet_group.n > 0 or bool(self.other_nonlinear)
         x_padded = np.zeros(self.size + 1)
@@ -255,16 +248,6 @@ class MnaContext:
         view.G = G
         view.I = I
         return view
-
-    # -- state plumbing shared by transient/PSS ---------------------------------
-
-    def init_states(self, x: np.ndarray) -> None:
-        for el in self.reactive_elements:
-            el.init_state(x)
-
-    def accept_step(self, x: np.ndarray, dt: float, method: str) -> None:
-        for el in self.reactive_elements:
-            el.accept_step(x, dt, method)
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         points: "list[float]" = []

@@ -40,10 +40,9 @@ def adder_pss(circuits: Sequence[Circuit], period, *,
     stacks every point's base period run and finite-difference probes
     into one lock-step solve per netlist structure — weight bits only
     rewire MOSFET gates and their capacitors, so a weight-pattern sweep
-    is one solve; each result is bit-identical to scalar
+    is one solve; each result is bit-identical to one-point
     :func:`~repro.circuit.pss.shooting` (pinned by the equivalence
-    tests).  Adder and perceptron netlists hold only MOSFETs, passives
-    and sources, which the batch layer models.
+    tests).
     """
     from ..circuit.batch_transient import shooting_batch
 

@@ -1,11 +1,12 @@
 """Transistor-level engine: MNA shooting PSS of the full cell netlist.
 
-Single points run the classic scalar shooting solve.  Supply sweeps,
-whole ``(duty, supply)`` grids and Monte-Carlo batches stack their
-independent points into one lock-step MNA solve via
+Everything runs on the lock-step MNA stepper.  A single point is a
+one-point :func:`~repro.circuit.pss.shooting`; supply sweeps, whole
+``(duty, supply)`` grids and Monte-Carlo batches stack their
+independent points into one lock-step solve via
 :func:`~repro.circuit.batch_transient.shooting_batch` — the Python
 stepping machinery runs once for the whole grid instead of once per
-point, while every point's result stays bit-identical to its scalar
+point, while every point's result stays bit-identical to its one-point
 solve (``benchmarks/BENCH_engines.json`` records the speedup).
 The batch layer takes per-point timing too (duty, frequency, period),
 so the same path serves the experiments' duty and frequency sweeps.
@@ -83,7 +84,7 @@ class SpiceEngine(Engine):
                    **options: Any) -> np.ndarray:
         """``(stimulus, supply)`` grid as one stacked MNA solve.
 
-        Every point is bit-identical to its scalar :meth:`evaluate`;
+        Every point is bit-identical to its one-point :meth:`evaluate`;
         stimuli may differ in duty and frequency.
         """
         stimuli = self.check_stimuli(stimuli)

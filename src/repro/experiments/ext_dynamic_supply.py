@@ -13,7 +13,7 @@ ramp depth.
 All ramp profiles share their source timing (same ``t_ramp``, same PWM
 breakpoints), so the whole family runs as **one** lock-step
 :class:`~repro.circuit.batch_transient.BatchTransientSolver` solve —
-the per-waveform trajectories are bit-identical to scalar per-ramp
+the per-waveform trajectories are bit-identical to one-lane per-ramp
 :func:`~repro.circuit.transient.transient` runs (pinned by the
 sparse-MNA equivalence tests), the wall clock is one Python stepping
 loop instead of one per ramp.
@@ -79,9 +79,9 @@ def _run_family(circuits: List[Circuit], t_ramp: float, dt: float, *,
                 solver: str) -> List[TransientResult]:
     """One transient per ramp target, stacked into one lock-step solve.
 
-    Every point starts from scalar ``transient(..., ic={"out": V},
-    uic=True)``'s exact initial state (zeros plus the ``out`` initial
-    condition), so its trajectory is bit-identical to that scalar run.
+    Every point starts from ``transient(..., ic={"out": V}, uic=True)``'s
+    exact initial state (zeros plus the ``out`` initial condition), so
+    its trajectory is bit-identical to that one-lane run.
     """
     batch = BatchTransientSolver(circuits, solver=solver)
     x0 = np.zeros((batch.n_points, batch.size))

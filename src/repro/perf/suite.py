@@ -3,14 +3,14 @@
 Every benchmark here is **quick-capable** (sized to finish in well
 under a second per repeat with ``--quick`` on a single-core CI runner)
 and tagged ``gate`` so ``repro perf gate`` exercises the whole stack
-by default: circuit (shooting PSS, the scalar MNA transient and the
-lock-step batched transient), exec (vectorised Monte-Carlo), serving
+by default: circuit (shooting PSS, one-lane and four-lane runs of the
+lock-step MNA stepper), exec (vectorised Monte-Carlo), serving
 (batched inference plus closed-loop HTTP load generation against the
 asyncio server), and the SQLite store (indexed axis query).  Workload factories do all setup outside
 the timed region; the returned callables traverse the instrumented
-spans (``adder.evaluate`` → ``pss.shooting`` → ``mna.transient`` →
-``mna.newton``, …), which is what makes gate span-attribution
-meaningful.
+spans (``adder.evaluate`` → ``pss.shooting_batch`` →
+``mna.transient.batch`` → ``mna.newton``, …), which is what makes gate
+span-attribution meaningful.
 
 Absolute-seconds benchmarks carry wide noise bands (100%) because the
 committed baseline is measured on a different machine than any given
@@ -69,9 +69,11 @@ def _pss_shooting_adder(quick: bool = False):
            title="RC-ladder transient through the MNA engine",
            tags=("gate", "circuit"), repeats=3, warmup=1,
            quick_repeats=2, noise=1.0,
-           description="Fixed-step transient of a pulse-driven RC "
-                       "ladder (the dense linear backend's bread and "
-                       "butter).")
+           description="transient() of a pulse-driven RC ladder: a "
+                       "one-lane run of the lock-step MNA stepper, so "
+                       "its fixed per-step cost (step plan, companion "
+                       "updates, Newton bookkeeping) on the dense "
+                       "linear backend.")
 def _mna_transient_ladder(quick: bool = False):
     from ..circuit import transient
 

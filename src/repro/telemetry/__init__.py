@@ -17,7 +17,7 @@ keeps a single global :class:`Runtime` that is ``None`` until
 
     @telemetry.traced("mna.transient",
                       tags=lambda circuit, *_, method, **__: {...},
-                      done=_note_steps)
+                      done=_tag_steps)
     def transient(circuit, tstop, dt, *, method="trap", ...):
 
 and costs one ``None`` check and a direct call when disabled
@@ -42,7 +42,7 @@ Enablement knobs (any one of):
 * ``telemetry.enable(trace_path=...)`` from Python.
 
 Instrumentation *observes only*: with telemetry enabled or disabled,
-golden artifacts and batched-vs-scalar bit-identity are unchanged
+golden artifacts and batched-vs-one-lane bit-identity are unchanged
 (pinned by ``tests/test_telemetry.py``).
 """
 

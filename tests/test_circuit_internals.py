@@ -163,11 +163,14 @@ class TestSourceValidation:
 
 class TestMnaContextReuse:
     def test_context_reused_across_analyses(self):
+        # One context serves repeated DC solves; a transient started
+        # from its operating point stays there.
         c = Circuit()
         c.add(Vdc("V1", "in", "0", 1.0))
         c.add(Resistor("R1", "in", "out", "1k"))
         c.add(Capacitor("C1", "out", "0", "1u"))
         ctx = MnaContext(c)
         op = operating_point(c, ctx=ctx)
-        res = transient(c, tstop=1e-4, dt=1e-6, ctx=ctx, x0=op.x)
+        assert np.array_equal(operating_point(c, ctx=ctx).x, op.x)
+        res = transient(c, tstop=1e-4, dt=1e-6, x0=op.x)
         assert res.node("out").maximum() == pytest.approx(1.0, abs=1e-6)

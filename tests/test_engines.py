@@ -13,11 +13,12 @@ from repro.circuit import (
     PwmVoltage,
     Resistor,
     Vdc,
-    shooting,
+    Vpulse,
+    VSwitch,
     shooting_batch,
     transient,
 )
-from repro.core.cells import CellDesign, build_transcoding_inverter_bench
+from repro.core.cells import CellDesign
 from repro.engines import (
     CellStimulus,
     EngineCapabilities,
@@ -28,14 +29,13 @@ from repro.engines import (
     require_capability,
 )
 
-PERIOD = 1.0 / 500e6
-FAST_VDD = (1.0, 2.5, 4.0)
-
-
-def cell_bench(vdd: float, duty: float = 0.5) -> Circuit:
-    return build_transcoding_inverter_bench(
-        duty, vdd=vdd, frequency=500e6, cout=1e-12, rout=100e3,
-        input_amplitude=vdd)
+from tests.scalar_mna_reference import (
+    FAST_VDD,
+    PERIOD,
+    cell_bench,
+    rc,
+    reference,
+)
 
 
 # -- registry ---------------------------------------------------------------
@@ -175,13 +175,14 @@ class TestEngineEquivalence:
                 np.array([p[1] for p in legacy[duty]]), new)
 
     def test_spice_batched_sweep_equals_scalar_loop(self):
+        # One-point shooting runs, checked against the recorded output
+        # of the former scalar loop, equal the batched sweep.
         spice = get_engine("spice")
         stim = CellStimulus(duty=0.5, rout=100e3)
         batched = spice.sweep_supply(CellDesign(), stim, FAST_VDD,
                                      steps_per_period=60)
-        scalar = [shooting(cell_bench(v), PERIOD, observe=["out"],
-                           steps_per_period=60).average("out")
-                  for v in FAST_VDD]
+        scalar = [pss.average("out")
+                  for pss in reference("cell_sweep_shooting")]
         assert np.array_equal(batched, scalar)
 
     def test_spice_grid_is_one_batch_equal_to_row_sweeps(self, monkeypatch):
@@ -249,24 +250,15 @@ class TestEngineEquivalence:
 
 class TestBatchTransient:
     def test_linear_rc_batch_matches_scalar(self):
-        def make(v):
-            c = Circuit("rc")
-            c.add(Vdc("V1", "in", "0", v))
-            c.add(Resistor("R1", "in", "out", "1k"))
-            c.add(Capacitor("C1", "out", "0", "1u"))
-            return c
-
-        scal = [transient(make(v), 5e-3, 1e-5, ic={"out": 0.0})
-                for v in (1.0, 2.0)]
-        bat = BatchTransientSolver([make(v) for v in (1.0, 2.0)]).run(
+        scal = reference("linear_rc")
+        bat = BatchTransientSolver([rc(v) for v in (1.0, 2.0)]).run(
             5e-3, 1e-5, x0=np.stack([s.X[0] for s in scal]))
         for p, s in enumerate(scal):
             assert np.array_equal(bat.X[:, p, :], s.X)
 
     def test_cell_bench_batch_is_bit_identical(self):
-        vdds = (1.0, 2.5, 4.0)
-        scal = [transient(cell_bench(v), PERIOD, PERIOD / 60)
-                for v in vdds]
+        vdds = FAST_VDD
+        scal = reference("cell_sweep_transient")
         bat = BatchTransientSolver(
             [cell_bench(v) for v in vdds]).run(PERIOD, PERIOD / 60)
         assert np.array_equal(bat.t, scal[0].t)
@@ -303,8 +295,7 @@ class TestBatchTransient:
         # Same structure, different duty -> different breakpoints: each
         # lane walks its own time grid and equals its scalar run.
         duties = (0.3, 0.7)
-        scal = [transient(cell_bench(2.5, duty=d), PERIOD, PERIOD / 50)
-                for d in duties]
+        scal = reference("timing_mismatch")
         bat = BatchTransientSolver(
             [cell_bench(2.5, duty=d) for d in duties]).run(PERIOD,
                                                            PERIOD / 50)
@@ -315,16 +306,53 @@ class TestBatchTransient:
         with pytest.raises(AnalysisError, match="different time grids"):
             bat.t
 
-    def test_inductor_rejected(self):
-        def make():
+    def test_inductor_lanes_match_closed_form(self):
+        # Two RL lanes with their own inductance: each current rises
+        # as (V/R)(1 - exp(-t R/L)), and a lane equals its one-lane run.
+        def make(inductance):
             c = Circuit("rl")
             c.add(Vdc("V1", "in", "0", 1.0))
-            c.add(Inductor("L1", "in", "out", "1u"))
-            c.add(Resistor("R1", "out", "0", "1k"))
+            c.add(Resistor("R1", "in", "out", "1k"))
+            c.add(Inductor("L1", "out", "0", inductance, ic=0.0))
             return c
 
-        with pytest.raises(AnalysisError, match="inductors"):
-            BatchTransientSolver([make(), make()])
+        inductances = (1e-3, 2e-3)
+        batch = BatchTransientSolver([make(l) for l in inductances])
+        bat = batch.run(5e-6, 1e-8, x0=np.zeros((2, batch.size)))
+        for p, inductance in enumerate(inductances):
+            i = bat.point(p).branch_current("L1")
+            for t in (1e-6, 3e-6):
+                expected = 1e-3 * (1 - np.exp(-t * 1e3 / inductance))
+                assert i.value_at(t) == pytest.approx(expected, rel=5e-3)
+        one = transient(make(2e-3), 5e-6, 1e-8, uic=True)
+        assert np.array_equal(bat.point(1).X, one.X)
+
+    def test_switch_gated_rc_charges_only_while_on(self):
+        # A VSwitch closes a 1 V source onto 1k + 1n (tau = 1 us) while
+        # its control pulse is high, 1-3 us; the lanes' other
+        # capacitance must not change the first lane's bits.
+        def make(cap):
+            c = Circuit("switched_rc")
+            c.add(Vdc("VS", "src", "0", 1.0))
+            c.add(Vpulse("VC", "ctrl", "0", v1=0.0, v2=1.0, delay=1e-6,
+                         rise=1e-9, fall=1e-9, width=2e-6, period=10e-6))
+            c.add(VSwitch("S1", "src", "mid", "ctrl", "0", smooth=0.01))
+            c.add(Resistor("R1", "mid", "out", "1k"))
+            c.add(Capacitor("C1", "out", "0", cap))
+            return c
+
+        one = transient(make(1e-9), 5e-6, 1e-8, uic=True)
+        out = one.node("out")
+        assert abs(out.value_at(0.99e-6)) < 1e-6
+        charged = 1 - np.exp(-2.0)
+        assert out.value_at(3e-6) == pytest.approx(charged, rel=1e-2)
+        assert out.value_at(5e-6) == pytest.approx(out.value_at(3.01e-6),
+                                                   abs=1e-3)
+        bat = BatchTransientSolver([make(1e-9), make(2e-9)]).run(
+            5e-6, 1e-8, x0=np.stack([one.X[0]] * 2))
+        assert np.array_equal(bat.point(0).t, one.t)
+        assert np.array_equal(bat.point(0).X, one.X)
+        assert bat.point(1).node("out").value_at(3e-6) < charged
 
     def test_empty_batch_rejected(self):
         with pytest.raises(AnalysisError):
@@ -352,10 +380,9 @@ class TestBatchTransient:
 
 class TestShootingBatch:
     def test_matches_scalar_shooting_bitwise(self):
-        vdds = (1.0, 2.5, 4.0)
-        scal = np.array([
-            shooting(cell_bench(v), PERIOD, observe=["out"],
-                     steps_per_period=60).average("out") for v in vdds])
+        vdds = FAST_VDD
+        scal = np.array([pss.average("out")
+                         for pss in reference("cell_sweep_shooting")])
         batch = shooting_batch([cell_bench(v) for v in vdds], PERIOD,
                                observe=["out"], steps_per_period=60)
         assert np.array_equal(scal, batch.averages("out"))

@@ -388,9 +388,9 @@ class TestComparator:
 def slow_transient(monkeypatch):
     """Inject a deliberate slowdown into every MNA transient run.
 
-    The sleep sits in ``MnaContext.breakpoints``, which ``transient``
-    calls once per run inside its own ``mna.transient`` span and
-    outside any child span.
+    The sleep sits in ``MnaContext.breakpoints``, which the lock-step
+    stepper calls once per run (when it plans the step grid) inside its
+    ``mna.transient.batch`` span and outside any child span.
     """
     real = MnaContext.breakpoints
 
@@ -421,7 +421,7 @@ class TestGateEndToEnd:
         assert row["benchmark"] == "mna.transient.ladder"
         assert row["ratio"] > 2.0           # ~20x with the sleep
         attribution = row["attribution"]
-        assert attribution["dominant_span"] == "mna.transient"
+        assert attribution["dominant_span"] == "mna.transient.batch"
         assert attribution["dominant_share"] > 0.5
 
 
@@ -481,7 +481,7 @@ class TestPerfCli:
         assert code == 1
         assert "FAIL" in out
         assert "mna.transient.ladder" in out
-        assert "dominant span: mna.transient" in out
+        assert "dominant span: mna.transient.batch" in out
 
     def test_run_errors(self, tmp_path, capsys):
         assert self._main(["perf", "run", "t.unknown", "--no-store",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import (
     AnalysisError,
@@ -14,7 +15,9 @@ from repro.circuit import (
     Vdc,
     settle_average,
     shooting,
+    shooting_batch,
 )
+from repro.circuit.batch_transient import _observed
 from tests.conftest import make_transcoding_inverter
 
 
@@ -104,24 +107,25 @@ class TestShootingNonConvergence:
         assert excinfo.value.analysis == "pss"
 
     def test_max_iterations_bounds_the_period_runs(self, monkeypatch):
-        # Each iteration costs one base run plus one finite-difference
-        # run per observed node; max_iterations=2 with one observed
-        # node and no warmup is exactly 4 transient calls.
-        import repro.circuit.pss as pss_module
+        # Each iteration costs one lock-step period run of the base lane
+        # plus one finite-difference lane per observed node;
+        # max_iterations=2 with one observed node and no warmup is
+        # exactly 2 runs of 2 lanes.
+        from repro.circuit.batch_transient import BatchTransientSolver
 
-        calls = []
-        real = pss_module.transient
+        lanes = []
+        real = BatchTransientSolver.run
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(self, tstop, dt, **kwargs):
+            lanes.append(len(kwargs["x0"]))
+            return real(self, tstop, dt, **kwargs)
 
-        monkeypatch.setattr(pss_module, "transient", counting)
+        monkeypatch.setattr(BatchTransientSolver, "run", counting)
         with pytest.raises(ConvergenceError):
             shooting(rc_pwm_circuit(0.5), period=1e-6,
                      steps_per_period=40, max_iterations=2, tol=0.0,
                      warmup_periods=0, observe=["out"])
-        assert len(calls) == 4
+        assert lanes == [2, 2]
 
     def test_singular_period_map_falls_back_not_raises(self):
         # A duty-0 source makes the observed node an undriven RC to
@@ -155,3 +159,40 @@ class TestTranscodingInverterPss:
                        steps_per_period=80)
         power = pss.supply_power("VDD")
         assert 0 < power < 1e-3  # sub-milliwatt cell
+
+
+class TestPeriodicityProperty:
+    """Every converged batched PSS point is periodic on its observed
+    nodes: its captured wave — the base lane, which starts exactly at
+    the iterate, not a finite-difference probe — ends within ``tol`` of
+    where it started, and that gap is the reported residual."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(points=st.lists(
+        st.one_of(
+            st.tuples(st.just("rc"),
+                      st.floats(min_value=0.05, max_value=0.95),
+                      st.sampled_from([1e3, 10e3, 100e3])),
+            st.tuples(st.just("cell"),
+                      st.floats(min_value=0.1, max_value=0.9),
+                      st.sampled_from([10e3, 100e3]))),
+        min_size=1, max_size=3),
+        steps=st.sampled_from([20, 40]))
+    def test_converged_points_are_periodic(self, points, steps):
+        def make(kind, duty, r):
+            if kind == "rc":
+                return rc_pwm_circuit(duty, r=r)
+            return make_transcoding_inverter(duty, rout=r)
+
+        circuits = [make(*point) for point in points]
+        periods = [1e-6 if kind == "rc" else 2e-9 for kind, _, _ in points]
+        tol = 1e-4
+        batch = shooting_batch(circuits, periods, steps_per_period=steps,
+                               tol=tol)
+        for p, circuit in enumerate(circuits):
+            waves = batch.point(p).waves
+            obs = _observed(circuit, None)
+            gap = np.max(np.abs(waves.X[-1, obs] - waves.X[0, obs]))
+            assert gap < tol
+            assert gap == batch.residuals[p]
+            assert waves.t[-1] == pytest.approx(periods[p], rel=1e-12)

@@ -2,11 +2,14 @@
 
 Pins the two promises the solver knob makes:
 
-* **batched == scalar, bit for bit** — the supply-ramp waveform family,
-  the shooting Jacobian probes, the supply-sweep stacks and ragged
-  batches (per-point timing, periods, step counts and step halvings)
-  reproduce the per-point scalar loops exactly (block-diagonal stacked
-  systems, same iterates);
+* **batched == one point at a time, bit for bit** — the supply-ramp
+  waveform family, the shooting Jacobian probes, the supply-sweep
+  stacks and ragged batches (per-point timing, periods, step counts and
+  step halvings) reproduce one-lane ``transient``/``shooting`` runs
+  exactly (block-diagonal stacked systems, same iterates), and those
+  one-lane runs reproduce the recorded output of the former scalar
+  step loop (``tests/fixtures/scalar_mna_reference.json``, within the
+  tolerance ``tests/scalar_mna_reference.py`` states);
 * **sparse == dense, within a documented tolerance** — splu and LAPACK
   factorisations of the same MNA system agree to ``atol=1e-9`` (the
   measured gap on the 54-transistor adder is ~2e-12; the slack covers
@@ -50,9 +53,15 @@ from repro.circuit.sparse import (
     sparse_solve,
     sparse_solve_batch,
 )
-from repro.core.cells import build_transcoding_inverter_bench
 from repro.core.weighted_adder import AdderConfig, WeightedAdder
-from repro.experiments.fig4_dc_transfer import ROUT_CASES
+from tests.scalar_mna_reference import (
+    FIG5_POINTS,
+    HALVING_AMPLITUDES,
+    cell,
+    fig4_points,
+    multifreq_setup,
+    reference,
+)
 
 needs_scipy = pytest.mark.skipif(not HAS_SCIPY,
                                  reason="scipy not installed")
@@ -200,9 +209,8 @@ class TestBatchedEquivalence:
 
         t_ramp = 16e-9          # a short ramp keeps the test cheap;
         dt = 2e-9 / 40          # the solver path is the full one
-        scalar = [transient(_build(t_ramp, v_end), t_ramp, dt,
-                            ic={"out": IC_OUT}, uic=True)
-                  for v_end in RAMP_TARGETS]
+        scalar = reference("ramp_family")
+        assert IC_OUT == scalar[0].X[0, _build(t_ramp).node_index("out")]
         circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
         batched = _run_family(circuits, t_ramp, dt, solver="auto")
         assert len(scalar) == len(batched) == len(RAMP_TARGETS)
@@ -211,16 +219,16 @@ class TestBatchedEquivalence:
             assert np.array_equal(s.X, b.X)
 
     def test_jacobian_batched_shooting_bit_identical(self):
-        # The 54-transistor adder: the Jacobian-batched PSS must
-        # reproduce the scalar shooting run exactly — same iterates,
-        # same waves, same averages.
+        # The 54-transistor adder: one-point shooting reproduces the
+        # recorded scalar run, and a one-point shooting_batch equals it
+        # exactly — same iterates, same waves, same averages.
         adder = WeightedAdder(AdderConfig())
         circuit = adder.build_circuit((0.2, 0.6, 0.8), (5, 6, 7))
         period = 1.0 / adder.config.frequency
-        ref = shooting(adder.build_circuit((0.2, 0.6, 0.8), (5, 6, 7)),
-                       period, observe=["out"], steps_per_period=40)
-        got = shooting_jacobian_batched(circuit, period, observe=["out"],
-                                        steps_per_period=40)
+        assert shooting_jacobian_batched is shooting
+        (ref,) = reference("adder_shooting")
+        got = shooting_batch([circuit], period, observe=["out"],
+                             steps_per_period=40).point(0)
         assert got.iterations == ref.iterations
         assert got.residual == ref.residual
         assert np.array_equal(got.waves.t, ref.waves.t)
@@ -235,10 +243,7 @@ class TestBatchedEquivalence:
                                         vdd=v) for v in vdds]
         batch = shooting_batch(circuits, period, observe=["out"],
                                steps_per_period=40)
-        for p, v in enumerate(vdds):
-            ref = shooting(adder.build_circuit((0.7, 0.8, 0.9), (7, 7, 7),
-                                               vdd=v),
-                           period, observe=["out"], steps_per_period=40)
+        for p, ref in enumerate(reference("adder_supply_sweep")):
             assert batch.averages("out")[p] == ref.average("out")
 
     def test_adder_pss_sparse_within_pinned_tolerance(self):
@@ -250,21 +255,14 @@ class TestBatchedEquivalence:
         assert abs(dense.value - sparse.value) < SPARSE_ATOL
 
 
-# -- ragged lock-step == scalar ----------------------------------------------
+# -- ragged lock-step == one lane at a time ----------------------------------
 
 
-def _cell(duty, frequency=500e6, rout=100e3, amplitude=None):
-    return build_transcoding_inverter_bench(
-        duty, vdd=2.5, frequency=frequency, cout=1e-12, rout=rout,
-        input_amplitude=amplitude)
-
-
-def _assert_pss_equal(make, periods, steps, observe=("out",)):
-    """``shooting_batch`` over the family equals per-point ``shooting``
-    bit for bit: waves, step halvings, iterations and residuals."""
-    refs = [shooting(make(p), float(periods[p]), observe=list(observe),
-                     steps_per_period=int(steps[p]))
-            for p in range(len(periods))]
+def _assert_pss_equal(case, make, periods, steps, observe=("out",)):
+    """``shooting_batch`` over the family equals the one-point
+    ``shooting`` runs of reference ``case`` bit for bit: waves, step
+    halvings, iterations and residuals."""
+    refs = reference(case)
     got = shooting_batch([make(p) for p in range(len(periods))], periods,
                          observe=list(observe), steps_per_period=steps)
     for p, ref in enumerate(refs):
@@ -280,54 +278,40 @@ def _assert_pss_equal(make, periods, steps, observe=("out",)):
 @needs_scipy
 class TestRaggedBitIdentity:
     """Points with their own source timing, periods and step counts
-    share one ragged lock-step run and still equal their scalar runs."""
+    share one ragged lock-step run and still equal their one-lane
+    runs."""
 
     def test_fig4_grid(self):
-        points = [(float(d), rout) for _, rout in ROUT_CASES
-                  for d in np.linspace(0.1, 0.9, 5)]
-        _assert_pss_equal(lambda p: _cell(points[p][0], rout=points[p][1]),
+        points = fig4_points()
+        _assert_pss_equal("fig4_grid",
+                          lambda p: cell(points[p][0], rout=points[p][1]),
                           np.full(len(points), 2e-9),
                           np.full(len(points), 40))
 
     def test_fig5_grid(self):
-        points = [(d, f) for d in (0.25, 0.5, 0.75)
-                  for f in (10e6, 100e6, 1000e6)]
-        _assert_pss_equal(lambda p: _cell(*points[p]),
-                          np.array([1.0 / f for _, f in points]),
-                          np.full(len(points), 40))
+        _assert_pss_equal("fig5_grid",
+                          lambda p: cell(FIG5_POINTS[p][0],
+                                         frequency=FIG5_POINTS[p][1]),
+                          np.array([1.0 / f for _, f in FIG5_POINTS]),
+                          np.full(len(FIG5_POINTS), 40))
 
     def test_multifreq_cases_mixed_step_counts(self):
-        from repro.core.weighted_adder import common_period
-        from repro.experiments.ext_multifreq import (
-            CASES,
-            WORKLOAD_DUTIES,
-            WORKLOAD_WEIGHTS,
-        )
-
-        adder = WeightedAdder(AdderConfig())
-        periods = np.array([common_period(f) for _, f in CASES])
-        steps = np.array([int(round(T * max(f) * 20))
-                          for T, (_, f) in zip(periods, CASES)])
+        make, periods, steps = multifreq_setup()
         assert len(set(steps.tolist())) > 1
-        _assert_pss_equal(
-            lambda p: adder.build_circuit(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS,
-                                          frequencies=CASES[p][1]),
-            periods, steps)
+        _assert_pss_equal("multifreq", make, periods, steps)
 
     def test_forced_halving_stays_in_its_lane(self):
         # An 80 V input ramp is too steep for the nominal step: that
         # point halves its steps, its neighbours do not.
-        amplitudes = (None, 80.0, None)
-
         def make(p):
-            return _cell(0.5, amplitude=amplitudes[p])
+            return cell(0.5, amplitude=HALVING_AMPLITUDES[p])
 
-        refs = _assert_pss_equal(make, np.full(3, 2e-9), np.full(3, 40))
+        refs = _assert_pss_equal("halving_shooting", make,
+                                 np.full(3, 2e-9), np.full(3, 40))
         assert len(refs[1].waves.t) > len(refs[0].waves.t)
 
         with telemetry.session() as rt:
-            scalar = [transient(make(p), 2e-9, 2e-9 / 40)
-                      for p in range(3)]
+            scalar = reference("halving_transient")
         with telemetry.session() as rt_batch:
             batch = BatchTransientSolver([make(p) for p in range(3)]).run(
                 2e-9, 2e-9 / 40)

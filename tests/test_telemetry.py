@@ -318,23 +318,22 @@ class TestShootingTraceRoundTrip:
         events = load_jsonl(str(target))
         by_id = {e["id"]: e for e in events}
         depths = span_depths(events)
-        # pss.shooting_jacobian -> mna.transient.batch -> mna.newton:
-        # at least three levels of real solver nesting.
+        # pss.shooting -> mna.transient.batch -> mna.newton: at least
+        # three levels of real solver nesting.
         assert max(depths.values()) >= 3
         newtons = [e for e in events if e["name"] == "mna.newton"]
         assert newtons
-        # Newton solves nest under a transient (batched Jacobian
-        # columns or the scalar warmup/capture pass) or directly under
-        # the shooting span (periodic-point solves); never float free.
+        # Newton solves nest under a lock-step period run or directly
+        # under the shooting span (the DC operating point); never float
+        # free.
         full_chains = 0
         for e in newtons:
             parent = by_id[e["parent"]]
             assert parent["name"] in ("mna.transient.batch",
-                                      "mna.transient",
-                                      "pss.shooting_jacobian")
+                                      "pss.shooting")
             if parent["name"] == "mna.transient.batch":
                 root = by_id[parent["parent"]]
-                assert root["name"] == "pss.shooting_jacobian"
+                assert root["name"] == "pss.shooting"
                 assert root["parent"] is None
                 full_chains += 1
         assert full_chains > 0
@@ -368,7 +367,7 @@ def _rc_pulse(r: float = 1e3):
 
 def _newton():
     from repro.circuit import MnaContext
-    MnaContext(_rc_pulse()).solve_newton(None, 0.0, mode="dc")
+    MnaContext(_rc_pulse()).solve_newton(None, 0.0)
 
 
 def _batch_newton():
@@ -430,8 +429,8 @@ def _engine_op(op):
     return call
 
 
-_NEWTON = ["analysis", "mode", "size"]
-_BATCH_NEWTON = ["analysis", "mode", "points", "size"]
+_NEWTON = ["analysis", "size"]
+_BATCH_NEWTON = ["analysis", "points", "size"]
 _TRAN = ["circuit", "method", "steps"]
 _BATCH_TRAN = ["points", "size"]
 
@@ -442,21 +441,22 @@ TRACED_ENTRY_POINTS = {
     "mna.solve_newton": (_newton, {"mna.newton": _NEWTON}, {
         "repro_mna_newton_solves_total": 1.0}),
     "batch._solve_newton": (_batch_newton, {
-        "mna.newton": ["analysis", "points", "size"],
+        "mna.newton": _BATCH_NEWTON,
         "mna.transient.batch": _BATCH_TRAN}, {
         "repro_mna_newton_solves_total": 20.0,
         "repro_mna_steps_total": 40.0,
         "repro_mna_step_halvings_total": 0.0}),
     "transient": (_transient, {
-        "mna.newton": _NEWTON, "mna.transient": _TRAN}, {
+        "mna.newton": _BATCH_NEWTON, "mna.transient": _TRAN,
+        "mna.transient.batch": _BATCH_TRAN}, {
         "repro_mna_newton_solves_total": 21.0,
         "repro_mna_steps_total": 20.0,
         "repro_mna_step_halvings_total": 0.0}),
     "shooting": (_shooting, {
-        "mna.newton": _NEWTON, "mna.transient": _TRAN,
+        "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting": ["circuit", "iterations"]}, {
-        "repro_mna_newton_solves_total": 101.0,
-        "repro_mna_steps_total": 100.0,
+        "repro_mna_newton_solves_total": 81.0,
+        "repro_mna_steps_total": 120.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 1.0,
         "repro_pss_iterations_total": 2.0}),
@@ -470,7 +470,7 @@ TRACED_ENTRY_POINTS = {
         "repro_pss_iterations_total": 4.0}),
     "shooting_jacobian_batched": (_shooting_jacobian, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
-        "pss.shooting_jacobian": ["circuit", "iterations"]}, {
+        "pss.shooting": ["circuit", "iterations"]}, {
         "repro_mna_newton_solves_total": 81.0,
         "repro_mna_steps_total": 120.0,
         "repro_mna_step_halvings_total": 0.0,
@@ -526,10 +526,18 @@ class TestTracedEntryPoints:
         (pss,) = [e for e in rt.tracer.events()
                   if e["name"] == "pss.shooting"]
         assert pss["tags"] == {"circuit": "rc_pulse", "iterations": 2}
-        trans = [e for e in rt.tracer.events()
-                 if e["name"] == "mna.transient"]
-        assert trans[0]["tags"] == {"circuit": "rc_pulse",
-                                    "method": "trap", "steps": 20}
+        # Two one-lane warmup periods, then two iterations of the base
+        # lane plus one finite-difference probe.
+        runs = [e["tags"] for e in rt.tracer.events()
+                if e["name"] == "mna.transient.batch"]
+        assert runs == [{"points": 1, "size": 3}] * 2 \
+            + [{"points": 2, "size": 3}] * 2
+        with telemetry.session() as rt:
+            _transient()
+        (trans,) = [e for e in rt.tracer.events()
+                    if e["name"] == "mna.transient"]
+        assert trans["tags"] == {"circuit": "rc_pulse", "method": "trap",
+                                 "steps": 20}
 
     @pytest.mark.parametrize("run", [
         lambda: _shooting(r=1e6, max_iterations=1),
