@@ -558,40 +558,34 @@ class _BatchSources:
 
 
 class _StepPlan:
-    """The step grid of one lane, from a given stepping state.
+    """The step grid of one lane from a given stepping state.
 
     Steps end on the lane's breakpoints (``targets``, the stop time
     last); the first ``BE_STEPS_AFTER_BREAKPOINT`` steps after each one
-    (and after the start) are backward Euler.  Per step: ``h``, ``be``,
-    the end time ``t[k + 1]``, and the target index and BE countdown it
-    started from (to re-plan a lane after a halved step).  The grid only
-    depends on timing, so a solver caches one plan per circuit and
-    timing, and with it the source values on the grid (``v``).
+    (and after the start) are backward Euler.  Per step: size ``h``,
+    method ``be``, end time ``t[k + 1]``, and the target index and BE
+    countdown it started from (to re-plan a lane after a halved step).
+    The grid depends only on timing, so a solver plans once per circuit
+    and timing, with the voltage-source values ``v`` on the grid.
     """
 
     def __init__(self, targets: list, dt: float, stop: float,
                  force_be: bool, t: float, pos: int, countdown: int):
-        eps = dt * 1e-9
         self.targets, self.dt, self.stop = targets, dt, stop
-        self.force_be, self.eps = force_be, eps
-        times, h, be, pos_k, countdown_k = [t], [], [], [], []
+        self.force_be, self.eps = force_be, dt * 1e-9
+        times, h, be, self.pos, self.countdown = [t], [], [], [], []
         while t < stop:
-            target = targets[pos]
-            step = min(dt, target - t)
+            step = min(dt, targets[pos] - t)
             h.append(step)
             be.append(force_be or countdown > 0)
-            pos_k.append(pos)
-            countdown_k.append(countdown)
+            self.pos.append(pos)
+            self.countdown.append(countdown)
             t = t + step
             times.append(t)
             pos, countdown = self.after_step(t, pos, countdown)
-        self.t = np.array(times)
-        self.h = np.array(h)
+        self.t, self.h = np.array(times), np.array(h)
         self.be = np.array(be, dtype=bool)
-        self.pos = pos_k
-        self.countdown = countdown_k
         self.n = len(h)
-        self.v: Optional[np.ndarray] = None
 
     def after_step(self, t: float, pos: int,
                    countdown: int) -> "tuple[int, int]":
@@ -611,6 +605,49 @@ def _skip_targets(targets: list, pos: int, t: float) -> int:
     while pos < len(targets) and targets[pos] <= t:
         pos += 1
     return pos
+
+
+class _LaneGrid:
+    """A run's step grid, lane by lane: step ``k`` ends at ``t[k + 1]``
+    with size ``h[k]``, method ``be[k]`` and source values ``v[k]``; a
+    lane takes ``n_steps`` steps and then repeats its stop time.
+    ``plans[lane]`` is ``(plan, k0)``: the lane follows ``plan`` from
+    step ``k0``."""
+
+    def __init__(self, plans: List[_StepPlan], n_sources: int):
+        n_lanes = len(plans)
+        n = max(plan.n for plan in plans)
+        self.t = np.empty((n + 1, n_lanes))
+        self.h = np.zeros((n, n_lanes))
+        self.be = np.zeros((n, n_lanes), dtype=bool)
+        self.v = np.zeros((n, n_sources, n_lanes))
+        self.n_steps = np.zeros(n_lanes, dtype=np.intp)
+        self.plans: "List[tuple]" = [None] * n_lanes
+        by_plan: "Dict[int, List[int]]" = {}
+        for lane, plan in enumerate(plans):
+            by_plan.setdefault(id(plan), []).append(lane)
+        for lanes in by_plan.values():
+            self.put(lanes, 0, plans[lanes[0]])
+
+    def put(self, lanes: List[int], k0: int, plan: _StepPlan) -> None:
+        """``lanes`` follow ``plan`` from step ``k0`` on."""
+        k1 = k0 + plan.n
+        grow = k1 + 1 - len(self.t)
+        if grow > 0:
+            self.t = np.concatenate([self.t,
+                                     np.repeat(self.t[-1:], grow, 0)])
+            self.h, self.be, self.v = (
+                np.concatenate([a, np.zeros((grow,) + a.shape[1:], a.dtype)])
+                for a in (self.h, self.be, self.v))
+        self.t[k0:k1 + 1, lanes] = plan.t[:, None]
+        self.t[k1 + 1:, lanes] = plan.t[-1]
+        self.h[k0:k1, lanes] = plan.h[:, None]
+        self.h[k1:, lanes] = 0.0
+        self.be[k0:k1, lanes] = plan.be[:, None]
+        self.v[k0:k1, :, lanes] = plan.v[:, :, None]
+        self.n_steps[lanes] = k1
+        for lane in lanes:
+            self.plans[lane] = (plan, k0)
 
 
 class TransientResult:
@@ -793,19 +830,23 @@ class BatchTransientSolver:
 
     def _plan(self, p: int, tstart: float, tstop: float, dt: float,
               force_be: bool) -> _StepPlan:
-        """The step grid of circuit ``p`` over ``[tstart, tstop]`` and
-        its source values, cached per timing."""
+        """Circuit ``p``'s step grid over ``[tstart, tstop]``, cached
+        per timing."""
         key = (p, tstart, tstop, dt, force_be)
         plan = self._plans.get(key)
         if plan is None:
             targets = [b for b in self.contexts[p].breakpoints(tstart, tstop)
                        if tstart < b < tstop] + [tstop]
             eps = dt * 1e-9
-            plan = self._plans[key] = _StepPlan(
+            plan = self._plans[key] = self._with_sources(p, _StepPlan(
                 targets, dt, tstop - eps, force_be, tstart,
                 _skip_targets(targets, 0, tstart + eps),
-                BE_STEPS_AFTER_BREAKPOINT)
-            plan.v = self._sources.values(np.full(plan.n, p), plan.t[1:]).T
+                BE_STEPS_AFTER_BREAKPOINT))
+        return plan
+
+    def _with_sources(self, p: int, plan: _StepPlan) -> _StepPlan:
+        """``plan`` with circuit ``p``'s source values on its grid."""
+        plan.v = self._sources.values(np.full(plan.n, p), plan.t[1:]).T
         return plan
 
     def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
@@ -1047,26 +1088,16 @@ class BatchTransientSolver:
         self._G_trap, self._G_be = stacks
 
         # Every lane's step grid, planned up front (and again for a lane
-        # after a halved step): step ``k`` ends at ``T[k + 1]`` with
-        # size ``H[k]``, method ``BE[k]`` and source values ``V[k]``.
+        # after a halved step).
         force_be = method == "be"
-        plans = [self._plan(p, tstart, t1, h, force_be) for p, t1, h in
-                 zip(circ.tolist(), tstop.tolist(), dt.tolist())]
-        n_steps = np.array([plan.n for plan in plans])
-        T = np.empty((n_steps.max() + 1, n_lanes))
-        H = np.zeros((T.shape[0] - 1, n_lanes))
-        BE = np.zeros(H.shape, dtype=bool)
-        V = np.zeros((H.shape[0], self._sources.rows.size, n_lanes))
-        lane_plans = [(plan, 0) for plan in plans]
-        by_plan: "Dict[int, List[int]]" = {}
-        for lane, plan in enumerate(plans):
-            by_plan.setdefault(id(plan), []).append(lane)
-        for lanes in by_plan.values():
-            self._put_plan(lanes, 0, plans[lanes[0]], T, H, BE, V)
+        grid = _LaneGrid([self._plan(p, tstart, t1, h, force_be)
+                          for p, t1, h in zip(circ.tolist(), tstop.tolist(),
+                                              dt.tolist())],
+                         self._sources.rows.size)
         halvings = np.zeros(n_lanes, dtype=int)
         states: List[np.ndarray] = [x.copy()]
 
-        act = lane_ids[n_steps > 0]
+        act = lane_ids[grid.n_steps > 0]
         k = 0
         # A step at or before which no lane of ``act`` finishes (0:
         # look again after this step).
@@ -1075,18 +1106,17 @@ class BatchTransientSolver:
             # Lanes still stepping; a full working set indexes by slice
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
-            h, be, t_new = H[k][ix], BE[k][ix], T[k + 1][ix]
+            h, be, t_new = grid.h[k][ix], grid.be[k][ix], grid.t[k + 1][ix]
             comp = [group.geq(ix, h, be) for group in reactive]
             x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
-                                               V[k][:, ix], ix)
+                                               grid.v[k][:, ix], ix)
             if np.count_nonzero(failed):
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
                 # leave their plan and get a new one from there.
                 h, be, t_new = h.copy(), be.copy(), t_new.copy()
-                t_act = T[k][ix]
-                pending = np.flatnonzero(failed)
-                halved = act[pending]
+                t_act = grid.t[k][ix]
+                halved = pending = np.flatnonzero(failed)
                 attempts = 1
                 while pending.size:
                     rows = act[pending]
@@ -1111,25 +1141,15 @@ class BatchTransientSolver:
                     x_acc[pending[~failed]] = x_new[~failed]
                     pending = pending[failed]
                     attempts += 1
-                for lane in halved.tolist():
-                    plan, k0 = lane_plans[lane]
-                    j = k - k0
-                    t_lane = float(t_new[np.flatnonzero(act == lane)[0]])
+                for lane, t_lane in zip(act[halved].tolist(),
+                                        t_new[halved].tolist()):
+                    plan, k0 = grid.plans[lane]
                     pos, countdown = plan.after_step(
-                        t_lane, plan.pos[j], plan.countdown[j])
-                    new = _StepPlan(plan.targets, plan.dt, plan.stop,
-                                    plan.force_be, t_lane, pos, countdown)
-                    new.v = self._sources.values(
-                        np.full(new.n, circ[lane]), new.t[1:]).T
-                    lane_plans[lane] = (new, k + 1)
-                    n_steps[lane] = k + 1 + new.n
-                    if n_steps[lane] + 1 > T.shape[0]:
-                        grow = n_steps[lane] + 1 - T.shape[0]
-                        T = np.concatenate([T, np.repeat(T[-1:], grow, 0)])
-                        H, BE, V = (np.concatenate(
-                            [a, np.zeros((grow,) + a.shape[1:], a.dtype)])
-                            for a in (H, BE, V))
-                    self._put_plan([lane], k + 1, new, T, H, BE, V)
+                        t_lane, plan.pos[k - k0], plan.countdown[k - k0])
+                    grid.put([lane], k + 1, self._with_sources(
+                        circ[lane], _StepPlan(
+                            plan.targets, plan.dt, plan.stop,
+                            plan.force_be, t_lane, pos, countdown)))
                 k_done = 0
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
@@ -1140,26 +1160,13 @@ class BatchTransientSolver:
             states.append(x.copy())
             k += 1
             if k >= k_done:
-                act = act[n_steps[act] > k]
-                k_done = n_steps[act].min() if act.size else 0
+                act = act[grid.n_steps[act] > k]
+                k_done = grid.n_steps[act].min() if act.size else 0
 
         # Finished lanes repeat their stop time.
         return BatchTransientResult([self.circuits[p] for p in circ.tolist()],
-                                    T[:len(states)], np.array(states),
-                                    n_steps, halvings)
-
-    @staticmethod
-    def _put_plan(lanes: list, k0: int, plan: _StepPlan, T, H, BE,
-                  V) -> None:
-        """Write ``plan`` into the run's step arrays of ``lanes`` from
-        step ``k0`` on."""
-        k1 = k0 + plan.n
-        T[k0:k1 + 1, lanes] = plan.t[:, None]
-        T[k1 + 1:, lanes] = plan.t[-1]
-        H[k0:k1, lanes] = plan.h[:, None]
-        H[k1:, lanes] = 0.0
-        BE[k0:k1, lanes] = plan.be[:, None]
-        V[k0:k1, :, lanes] = plan.v[:, :, None]
+                                    grid.t[:len(states)], np.array(states),
+                                    grid.n_steps, halvings)
 
 
 class PssResult:
