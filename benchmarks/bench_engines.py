@@ -2,11 +2,11 @@
 
 Times the transistor-level (``spice``) supply sweep of the Fig. 2 cell
 at ``fidelity="paper"`` — the paper's 0.5–5 V grid, 150 steps/period —
-through scalar ``shooting`` of each point's bench and through the
+through one-point ``shooting`` of each point's bench and through the
 stacked :class:`~repro.circuit.batch_transient.BatchTransientSolver`
 path, verifies the two agree bit for bit, and records the other engines'
 timings on the same workload for the fidelity/speed ladder.  A second
-case times fig4's duty x Rout grid (fast fidelity) as per-point scalar
+case times fig4's duty x Rout grid (fast fidelity) as per-point
 shooting vs one ragged lock-step ``shooting_batch``, again checked bit
 for bit.  Writes ``benchmarks/BENCH_engines.json``.
 
@@ -101,7 +101,7 @@ def bench_spice_sweep(quick: bool = False) -> dict:
            lower_is_better=False, noise=0.6,
            tags=("script", "engines"))
 def bench_fig4_ragged(quick: bool = False) -> dict:
-    """Per-point scalar shooting vs one ragged-timing shooting_batch."""
+    """Per-point shooting vs one ragged-timing shooting_batch."""
     duties = np.linspace(0.1, 0.9, 5)
     steps = 40 if quick else FIG4_FAST_STEPS
     repeats = 1 if quick else REPEATS

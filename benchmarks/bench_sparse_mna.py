@@ -1,13 +1,11 @@
 """Benchmark the sparse/stacked MNA paths added with the solver knob.
 
-Four workloads:
+Three workloads:
 
 * the supply-ramp **waveform family** of ``ext_dynamic_supply`` — one
   lock-step :class:`~repro.circuit.batch_transient.BatchTransientSolver`
-  run vs one scalar ``transient`` per ramp (bit-identical);
-* the full-perceptron **shooting Jacobian** — the 62-transistor Fig. 1
-  netlist's PSS with its seven finite-difference probes stacked into one
-  8-point batch vs the scalar probe loop (bit-identical);
+  run of four lanes vs one one-lane ``transient`` per ramp
+  (bit-identical);
 * the **dense/sparse crossover** — one big RC ladder (past
   ``SPARSE_MIN_SIZE`` unknowns at MNA-typical fill) integrated through
   both linear backends;
@@ -16,7 +14,7 @@ Four workloads:
   :class:`~repro.serve.aio_server.AsyncPerceptronServer` with
   ``engine="spice"``, payload to margins.
 
-All four are registered with :mod:`repro.perf` (``script.sparse.*``,
+All three are registered with :mod:`repro.perf` (``script.sparse.*``,
 report kind) for history tracking via ``repro perf run --bench-dir
 benchmarks``.
 
@@ -32,10 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.circuit import Capacitor, Circuit, Resistor, Vpulse, transient
-from repro.circuit.batch_transient import shooting_jacobian_batched
-from repro.circuit.pss import shooting
 from repro.circuit.sparse import HAS_SCIPY, SPARSE_MIN_SIZE
-from repro.core.full_perceptron import build_full_perceptron_circuit
 from repro.experiments.ext_dynamic_supply import (
     FREQUENCY,
     IC_OUT,
@@ -49,11 +44,6 @@ OUT = Path(__file__).parent / "BENCH_sparse_mna.json"
 
 #: Timing repetitions; the minimum is reported (least-noise estimator).
 REPEATS = 3
-
-#: The seven capacitor-bearing nodes the full-system experiment observes.
-PERCEPTRON_OBSERVE = ["out", "decision", "vref", "XCMP.d2", "XCMP.d1",
-                      "XCMP.tail", "XCMP.outb"]
-
 
 @benchmark("script.sparse.ramp_family",
            title="supply-ramp waveform family: stacked vs per-ramp loop",
@@ -88,42 +78,6 @@ def bench_ramp_family(quick: bool = False) -> dict:
         "per_ramp_loop_seconds": round(t_loop, 4),
         "batched_mna_seconds": round(t_batch, 4),
         "speedup": round(t_loop / t_batch, 2),
-        "results_bit_identical": bool(identical),
-    }
-
-
-@benchmark("script.sparse.jacobian",
-           title="full-perceptron shooting Jacobian: batched FD probes",
-           kind="report", metric="speedup", unit="x",
-           lower_is_better=False, noise=0.6, tags=("script", "sparse"))
-def bench_perceptron_jacobian(quick: bool = False) -> dict:
-    """Full Fig. 1 perceptron PSS: batched FD probes vs the scalar loop."""
-    steps = 30 if quick else 80
-    repeats = 1 if quick else REPEATS
-    duties, weights, theta = (0.5, 0.5, 0.5), (7, 7, 7), 9.0
-    period = 1.0 / FREQUENCY
-
-    def scalar():
-        return shooting(
-            build_full_perceptron_circuit(duties, weights, theta),
-            period, observe=PERCEPTRON_OBSERVE, steps_per_period=steps)
-
-    def batched():
-        return shooting_jacobian_batched(
-            build_full_perceptron_circuit(duties, weights, theta),
-            period, observe=PERCEPTRON_OBSERVE, steps_per_period=steps)
-
-    t_scalar, ref = best_of_with_result(scalar, repeats)
-    t_batch, got = best_of_with_result(batched, repeats)
-    identical = (np.array_equal(ref.waves.X, got.waves.X)
-                 and ref.iterations == got.iterations)
-    return {
-        "workload": "full-perceptron shooting PSS (7 observed nodes)",
-        "steps_per_period": steps,
-        "points_per_iteration": 1 + len(PERCEPTRON_OBSERVE),
-        "scalar_probe_loop_seconds": round(t_scalar, 4),
-        "jacobian_batched_seconds": round(t_batch, 4),
-        "speedup": round(t_scalar / t_batch, 2),
         "results_bit_identical": bool(identical),
     }
 
@@ -217,13 +171,11 @@ def bench_predict_round_trip(quick: bool = False) -> dict:
 def main() -> None:
     payload = {
         "description": "sparse/stacked MNA benchmarks: the supply-ramp "
-                       "waveform family and shooting Jacobian probes as "
-                       "lock-step batched solves, the dense/sparse "
-                       "linear-backend crossover, and the spice-backed "
-                       "/predict margin round-trip",
+                       "waveform family as one lock-step batched solve, "
+                       "the dense/sparse linear-backend crossover, and "
+                       "the spice-backed /predict margin round-trip",
         **host_fields(),
-        "benchmarks": [bench_ramp_family(), bench_perceptron_jacobian(),
-                       bench_sparse_crossover(),
+        "benchmarks": [bench_ramp_family(), bench_sparse_crossover(),
                        bench_predict_round_trip()],
     }
     finish(OUT, payload)

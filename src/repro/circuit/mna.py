@@ -94,15 +94,6 @@ class _MosfetGroup:
         np.add.at(I, self.d[self.d_valid], -ieq[self.d_valid])
         np.add.at(I, self.s[self.s_valid], ieq[self.s_valid])
 
-    def currents(self, x_padded: np.ndarray) -> np.ndarray:
-        """Drain currents for all devices at solution ``x``."""
-        vd = x_padded[self.d_gather]
-        vg = x_padded[self.g_gather]
-        vs = x_padded[self.s_gather]
-        ids, _gm, _gds = ids_full_vec(vd, vg, vs, self.sign, self.beta,
-                                      self.vt, self.lam, self.n_sub)
-        return ids
-
 
 class MnaContext:
     """Reusable solver workspace for one compiled circuit."""
