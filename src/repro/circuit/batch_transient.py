@@ -617,6 +617,7 @@ class _LaneGrid:
     def __init__(self, plans: List[_StepPlan], n_sources: int):
         n_lanes = len(plans)
         n = max(plan.n for plan in plans)
+        self.dt = np.array([plan.dt for plan in plans])
         self.t = np.empty((n + 1, n_lanes))
         self.h = np.zeros((n, n_lanes))
         self.be = np.zeros((n, n_lanes), dtype=bool)
@@ -628,6 +629,16 @@ class _LaneGrid:
             by_plan.setdefault(id(plan), []).append(lane)
         for lanes in by_plan.values():
             self.put(lanes, 0, plans[lanes[0]])
+
+    def kinds(self) -> np.ndarray:
+        """Per step: 0 when every lane takes a nominal trapezoidal step,
+        1 when every lane takes a nominal backward-Euler step, else
+        -1."""
+        nominal = (self.h == self.dt).all(axis=1)
+        n_be = np.count_nonzero(self.be, axis=1)
+        return np.where(nominal & (n_be == 0), 0,
+                        np.where(nominal & (n_be == self.be.shape[1]), 1,
+                                 -1))
 
     def put(self, lanes: List[int], k0: int, plan: _StepPlan) -> None:
         """``lanes`` follow ``plan`` from step ``k0`` on."""
@@ -850,13 +861,17 @@ class BatchTransientSolver:
         return plan
 
     def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
-                    comp: list) -> np.ndarray:
+                    comp: list, kind: int) -> np.ndarray:
         """Static + source + companion matrices for the lanes, ``(B, S, S)``.
 
         Steps at a lane's nominal size reuse the run's precomputed
-        trapezoidal/BE stacks; breakpoint-shortened or halved steps
-        assemble their own.  Callers copy before stamping.
+        trapezoidal/BE stacks (``kind`` 0 or 1 says every lane of a full
+        working set takes one, see :meth:`_LaneGrid.kinds`);
+        breakpoint-shortened or halved steps assemble their own.
+        Callers copy before stamping.
         """
+        if kind >= 0:
+            return self._G_be if kind else self._G_trap
         nominal = dt == self._dt_nominal[lanes]
         # count_nonzero: the cheapest all/any on the small masks here.
         n_be = np.count_nonzero(be)
@@ -895,12 +910,14 @@ class BatchTransientSolver:
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
                       be: np.ndarray, comp: list, src: np.ndarray,
-                      lanes) -> "tuple[np.ndarray, np.ndarray]":
+                      lanes, kind: int = -1
+                      ) -> "tuple[np.ndarray, np.ndarray]":
         """Damped Newton at one step, vectorised over lanes.
 
         ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
         companion values ``comp`` (one ``(K, B)`` array per companion
-        group) and the source values ``src`` ``(Kv, B)`` are per lane.  Updates, clamping and the convergence test
+        group) and the source values ``src`` ``(Kv, B)`` are per lane;
+        ``kind`` is :meth:`_base_stack`'s.  Updates, clamping and the convergence test
         (the ``NEWTON_*`` settings) apply per lane, and a converged lane
         leaves the working set while the rest keep iterating; the
         block-diagonal stack keeps every lane's iterates independent of
@@ -908,7 +925,7 @@ class BatchTransientSolver:
         (non-finite solution or no convergence in ``NEWTON_MAX_ITER``).
         """
         rt = telemetry.active()
-        G_base = self._base_stack(lanes, dt, be, comp)
+        G_base = self._base_stack(lanes, dt, be, comp, kind)
         # (S, B), C-contiguous: the stamps scatter through flat indices.
         I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
                     else self._I_t_static.take(lanes, axis=1))
@@ -1076,14 +1093,16 @@ class BatchTransientSolver:
         for group in reactive:
             group.init_state(xpad, circ)
         self._mosfets.bind(circ)
-        # The run's nominal-step matrices, one per integration method.
-        stacks = []
+        # The run's nominal-step companions and matrices, one per
+        # integration method.
+        nominal_comp, stacks = [], []
         for be in (False, True):
             G = self._G_fixed[circ]
             be_lanes = np.full(n_lanes, be)
-            for group in reactive:
-                group.add_geq_stack(G, group.geq(slice(None), dt, be_lanes),
-                                    slice(None))
+            comp = [group.geq(slice(None), dt, be_lanes) for group in reactive]
+            for group, g in zip(reactive, comp):
+                group.add_geq_stack(G, g, slice(None))
+            nominal_comp.append(comp)
             stacks.append(G)
         self._G_trap, self._G_be = stacks
 
@@ -1094,6 +1113,7 @@ class BatchTransientSolver:
                           for p, t1, h in zip(circ.tolist(), tstop.tolist(),
                                               dt.tolist())],
                          self._sources.rows.size)
+        kinds = grid.kinds().tolist()
         halvings = np.zeros(n_lanes, dtype=int)
         states: List[np.ndarray] = [x.copy()]
 
@@ -1106,15 +1126,18 @@ class BatchTransientSolver:
             # Lanes still stepping; a full working set indexes by slice
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
-            h, be, t_new = grid.h[k][ix], grid.be[k][ix], grid.t[k + 1][ix]
-            comp = [group.geq(ix, h, be) for group in reactive]
+            h, be, t_new = grid.h[k, ix], grid.be[k, ix], grid.t[k + 1, ix]
+            kind = kinds[k] if act.size == n_lanes else -1
+            comp = (nominal_comp[kind] if kind >= 0 else
+                    [group.geq(ix, h, be) for group in reactive])
             x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
-                                               grid.v[k][:, ix], ix)
+                                               grid.v[k][:, ix], ix, kind)
             if np.count_nonzero(failed):
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
                 # leave their plan and get a new one from there.
                 h, be, t_new = h.copy(), be.copy(), t_new.copy()
+                comp = [g.copy() for g in comp]
                 t_act = grid.t[k][ix]
                 halved = pending = np.flatnonzero(failed)
                 attempts = 1
@@ -1150,6 +1173,7 @@ class BatchTransientSolver:
                         circ[lane], _StepPlan(
                             plan.targets, plan.dt, plan.stop,
                             plan.force_be, t_lane, pos, countdown)))
+                kinds = grid.kinds().tolist()
                 k_done = 0
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
