@@ -54,7 +54,7 @@ from .dc import operating_point
 from .elements.base import SOURCE
 from .elements.mosfet import GMIN_DS, Mosfet
 from .elements.passives import Capacitor, Inductor
-from .elements.sources import PwmVoltage, Vdc, VoltageSource, Vpulse
+from .elements.sources import VoltageSource
 from .exceptions import AnalysisError, ConvergenceError
 from .mna import (
     NEWTON_ABSTOL,
@@ -467,78 +467,34 @@ class _BatchMosfets:
 
 
 class _BatchSources:
-    """Per-lane source values for the transposed RHS.
+    """Per-lane source stamps for the transposed RHS.
 
     Every voltage source owns its branch row, so its RHS cell is
-    ``0.0 + value(t)`` (the static RHS is zero there).  :meth:`values`
-    gives those cells for any lanes and times at once: DC rails gather
-    one value per circuit; PWM/pulse drivers evaluate one array
-    expression with the branch order and arithmetic of
-    ``Vpulse.value`` (so values are bit-identical to it); anything else
-    calls each point's ``value(t)``.  Current sources add into node
-    rows, lane by lane, in element order (:meth:`stamp`).
+    ``0.0 + value(t)`` (the static RHS is zero there); :meth:`values`
+    gives those cells for any lanes and times, from each point's own
+    ``value(t)``.  The stepper calls it once per step grid, not per
+    step.  Current sources add into node rows, lane by lane, in element
+    order (:meth:`stamp`).
     """
 
     def __init__(self, sources_by_point: List[List]):
         first = sources_by_point[0]
         self._by_point = sources_by_point
-        const, pulse, self._other, self._isrc = [], [], [], []
-        for k, el in enumerate(first):
-            if not isinstance(el, VoltageSource):
-                self._isrc.append(k)
-            elif type(el) is Vdc:
-                const.append(k)
-            elif type(el) in (Vpulse, PwmVoltage):
-                pulse.append(k)
-            else:
-                self._other.append(k)
-        #: Branch rows of the voltage sources: DC, pulse, then others.
-        self.rows = np.array([first[k]._branch[0]
-                              for k in const + pulse + self._other],
+        self._vsrc = [k for k, el in enumerate(first)
+                      if isinstance(el, VoltageSource)]
+        self._isrc = [k for k, el in enumerate(first)
+                      if not isinstance(el, VoltageSource)]
+        #: Branch rows of the voltage sources, in element order.
+        self.rows = np.array([first[k]._branch[0] for k in self._vsrc],
                              dtype=np.intp)
-        n_points = len(sources_by_point)
-        self._n_const, self._n_pulse = len(const), len(pulse)
-        self._const = np.array([[pt[k].voltage for pt in sources_by_point]
-                                for k in const]).reshape(len(const),
-                                                         n_points)
-        # (9, K, P): v1, v2, delay, rise, width, fall, period, then the
-        # ramp spans v2 - v1 and v1 - v2.
-        pulse_params = np.array([[[getattr(pt[k], f)
-                                   for pt in sources_by_point]
-                                  for k in pulse]
-                                 for f in ("v1", "v2", "delay", "rise",
-                                           "width", "fall", "period")]
-                                ).reshape(7, len(pulse), n_points)
-        v1, v2 = pulse_params[0], pulse_params[1]
-        self._pulse = np.concatenate([pulse_params, [v2 - v1, v1 - v2]])
 
     def values(self, circ: np.ndarray, t: np.ndarray) -> np.ndarray:
         """RHS cells ``(Kv, B)`` of the voltage sources for lanes of
         circuits ``circ`` at times ``t``."""
-        out = np.empty((self.rows.size, circ.size))
-        kc, kp = self._n_const, self._n_const + self._n_pulse
-        out[:kc] = self._const[:, circ]
-        if kp > kc:
-            v1, v2, delay, rise, width, fall, period, up, down = \
-                self._pulse[:, :, circ]
-            # Vpulse.value as masked arrays: its branches from last to
-            # first, each overriding the later ones.  The zero-rise and
-            # zero-fall branches need no mask: tau >= 0 never falls
-            # below a zero rise, and a lane past the flat top has
-            # tau3 >= 0, never below a zero fall (the ramps' 0/0 there
-            # are overridden).
-            tau = (t - delay) % period
-            tau2 = tau - rise
-            tau3 = tau2 - width
-            value = np.where(tau3 < fall, v2 + down * tau3 / fall, v1)
-            value = np.where(tau2 < width, v2, value)
-            value = np.where(tau < rise, v1 + up * tau / rise, value)
-            out[kc:kp] = np.where(t < delay, v1, value)
-        circ_list, t_list = circ.tolist(), t.tolist()
-        for row, k in enumerate(self._other, start=kp):
-            out[row] = [self._by_point[p][k].value(tb)
-                        for p, tb in zip(circ_list, t_list)]
-        return 0.0 + out
+        lanes = list(zip(circ.tolist(), t.tolist()))
+        return 0.0 + np.array([[self._by_point[p][k].value(tb)
+                                for p, tb in lanes] for k in self._vsrc]
+                              ).reshape(len(self._vsrc), len(lanes))
 
     def stamp(self, I_t: np.ndarray, values: np.ndarray, t: np.ndarray,
               circ: np.ndarray) -> None:
@@ -563,8 +519,10 @@ class _StepPlan:
     Steps end on the lane's breakpoints (``targets``, the stop time
     last); the first ``BE_STEPS_AFTER_BREAKPOINT`` steps after each one
     (and after the start) are backward Euler.  Per step: size ``h``,
-    method ``be``, end time ``t[k + 1]``, and the target index and BE
-    countdown it started from (to re-plan a lane after a halved step).
+    method ``be``, end time ``t[k + 1]``, ``kind`` (0 for a nominal
+    trapezoidal step, 1 for a nominal backward-Euler one, else -1), and
+    the target index and BE countdown it started from (to re-plan a lane
+    after a halved step).
     The grid depends only on timing, so a solver plans once per circuit
     and timing, with the voltage-source values ``v`` on the grid.
     """
@@ -574,10 +532,12 @@ class _StepPlan:
         self.targets, self.dt, self.stop = targets, dt, stop
         self.force_be, self.eps = force_be, dt * 1e-9
         times, h, be, self.pos, self.countdown = [t], [], [], [], []
+        self.kind: List[int] = []
         while t < stop:
             step = min(dt, targets[pos] - t)
             h.append(step)
             be.append(force_be or countdown > 0)
+            self.kind.append(int(be[-1]) if step == dt else -1)
             self.pos.append(pos)
             self.countdown.append(countdown)
             t = t + step
@@ -612,12 +572,12 @@ class _LaneGrid:
     with size ``h[k]``, method ``be[k]`` and source values ``v[k]``; a
     lane takes ``n_steps`` steps and then repeats its stop time.
     ``plans[lane]`` is ``(plan, k0)``: the lane follows ``plan`` from
-    step ``k0``."""
+    step ``k0``.  ``kinds[k]`` is the plans' common step kind while
+    every lane runs (see :class:`_StepPlan`), -1 where they differ."""
 
     def __init__(self, plans: List[_StepPlan], n_sources: int):
         n_lanes = len(plans)
         n = max(plan.n for plan in plans)
-        self.dt = np.array([plan.dt for plan in plans])
         self.t = np.empty((n + 1, n_lanes))
         self.h = np.zeros((n, n_lanes))
         self.be = np.zeros((n, n_lanes), dtype=bool)
@@ -627,18 +587,12 @@ class _LaneGrid:
         by_plan: "Dict[int, List[int]]" = {}
         for lane, plan in enumerate(plans):
             by_plan.setdefault(id(plan), []).append(lane)
+        self.kinds: List[int] = plans[0].kind
         for lanes in by_plan.values():
-            self.put(lanes, 0, plans[lanes[0]])
-
-    def kinds(self) -> np.ndarray:
-        """Per step: 0 when every lane takes a nominal trapezoidal step,
-        1 when every lane takes a nominal backward-Euler step, else
-        -1."""
-        nominal = (self.h == self.dt).all(axis=1)
-        n_be = np.count_nonzero(self.be, axis=1)
-        return np.where(nominal & (n_be == 0), 0,
-                        np.where(nominal & (n_be == self.be.shape[1]), 1,
-                                 -1))
+            plan = plans[lanes[0]]
+            self.put(lanes, 0, plan)
+            self.kinds = [a if a == b else -1
+                          for a, b in zip(self.kinds, plan.kind)]
 
     def put(self, lanes: List[int], k0: int, plan: _StepPlan) -> None:
         """``lanes`` follow ``plan`` from step ``k0`` on."""
@@ -659,6 +613,8 @@ class _LaneGrid:
         self.n_steps[lanes] = k1
         for lane in lanes:
             self.plans[lane] = (plan, k0)
+        # A re-planned lane leaves the common grid.
+        self.kinds = self.kinds[:k0] if k0 else self.kinds
 
 
 class TransientResult:
@@ -866,7 +822,7 @@ class BatchTransientSolver:
 
         Steps at a lane's nominal size reuse the run's precomputed
         trapezoidal/BE stacks (``kind`` 0 or 1 says every lane of a full
-        working set takes one, see :meth:`_LaneGrid.kinds`);
+        working set takes one, see :class:`_LaneGrid`);
         breakpoint-shortened or halved steps assemble their own.
         Callers copy before stamping.
         """
@@ -933,7 +889,6 @@ class BatchTransientSolver:
         self._sources.stamp(I_t_base, src, t, self._circ[lanes])
         for group, g in zip(self._reactive, comp):
             group.stamp_rhs(I_t_base, g, be, lanes)
-        lane_ids = self._lane_ids[lanes]
 
         x = x0.copy()                                # (B, S)
         n = self.n_nodes
@@ -953,7 +908,7 @@ class BatchTransientSolver:
             I_t = I_t_base.copy() if full else I_t_base.take(work, axis=1)
             x_work = x if full else x[work]
             if self._nonlinear:
-                rows = lanes if full else lane_ids[work]
+                rows = lanes if full else self._lane_ids[lanes][work]
                 if self._mosfets.m:
                     xpad = self._xpad_cols[:work.size]
                     xpad[:, :-1] = x_work
@@ -1009,7 +964,8 @@ class BatchTransientSolver:
                 work = work[:0]
                 break
             work = work[~conv]
-        failed[work] = True
+        if work.size:
+            failed[work] = True
         if rt is not None:
             if not failed.all():
                 rt.count("repro_mna_newton_solves_total")
@@ -1113,7 +1069,6 @@ class BatchTransientSolver:
                           for p, t1, h in zip(circ.tolist(), tstop.tolist(),
                                               dt.tolist())],
                          self._sources.rows.size)
-        kinds = grid.kinds().tolist()
         halvings = np.zeros(n_lanes, dtype=int)
         states: List[np.ndarray] = [x.copy()]
 
@@ -1127,7 +1082,8 @@ class BatchTransientSolver:
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
             h, be, t_new = grid.h[k, ix], grid.be[k, ix], grid.t[k + 1, ix]
-            kind = kinds[k] if act.size == n_lanes else -1
+            kind = (grid.kinds[k] if act.size == n_lanes
+                    and k < len(grid.kinds) else -1)
             comp = (nominal_comp[kind] if kind >= 0 else
                     [group.geq(ix, h, be) for group in reactive])
             x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
@@ -1173,7 +1129,6 @@ class BatchTransientSolver:
                         circ[lane], _StepPlan(
                             plan.targets, plan.dt, plan.stop,
                             plan.force_be, t_lane, pos, countdown)))
-                kinds = grid.kinds().tolist()
                 k_done = 0
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
