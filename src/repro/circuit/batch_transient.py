@@ -228,40 +228,44 @@ class _BatchCapacitors:
         # Padded-state gathers of both terminals, (2, K, P): ground
         # reads the zero column.
         self._ab = np.where(idx >= 0, idx, size).transpose(2, 1, 0)
-        self.ic = np.array([[np.nan if c.ic is None else c.ic
-                             for c in point_caps]
-                            for point_caps in caps_by_point]).T
+        # Initial-voltage overrides, (K, P), NaN where none is set.
+        self.ic = (np.array([[np.nan if c.ic is None else c.ic
+                              for c in point_caps]
+                             for point_caps in caps_by_point]).T
+                   if any(c.ic is not None for point_caps in caps_by_point
+                          for c in point_caps) else None)
         self._live = self.c > 0.0
         self._dead = not self._live.all()
-        live = np.nonzero(self._live.any(axis=1))[0]
         # G and RHS scatter patterns in element order (a then b rows;
         # for G the add_conductance sequence aa, bb, -ab, -ba), so cells
         # shared by several caps accumulate exactly as
-        # Capacitor.stamp_reactive sums them.
-        ab = idx[:, live]                                # (P, K live, 2)
-        rows, cols = ab[:, :, [0, 1, 0, 1]], ab[:, :, [0, 1, 1, 0]]
+        # Capacitor.stamp_reactive sums them.  A zero capacitor stamps
+        # zeros, which leave every cell's bits unchanged.
+        rows, cols = idx[:, :, [0, 1, 0, 1]], idx[:, :, [0, 1, 1, 0]]
         g_lin = np.where((rows >= 0) & (cols >= 0), rows * size + cols, -1)
         self._scatter = _Scatter(
             g_lin.reshape(len(idx), -1),
-            np.array([1.0, 1.0, -1.0, -1.0] * live.size),
-            ab.reshape(len(idx), -1),
-            np.array([-1.0, 1.0] * live.size), size)
-        self._g_cap = live[self._scatter.g_kept // 4]
-        self._i_cap = live[self._scatter.i_kept // 2]
+            np.array([1.0, 1.0, -1.0, -1.0] * self.n),
+            idx.reshape(len(idx), -1),
+            np.array([-1.0, 1.0] * self.n), size)
+        self._g_cap = self._scatter.g_kept // 4
+        self._i_cap = self._scatter.i_kept // 2
 
     def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
         """Bind the run's lanes (``circ`` names each lane's circuit) and
         their start states, padded ``(L, S+1)``."""
         self._c_lanes = self.c[:, circ]
-        self._live_lanes = self._live[:, circ]
+        if self._dead:
+            self._live_lanes = self._live[:, circ]
         self._scatter.bind(circ)
         self._pad_off = np.arange(circ.size)[None, :] * (self.size + 1)
         self._lane_ab = self._ab[:, :, circ]
         self._full_ab = self._lane_ab + self._pad_off
         self.v_prev = self._voltages(x_pad_cols, slice(None))
-        ic = self.ic[:, circ]
-        has_ic = np.isfinite(ic)
-        self.v_prev[has_ic] = ic[has_ic]
+        if self.ic is not None:
+            ic = self.ic[:, circ]
+            has_ic = np.isfinite(ic)
+            self.v_prev[has_ic] = ic[has_ic]
         self.i_prev = np.zeros_like(self.v_prev)
 
     def _voltages(self, x_pad_cols: np.ndarray, lanes) -> np.ndarray:
@@ -878,7 +882,8 @@ class BatchTransientSolver:
         leaves the working set while the rest keep iterating; the
         block-diagonal stack keeps every lane's iterates independent of
         the others.  Returns the states and a mask of lanes that failed
-        (non-finite solution or no convergence in ``NEWTON_MAX_ITER``).
+        (non-finite solution or no convergence in ``NEWTON_MAX_ITER``),
+        ``None`` when none did.
         """
         rt = telemetry.active()
         G_base = self._base_stack(lanes, dt, be, comp, kind)
@@ -894,7 +899,7 @@ class BatchTransientSolver:
         n = self.n_nodes
         tol = self._tol
         n_lanes = x.shape[0]
-        failed = np.zeros(n_lanes, dtype=bool)
+        failed = None                # mask of failed lanes, once any fail
         # Positions of lanes still iterating.  The stacked system is
         # block-diagonal, so dropping a converged lane's rows neither
         # changes the others' iterates nor its own frozen solution.
@@ -931,6 +936,8 @@ class BatchTransientSolver:
                 # Diverged or singular (the gufunc signals singular
                 # matrices with NaNs): those lanes fail this attempt.
                 finite = finite.all(axis=1)
+                if failed is None:
+                    failed = np.zeros(n_lanes, dtype=bool)
                 failed[work[~finite]] = True
                 work, x_new = work[finite], x_new[finite]
                 x_work = x_work[finite]
@@ -965,13 +972,15 @@ class BatchTransientSolver:
                 break
             work = work[~conv]
         if work.size:
+            if failed is None:
+                failed = np.zeros(n_lanes, dtype=bool)
             failed[work] = True
         if rt is not None:
-            if not failed.all():
+            if failed is None or not failed.all():
                 rt.count("repro_mna_newton_solves_total")
                 rt.count("repro_mna_newton_iterations_total", iteration,
                          backend=self._backend or "dense")
-            if failed.any():
+            if failed is not None:
                 rt.count("repro_mna_convergence_failures_total",
                          int(failed.sum()), analysis="batch-transient")
         return x, failed
@@ -1088,7 +1097,7 @@ class BatchTransientSolver:
                     [group.geq(ix, h, be) for group in reactive])
             x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
                                                grid.v[k][:, ix], ix, kind)
-            if np.count_nonzero(failed):
+            if failed is not None:
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
                 # leave their plan and get a new one from there.
@@ -1117,6 +1126,8 @@ class BatchTransientSolver:
                         [g[:, pending] for g in comp],
                         self._sources.values(circ[rows], t_new[pending]),
                         rows)
+                    if failed is None:
+                        failed = np.zeros(pending.size, dtype=bool)
                     x_acc[pending[~failed]] = x_new[~failed]
                     pending = pending[failed]
                     attempts += 1
