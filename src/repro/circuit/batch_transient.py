@@ -877,13 +877,13 @@ class BatchTransientSolver:
         ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
         companion values ``comp`` (one ``(K, B)`` array per companion
         group) and the source values ``src`` ``(Kv, B)`` are per lane;
-        ``kind`` is :meth:`_base_stack`'s.  Updates, clamping and the convergence test
-        (the ``NEWTON_*`` settings) apply per lane, and a converged lane
-        leaves the working set while the rest keep iterating; the
-        block-diagonal stack keeps every lane's iterates independent of
-        the others.  Returns the states and a mask of lanes that failed
-        (non-finite solution or no convergence in ``NEWTON_MAX_ITER``),
-        ``None`` when none did.
+        ``kind`` is :meth:`_base_stack`'s.  Updates, clamping and the
+        convergence test (the ``NEWTON_*`` settings) apply per lane, and
+        a converged lane leaves the working set while the rest keep
+        iterating; the block-diagonal stack keeps every lane's iterates
+        independent of the others.  Returns the states and a mask of
+        lanes that failed (non-finite solution or no convergence in
+        ``NEWTON_MAX_ITER``), ``None`` when none did.
         """
         rt = telemetry.active()
         G_base = self._base_stack(lanes, dt, be, comp, kind)
