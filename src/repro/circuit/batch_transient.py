@@ -945,7 +945,10 @@ class BatchTransientSolver:
                     break
                 full = False
             if not self._nonlinear:
-                x[work] = x_new
+                if full:
+                    x = x_new
+                else:
+                    x[work] = x_new
                 work = work[:0]
                 break
             dx = x_new - x_work
@@ -964,7 +967,7 @@ class BatchTransientSolver:
                 x[work[stepped]] = x_new[stepped]
                 conv &= stepped
             elif full:
-                x[...] = x_new
+                x = x_new
             else:
                 x[work] = x_new
             if conv.all():
@@ -1146,8 +1149,15 @@ class BatchTransientSolver:
             xpad[:, :-1] = x_acc
             for group, g in zip(reactive, comp):
                 group.accept_step(xpad, g, be, ix)
-            x[ix] = x_acc
-            states.append(x.copy())
+            # Every stored state is a fresh array that nothing writes
+            # later: a full working set's Newton result as it is, else a
+            # copy of the last state with the stepping lanes updated.
+            if act.size == n_lanes:
+                x = x_acc
+            else:
+                x = x.copy()
+                x[ix] = x_acc
+            states.append(x)
             k += 1
             if k >= k_done:
                 act = act[grid.n_steps[act] > k]
