@@ -870,8 +870,7 @@ class BatchTransientSolver:
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
                       be: np.ndarray, comp: list, src: np.ndarray,
-                      lanes, kind: int = -1
-                      ) -> "tuple[np.ndarray, np.ndarray]":
+                      lanes, kind: int) -> "tuple[np.ndarray, np.ndarray]":
         """Damped Newton at one step, vectorised over lanes.
 
         ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
@@ -1128,7 +1127,7 @@ class BatchTransientSolver:
                         x[rows], t_new[pending], h[pending], be[pending],
                         [g[:, pending] for g in comp],
                         self._sources.values(circ[rows], t_new[pending]),
-                        rows)
+                        rows, -1)
                     if failed is None:
                         failed = np.zeros(pending.size, dtype=bool)
                     x_acc[pending[~failed]] = x_new[~failed]
