@@ -27,10 +27,6 @@ class ElasticityReport:
     tolerance: float
 
     @property
-    def usable_range(self) -> "tuple[float, float]":
-        return (self.usable_from, self.vdd[-1])
-
-    @property
     def is_elastic(self) -> bool:
         return np.isfinite(self.usable_from)
 

@@ -25,11 +25,6 @@ class Sensitivity:
     nominal_output: float
     sensitivity: float
 
-    @property
-    def percent_per_percent(self) -> float:
-        """Output change (%) per 1 % parameter change."""
-        return self.sensitivity
-
 
 def _perturbed_cell(cell: CellDesign, parameter: str,
                     rel_step: float) -> CellDesign:

@@ -38,11 +38,6 @@ class AcPoint:
         return float(abs(self.value))
 
     @property
-    def magnitude_db(self) -> float:
-        mag = abs(self.value)
-        return float(20.0 * np.log10(mag)) if mag > 0 else float("-inf")
-
-    @property
     def phase_deg(self) -> float:
         return float(np.degrees(np.angle(self.value)))
 

@@ -35,11 +35,16 @@ recorded output of the former scalar step loop by
 ``tests/fixtures/scalar_mna_reference.json``).
 
 :func:`shooting_batch` lifts the same trick to periodic steady state:
-each iteration stacks every open point's base period run and its
-finite-difference probes (one ``fd_delta`` probe per observed node)
-into one lock-step run, and a point's PSS is captured at the iteration
-where *it* converges.  Points group by the structure above, so a
-weight-pattern sweep of the adder or the perceptron is one group.
+each iteration integrates one period per open point as one lock-step
+run, one lane per point.  The run carries the sensitivity columns
+``phi = dx(t)/dx(0)[:, observed]`` alongside the state: every Newton
+pass solves them as extra right-hand-side columns of the same stacked
+system, with the companion histories' sensitivities as their
+right-hand side, and ``phi(T)`` is the period map's exact Jacobian on
+the observed nodes (Aprille & Trick 1972; Kundert et al. 1990).  Plain
+transients carry no such columns.  A point's PSS is captured at the
+iteration where *it* converges.  Points group by the structure above,
+so a weight-pattern sweep of the adder or the perceptron is one group.
 """
 
 from __future__ import annotations
@@ -93,14 +98,16 @@ except ImportError:  # pragma: no cover - older/newer numpy layouts
 
 
 def _batched_solve(G: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """Stacked ``(P, S, S) @ x = (P, S)`` solve, minimal overhead.
+    """Stacked ``(P, S, S) @ x = (P, S)`` solve, minimal overhead; a
+    ``(P, S, k)`` right-hand side solves ``k`` columns at once.
 
     Callers run under a suppressing ``np.errstate`` (singular systems
     surface as NaNs and are handled by the finite-ness check).
     """
-    if _gufunc_solve is not None:
-        return _gufunc_solve(G, I[:, :, None])[:, :, 0]
-    return np.linalg.solve(G, I[:, :, None])[:, :, 0]
+    solve = np.linalg.solve if _gufunc_solve is None else _gufunc_solve
+    if I.ndim == 3:
+        return solve(G, I)
+    return solve(G, I[:, :, None])[:, :, 0]
 
 
 def _sparse_rows(G: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -251,9 +258,11 @@ class _BatchCapacitors:
         self._g_cap = self._scatter.g_kept // 4
         self._i_cap = self._scatter.i_kept // 2
 
-    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
+    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray,
+                   phi_pad: Optional[np.ndarray] = None) -> None:
         """Bind the run's lanes (``circ`` names each lane's circuit) and
-        their start states, padded ``(L, S+1)``."""
+        their start states, padded ``(L, S+1)``; ``phi_pad`` (padded
+        ``(L, S+1, n)``) starts the sensitivity columns, if carried."""
         self._c_lanes = self.c[:, circ]
         if self._dead:
             self._live_lanes = self._live[:, circ]
@@ -262,17 +271,28 @@ class _BatchCapacitors:
         self._lane_ab = self._ab[:, :, circ]
         self._full_ab = self._lane_ab + self._pad_off
         self.v_prev = self._voltages(x_pad_cols, slice(None))
+        self.dv_prev = (None if phi_pad is None else
+                        self._voltages(phi_pad, slice(None)))
         if self.ic is not None:
             ic = self.ic[:, circ]
             has_ic = np.isfinite(ic)
             self.v_prev[has_ic] = ic[has_ic]
+            if phi_pad is not None:
+                self.dv_prev[has_ic] = 0.0
         self.i_prev = np.zeros_like(self.v_prev)
+        self.di_prev = (None if phi_pad is None else
+                        np.zeros_like(self.dv_prev))
 
-    def _voltages(self, x_pad_cols: np.ndarray, lanes) -> np.ndarray:
-        """Element voltages ``(K, B)`` from padded ``(B, S+1)`` states."""
+    def _voltages(self, x_pad: np.ndarray, lanes) -> np.ndarray:
+        """Element voltages ``(K, B)`` from padded ``(B, S+1)`` states,
+        or their sensitivities ``(K, B, n)`` from padded ``(B, S+1, n)``
+        columns."""
         ab = (self._full_ab if isinstance(lanes, slice) else
               self._lane_ab[:, :, lanes] + self._pad_off[:, :lanes.size])
-        va, vb = x_pad_cols.take(ab)
+        if x_pad.ndim == 3:
+            va, vb = x_pad.reshape(-1, x_pad.shape[2]).take(ab, axis=0)
+        else:
+            va, vb = x_pad.take(ab)
         return va - vb
 
     def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
@@ -288,37 +308,60 @@ class _BatchCapacitors:
         np.add.at(G_stack.reshape(-1), lin,
                   (geq.T.take(self._g_cap, axis=1) * sign).ravel())
 
-    def _history(self, be: np.ndarray,
+    @staticmethod
+    def _history(v_prev: np.ndarray, i_prev: np.ndarray, be: np.ndarray,
                  lanes) -> "tuple[np.ndarray, np.ndarray]":
         """``v_prev`` and the trapezoidal ``i_prev`` term (0 under BE;
         ``x - 0.0`` is exactly ``x``, so BE lanes match the term-free
-        backward-Euler update)."""
-        i_prev = self.i_prev[:, lanes]
+        backward-Euler update) of the lanes, for the state ``(K, L)`` or
+        its sensitivities ``(K, L, n)``."""
+        i_prev = i_prev[:, lanes]
         if np.count_nonzero(be):
-            i_prev = np.where(be, 0.0, i_prev)
-        return self.v_prev[:, lanes], i_prev
+            mask = be if i_prev.ndim == 2 else be[:, None]
+            i_prev = np.where(mask, 0.0, i_prev)
+        return v_prev[:, lanes], i_prev
 
     def stamp_rhs(self, I_t: np.ndarray, geq: np.ndarray, be: np.ndarray,
-                  lanes) -> None:
-        """Equivalent currents into the transposed RHS ``(S, B)``."""
-        v_prev, i_term = self._history(be, lanes)
+                  lanes, R: Optional[np.ndarray] = None) -> None:
+        """Equivalent currents into the transposed RHS ``(S, B)``, and
+        their sensitivities (``-geq dv_prev - di_term``) into the
+        sensitivity RHS ``R`` ``(S, B, n)`` if given."""
+        v_prev, i_term = self._history(self.v_prev, self.i_prev, be, lanes)
         ieq = -geq * v_prev - i_term
         lin, sign = self._scatter.i(lanes)
         # add_current(a, b, ieq): I[a] -= ieq, I[b] += ieq.
         np.add.at(I_t.reshape(-1), lin,
                   (sign * ieq.take(self._i_cap, axis=0)).ravel())
+        if R is not None:
+            dv_prev, di_term = self._history(self.dv_prev, self.di_prev, be,
+                                             lanes)
+            dieq = -geq[:, :, None] * dv_prev - di_term
+            n = R.shape[2]
+            np.add.at(R.reshape(-1), (lin[:, None] * n + np.arange(n)).ravel(),
+                      (sign[:, :, None]
+                       * dieq.take(self._i_cap, axis=0)).ravel())
 
     def accept_step(self, x_pad_cols: np.ndarray, geq: np.ndarray,
-                    be: np.ndarray, lanes) -> None:
-        v_new = self._voltages(x_pad_cols, lanes)
-        v_prev, i_term = self._history(be, lanes)
-        i_new = geq * (v_new - v_prev) - i_term
-        if self._dead:
-            # A zero capacitor carries no current (+0.0, as its own
-            # accept_step sets it).
-            i_new = np.where(self._live_lanes[:, lanes], i_new, 0.0)
-        self.i_prev[:, lanes] = i_new
-        self.v_prev[:, lanes] = v_new
+                    be: np.ndarray, lanes,
+                    phi_pad: Optional[np.ndarray] = None) -> None:
+        """Advance the companion state to the accepted step's solution,
+        and its sensitivities to ``phi_pad`` if carried."""
+        for v_prev, i_prev, x_pad in ((self.v_prev, self.i_prev, x_pad_cols),
+                                      (self.dv_prev, self.di_prev, phi_pad)):
+            if x_pad is None:
+                break
+            v_new = self._voltages(x_pad, lanes)
+            v_old, i_term = self._history(v_prev, i_prev, be, lanes)
+            g = geq if x_pad.ndim == 2 else geq[:, :, None]
+            i_new = g * (v_new - v_old) - i_term
+            if self._dead:
+                # A zero capacitor carries no current (+0.0, as its own
+                # accept_step sets it).
+                live = self._live_lanes[:, lanes]
+                i_new = np.where(live if x_pad.ndim == 2
+                                 else live[:, :, None], i_new, 0.0)
+            i_prev[:, lanes] = i_new
+            v_prev[:, lanes] = v_new
 
 
 class _BatchInductors:
@@ -349,13 +392,18 @@ class _BatchInductors:
                              for el in point]
                             for point in inductors_by_point]).T
 
-    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray) -> None:
+    def init_state(self, x_pad_cols: np.ndarray, circ: np.ndarray,
+                   phi_pad: Optional[np.ndarray] = None) -> None:
         self._l_lanes = self.l[:, circ]
         self.i_prev = x_pad_cols.T[self._br]
         ic = self.ic[:, circ]
         has_ic = np.isfinite(ic)
         self.i_prev[has_ic] = ic[has_ic]
         self.v_prev = np.zeros_like(self.i_prev)
+        if phi_pad is not None:
+            self.di_prev = phi_pad.transpose(1, 0, 2)[self._br]
+            self.di_prev[has_ic] = 0.0
+            self.dv_prev = np.zeros_like(self.di_prev)
 
     def geq(self, lanes, dt: np.ndarray, be: np.ndarray) -> np.ndarray:
         """Companion resistances ``req`` ``(K, B)``."""
@@ -367,15 +415,24 @@ class _BatchInductors:
         G_stack[:, self._br, self._br] -= req.T
 
     def stamp_rhs(self, I_t: np.ndarray, req: np.ndarray, be: np.ndarray,
-                  lanes) -> None:
+                  lanes, R: Optional[np.ndarray] = None) -> None:
         I_t[self._br] += -req * self.i_prev[:, lanes] - np.where(
             be, 0.0, self.v_prev[:, lanes])
+        if R is not None:
+            R[self._br] += (-req[:, :, None] * self.di_prev[:, lanes]
+                            - np.where(be[:, None], 0.0,
+                                       self.dv_prev[:, lanes]))
 
     def accept_step(self, x_pad_cols: np.ndarray, req: np.ndarray,
-                    be: np.ndarray, lanes) -> None:
+                    be: np.ndarray, lanes,
+                    phi_pad: Optional[np.ndarray] = None) -> None:
         x_t = x_pad_cols.T
         self.i_prev[:, lanes] = x_t[self._br]
         self.v_prev[:, lanes] = x_t[self._a] - x_t[self._b]
+        if phi_pad is not None:
+            phi_t = phi_pad.transpose(1, 0, 2)
+            self.di_prev[:, lanes] = phi_t[self._br]
+            self.dv_prev[:, lanes] = phi_t[self._a] - phi_t[self._b]
 
 
 class _BatchMosfets:
@@ -677,15 +734,19 @@ class BatchTransientResult:
     ``times`` is ``(N+1, L)`` and ``X`` is ``(N+1, L, S)``; lane ``l``
     took ``steps[l]`` steps, and its rows past that repeat its final
     state.  ``halvings[l]`` counts the lane's step-size halvings.
+    ``phi`` ``(L, S, n)`` holds each lane's final sensitivity columns
+    on a run that carries them (``None`` otherwise).
     """
 
     def __init__(self, circuits: List[Circuit], times: np.ndarray,
-                 X: np.ndarray, steps: np.ndarray, halvings: np.ndarray):
+                 X: np.ndarray, steps: np.ndarray, halvings: np.ndarray,
+                 phi: Optional[np.ndarray] = None):
         self.circuits = circuits
         self.times = times
         self.X = X
         self.steps = steps
         self.halvings = halvings
+        self.phi = phi
 
     @property
     def n_points(self) -> int:
@@ -870,7 +931,7 @@ class BatchTransientSolver:
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
                       be: np.ndarray, comp: list, src: np.ndarray,
-                      lanes, kind: int) -> "tuple[np.ndarray, np.ndarray]":
+                      lanes, kind: int) -> "tuple":
         """Damped Newton at one step, vectorised over lanes.
 
         ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
@@ -880,7 +941,11 @@ class BatchTransientSolver:
         convergence test (the ``NEWTON_*`` settings) apply per lane, and
         a converged lane leaves the working set while the rest keep
         iterating; the block-diagonal stack keeps every lane's iterates
-        independent of the others.  Returns the states and a mask of
+        independent of the others.  On a run that carries sensitivities,
+        every pass also solves their columns (right-hand side: the
+        companion histories' sensitivities) with the same matrices, and
+        a lane keeps the columns of its last pass.  Returns the states,
+        the sensitivities (``None`` when not carried) and a mask of
         lanes that failed (non-finite solution or no convergence in
         ``NEWTON_MAX_ITER``), ``None`` when none did.
         """
@@ -889,23 +954,32 @@ class BatchTransientSolver:
         # (S, B), C-contiguous: the stamps scatter through flat indices.
         I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
                     else self._I_t_static.take(lanes, axis=1))
+        n_lanes = x0.shape[0]
+        sens = self._n_sens
+        # The sensitivity columns' right-hand side, (S, B, n) like I_t.
+        R = np.zeros((self.size, n_lanes, sens)) if sens else None
         # Assembly order: sources, then reactive companions.
         self._sources.stamp(I_t_base, src, t, self._circ[lanes])
         for group, g in zip(self._reactive, comp):
-            group.stamp_rhs(I_t_base, g, be, lanes)
+            group.stamp_rhs(I_t_base, g, be, lanes, R)
+        if sens:
+            # (B, S, n): the columns after the state's in each solve.
+            R_base = R.transpose(1, 0, 2)
+        phi = np.empty_like(R_base) if sens else None
 
         x = x0.copy()                                # (B, S)
         n = self.n_nodes
         tol = self._tol
-        n_lanes = x.shape[0]
         failed = None                # mask of failed lanes, once any fail
         # Positions of lanes still iterating.  The stacked system is
         # block-diagonal, so dropping a converged lane's rows neither
         # changes the others' iterates nor its own frozen solution.
         work = np.arange(n_lanes)
+        lane_iterations = 0
 
         for iteration in range(1, NEWTON_MAX_ITER + 1):
             full = work.size == n_lanes
+            lane_iterations += work.size
             # Fancy indexing already copies, so subsets skip the
             # explicit copy (and a full slice-selected base is a view).
             G = G_base.copy() if full else G_base[work]
@@ -926,10 +1000,17 @@ class BatchTransientSolver:
                 if rt is not None:
                     rt.count("repro_mna_backend_decisions_total",
                              solver=self.solver, backend=self._backend)
+            rhs = I_t.T
+            if sens:
+                rhs = np.concatenate(
+                    (rhs[:, :, None], R_base if full else R_base[work]),
+                    axis=2)
             if self._backend == "sparse":
-                x_new = _sparse_rows(G, I_t.T)
+                x_new = _sparse_rows(G, rhs)
             else:
-                x_new = _batched_solve(G, I_t.T)
+                x_new = _batched_solve(G, rhs)
+            if sens:
+                x_new, phi_new = x_new[:, :, 0].copy(), x_new[:, :, 1:]
             finite = np.isfinite(x_new)
             if np.count_nonzero(finite) != finite.size:
                 # Diverged or singular (the gufunc signals singular
@@ -940,9 +1021,13 @@ class BatchTransientSolver:
                 failed[work[~finite]] = True
                 work, x_new = work[finite], x_new[finite]
                 x_work = x_work[finite]
+                if sens:
+                    phi_new = phi_new[finite]
                 if work.size == 0:
                     break
                 full = False
+            if sens:
+                phi[work] = phi_new
             if not self._nonlinear:
                 if full:
                     x = x_new
@@ -978,6 +1063,7 @@ class BatchTransientSolver:
                 failed = np.zeros(n_lanes, dtype=bool)
             failed[work] = True
         if rt is not None:
+            rt.count("repro_mna_lane_iterations_total", lane_iterations)
             if failed is None or not failed.all():
                 rt.count("repro_mna_newton_solves_total")
                 rt.count("repro_mna_newton_iterations_total", iteration,
@@ -985,14 +1071,16 @@ class BatchTransientSolver:
             if failed is not None:
                 rt.count("repro_mna_convergence_failures_total",
                          int(failed.sum()), analysis="batch-transient")
-        return x, failed
+        return x, phi, failed
 
     # -- integration -------------------------------------------------------
 
     def run(self, tstop, dt, *, tstart: float = 0.0,
             method: str = "trap", x0: Optional[np.ndarray] = None,
             max_retries: int = 10,
-            points: Optional[Sequence[int]] = None) -> BatchTransientResult:
+            points: Optional[Sequence[int]] = None,
+            sensitivity: Optional[np.ndarray] = None
+            ) -> BatchTransientResult:
         """Integrate every lane from ``tstart`` to its ``tstop``.
 
         ``tstop`` and ``dt`` take one value or one per lane.  ``points``
@@ -1004,6 +1092,12 @@ class BatchTransientSolver:
         source breakpoint, are backward Euler (``method="be"``: all of
         them); a lane whose Newton solve fails halves its step and
         retries, up to ``max_retries`` times per step.
+
+        ``sensitivity`` (unknown indices) makes the run carry the
+        columns ``phi = dx(t)/dx(tstart)[:, sensitivity]`` from unit
+        columns, through every step and halved retry;
+        ``result.phi`` holds each lane's final ``(S, n)`` columns.
+        Without it nothing extra is solved.
         """
         circ = (np.arange(self.n_points) if points is None
                 else np.asarray(points, dtype=np.intp))
@@ -1037,7 +1131,7 @@ class BatchTransientSolver:
         with errstate, telemetry.span("mna.transient.batch",
                                       points=n_lanes, size=self.size):
             result = self._integrate(circ, tstart, tstop, dt, method, x,
-                                     max_retries)
+                                     max_retries, sensitivity)
         rt = telemetry.active()
         if rt is not None:
             rt.count("repro_mna_steps_total", int(result.steps.sum()))
@@ -1046,7 +1140,7 @@ class BatchTransientSolver:
         return result
 
     def _integrate(self, circ, tstart, tstop, dt, method, x,
-                   max_retries) -> BatchTransientResult:
+                   max_retries, sensitivity) -> BatchTransientResult:
         n_lanes = circ.size
         self._circ = circ
         self._lane_ids = lane_ids = np.arange(n_lanes)
@@ -1056,9 +1150,17 @@ class BatchTransientSolver:
         # the MOSFET stamps and the companion updates.
         xpad = self._xpad_cols = np.zeros((n_lanes, self.size + 1))
         xpad[:, :-1] = x
+        phi = phipad = None
+        self._n_sens = 0 if sensitivity is None else len(sensitivity)
+        if self._n_sens:
+            # Unit columns at the sensitivity unknowns, padded like xpad.
+            phipad = self._phipad = np.zeros((n_lanes, self.size + 1,
+                                              self._n_sens))
+            phipad[:, sensitivity, np.arange(self._n_sens)] = 1.0
+            phi = phipad[:, :-1].copy()
         reactive = self._reactive
         for group in reactive:
-            group.init_state(xpad, circ)
+            group.init_state(xpad, circ, phipad)
         self._mosfets.bind(circ)
         # The run's nominal-step companions and matrices, one per
         # integration method.
@@ -1097,8 +1199,8 @@ class BatchTransientSolver:
                     and k < len(grid.kinds) else -1)
             comp = (nominal_comp[kind] if kind >= 0 else
                     [group.geq(ix, h, be) for group in reactive])
-            x_acc, failed = self._solve_newton(x[ix], t_new, h, be, comp,
-                                               grid.v[k][:, ix], ix, kind)
+            x_acc, phi_acc, failed = self._solve_newton(
+                x[ix], t_new, h, be, comp, grid.v[k][:, ix], ix, kind)
             if failed is not None:
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
@@ -1123,7 +1225,7 @@ class BatchTransientSolver:
                     for group, g in zip(reactive, comp):
                         g[:, pending] = group.geq(rows, h[pending],
                                                   be[pending])
-                    x_new, failed = self._solve_newton(
+                    x_new, phi_new, failed = self._solve_newton(
                         x[rows], t_new[pending], h[pending], be[pending],
                         [g[:, pending] for g in comp],
                         self._sources.values(circ[rows], t_new[pending]),
@@ -1131,6 +1233,8 @@ class BatchTransientSolver:
                     if failed is None:
                         failed = np.zeros(pending.size, dtype=bool)
                     x_acc[pending[~failed]] = x_new[~failed]
+                    if phi_new is not None:
+                        phi_acc[pending[~failed]] = phi_new[~failed]
                     pending = pending[failed]
                     attempts += 1
                 for lane, t_lane in zip(act[halved].tolist(),
@@ -1146,8 +1250,12 @@ class BatchTransientSolver:
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
             xpad[:, :-1] = x_acc
+            if phi is not None:
+                phipad = self._phipad[:x_acc.shape[0]]
+                phipad[:, :-1] = phi_acc
+                phi[ix] = phi_acc
             for group, g in zip(reactive, comp):
-                group.accept_step(xpad, g, be, ix)
+                group.accept_step(xpad, g, be, ix, phipad)
             # Every stored state is a fresh array that nothing writes
             # later: a full working set's Newton result as it is, else a
             # copy of the last state with the stepping lanes updated.
@@ -1165,7 +1273,7 @@ class BatchTransientSolver:
         # Finished lanes repeat their stop time.
         return BatchTransientResult([self.circuits[p] for p in circ.tolist()],
                                     grid.t[:len(states)], np.array(states),
-                                    grid.n_steps, halvings)
+                                    grid.n_steps, halvings, phi)
 
 
 class PssResult:
@@ -1283,9 +1391,6 @@ class BatchPssResult:
         """Period-average node voltage per point, shape ``(P,)``."""
         return self._reduce(node, "average")
 
-    def ripples(self, node: str) -> np.ndarray:
-        return self._reduce(node, "peak_to_peak")
-
     def point(self, p: int) -> PssResult:
         t, X, halvings = self._waves[p]
         waves = TransientResult(self.circuits[p], t, X, halvings)
@@ -1308,8 +1413,7 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
                    steps_per_period=200,
                    observe: Optional[Sequence[str]] = None,
                    x0: Optional[Sequence[np.ndarray]] = None,
-                   warmup_periods: int = 2, max_iterations: int = 15,
-                   tol: float = 1e-4, fd_delta: float = 5e-3,
+                   max_iterations: int = 15, tol: float = 1e-4,
                    method: str = "trap",
                    update_limit: float = 2.0,
                    solver: str = "auto") -> BatchPssResult:
@@ -1322,13 +1426,14 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
     terminals of every element other than MOSFETs and capacitors.  Those
     two may be wired differently per point, so the weight patterns of
     one adder or perceptron sweep share a group.  Each group's shooting
-    iterations run its open points' base period runs and
-    finite-difference probes (one ``fd_delta`` probe per observed node)
-    as one speculative lock-step run.  The stack is block-diagonal, so
-    each point's iterates equal its one-point :func:`shooting` run; its
-    waves are captured at the iteration where *its* residual first drops
-    under ``tol``, and it then leaves the working set.  ``x0`` gives one
-    start state per point; the other arguments are :func:`shooting`'s.
+    iteration integrates one period per open point as one lock-step
+    run, one lane each, carrying the period map's Jacobian columns on
+    the observed nodes (``BatchTransientSolver.run``'s
+    ``sensitivity``).  The stack is block-diagonal, so each point's
+    iterates equal its one-point :func:`shooting` run; its waves are
+    captured at the iteration where *it* passes the stop test, and it
+    then leaves the working set.  ``x0`` gives one start state per
+    point; the other arguments are :func:`shooting`'s.
     """
     circuits = list(circuits)
     if not circuits:
@@ -1357,42 +1462,38 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
                           for c, ctx in zip(bts.circuits, bts.contexts)])
         else:
             x = np.stack([np.asarray(x0[i], dtype=float) for i in members])
-        for _ in range(max(warmup_periods, 0)):
-            x = bts.run(periods[idx], dt[idx], x0=x, method=method).final_x
 
-        # Lanes per open point: its base run, then one probe per
-        # observed node.  ``open_`` indexes the group's points.
-        n_obs = len(obs_idx)
-        width = 1 + n_obs
+        # ``open_`` indexes the group's points still iterating.
         open_ = np.arange(len(members))
         for iteration in range(1, max_iterations + 1):
-            lanes = np.repeat(open_, width)
-            starts = np.repeat(x, width, axis=0)
-            for j in range(n_obs):
-                starts[1 + j::width, obs_idx[j]] += fd_delta
-            run = bts.run(periods[idx][lanes], dt[idx][lanes], x0=starts,
-                          method=method, points=lanes)
-            fx_all = run.final_x.reshape(open_.size, width, -1)
-            fx = fx_all[:, 0]
+            run = bts.run(periods[idx][open_], dt[idx][open_], x0=x,
+                          method=method, points=open_,
+                          sensitivity=obs_idx)
+            fx = run.final_x
             r = fx[:, obs_idx] - x[:, obs_idx]       # (B, n_obs)
+            # Newton on F(x) - x over the observed nodes, with the
+            # period map's Jacobian A[i, j] = dF_i/dx_j from the run.
+            A = run.phi[:, obs_idx, :]
+            dx = np.array([_newton_update(A[k], r[k], update_limit)
+                           for k in range(open_.size)])
             res = np.max(np.abs(r), axis=1)
             residuals[idx[open_]] = res
-            done = res < tol
+            done = (res < tol) & (np.max(np.abs(dx), axis=1) < tol)
             for i in np.nonzero(done)[0]:
-                lane = run.point(i * width)
+                lane = run.point(i)
                 waves[idx[open_[i]]] = (lane.t, lane.X, lane.halvings)
             iterations[idx[open_[done]]] = iteration
             keep = np.nonzero(~done)[0]
             if keep.size == 0:
                 break
-            # Finite-difference Jacobian of the period map per point,
-            # then a Newton update of the observed nodes.
-            A = ((fx_all[keep][:, 1:, obs_idx] - fx[keep][:, None, obs_idx])
-                 / fd_delta).transpose(0, 2, 1)
-            x_next = fx[keep].copy()
-            for row, p in enumerate(keep):
-                x_next[row, obs_idx] = x[p, obs_idx] + _newton_update(
-                    A[row], r[p], update_limit)
+            # The observed nodes take the Newton step; every other
+            # unknown starts from its end state plus the first-order
+            # change the step makes there (its row of ``phi``), which
+            # is the full Newton step for unknowns that forget their
+            # own start within a period.
+            x_next = fx[keep] + np.einsum("psj,pj->ps", run.phi[keep],
+                                          dx[keep])
+            x_next[:, obs_idx] = x[keep][:, obs_idx] + dx[keep]
             x, open_ = x_next, open_[keep]
         else:
             raise ConvergenceError(
@@ -1408,20 +1509,23 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
                   done=_note_pss, fails=_PSS_FAILURES)
 def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
              observe: Optional[Sequence[str]] = None,
-             x0: Optional[np.ndarray] = None, warmup_periods: int = 2,
+             x0: Optional[np.ndarray] = None,
              max_iterations: int = 15, tol: float = 1e-4,
-             fd_delta: float = 5e-3, method: str = "trap",
-             update_limit: float = 2.0,
+             method: str = "trap", update_limit: float = 2.0,
              solver: str = "auto") -> PssResult:
     """Newton-shooting PSS of one circuit: a one-point :func:`shooting_batch`.
 
-    From the DC operating point at ``t = 0`` (or ``x0``) and
-    ``warmup_periods`` plain periods, each iteration integrates one
-    period from ``x`` together with one ``fd_delta`` probe per observed
-    node (one lock-step run), estimates the period map's Jacobian on the
-    observed nodes by finite differences and takes a Newton step on
-    them, carrying the fast nodes' end state; it stops once the largest
-    observed residual ``|x(T) - x(0)|`` is below ``tol`` volts.
+    From the DC operating point at ``t = 0`` (or ``x0``), each iteration
+    integrates one period from ``x``, carrying the sensitivities of the
+    state to the observed nodes' start values through every step (the
+    period map's exact Jacobian on them, as in Aprille & Trick 1972 and
+    Kundert et al. 1990), and takes a Newton step on the observed
+    nodes; the fast nodes start the next period from their end state
+    moved by the step's first-order effect on it.  It stops once both the
+    largest observed residual ``|x(T) - x(0)|`` and the largest Newton
+    update are below ``tol`` volts: a slow output node (period-map
+    eigenvalue near 1) can sit far from its periodic value at a small
+    residual, and the update measures that distance.
 
     Parameters
     ----------
@@ -1433,16 +1537,15 @@ def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
         Names of the slow nodes to apply Newton to.  Defaults to the
         nodes with explicit capacitors.
     update_limit:
-        Per-node clamp on the Newton correction, volts.  Rail-saturated
-        slow nodes can make ``(I - A)`` nearly singular through
-        finite-difference noise; clamping keeps the update physical and
-        the iteration falls back to (fast) fixed-point behaviour there.
+        Per-node clamp on the Newton correction, volts.  Far from the
+        periodic solution (a rail-saturated slow node, a nearly
+        singular ``I - A``) a full Newton step can leave the rails;
+        clamping keeps the update physical.
     """
     return shooting_batch.__wrapped__(
         [circuit], period, steps_per_period=steps_per_period,
         observe=observe, x0=None if x0 is None else [x0],
-        warmup_periods=warmup_periods, max_iterations=max_iterations,
-        tol=tol, fd_delta=fd_delta, method=method,
+        max_iterations=max_iterations, tol=tol, method=method,
         update_limit=update_limit, solver=solver).point(0)
 
 

@@ -78,11 +78,3 @@ class Mosfet(Element):
         sys.add_vccs(d, s, g, s, gm)
         sys.add_conductance(d, s, gds + GMIN_DS)
         sys.add_current(d, s, ieq)
-
-    def drain_current(self, x: np.ndarray) -> float:
-        """Drain current into the drain terminal for solution ``x``."""
-        d, g, s = self._idx
-        ids, _gm, _gds = ids_full(node_voltage(x, d), node_voltage(x, g),
-                                  node_voltage(x, s), self.model,
-                                  self.width, self.length)
-        return ids

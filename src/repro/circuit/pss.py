@@ -7,11 +7,12 @@ here have output time constants of hundreds of periods, so brute-force
 integration to steady state is wasteful; shooting converges in a handful
 of periods instead.
 
-The Jacobian of ``F`` is estimated by finite differences over a small
-set of *observed* (slow) nodes — by default the nodes that carry explicit
-capacitors, which in the perceptron cells are exactly the slow averaging
-nodes.  Fast internal nodes re-settle within one period and need no
-Newton treatment.
+Newton acts on a small set of *observed* (slow) nodes — by default the
+nodes that carry explicit capacitors, which in the perceptron cells are
+exactly the slow averaging nodes.  The Jacobian of ``F`` on them is
+exact: each period run carries the sensitivities of the state to the
+observed start values through every time step.  Fast internal nodes
+re-settle within one period and need no Newton treatment of their own.
 
 :func:`shooting` is a one-point
 :func:`~repro.circuit.batch_transient.shooting_batch`; both run on the

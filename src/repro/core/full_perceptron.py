@@ -105,8 +105,8 @@ def evaluate_full_perceptrons(points: "Sequence[tuple]", theta: float, *,
     # The comparator's internal nodes are slow too (microamp currents
     # into femtofarad caps give multi-period time constants near
     # balance), so shooting must treat them as state as well.  Seven
-    # observed nodes means each shooting iteration runs eight period
-    # integrations per point — all stacked into one lock-step solve.
+    # observed nodes means seven sensitivity columns ride along with
+    # each point's one period run per shooting iteration.
     results = adder_pss(circuits, 1.0 / freq,
                         observe=["out", "decision", "vref", "XCMP.d2",
                                  "XCMP.d1", "XCMP.tail", "XCMP.outb"],

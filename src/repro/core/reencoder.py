@@ -21,7 +21,6 @@ import numpy as np
 
 from ..circuit.exceptions import AnalysisError
 from ..circuit.waveform import Waveform
-from ..signals.pwm import PwmSpec
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,6 @@ class RampReencoder:
         duty = float(np.mean(below))
         duty = min(max(duty + self.design.comparator_delay, 0.0), 1.0)
         return duty
-
-    def encode_spec(self, voltage: float, vdd: float) -> PwmSpec:
-        """The produced PWM signal as a :class:`PwmSpec`."""
-        return PwmSpec(duty=self.encode(voltage, vdd),
-                       frequency=self.design.frequency, v_high=vdd)
 
     def output_waveform(self, voltage: float, vdd: float,
                         n_periods: int = 2,

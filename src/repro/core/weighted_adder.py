@@ -37,12 +37,12 @@ def adder_pss(circuits: Sequence[Circuit], period, *,
 
     ``period`` and ``steps_per_period`` take one value or one per
     circuit.  :func:`~repro.circuit.batch_transient.shooting_batch`
-    stacks every point's base period run and finite-difference probes
-    into one lock-step solve per netlist structure — weight bits only
-    rewire MOSFET gates and their capacitors, so a weight-pattern sweep
-    is one solve; each result is bit-identical to one-point
-    :func:`~repro.circuit.pss.shooting` (pinned by the equivalence
-    tests).
+    stacks one period run per open point, carrying its period-map
+    Jacobian, into one lock-step solve per netlist structure — weight
+    bits only rewire MOSFET gates and their capacitors, so a
+    weight-pattern sweep is one solve; each result is bit-identical to
+    one-point :func:`~repro.circuit.pss.shooting` (pinned by the
+    equivalence tests).
     """
     from ..circuit.batch_transient import shooting_batch
 

@@ -59,8 +59,8 @@ def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
     metrics = {}
     for i, row in enumerate(PAPER_ROWS):
         theory = adder.theoretical_output(row.duties, row.weights)
-        # The transistor path runs its shooting Jacobian probes as one
-        # batched lock-step solve; the solver knob picks the linear
+        # The transistor path runs its shooting period as one batched
+        # lock-step solve; the solver knob picks the linear
         # backend (the RC engine has no MNA system to pick for).
         kwargs = ({"steps_per_period": steps, "solver": solver}
                   if engine == "spice" else {})

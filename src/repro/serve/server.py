@@ -138,16 +138,17 @@ class ServingMetrics:
                     self._requests.labels(endpoint=endpoint),
                     self._latency.labels(endpoint=endpoint))
             requests, latency = bound
-            requests.inc()
+            # One lock acquisition: the bound updates' *_held forms.
+            requests.inc_held()
             if rows:
-                self._predictions_series.inc(rows)
+                self._predictions_series.inc_held(rows)
             if error:
-                self._errors_series.inc()
-            latency.observe(seconds)
+                self._errors_series.inc_held()
+            latency.observe_held(seconds)
             if endpoint == "/predict":
-                self._predict_latency_series.observe(seconds)
-            if seconds > self._latency_max_series.value():
-                self._latency_max_series.set(seconds)
+                self._predict_latency_series.observe_held(seconds)
+            if seconds > self._latency_max_series.value_held():
+                self._latency_max_series.set_held(seconds)
 
     def snapshot(self) -> Dict[str, Any]:
         with self.registry.lock:

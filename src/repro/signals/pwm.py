@@ -61,9 +61,6 @@ class PwmSpec:
     def with_frequency(self, frequency: Quantity) -> "PwmSpec":
         return replace(self, frequency=parse_quantity(frequency))
 
-    def with_amplitude(self, v_high: float, v_low: float = 0.0) -> "PwmSpec":
-        return replace(self, v_high=v_high, v_low=v_low)
-
     def to_source(self, name: str, node: str, ref: str = "0") -> PwmVoltage:
         """Build the circuit stimulus for this spec."""
         return PwmVoltage(name, node, ref, v_low=self.v_low,

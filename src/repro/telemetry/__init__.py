@@ -97,11 +97,6 @@ class Runtime:
         self.registry.counter(name, labelnames=labelnames).inc(
             amount, **labels)
 
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        labelnames = tuple(sorted(labels))
-        self.registry.gauge(name, labelnames=labelnames).set(
-            value, **labels)
-
     def observe(self, name: str, value: float, *,
                 buckets=DEFAULT_BUCKETS, **labels: Any) -> None:
         labelnames = tuple(sorted(labels))

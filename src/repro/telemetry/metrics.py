@@ -14,7 +14,9 @@ Dependency-free metrics primitives in the Prometheus data model:
   ``inc``/``value`` (gauges: also ``set``; histograms: ``observe``)
   skip that validation, as ``prometheus_client``'s ``.labels(...)``
   does.  A bound update renders exactly as the unbound one, and binding
-  alone creates no series;
+  alone creates no series.  Each child update also has a ``*_held``
+  form for callers already inside ``registry.lock``, so a
+  multi-instrument update takes the lock once;
 * :meth:`Registry.prometheus_text` renders the standard text exposition
   format (``# HELP``/``# TYPE`` + samples, cumulative histogram
   buckets) and :func:`validate_prometheus_text` is a line-format
@@ -131,8 +133,16 @@ class _CounterChild(_Child):
     def inc(self, amount: float = 1.0) -> None:
         self._inst._inc(self._key, amount)
 
+    def inc_held(self, amount: float = 1.0) -> None:
+        """:meth:`inc` for a caller that holds ``registry.lock``."""
+        self._inst._inc_held(self._key, amount)
+
     def value(self) -> float:
         return self._inst._value(self._key)
+
+    def value_held(self) -> float:
+        """:meth:`value` for a caller that holds ``registry.lock``."""
+        return self._inst._series.get(self._key, 0.0)
 
 
 class _GaugeChild(_CounterChild):
@@ -141,12 +151,20 @@ class _GaugeChild(_CounterChild):
     def set(self, value: float) -> None:
         self._inst._set(self._key, value)
 
+    def set_held(self, value: float) -> None:
+        """:meth:`set` for a caller that holds ``registry.lock``."""
+        self._inst._series[self._key] = float(value)
+
 
 class _HistogramChild(_Child):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
         self._inst._observe(self._key, value)
+
+    def observe_held(self, value: float) -> None:
+        """:meth:`observe` for a caller that holds ``registry.lock``."""
+        self._inst._observe_held(self._key, value)
 
 
 class _Scalar(_Instrument):
@@ -163,7 +181,10 @@ class _Scalar(_Instrument):
 
     def _inc(self, key: Tuple[str, ...], amount: float) -> None:
         with self.registry.lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+            self._inc_held(key, amount)
+
+    def _inc_held(self, key: Tuple[str, ...], amount: float) -> None:
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
         return self._value(self._key(labels))
@@ -187,11 +208,10 @@ class Counter(_Scalar):
     kind = "counter"
     _child = _CounterChild
 
-    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
+    def _inc_held(self, key: Tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self.registry.lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._series[key] = self._series.get(key, 0.0) + amount
 
 
 class Gauge(_Scalar):
@@ -238,17 +258,19 @@ class Histogram(_Instrument):
         self._observe(self._key(labels), value)
 
     def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        with self.registry.lock:
+            self._observe_held(key, value)
+
+    def _observe_held(self, key: Tuple[str, ...], value: float) -> None:
         # The first bound >= value; NaN lands in no finite bucket.
         i = bisect_left(self.buckets, value)
-        with self.registry.lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(
-                    len(self.buckets))
-            if i < len(self.buckets) and value <= self.buckets[i]:
-                series.counts[i] += 1
-            series.sum += value
-            series.count += 1
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(len(self.buckets))
+        if i < len(self.buckets) and value <= self.buckets[i]:
+            series.counts[i] += 1
+        series.sum += value
+        series.count += 1
 
     def total_count(self) -> int:
         with self.registry.lock:

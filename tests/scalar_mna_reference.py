@@ -1,13 +1,15 @@
-"""Recorded output of the scalar MNA step loop, and the check against it.
+"""Recorded one-point MNA output, and the check against it.
 
 ``transient`` and ``shooting`` once ran their own scalar Newton/companion
 step loop; they are now one-lane calls into the lock-step stepper.  The
-cases below are every scalar run that ``tests/test_sparse_mna.py`` and
-``tests/test_engines.py`` compare batched results against.  Their output
-from the scalar loop is recorded in
-``tests/fixtures/scalar_mna_reference.json``: exact step counts,
-halvings and shooting iterations; residuals, averages and wave summaries
-(column sums, middle row, last row) as ``float.hex``.
+cases below are every one-point run that ``tests/test_sparse_mna.py``
+and ``tests/test_engines.py`` compare batched results against.  Their
+output is recorded in ``tests/fixtures/scalar_mna_reference.json``:
+exact step counts, halvings and shooting iterations; residuals,
+averages and wave summaries (column sums, middle row, last row) as
+``float.hex``.  The transient cases come from the scalar loop; the
+shooting cases were re-recorded when shooting moved to the exact
+period-map Jacobian and its update stop test (see :data:`SHOOTING`).
 
 :func:`reference` reruns a case through today's ``transient``/
 ``shooting`` and checks it against the recording: integers exactly,
@@ -15,14 +17,16 @@ floats within ``RTOL``/``ATOL`` (LAPACK rounding may differ between
 hosts; on one host the results are bit-identical).
 
 Regenerate (only from a tree whose ``transient``/``shooting`` are the
-engine the fixture should describe), from the repository root::
+engine the fixture should describe), from the repository root; naming
+cases re-records only those and keeps the others::
 
-    PYTHONPATH=<tree>/src python -m tests.scalar_mna_reference
+    PYTHONPATH=<tree>/src python -m tests.scalar_mna_reference [CASE ...]
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +163,12 @@ CASES = {
 }
 
 
+#: The cases that run shooting (the rest are plain transients).
+SHOOTING = ("adder_shooting", "adder_supply_sweep", "fig4_grid",
+            "fig5_grid", "multifreq", "halving_shooting",
+            "cell_sweep_shooting")
+
+
 def _hex(values) -> list:
     return [float(v).hex() for v in np.ravel(values)]
 
@@ -206,11 +216,13 @@ def reference(name: str) -> list:
     return results
 
 
-def main() -> None:
-    doc = {name: [summary(r) for r in run()] for name, run in CASES.items()}
+def main(names=None) -> None:
+    names = list(names or CASES)
+    doc = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    doc.update({name: [summary(r) for r in CASES[name]()] for name in names})
     FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE} ({len(doc)} cases)")
+    print(f"wrote {FIXTURE} ({', '.join(names)})")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -399,7 +399,7 @@ class TestShootingBatch:
         with pytest.raises(ConvergenceError, match="did not converge"):
             shooting_batch([cell_bench(2.5)], PERIOD, observe=["out"],
                            steps_per_period=50, max_iterations=1,
-                           tol=0.0, warmup_periods=0)
+                           tol=0.0)
 
     def test_needs_observed_node(self):
         c = Circuit("r_only")

@@ -107,10 +107,9 @@ class TestShootingNonConvergence:
         assert excinfo.value.analysis == "pss"
 
     def test_max_iterations_bounds_the_period_runs(self, monkeypatch):
-        # Each iteration costs one lock-step period run of the base lane
-        # plus one finite-difference lane per observed node;
-        # max_iterations=2 with one observed node and no warmup is
-        # exactly 2 runs of 2 lanes.
+        # Each iteration costs one lock-step period run of one lane per
+        # open point (the Jacobian rides along as sensitivity columns):
+        # max_iterations=2 is exactly 2 runs of 1 lane.
         from repro.circuit.batch_transient import BatchTransientSolver
 
         lanes = []
@@ -124,8 +123,8 @@ class TestShootingNonConvergence:
         with pytest.raises(ConvergenceError):
             shooting(rc_pwm_circuit(0.5), period=1e-6,
                      steps_per_period=40, max_iterations=2, tol=0.0,
-                     warmup_periods=0, observe=["out"])
-        assert lanes == [2, 2]
+                     observe=["out"])
+        assert lanes == [1, 1]
 
     def test_singular_period_map_falls_back_not_raises(self):
         # A duty-0 source makes the observed node an undriven RC to
@@ -196,3 +195,107 @@ class TestPeriodicityProperty:
             assert gap < tol
             assert gap == batch.residuals[p]
             assert waves.t[-1] == pytest.approx(periods[p], rel=1e-12)
+
+
+def _central_difference(solver, x, period, steps, obs, delta):
+    """``dx(T)/dx(0)[:, obs]`` of one period by central differences:
+    one lock-step run of ``+-delta`` starts per observed node."""
+    n = len(obs)
+    starts = np.repeat(x, 2 * n, axis=0)
+    starts[np.arange(0, 2 * n, 2), obs] += delta
+    starts[np.arange(1, 2 * n, 2), obs] -= delta
+    end = solver.run(np.full(2 * n, period), np.full(2 * n, period / steps),
+                     x0=starts, points=np.zeros(2 * n, dtype=int)).final_x
+    return ((end[0::2] - end[1::2]) / (2 * delta)).T
+
+
+class TestPeriodMapJacobian:
+    """The sensitivity columns a shooting run carries are the period
+    map's Jacobian: they match central differences of one period at a
+    fixed state, through forced step halvings too."""
+
+    def _check(self, circuit, period, steps, observe, *, warmup=2,
+               halved=False):
+        from repro.circuit.batch_transient import BatchTransientSolver
+        from repro.circuit.dc import operating_point
+
+        solver = BatchTransientSolver([circuit])
+        obs = _observed(circuit, observe)
+        x = operating_point(circuit, t=0.0, ctx=solver.contexts[0]).x[None]
+        for _ in range(warmup):
+            x = solver.run(period, period / steps, x0=x).final_x
+        run = solver.run(period, period / steps, x0=x, sensitivity=obs)
+        assert (run.halvings[0] > 0) == halved
+        fd = _central_difference(solver, x, period, steps, obs, 1e-4)
+        assert run.phi.shape == (1, solver.size, len(obs))
+        np.testing.assert_allclose(run.phi[0], fd, rtol=0, atol=1e-6)
+        return run.phi[0]
+
+    def test_fig2_bench(self):
+        phi = self._check(make_transcoding_inverter(0.5), 2e-9, 80, ["out"])
+        # The slow output node: an eigenvalue just under 1.
+        assert 0.9 < phi[_observed(make_transcoding_inverter(0.5),
+                                   ["out"])[0], 0] < 1.0
+
+    def test_full_perceptron_seven_nodes(self):
+        from repro.core.full_perceptron import build_full_perceptron_circuit
+        from repro.core.weighted_adder import AdderConfig
+
+        cfg = AdderConfig()
+        circuit = build_full_perceptron_circuit(
+            (0.7, 0.8, 0.9), (7, 7, 7), 9.0, config=cfg, vdd=2.5)
+        self._check(circuit, 1.0 / cfg.frequency, 40,
+                    ["out", "decision", "vref", "XCMP.d2", "XCMP.d1",
+                     "XCMP.tail", "XCMP.outb"])
+
+    def test_through_forced_step_halving(self):
+        # An 80 V input edge fails Newton at the nominal step, so the
+        # lane halves inside the period; the columns follow the retry.
+        self._check(make_transcoding_inverter(0.5, amplitude=80.0), 2e-9,
+                    40, ["out"], warmup=0, halved=True)
+
+    def test_plain_transients_solve_no_extra_columns(self, monkeypatch):
+        from repro.circuit import batch_transient, transient
+
+        shapes = []
+        real = batch_transient._batched_solve
+
+        def recording(G, I):
+            shapes.append(I.ndim)
+            return real(G, I)
+
+        monkeypatch.setattr(batch_transient, "_batched_solve", recording)
+        result = batch_transient.BatchTransientSolver(
+            [make_transcoding_inverter(0.5)]).run(2e-9, 2e-9 / 40)
+        transient(make_transcoding_inverter(0.5), 2e-9, 2e-9 / 40)
+        assert result.phi is None
+        assert shapes and set(shapes) == {2}
+        shapes.clear()
+        shooting(make_transcoding_inverter(0.5), 2e-9, steps_per_period=40)
+        assert set(shapes) == {3}
+
+
+class TestShootingAccuracy:
+    """Shooting stops on its update as well as its residual, so every
+    point of the fig4 and fig6 fast grids lands within 1 mV (ten times
+    ``tol``) of its ``tol=1e-9`` shooting reference, recorded in
+    ``tests/fixtures/accuracy_budget.json`` (2.56 and 6.47 mV under the
+    residual-only stop)."""
+
+    @pytest.mark.parametrize("experiment_id", ["fig4", "fig6"])
+    def test_fast_grid_within_1mv_of_reference(self, experiment_id):
+        import json
+
+        from repro.experiments import RunConfig, run_config
+        from tests.accuracy_budget import FIXTURE
+
+        budget = json.loads(FIXTURE.read_text())["experiments"][experiment_id]
+        result = run_config(RunConfig.build(experiment_id, "fast")).to_dict()
+        (figure,) = result["figures"]
+        n = 0
+        for series in figure["series"]:
+            for i, y in enumerate(series["y"]):
+                where = f"figures[{experiment_id}][{series['name']}].y[{i}]"
+                assert abs(y - budget[where]["reference"]) < 1e-3, where
+                n += 1
+        assert n == (15 if experiment_id == "fig4" else 9)

@@ -444,35 +444,40 @@ TRACED_ENTRY_POINTS = {
         "mna.newton": _BATCH_NEWTON,
         "mna.transient.batch": _BATCH_TRAN}, {
         "repro_mna_newton_solves_total": 20.0,
+        "repro_mna_lane_iterations_total": 40.0,
         "repro_mna_steps_total": 40.0,
         "repro_mna_step_halvings_total": 0.0}),
     "transient": (_transient, {
         "mna.newton": _BATCH_NEWTON, "mna.transient": _TRAN,
         "mna.transient.batch": _BATCH_TRAN}, {
         "repro_mna_newton_solves_total": 21.0,
+        "repro_mna_lane_iterations_total": 20.0,
         "repro_mna_steps_total": 20.0,
         "repro_mna_step_halvings_total": 0.0}),
     "shooting": (_shooting, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting": ["circuit", "iterations"]}, {
-        "repro_mna_newton_solves_total": 81.0,
-        "repro_mna_steps_total": 120.0,
+        "repro_mna_newton_solves_total": 41.0,
+        "repro_mna_lane_iterations_total": 40.0,
+        "repro_mna_steps_total": 40.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 1.0,
         "repro_pss_iterations_total": 2.0}),
     "shooting_batch": (_shooting_batch, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting_batch": ["iterations", "points"]}, {
-        "repro_mna_newton_solves_total": 82.0,
-        "repro_mna_steps_total": 240.0,
+        "repro_mna_newton_solves_total": 42.0,
+        "repro_mna_lane_iterations_total": 80.0,
+        "repro_mna_steps_total": 80.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 2.0,
         "repro_pss_iterations_total": 4.0}),
     "shooting_jacobian_batched": (_shooting_jacobian, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting": ["circuit", "iterations"]}, {
-        "repro_mna_newton_solves_total": 81.0,
-        "repro_mna_steps_total": 120.0,
+        "repro_mna_newton_solves_total": 41.0,
+        "repro_mna_lane_iterations_total": 40.0,
+        "repro_mna_steps_total": 40.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 1.0,
         "repro_pss_iterations_total": 2.0}),
@@ -526,12 +531,11 @@ class TestTracedEntryPoints:
         (pss,) = [e for e in rt.tracer.events()
                   if e["name"] == "pss.shooting"]
         assert pss["tags"] == {"circuit": "rc_pulse", "iterations": 2}
-        # Two one-lane warmup periods, then two iterations of the base
-        # lane plus one finite-difference probe.
+        # Two iterations, each one period of one lane (the Jacobian
+        # rides along as sensitivity columns).
         runs = [e["tags"] for e in rt.tracer.events()
                 if e["name"] == "mna.transient.batch"]
-        assert runs == [{"points": 1, "size": 3}] * 2 \
-            + [{"points": 2, "size": 3}] * 2
+        assert runs == [{"points": 1, "size": 3}] * 2
         with telemetry.session() as rt:
             _transient()
         (trans,) = [e for e in rt.tracer.events()
