@@ -19,7 +19,13 @@ paper's small benches.
 The stepper is *ragged*: every lane keeps its own breakpoint list,
 step size, time, backward-Euler countdown and step-halving retries; the
 loop advances by step index, and a lane that reaches its stop time
-leaves the working set.  Each Newton pass stamps all ``(B, M)`` MOSFETs
+leaves the working set.  Steps are *graded*: each lane's grid restarts
+at ``dt/FIRST_STEP_DIVISOR`` at its start and at every source
+breakpoint, where a PWM cell's grid error sits, and grows by
+``STEP_GROWTH`` per step up to ``dt``, the largest step.  The grid is
+planned per circuit and timing, so every shooting iteration integrates
+on the same grid, and every step of a ladder rung's size reuses the
+run's matrices for that rung.  Each Newton pass stamps all ``(B, M)`` MOSFETs
 at once through per-point terminal, scatter and sign tables (built once
 per solver, gathered once per run), then any other nonlinear element
 (switches) lane by lane, and solves one stacked ``(B, S, S)`` system.
@@ -82,6 +88,15 @@ from .waveform import Waveform
 #: Steps integrated with backward Euler right after each breakpoint
 #: (the standard damping of trapezoidal ringing at source corners).
 BE_STEPS_AFTER_BREAKPOINT = 2
+
+#: The step a run starts with, and restarts with after every breakpoint,
+#: is the largest step ``dt`` divided by this: the grid error of a
+#: PWM-driven cell sits at its input edges (SPICE's breakpoint step cut,
+#: Nagel 1975).
+FIRST_STEP_DIVISOR = 40
+
+#: Each following step is this many times the last, up to ``dt``.
+STEP_GROWTH = 1.5
 
 #: Smallest allowed time step before the stepper gives up, seconds.
 MIN_STEP = 1e-18
@@ -578,47 +593,66 @@ class _StepPlan:
     """The step grid of one lane from a given stepping state.
 
     Steps end on the lane's breakpoints (``targets``, the stop time
-    last); the first ``BE_STEPS_AFTER_BREAKPOINT`` steps after each one
-    (and after the start) are backward Euler.  Per step: size ``h``,
-    method ``be``, end time ``t[k + 1]``, ``kind`` (0 for a nominal
-    trapezoidal step, 1 for a nominal backward-Euler one, else -1), and
-    the target index and BE countdown it started from (to re-plan a lane
-    after a halved step).
+    last).  The run's start and every breakpoint restart the step at the
+    bottom rung of the ladder (:func:`_rungs`, ``dt/FIRST_STEP_DIVISOR``);
+    each step climbs one rung, by ``STEP_GROWTH``, up to ``dt``, the
+    largest step.  The first ``BE_STEPS_AFTER_BREAKPOINT`` steps after
+    each restart are backward Euler.  Per step: size ``h``, method
+    ``be``, end time ``t[k + 1]``, ``kind`` (``2 * rung + be`` for a
+    step of its rung's size, -1 for one cut short to land on a
+    breakpoint), and the target index, BE countdown and rung it started
+    from (to re-plan a lane from its accepted time after a halved step).
     The grid depends only on timing, so a solver plans once per circuit
     and timing, with the voltage-source values ``v`` on the grid.
     """
 
     def __init__(self, targets: list, dt: float, stop: float,
-                 force_be: bool, t: float, pos: int, countdown: int):
+                 force_be: bool, t: float, pos: int, countdown: int,
+                 rung: int):
         self.targets, self.dt, self.stop = targets, dt, stop
         self.force_be, self.eps = force_be, dt * 1e-9
+        self.sizes = [dt * f for f in _rungs()]
         times, h, be, self.pos, self.countdown = [t], [], [], [], []
         self.kind: List[int] = []
+        self.rung: List[int] = []
         while t < stop:
-            step = min(dt, targets[pos] - t)
+            size = self.sizes[rung]
+            step = min(size, targets[pos] - t)
             h.append(step)
             be.append(force_be or countdown > 0)
-            self.kind.append(int(be[-1]) if step == dt else -1)
+            self.kind.append(2 * rung + be[-1] if step == size else -1)
             self.pos.append(pos)
             self.countdown.append(countdown)
+            self.rung.append(rung)
             t = t + step
             times.append(t)
-            pos, countdown = self.after_step(t, pos, countdown)
+            pos, countdown, rung = self.after_step(t, pos, countdown, rung)
         self.t, self.h = np.array(times), np.array(h)
         self.be = np.array(be, dtype=bool)
         self.n = len(h)
 
-    def after_step(self, t: float, pos: int,
-                   countdown: int) -> "tuple[int, int]":
-        """Target index and countdown after a step from ``pos`` that
-        ended at ``t``: a step within ``eps`` of its target sits on the
-        breakpoint, which restarts the countdown and moves the target
-        past every breakpoint within ``eps``."""
+    def after_step(self, t: float, pos: int, countdown: int,
+                   rung: int) -> "tuple[int, int, int]":
+        """Target index, countdown and rung after a step from ``pos``
+        on ``rung`` that ended at ``t``: the next rung up, unless the
+        step sits on its target (within ``eps``), which restarts the
+        countdown and the ladder and moves the target past every
+        breakpoint within ``eps``."""
         countdown -= 1
+        rung = min(rung + 1, len(self.sizes) - 1)
         if self.targets[pos] - t <= self.eps:
-            countdown = BE_STEPS_AFTER_BREAKPOINT
+            countdown, rung = BE_STEPS_AFTER_BREAKPOINT, 0
             pos = _skip_targets(self.targets, pos, t + self.eps)
-        return pos, countdown
+        return pos, countdown, rung
+
+
+def _rungs() -> List[float]:
+    """The step ladder as fractions of ``dt``: ``1/FIRST_STEP_DIVISOR``
+    growing by ``STEP_GROWTH`` per step, then 1."""
+    rungs = [1.0 / FIRST_STEP_DIVISOR]
+    while rungs[-1] * STEP_GROWTH < 1.0:
+        rungs.append(rungs[-1] * STEP_GROWTH)
+    return rungs + [1.0] if rungs[-1] < 1.0 else rungs
 
 
 def _skip_targets(targets: list, pos: int, t: float) -> int:
@@ -630,11 +664,12 @@ def _skip_targets(targets: list, pos: int, t: float) -> int:
 
 class _LaneGrid:
     """A run's step grid, lane by lane: step ``k`` ends at ``t[k + 1]``
-    with size ``h[k]``, method ``be[k]`` and source values ``v[k]``; a
-    lane takes ``n_steps`` steps and then repeats its stop time.
-    ``plans[lane]`` is ``(plan, k0)``: the lane follows ``plan`` from
-    step ``k0``.  ``kinds[k]`` is the plans' common step kind while
-    every lane runs (see :class:`_StepPlan`), -1 where they differ."""
+    with size ``h[k]``, method ``be[k]``, kind ``kind[k]`` (see
+    :class:`_StepPlan`) and source values ``v[k]``; a lane takes
+    ``n_steps`` steps and then repeats its stop time.  ``plans[lane]``
+    is ``(plan, k0)``: the lane follows ``plan`` from step ``k0``.
+    ``kinds[k]`` is the plans' common step kind while every lane runs,
+    -1 where they differ."""
 
     def __init__(self, plans: List[_StepPlan], n_sources: int):
         n_lanes = len(plans)
@@ -642,6 +677,7 @@ class _LaneGrid:
         self.t = np.empty((n + 1, n_lanes))
         self.h = np.zeros((n, n_lanes))
         self.be = np.zeros((n, n_lanes), dtype=bool)
+        self.kind = np.full((n, n_lanes), -1, dtype=np.intp)
         self.v = np.zeros((n, n_sources, n_lanes))
         self.n_steps = np.zeros(n_lanes, dtype=np.intp)
         self.plans: "List[tuple]" = [None] * n_lanes
@@ -662,14 +698,15 @@ class _LaneGrid:
         if grow > 0:
             self.t = np.concatenate([self.t,
                                      np.repeat(self.t[-1:], grow, 0)])
-            self.h, self.be, self.v = (
+            self.h, self.be, self.kind, self.v = (
                 np.concatenate([a, np.zeros((grow,) + a.shape[1:], a.dtype)])
-                for a in (self.h, self.be, self.v))
+                for a in (self.h, self.be, self.kind, self.v))
         self.t[k0:k1 + 1, lanes] = plan.t[:, None]
         self.t[k1 + 1:, lanes] = plan.t[-1]
         self.h[k0:k1, lanes] = plan.h[:, None]
         self.h[k1:, lanes] = 0.0
         self.be[k0:k1, lanes] = plan.be[:, None]
+        self.kind[k0:k1, lanes] = np.asarray(plan.kind)[:, None]
         self.v[k0:k1, :, lanes] = plan.v[:, :, None]
         self.n_steps[lanes] = k1
         for lane in lanes:
@@ -873,7 +910,7 @@ class BatchTransientSolver:
             plan = self._plans[key] = self._with_sources(p, _StepPlan(
                 targets, dt, tstop - eps, force_be, tstart,
                 _skip_targets(targets, 0, tstart + eps),
-                BE_STEPS_AFTER_BREAKPOINT))
+                BE_STEPS_AFTER_BREAKPOINT, 0))
         return plan
 
     def _with_sources(self, p: int, plan: _StepPlan) -> _StepPlan:
@@ -881,29 +918,44 @@ class BatchTransientSolver:
         plan.v = self._sources.values(np.full(plan.n, p), plan.t[1:]).T
         return plan
 
-    def _base_stack(self, lanes, dt: np.ndarray, be: np.ndarray,
-                    comp: list, kind: int) -> np.ndarray:
+    def _stack(self, kind: int) -> "tuple[np.ndarray, list]":
+        """The run's static + companion matrices ``(L, S, S)`` and the
+        companion values for a step of ``kind`` (see :class:`_StepPlan`)
+        on every lane, assembled on first use."""
+        stack = self._stacks.get(kind)
+        if stack is None:
+            rung, be = divmod(kind, 2)
+            G = self._G_fixed[self._circ]
+            h = self._dt_nominal * self._ladder[rung]
+            be_lanes = np.full(self._circ.size, bool(be))
+            comp = [group.geq(slice(None), h, be_lanes)
+                    for group in self._reactive]
+            for group, g in zip(self._reactive, comp):
+                group.add_geq_stack(G, g, slice(None))
+            stack = self._stacks[kind] = (G, comp)
+        return stack
+
+    def _base_stack(self, lanes, kinds: np.ndarray, comp: list,
+                    kind: int) -> np.ndarray:
         """Static + source + companion matrices for the lanes, ``(B, S, S)``.
 
-        Steps at a lane's nominal size reuse the run's precomputed
-        trapezoidal/BE stacks (``kind`` 0 or 1 says every lane of a full
-        working set takes one, see :class:`_LaneGrid`);
-        breakpoint-shortened or halved steps assemble their own.
-        Callers copy before stamping.
+        Steps of a ladder rung's size reuse the run's stack for their
+        kind (``kind`` >= 0 says every lane of a full working set takes
+        one, else ``kinds`` gives each lane's, see :class:`_LaneGrid`);
+        breakpoint-shortened or halved steps (kind -1) assemble their
+        own.  Callers copy before stamping.
         """
         if kind >= 0:
-            return self._G_be if kind else self._G_trap
-        nominal = dt == self._dt_nominal[lanes]
-        # count_nonzero: the cheapest all/any on the small masks here.
-        n_be = np.count_nonzero(be)
-        if np.count_nonzero(nominal) == dt.size and n_be in (0, dt.size):
-            return (self._G_be if n_be else self._G_trap)[lanes]
+            return self._stack(kind)[0]
+        first = int(kinds[0])
+        if first >= 0 and np.count_nonzero(kinds == first) == kinds.size:
+            return self._stack(first)[0][lanes]
         ids = self._lane_ids[lanes]
-        G = self._G_trap[ids]
-        sel = nominal & be
-        if sel.any():
-            G[sel] = self._G_be[ids[sel]]
-        off = ~nominal
+        G = np.empty((ids.size, self.size, self.size))
+        for k in np.unique(kinds[kinds >= 0]).tolist():
+            sel = kinds == k
+            G[sel] = self._stack(k)[0][ids[sel]]
+        off = kinds < 0
         if off.any():
             sub = self._G_fixed[self._circ[ids[off]]]
             for group, g in zip(self._reactive, comp):
@@ -929,28 +981,29 @@ class BatchTransientSolver:
         tags=lambda self, x0, *_, **__: {
             "analysis": "batch-transient", "points": x0.shape[0],
             "size": self.size})
-    def _solve_newton(self, x0: np.ndarray, t: np.ndarray, dt: np.ndarray,
-                      be: np.ndarray, comp: list, src: np.ndarray,
-                      lanes, kind: int) -> "tuple":
+    def _solve_newton(self, x0: np.ndarray, t: np.ndarray,
+                      kinds: np.ndarray, be: np.ndarray, comp: list,
+                      src: np.ndarray, lanes, kind: int) -> "tuple":
         """Damped Newton at one step, vectorised over lanes.
 
-        ``t``, ``dt``, ``be`` (backward Euler, else trapezoidal), the
-        companion values ``comp`` (one ``(K, B)`` array per companion
-        group) and the source values ``src`` ``(Kv, B)`` are per lane;
-        ``kind`` is :meth:`_base_stack`'s.  Updates, clamping and the
-        convergence test (the ``NEWTON_*`` settings) apply per lane, and
-        a converged lane leaves the working set while the rest keep
-        iterating; the block-diagonal stack keeps every lane's iterates
-        independent of the others.  On a run that carries sensitivities,
-        every pass also solves their columns (right-hand side: the
-        companion histories' sensitivities) with the same matrices, and
-        a lane keeps the columns of its last pass.  Returns the states,
+        ``t``, the step kinds ``kinds``, ``be`` (backward Euler, else
+        trapezoidal), the companion values ``comp`` (one ``(K, B)``
+        array per companion group) and the source values ``src``
+        ``(Kv, B)`` are per lane; ``kind`` is :meth:`_base_stack`'s.
+        Updates, clamping and the convergence test (the ``NEWTON_*``
+        settings) apply per lane, and a converged lane leaves the
+        working set while the rest keep iterating; the block-diagonal
+        stack keeps every lane's iterates independent of the others.
+        On a run that carries sensitivities, every pass also solves
+        their columns (right-hand side: the companion histories'
+        sensitivities) with the same matrices, and a lane keeps the
+        columns of its last pass.  Returns the states,
         the sensitivities (``None`` when not carried) and a mask of
         lanes that failed (non-finite solution or no convergence in
         ``NEWTON_MAX_ITER``), ``None`` when none did.
         """
         rt = telemetry.active()
-        G_base = self._base_stack(lanes, dt, be, comp, kind)
+        G_base = self._base_stack(lanes, kinds, comp, kind)
         # (S, B), C-contiguous: the stamps scatter through flat indices.
         I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
                     else self._I_t_static.take(lanes, axis=1))
@@ -1087,11 +1140,15 @@ class BatchTransientSolver:
         names the circuit each lane integrates (default: one lane per
         circuit, in order; a circuit may back several lanes).  ``x0`` is
         the stacked initial state ``(L, S)``; ``None`` solves each
-        lane's DC operating point at ``tstart`` first.  The first
-        ``BE_STEPS_AFTER_BREAKPOINT`` steps, and as many after every
-        source breakpoint, are backward Euler (``method="be"``: all of
-        them); a lane whose Newton solve fails halves its step and
-        retries, up to ``max_retries`` times per step.
+        lane's DC operating point at ``tstart`` first.  ``dt`` is each
+        lane's largest step: its first step, and its first after every
+        source breakpoint, is ``dt/FIRST_STEP_DIVISOR``, and each next
+        one is ``STEP_GROWTH`` times longer, up to ``dt`` (see
+        :class:`_StepPlan`).  The first ``BE_STEPS_AFTER_BREAKPOINT``
+        steps, and as many after every source breakpoint, are backward
+        Euler (``method="be"``: all of them); a lane whose Newton solve
+        fails halves its step and retries, up to ``max_retries`` times
+        per step, then continues its ladder from the accepted time.
 
         ``sensitivity`` (unknown indices) makes the run carry the
         columns ``phi = dx(t)/dx(tstart)[:, sensitivity]`` from unit
@@ -1162,18 +1219,10 @@ class BatchTransientSolver:
         for group in reactive:
             group.init_state(xpad, circ, phipad)
         self._mosfets.bind(circ)
-        # The run's nominal-step companions and matrices, one per
-        # integration method.
-        nominal_comp, stacks = [], []
-        for be in (False, True):
-            G = self._G_fixed[circ]
-            be_lanes = np.full(n_lanes, be)
-            comp = [group.geq(slice(None), dt, be_lanes) for group in reactive]
-            for group, g in zip(reactive, comp):
-                group.add_geq_stack(G, g, slice(None))
-            nominal_comp.append(comp)
-            stacks.append(G)
-        self._G_trap, self._G_be = stacks
+        # The run's matrices and companions per step kind (ladder rung
+        # and integration method), assembled on first use.
+        self._stacks: "Dict[int, tuple]" = {}
+        self._ladder = _rungs()
 
         # Every lane's step grid, planned up front (and again for a lane
         # after a halved step).
@@ -1195,12 +1244,13 @@ class BatchTransientSolver:
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
             h, be, t_new = grid.h[k, ix], grid.be[k, ix], grid.t[k + 1, ix]
+            kinds = grid.kind[k, ix]
             kind = (grid.kinds[k] if act.size == n_lanes
                     and k < len(grid.kinds) else -1)
-            comp = (nominal_comp[kind] if kind >= 0 else
+            comp = (self._stack(kind)[1] if kind >= 0 else
                     [group.geq(ix, h, be) for group in reactive])
             x_acc, phi_acc, failed = self._solve_newton(
-                x[ix], t_new, h, be, comp, grid.v[k][:, ix], ix, kind)
+                x[ix], t_new, kinds, be, comp, grid.v[k][:, ix], ix, kind)
             if failed is not None:
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
@@ -1226,7 +1276,8 @@ class BatchTransientSolver:
                         g[:, pending] = group.geq(rows, h[pending],
                                                   be[pending])
                     x_new, phi_new, failed = self._solve_newton(
-                        x[rows], t_new[pending], h[pending], be[pending],
+                        x[rows], t_new[pending],
+                        np.full(pending.size, -1), be[pending],
                         [g[:, pending] for g in comp],
                         self._sources.values(circ[rows], t_new[pending]),
                         rows, -1)
@@ -1240,12 +1291,12 @@ class BatchTransientSolver:
                 for lane, t_lane in zip(act[halved].tolist(),
                                         t_new[halved].tolist()):
                     plan, k0 = grid.plans[lane]
-                    pos, countdown = plan.after_step(
-                        t_lane, plan.pos[k - k0], plan.countdown[k - k0])
                     grid.put([lane], k + 1, self._with_sources(
                         circ[lane], _StepPlan(
                             plan.targets, plan.dt, plan.stop,
-                            plan.force_be, t_lane, pos, countdown)))
+                            plan.force_be, t_lane, *plan.after_step(
+                                t_lane, plan.pos[k - k0],
+                                plan.countdown[k - k0], plan.rung[k - k0]))))
                 k_done = 0
 
             xpad = self._xpad_cols[:x_acc.shape[0]]
@@ -1410,7 +1461,7 @@ def _note_batch_pss(rt, span, result: BatchPssResult) -> None:
                   tags=lambda circuits, *_, **__: {"points": len(circuits)},
                   done=_note_batch_pss, fails=_PSS_FAILURES)
 def shooting_batch(circuits: Sequence[Circuit], period, *,
-                   steps_per_period=200,
+                   steps_per_period=33,
                    observe: Optional[Sequence[str]] = None,
                    x0: Optional[Sequence[np.ndarray]] = None,
                    max_iterations: int = 15, tol: float = 1e-4,
@@ -1420,7 +1471,9 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
     """Newton-shooting PSS for a whole batch of sweep points at once.
 
     ``period`` and ``steps_per_period`` take one value or one per
-    circuit, so duty, frequency and supply sweeps batch alike.  Circuits
+    circuit, so duty, frequency and supply sweeps batch alike;
+    ``period / steps_per_period`` is the largest time step (steps are
+    graded, see :meth:`BatchTransientSolver.run`).  Circuits
     are grouped by structure internally (any mix may be passed): one
     group per set of node names, element types, names and branches, and
     terminals of every element other than MOSFETs and capacitors.  Those
@@ -1507,7 +1560,7 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
 @telemetry.traced("pss.shooting",
                   tags=lambda circuit, *_, **__: {"circuit": circuit.name},
                   done=_note_pss, fails=_PSS_FAILURES)
-def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
+def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 33,
              observe: Optional[Sequence[str]] = None,
              x0: Optional[np.ndarray] = None,
              max_iterations: int = 15, tol: float = 1e-4,
@@ -1532,7 +1585,10 @@ def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
     period:
         The driving period (all periodic sources must share it).
     steps_per_period:
-        Nominal transient resolution inside one period.
+        Sets the largest time step, ``period / steps_per_period``.
+        Steps restart small at every source breakpoint and grow to it
+        between them (see :meth:`BatchTransientSolver.run`), so the
+        step count per period is larger than this.
     observe:
         Names of the slow nodes to apply Newton to.  Defaults to the
         nodes with explicit capacitors.

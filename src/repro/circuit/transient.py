@@ -2,10 +2,11 @@
 
 :func:`transient` is a one-lane run of the lock-step MNA stepper
 (:class:`~repro.circuit.batch_transient.BatchTransientSolver`): it
-integrates with trapezoidal companions, drops to backward Euler for a
-couple of steps after every source breakpoint (the standard damping of
-trapezoidal ringing at corners), and halves a step whose Newton solve
-fails.
+integrates with trapezoidal companions on graded steps (small at the
+start and after every source breakpoint, growing to ``dt`` between
+them), drops to backward Euler for a couple of steps after every
+breakpoint (the standard damping of trapezoidal ringing at corners),
+and halves a step whose Newton solve fails.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
     Parameters
     ----------
     dt:
-        Nominal (maximum) step.  The stepper always lands exactly on
-        source breakpoints and halves the step on Newton failures.
+        Largest step.  The run starts with ``dt/FIRST_STEP_DIVISOR``,
+        restarts there after every source breakpoint and grows by
+        ``STEP_GROWTH`` per step up to ``dt`` (constants of
+        :mod:`repro.circuit.batch_transient`).  The stepper always lands
+        exactly on source breakpoints and halves the step on Newton
+        failures.
     ic:
         Node-voltage initial conditions.  With ``uic=True`` they are used
         verbatim (skipping the DC operating point); otherwise the DC

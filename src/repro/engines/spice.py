@@ -38,8 +38,9 @@ _CAPS = EngineCapabilities(
     cost_rank=3,
 )
 
-#: Default transient resolution inside one PWM period.
-DEFAULT_STEPS = 150
+#: Default largest MNA step, as steps per PWM period (steps are graded:
+#: small at every PWM edge, growing to this between edges).
+DEFAULT_STEPS = 25
 
 
 def _bench(design: CellDesign, stimulus: CellStimulus, *,

@@ -49,6 +49,8 @@ DUTY = 0.5
 FREQUENCY = 500e6
 ROUT = 100e3
 COUT = 0.1e-12
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 7, "paper": 10}
 
 #: Ramp end voltages, volts.  The first is the paper-motivated primary
 #: scenario (the 2x droop); the rest probe shallower and deeper ramps.
@@ -110,7 +112,7 @@ def run(fidelity: str = "fast", engine: str = "spice",
     periods_per_window = 10 if fidelity == "paper" else 8
     period = 1.0 / FREQUENCY
     t_ramp = n_windows * periods_per_window * period
-    dt = period / (60 if fidelity == "paper" else 40)
+    dt = period / STEPS_PER_PERIOD[fidelity]
     circuits = [_build(t_ramp, v_end) for v_end in RAMP_TARGETS]
     results = _run_family(circuits, t_ramp, dt, solver=solver)
 

@@ -22,6 +22,8 @@ from .spec import experiment, seed_param
 
 EXPERIMENT_ID = "ext_engine_fidelity"
 TITLE = "Engine cross-validation: behavioral vs RC vs transistor level"
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 12, "paper": 20}
 
 
 @experiment("ext_engine_fidelity", title=TITLE,
@@ -29,7 +31,7 @@ TITLE = "Engine cross-validation: behavioral vs RC vs transistor level"
 def run(fidelity: str = "fast", seed: int = 0) -> ExperimentResult:
     adder = WeightedAdder(AdderConfig())
     n_random = 10 if fidelity == "paper" else 4
-    steps = 120 if fidelity == "paper" else 70
+    steps = STEPS_PER_PERIOD[fidelity]
 
     table = Table(["duties", "weights", "behavioral", "rc", "spice",
                    "|rc-beh| (mV)", "|spice-beh| (mV)"],

@@ -24,6 +24,8 @@ CASES = [
     ((0.50, 0.50, 0.50), (7, 7, 7)),   # sum = 10.5 -> just above theta
 ]
 THETA = 9.0
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 13, "paper": 20}
 
 
 @experiment("ext_full_system", title=TITLE,
@@ -31,7 +33,7 @@ THETA = 9.0
             params=[solver_param()])
 def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
     vdd_points = (2.5,) if fidelity == "fast" else (1.5, 2.5, 4.0)
-    steps = 80 if fidelity == "fast" else 120
+    steps = STEPS_PER_PERIOD[fidelity]
 
     table = Table(["duties", "weights", "ideal sum", "Vdd (V)",
                    "V(sum) (V)", "V(ref) (V)", "decision", "expected"],

@@ -17,6 +17,9 @@ from .spec import experiment, solver_param
 
 EXPERIMENT_ID = "ext_multifreq"
 TITLE = "Adder with a different PWM frequency on every input"
+#: Largest MNA time step, as steps per period of the fastest input,
+#: by fidelity.
+STEPS_PER_PERIOD = {"fast": 10, "paper": 17}
 
 WORKLOAD_DUTIES = (0.70, 0.80, 0.90)
 WORKLOAD_WEIGHTS = (7, 7, 7)
@@ -36,7 +39,7 @@ CASES = (
             tags=("extension", "frequency"),
             params=[solver_param()])
 def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
-    steps_per_fast_period = 100 if fidelity == "paper" else 60
+    steps_per_fast_period = STEPS_PER_PERIOD[fidelity]
     adder = WeightedAdder(AdderConfig())
     theory = adder.theoretical_output(WORKLOAD_DUTIES, WORKLOAD_WEIGHTS)
 

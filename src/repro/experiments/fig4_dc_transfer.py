@@ -25,6 +25,8 @@ from .spec import Param, experiment
 
 EXPERIMENT_ID = "fig4"
 TITLE = "Inverter cell: Vout vs input duty cycle (per Rout)"
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 13, "paper": 25}
 
 #: The paper's load cases, in plot order.
 ROUT_CASES = (("No load", NO_LOAD_ROUT), ("5kOhm", 5e3), ("100kOhm", 100e3))
@@ -32,7 +34,7 @@ ROUT_CASES = (("No load", NO_LOAD_ROUT), ("5kOhm", 5e3), ("100kOhm", 100e3))
 
 def measure_cells(points: "Sequence[tuple]", *,
                   vdd: float = TABLE1_SIZING.vdd, cout: float = 1e-12,
-                  steps_per_period: int = 120) -> np.ndarray:
+                  steps_per_period: int = 20) -> np.ndarray:
     """Average cell outputs at ``(duty, rout, frequency)`` operating
     points (transistor level), solved as one batched PSS."""
     circuits = [build_transcoding_inverter_bench(
@@ -55,7 +57,7 @@ def run(fidelity: str = "fast",
     if duties is None:
         duties = (np.linspace(0.0, 1.0, 11) if fidelity == "paper"
                   else np.linspace(0.1, 0.9, 5))
-    steps = 150 if fidelity == "paper" else 80
+    steps = STEPS_PER_PERIOD[fidelity]
 
     figure = FigureData(EXPERIMENT_ID, TITLE, "Duty cycle", "Vout (V)")
     metrics = {}

@@ -17,6 +17,8 @@ from ..reporting.figures import FigureData
 
 EXPERIMENT_ID = "fig5"
 TITLE = "Inverter cell: Vout vs input frequency"
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 13, "paper": 25}
 
 DUTIES = (0.25, 0.50, 0.75)
 
@@ -36,7 +38,7 @@ def run(fidelity: str = "fast",
     if frequencies is None:
         frequencies = PAPER_FREQUENCIES if fidelity == "paper" \
             else FAST_FREQUENCIES
-    steps = 150 if fidelity == "paper" else 80
+    steps = STEPS_PER_PERIOD[fidelity]
 
     figure = FigureData(EXPERIMENT_ID, TITLE, "Frequency (MHz)", "Vout (V)",
                         log_x=True)

@@ -46,6 +46,8 @@ FREQUENCY = 500e6
 ROUT = 100e3
 
 COUT = 1e-12
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 13, "paper": 25}
 
 
 def supply_sweep_rc_batch(duties: Sequence[float],
@@ -82,7 +84,7 @@ def _sweep(fidelity: str, vdd_values: Optional[Sequence[float]],
     if vdd_values is None:
         vdd_values = PAPER_VDD if fidelity == "paper" else FAST_VDD
     vdds = [float(v) for v in vdd_values]
-    steps = 150 if fidelity == "paper" else 80
+    steps = STEPS_PER_PERIOD[fidelity]
     options = {"steps_per_period": steps} \
         if eng.capabilities().level == "transistor" else {}
     # One call for the whole (duty, vdd) grid: the spice engine solves

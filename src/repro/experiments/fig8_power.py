@@ -24,6 +24,8 @@ from .spec import Param, experiment
 
 EXPERIMENT_ID = "fig8"
 TITLE = "Average supply power vs input frequency (3x3 adder)"
+#: Largest MNA time step, as steps per input period, by fidelity.
+STEPS_PER_PERIOD = {"fast": 13, "paper": 20}
 
 #: Workload assumption (Table II row 1) — the paper does not specify.
 WORKLOAD_DUTIES = (0.70, 0.80, 0.90)
@@ -45,7 +47,7 @@ def run(fidelity: str = "fast",
     if frequencies is None:
         frequencies = PAPER_FREQUENCIES if fidelity == "paper" \
             else FAST_FREQUENCIES
-    steps = 120 if fidelity == "paper" else 80
+    steps = STEPS_PER_PERIOD[fidelity]
 
     adder = WeightedAdder(AdderConfig())
     figure = FigureData(EXPERIMENT_ID, TITLE, "Frequency (MHz)",

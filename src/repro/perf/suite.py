@@ -56,7 +56,7 @@ def _pss_shooting_adder(quick: bool = False):
     from ..core.weighted_adder import AdderConfig, WeightedAdder
 
     adder = WeightedAdder(AdderConfig())
-    steps = 12 if quick else 24
+    steps = 2 if quick else 4
 
     def workload():
         return adder.evaluate((0.2, 0.6, 0.8), (5, 6, 7),
@@ -106,7 +106,7 @@ def _mna_batch_transient_cell(quick: bool = False):
     )
 
     t_stop = (2 if quick else 6) / FREQUENCY
-    dt = 1.0 / FREQUENCY / 40
+    dt = 1.0 / FREQUENCY / 7
     circuits = [_build(t_stop, v_end) for v_end in RAMP_TARGETS]
 
     def workload():

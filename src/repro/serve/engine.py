@@ -204,7 +204,7 @@ class BatchInferenceEngine:
                              x: Sequence[float],
                              vdd_values: Sequence[float], *,
                              engine: str = "behavioral",
-                             steps_per_period: int = 60,
+                             steps_per_period: int = 10,
                              solver: str = "auto") -> np.ndarray:
         """One sample across a supply sweep, shape ``(len(vdd_values),)``.
 
@@ -328,7 +328,7 @@ class BatchInferenceEngine:
 
     def margins_spice(self, perceptron: DifferentialPwmPerceptron, X, *,
                       vdd: Optional[ArrayLike] = None,
-                      steps_per_period: int = 60,
+                      steps_per_period: int = 10,
                       solver: str = "auto") -> np.ndarray:
         """Transistor-level analog margins, one batched shooting PSS
         per adder bank.

@@ -8,6 +8,23 @@ from repro.circuit import Capacitor, Circuit, Mosfet, PwmVoltage, Resistor, Vdc
 from repro.tech import NMOS_UMC65, PMOS_UMC65, TABLE1_SIZING
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long re-runs, deselected unless selected with "
+        "-m slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tier-1 (no ``-m`` expression) deselects the slow-marked tests."""
+    if config.option.markexpr:
+        return
+    slow = [item for item in items if item.get_closest_marker("slow")]
+    if slow:
+        config.hook.pytest_deselected(items=slow)
+        items[:] = [item for item in items
+                    if not item.get_closest_marker("slow")]
+
+
 @pytest.fixture
 def rc_circuit() -> Circuit:
     """1 V step into a 1k/1u RC (tau = 1 ms)."""

@@ -7,9 +7,13 @@ and ``tests/test_engines.py`` compare batched results against.  Their
 output is recorded in ``tests/fixtures/scalar_mna_reference.json``:
 exact step counts, halvings and shooting iterations; residuals,
 averages and wave summaries (column sums, middle row, last row) as
-``float.hex``.  The transient cases come from the scalar loop; the
-shooting cases were re-recorded when shooting moved to the exact
-period-map Jacobian and its update stop test (see :data:`SHOOTING`).
+``float.hex``.  Every case was re-recorded when the stepper began
+grading its steps (small after each breakpoint, growing to ``dt``
+between them), so the transient cases record the graded lock-step
+stepper, no longer the scalar loop, and the shooting cases (see
+:data:`SHOOTING`) the exact period-map Jacobian and its update stop
+test on that grid.  ``halving_*`` drive the middle point with a 300 V
+input, steep enough to fail Newton at the graded steps of its edges.
 
 :func:`reference` reruns a case through today's ``transient``/
 ``shooting`` and checks it against the recording: integers exactly,
@@ -46,7 +50,7 @@ FAST_VDD = (1.0, 2.5, 4.0)
 FIG4_DUTIES = tuple(float(d) for d in np.linspace(0.1, 0.9, 5))
 FIG5_POINTS = tuple((d, f) for d in (0.25, 0.5, 0.75)
                     for f in (10e6, 100e6, 1000e6))
-HALVING_AMPLITUDES = (None, 80.0, None)
+HALVING_AMPLITUDES = (None, 300.0, None)
 
 
 def cell(duty, frequency=500e6, rout=100e3, amplitude=None) -> Circuit:

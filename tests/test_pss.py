@@ -249,9 +249,10 @@ class TestPeriodMapJacobian:
                      "XCMP.tail", "XCMP.outb"])
 
     def test_through_forced_step_halving(self):
-        # An 80 V input edge fails Newton at the nominal step, so the
-        # lane halves inside the period; the columns follow the retry.
-        self._check(make_transcoding_inverter(0.5, amplitude=80.0), 2e-9,
+        # A 300 V input edge fails Newton even at the graded steps
+        # around it, so the lane halves inside the period; the columns
+        # follow the retry.
+        self._check(make_transcoding_inverter(0.5, amplitude=300.0), 2e-9,
                     40, ["out"], warmup=0, halved=True)
 
     def test_plain_transients_solve_no_extra_columns(self, monkeypatch):

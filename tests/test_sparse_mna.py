@@ -301,8 +301,8 @@ class TestRaggedBitIdentity:
         _assert_pss_equal("multifreq", make, periods, steps)
 
     def test_forced_halving_stays_in_its_lane(self):
-        # An 80 V input ramp is too steep for the nominal step: that
-        # point halves its steps, its neighbours do not.
+        # A 300 V input ramp is too steep even for the graded steps at
+        # its edges: that point halves its steps, its neighbours do not.
         def make(p):
             return cell(0.5, amplitude=HALVING_AMPLITUDES[p])
 

@@ -443,41 +443,41 @@ TRACED_ENTRY_POINTS = {
     "batch._solve_newton": (_batch_newton, {
         "mna.newton": _BATCH_NEWTON,
         "mna.transient.batch": _BATCH_TRAN}, {
-        "repro_mna_newton_solves_total": 20.0,
-        "repro_mna_lane_iterations_total": 40.0,
-        "repro_mna_steps_total": 40.0,
+        "repro_mna_newton_solves_total": 80.0,
+        "repro_mna_lane_iterations_total": 160.0,
+        "repro_mna_steps_total": 160.0,
         "repro_mna_step_halvings_total": 0.0}),
     "transient": (_transient, {
         "mna.newton": _BATCH_NEWTON, "mna.transient": _TRAN,
         "mna.transient.batch": _BATCH_TRAN}, {
-        "repro_mna_newton_solves_total": 21.0,
-        "repro_mna_lane_iterations_total": 20.0,
-        "repro_mna_steps_total": 20.0,
+        "repro_mna_newton_solves_total": 81.0,
+        "repro_mna_lane_iterations_total": 80.0,
+        "repro_mna_steps_total": 80.0,
         "repro_mna_step_halvings_total": 0.0}),
     "shooting": (_shooting, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting": ["circuit", "iterations"]}, {
-        "repro_mna_newton_solves_total": 41.0,
-        "repro_mna_lane_iterations_total": 40.0,
-        "repro_mna_steps_total": 40.0,
+        "repro_mna_newton_solves_total": 105.0,
+        "repro_mna_lane_iterations_total": 104.0,
+        "repro_mna_steps_total": 104.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 1.0,
         "repro_pss_iterations_total": 2.0}),
     "shooting_batch": (_shooting_batch, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting_batch": ["iterations", "points"]}, {
-        "repro_mna_newton_solves_total": 42.0,
-        "repro_mna_lane_iterations_total": 80.0,
-        "repro_mna_steps_total": 80.0,
+        "repro_mna_newton_solves_total": 106.0,
+        "repro_mna_lane_iterations_total": 208.0,
+        "repro_mna_steps_total": 208.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 2.0,
         "repro_pss_iterations_total": 4.0}),
     "shooting_jacobian_batched": (_shooting_jacobian, {
         "mna.newton": _BATCH_NEWTON, "mna.transient.batch": _BATCH_TRAN,
         "pss.shooting": ["circuit", "iterations"]}, {
-        "repro_mna_newton_solves_total": 41.0,
-        "repro_mna_lane_iterations_total": 40.0,
-        "repro_mna_steps_total": 40.0,
+        "repro_mna_newton_solves_total": 105.0,
+        "repro_mna_lane_iterations_total": 104.0,
+        "repro_mna_steps_total": 104.0,
         "repro_mna_step_halvings_total": 0.0,
         "repro_pss_solves_total": 1.0,
         "repro_pss_iterations_total": 2.0}),
@@ -540,8 +540,10 @@ class TestTracedEntryPoints:
             _transient()
         (trans,) = [e for e in rt.tracer.events()
                     if e["name"] == "mna.transient"]
+        # 20 ns at a largest step of 1 ns, graded up from 1/40 ns after
+        # the start and each of the pulse's 7 breakpoints inside the run.
         assert trans["tags"] == {"circuit": "rc_pulse", "method": "trap",
-                                 "steps": 20}
+                                 "steps": 80}
 
     @pytest.mark.parametrize("run", [
         lambda: _shooting(r=1e6, max_iterations=1),
