@@ -44,7 +44,7 @@ def calibration_grid(adder: WeightedAdder, *,
 
 def calibrate_adder(adder: WeightedAdder, *, engine: str = "spice",
                     degree: int = 2, seed: int = 0, n_random: int = 8,
-                    steps_per_period: int = 100) -> "Tuple[CalibrationModel, float]":
+                    steps_per_period: int = 17) -> "Tuple[CalibrationModel, float]":
     """Fit a calibration polynomial; returns ``(model, rms_residual)``.
 
     The residual (volts) is measured on the fitting grid itself and

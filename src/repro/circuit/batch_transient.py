@@ -655,6 +655,14 @@ def _rungs() -> List[float]:
     return rungs + [1.0] if rungs[-1] < 1.0 else rungs
 
 
+def _common_kind(kinds: np.ndarray) -> int:
+    """The step kind every lane takes, -1 when they differ."""
+    first = int(kinds[0])
+    # count_nonzero: the cheapest all() on the small masks here.
+    return (first if np.count_nonzero(kinds == first) == kinds.size
+            else -1)
+
+
 def _skip_targets(targets: list, pos: int, t: float) -> int:
     """First target index at or after ``pos`` lying beyond ``t``."""
     while pos < len(targets) and targets[pos] <= t:
@@ -667,9 +675,7 @@ class _LaneGrid:
     with size ``h[k]``, method ``be[k]``, kind ``kind[k]`` (see
     :class:`_StepPlan`) and source values ``v[k]``; a lane takes
     ``n_steps`` steps and then repeats its stop time.  ``plans[lane]``
-    is ``(plan, k0)``: the lane follows ``plan`` from step ``k0``.
-    ``kinds[k]`` is the plans' common step kind while every lane runs,
-    -1 where they differ."""
+    is ``(plan, k0)``: the lane follows ``plan`` from step ``k0``."""
 
     def __init__(self, plans: List[_StepPlan], n_sources: int):
         n_lanes = len(plans)
@@ -684,12 +690,8 @@ class _LaneGrid:
         by_plan: "Dict[int, List[int]]" = {}
         for lane, plan in enumerate(plans):
             by_plan.setdefault(id(plan), []).append(lane)
-        self.kinds: List[int] = plans[0].kind
         for lanes in by_plan.values():
-            plan = plans[lanes[0]]
-            self.put(lanes, 0, plan)
-            self.kinds = [a if a == b else -1
-                          for a, b in zip(self.kinds, plan.kind)]
+            self.put(lanes, 0, plans[lanes[0]])
 
     def put(self, lanes: List[int], k0: int, plan: _StepPlan) -> None:
         """``lanes`` follow ``plan`` from step ``k0`` on."""
@@ -711,8 +713,6 @@ class _LaneGrid:
         self.n_steps[lanes] = k1
         for lane in lanes:
             self.plans[lane] = (plan, k0)
-        # A re-planned lane leaves the common grid.
-        self.kinds = self.kinds[:k0] if k0 else self.kinds
 
 
 class TransientResult:
@@ -935,21 +935,24 @@ class BatchTransientSolver:
             stack = self._stacks[kind] = (G, comp)
         return stack
 
-    def _base_stack(self, lanes, kinds: np.ndarray, comp: list,
-                    kind: int) -> np.ndarray:
-        """Static + source + companion matrices for the lanes, ``(B, S, S)``.
+    def _step_matrices(self, lanes, kinds: np.ndarray, h: np.ndarray,
+                       be: np.ndarray) -> "tuple[np.ndarray, list]":
+        """Static + companion matrices ``(B, S, S)`` and companion values
+        for one step of the lanes, whose step kinds are ``kinds`` (see
+        :class:`_StepPlan`), sizes ``h`` and methods ``be``.
 
-        Steps of a ladder rung's size reuse the run's stack for their
-        kind (``kind`` >= 0 says every lane of a full working set takes
-        one, else ``kinds`` gives each lane's, see :class:`_LaneGrid`);
-        breakpoint-shortened or halved steps (kind -1) assemble their
-        own.  Callers copy before stamping.
+        A step every lane takes at one rung's size reuses the run's
+        stack for its kind; otherwise each lane at a rung's size gathers
+        its kind's matrices, and breakpoint-shortened or halved steps
+        (kind -1) assemble their own.  Callers copy before stamping.
         """
+        kind = _common_kind(kinds)
         if kind >= 0:
-            return self._stack(kind)[0]
-        first = int(kinds[0])
-        if first >= 0 and np.count_nonzero(kinds == first) == kinds.size:
-            return self._stack(first)[0][lanes]
+            G, comp = self._stack(kind)
+            if isinstance(lanes, slice):
+                return G, comp
+            return G[lanes], [g[:, lanes] for g in comp]
+        comp = [group.geq(lanes, h, be) for group in self._reactive]
         ids = self._lane_ids[lanes]
         G = np.empty((ids.size, self.size, self.size))
         for k in np.unique(kinds[kinds >= 0]).tolist():
@@ -961,7 +964,7 @@ class BatchTransientSolver:
             for group, g in zip(self._reactive, comp):
                 group.add_geq_stack(sub, g[:, off], ids[off])
             G[off] = sub
-        return G
+        return G, comp
 
     def _stamp_switches(self, G: np.ndarray, I_t: np.ndarray,
                         x: np.ndarray, t: np.ndarray, rows) -> None:
@@ -982,14 +985,15 @@ class BatchTransientSolver:
             "analysis": "batch-transient", "points": x0.shape[0],
             "size": self.size})
     def _solve_newton(self, x0: np.ndarray, t: np.ndarray,
-                      kinds: np.ndarray, be: np.ndarray, comp: list,
-                      src: np.ndarray, lanes, kind: int) -> "tuple":
+                      G_base: np.ndarray, be: np.ndarray, comp: list,
+                      src: np.ndarray, lanes) -> "tuple":
         """Damped Newton at one step, vectorised over lanes.
 
-        ``t``, the step kinds ``kinds``, ``be`` (backward Euler, else
-        trapezoidal), the companion values ``comp`` (one ``(K, B)``
-        array per companion group) and the source values ``src``
-        ``(Kv, B)`` are per lane; ``kind`` is :meth:`_base_stack`'s.
+        ``t``, the matrices and companion values of
+        :meth:`_step_matrices` (``G_base`` and ``comp``, one ``(K, B)``
+        array per companion group), ``be`` (backward Euler, else
+        trapezoidal) and the source values ``src`` ``(Kv, B)`` are per
+        lane.
         Updates, clamping and the convergence test (the ``NEWTON_*``
         settings) apply per lane, and a converged lane leaves the
         working set while the rest keep iterating; the block-diagonal
@@ -1003,7 +1007,6 @@ class BatchTransientSolver:
         ``NEWTON_MAX_ITER``), ``None`` when none did.
         """
         rt = telemetry.active()
-        G_base = self._base_stack(lanes, kinds, comp, kind)
         # (S, B), C-contiguous: the stamps scatter through flat indices.
         I_t_base = (self._I_t_static.copy() if isinstance(lanes, slice)
                     else self._I_t_static.take(lanes, axis=1))
@@ -1244,13 +1247,9 @@ class BatchTransientSolver:
             # (views, no gathers).
             ix = slice(None) if act.size == n_lanes else act
             h, be, t_new = grid.h[k, ix], grid.be[k, ix], grid.t[k + 1, ix]
-            kinds = grid.kind[k, ix]
-            kind = (grid.kinds[k] if act.size == n_lanes
-                    and k < len(grid.kinds) else -1)
-            comp = (self._stack(kind)[1] if kind >= 0 else
-                    [group.geq(ix, h, be) for group in reactive])
+            G_base, comp = self._step_matrices(ix, grid.kind[k, ix], h, be)
             x_acc, phi_acc, failed = self._solve_newton(
-                x[ix], t_new, kinds, be, comp, grid.v[k][:, ix], ix, kind)
+                x[ix], t_new, G_base, be, comp, grid.v[k][:, ix], ix)
             if failed is not None:
                 # Newton failures halve only the failing lanes' steps
                 # and retry them with backward Euler; those lanes then
@@ -1272,15 +1271,16 @@ class BatchTransientSolver:
                             "size", analysis="batch-transient",
                             time=float(t_act[pending[0]]))
                     t_new[pending] = t_act[pending] + h[pending]
-                    for group, g in zip(reactive, comp):
-                        g[:, pending] = group.geq(rows, h[pending],
-                                                  be[pending])
+                    G_pend, comp_pend = self._step_matrices(
+                        rows, np.full(pending.size, -1), h[pending],
+                        be[pending])
+                    for g, g_pend in zip(comp, comp_pend):
+                        g[:, pending] = g_pend
                     x_new, phi_new, failed = self._solve_newton(
-                        x[rows], t_new[pending],
-                        np.full(pending.size, -1), be[pending],
-                        [g[:, pending] for g in comp],
+                        x[rows], t_new[pending], G_pend, be[pending],
+                        comp_pend,
                         self._sources.values(circ[rows], t_new[pending]),
-                        rows, -1)
+                        rows)
                     if failed is None:
                         failed = np.zeros(pending.size, dtype=bool)
                     x_acc[pending[~failed]] = x_new[~failed]
@@ -1461,7 +1461,7 @@ def _note_batch_pss(rt, span, result: BatchPssResult) -> None:
                   tags=lambda circuits, *_, **__: {"points": len(circuits)},
                   done=_note_batch_pss, fails=_PSS_FAILURES)
 def shooting_batch(circuits: Sequence[Circuit], period, *,
-                   steps_per_period=33,
+                   steps_per_period=200,
                    observe: Optional[Sequence[str]] = None,
                    x0: Optional[Sequence[np.ndarray]] = None,
                    max_iterations: int = 15, tol: float = 1e-4,
@@ -1560,7 +1560,7 @@ def shooting_batch(circuits: Sequence[Circuit], period, *,
 @telemetry.traced("pss.shooting",
                   tags=lambda circuit, *_, **__: {"circuit": circuit.name},
                   done=_note_pss, fails=_PSS_FAILURES)
-def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 33,
+def shooting(circuit: Circuit, period: float, *, steps_per_period: int = 200,
              observe: Optional[Sequence[str]] = None,
              x0: Optional[np.ndarray] = None,
              max_iterations: int = 15, tol: float = 1e-4,

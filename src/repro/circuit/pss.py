@@ -35,7 +35,7 @@ from .netlist import Circuit
 
 
 def settle_average(circuit: Circuit, period: float, node: str, *,
-                   steps_per_period: int = 100, chunk_periods: int = 20,
+                   steps_per_period: int = 17, chunk_periods: int = 20,
                    max_chunks: int = 200, tol: float = 1e-3,
                    ic: Optional[dict] = None,
                    method: str = "trap") -> "tuple[float, TransientResult]":

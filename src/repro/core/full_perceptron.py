@@ -77,7 +77,7 @@ def evaluate_full_perceptron(duties: Sequence[float],
                              config: Optional[AdderConfig] = None,
                              vdd: Optional[float] = None,
                              frequency: Optional[float] = None,
-                             steps_per_period: int = 100,
+                             steps_per_period: int = 17,
                              solver: str = "auto") -> FullPerceptronResult:
     """Transistor-level PSS of the whole perceptron; the decision is the
     comparator output's period average thresholded at mid-rail."""
@@ -89,7 +89,7 @@ def evaluate_full_perceptron(duties: Sequence[float],
 def evaluate_full_perceptrons(points: "Sequence[tuple]", theta: float, *,
                               config: Optional[AdderConfig] = None,
                               frequency: Optional[float] = None,
-                              steps_per_period: int = 100,
+                              steps_per_period: int = 17,
                               solver: str = "auto"
                               ) -> "List[FullPerceptronResult]":
     """:func:`evaluate_full_perceptron` over ``(duties, weights, vdd)``

@@ -268,7 +268,7 @@ class WeightedAdder:
                  frequencies: Optional[Sequence[float]] = None,
                  phases: Optional[Sequence[float]] = None,
                  input_amplitude: Optional[float] = None,
-                 steps_per_period: int = 150,
+                 steps_per_period: int = 100,
                  cell_overrides: Optional[Dict[int, CellDesign]] = None,
                  solver: str = "auto") -> AdderResult:
         """Average output voltage via the selected engine.
@@ -311,7 +311,7 @@ class WeightedAdder:
             steps_per_period=steps_per_period, solver=solver)[0]
 
     def evaluate_spice(self, points: Sequence[Dict], *,
-                       steps_per_period: int = 150,
+                       steps_per_period: int = 100,
                        solver: str = "auto") -> List[AdderResult]:
         """Transistor-level results for many operand points at once.
 

@@ -87,7 +87,7 @@ def consistency_report(duties: Optional[Sequence[float]] = None,
                        frequency: float = DEFAULT_FREQUENCY,
                        cout: float = DEFAULT_COUT,
                        rout: Optional[float] = DEFAULT_ROUT,
-                       steps_per_period: int = 80,
+                       steps_per_period: int = 13,
                        fidelity: str = "fast") -> ConsistencyReport:
     """Run every engine over one shared operating grid.
 

@@ -23,7 +23,7 @@ from .spec import experiment, seed_param
 EXPERIMENT_ID = "ext_engine_fidelity"
 TITLE = "Engine cross-validation: behavioral vs RC vs transistor level"
 #: Largest MNA time step, as steps per input period, by fidelity.
-STEPS_PER_PERIOD = {"fast": 12, "paper": 20}
+STEPS_PER_PERIOD = {"fast": 12, "paper": 60}
 
 
 @experiment("ext_engine_fidelity", title=TITLE,

@@ -25,7 +25,7 @@ CASES = [
 ]
 THETA = 9.0
 #: Largest MNA time step, as steps per input period, by fidelity.
-STEPS_PER_PERIOD = {"fast": 13, "paper": 20}
+STEPS_PER_PERIOD = {"fast": 13, "paper": 40}
 
 
 @experiment("ext_full_system", title=TITLE,

@@ -18,7 +18,7 @@ from ..reporting.figures import FigureData
 EXPERIMENT_ID = "fig5"
 TITLE = "Inverter cell: Vout vs input frequency"
 #: Largest MNA time step, as steps per input period, by fidelity.
-STEPS_PER_PERIOD = {"fast": 13, "paper": 25}
+STEPS_PER_PERIOD = {"fast": 13, "paper": 100}
 
 DUTIES = (0.25, 0.50, 0.75)
 

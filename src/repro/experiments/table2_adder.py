@@ -48,7 +48,7 @@ PAPER_ROWS: "List[Table2Row]" = [
 def run(fidelity: str = "fast", solver: str = "auto") -> ExperimentResult:
     adder = WeightedAdder(AdderConfig())  # Cout=10pF default, Table I cell
     engine = "spice" if fidelity == "paper" else "rc"
-    steps = 20 if fidelity == "paper" else 0
+    steps = 50 if fidelity == "paper" else 0
 
     table = Table(["DC1", "W1", "DC2", "W2", "DC3", "W3",
                    "theory(Eq.2)", "paper theory", "simulated",

@@ -24,9 +24,12 @@ The *time reference* of a transistor-level experiment
 grid of :data:`TIME_REFERENCE_STEPS` steps per period, 16 times the
 uniform count its goldens used before the stepper graded its steps,
 with the same tight shooting.  It was recorded once, from the uniform
-stepper, with that tree's goldens' distances to it; :func:`check` holds
-that no experiment's largest distance to it grows.  The grid error sits
-at the PWM edges, so a change to the time grid is measured against it.
+stepper; each cell keeps that tree's golden's distance to it as
+``uniform_time_distance`` (for the record) and the committed graded
+golden's as ``time_distance``, the budget: :func:`check` holds that no
+experiment's largest ``time_distance`` grows, so a coarser grid fails
+it.  The grid error sits at the PWM edges, so a change to the time grid
+is measured against it.
 
 Re-record (from a tree whose goldens the distances should describe;
 the references come from the tree on ``PYTHONPATH``), from the
