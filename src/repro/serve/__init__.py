@@ -45,7 +45,8 @@ into something deployable:
 
 from __future__ import annotations
 
-from .aio_server import AsyncPerceptronServer
+import importlib
+
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     ModelStore,
@@ -55,9 +56,18 @@ from .artifacts import (
     serialize_model,
 )
 from .engine import BatchInferenceEngine
-from .pool import EngineWorkerPool
-from .scheduler import AsyncMicroBatcher, BatchStats
-from .server import ServingCore, ServingMetrics
+
+#: The serving stack's names and their modules.  They load on first
+#: access (PEP 562), so the training and experiment code that imports
+#: :mod:`repro.serve.engine` loads neither asyncio nor the HTTP server.
+_LAZY = {
+    "AsyncPerceptronServer": "aio_server",
+    "AsyncMicroBatcher": "scheduler",
+    "BatchStats": "scheduler",
+    "EngineWorkerPool": "pool",
+    "ServingCore": "server",
+    "ServingMetrics": "server",
+}
 
 __all__ = [
     "NotFoundError",
@@ -74,3 +84,12 @@ __all__ = [
     "ServingCore",
     "ServingMetrics",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

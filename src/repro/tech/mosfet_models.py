@@ -185,10 +185,6 @@ def gate_capacitances(params: MosfetParams, width: float,
     return cgs, cgd, cj
 
 
-#: ``scipy.special.expit``, bound by the first :func:`ids_full_vec` call.
-_expit = None
-
-
 def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     """Vectorised :func:`ids_full` over arrays of devices.
 
@@ -197,40 +193,46 @@ def ids_full_vec(vd, vg, vs, sign, beta, vt, lam, n_sub):
     arrays with the same conventions as :func:`ids_full`.  This is the
     hot path of the transient engine, so it avoids Python-level loops.
 
-    scipy's ``expit`` is bound on the first call, so importing this
-    module (and every behavioural or RC path) needs numpy alone.
+    It needs numpy alone.  The sigmoid ``dvov`` uses numpy's
+    CPU-dispatched ``exp``, so ``gm`` (and ``gds`` on a reversed device,
+    which adds ``gm``) may differ between hosts by a few ulp; ``id``
+    does not use it.
     """
-    global _expit
-    if _expit is None:
-        from scipy.special import expit as _expit
-
     vgs = sign * (vg - vs)
     vds = sign * (vd - vs)
     reverse = vds < 0.0
-    # Work in the forward frame for every device.  ``flip`` is exactly
-    # -1 on reversed devices and +1 elsewhere, so multiplying by it
-    # negates or keeps a value bit for bit (``abs`` would turn a PMOS
-    # ``vds`` of -0.0 into +0.0 and flip the sign of a zero current).
-    flip = np.where(reverse, -1.0, 1.0)
-    vgs_f = np.where(reverse, vgs - vds, vgs)
-    vds_f = vds * flip
+    swapped = np.count_nonzero(reverse) > 0
+    if swapped:
+        # Work in the forward frame for every device.  ``flip`` is
+        # exactly -1 on reversed devices and +1 elsewhere, so
+        # multiplying by it negates or keeps a value bit for bit
+        # (``abs`` would turn a PMOS ``vds`` of -0.0 into +0.0 and flip
+        # the sign of a zero current).
+        flip = np.where(reverse, -1.0, 1.0)
+        vgs = np.where(reverse, vgs - vds, vgs)
+        vds = vds * flip
     scale = 2.0 * n_sub * THERMAL_VOLTAGE
-    z = (vgs_f - vt) / scale
-    # logaddexp/expit are overflow-safe for any z.
+    z = (vgs - vt) / scale
+    # logaddexp is overflow-safe for any z.  The sigmoid's exp(-z)
+    # overflows to inf (numpy warns) only below z = -709, about 55 V
+    # under threshold, where the exact dvov is below 1e-308 anyway.
     vov = scale * np.logaddexp(0.0, z)
-    dvov = _expit(z)
-    clm = 1.0 + lam * vds_f
-    triode = vds_f < vov
-    core_tri = vov * vds_f - 0.5 * vds_f * vds_f
+    dvov = 1.0 / (1.0 + np.exp(-z))
+    clm = 1.0 + lam * vds
+    triode = vds < vov
+    core_tri = vov * vds - 0.5 * vds * vds
     core_sat = 0.5 * vov * vov
-    ids_f = beta * np.where(triode, core_tri, core_sat) * clm
-    # gm is beta * (vds_f in triode, vov in saturation) * clm * dvov.
-    gm_f = beta * np.where(triode, vds_f, vov) * clm * dvov
-    gds_f = np.where(triode, beta * ((vov - vds_f) * clm + core_tri * lam),
-                     beta * core_sat * lam)
+    ids = beta * np.where(triode, core_tri, core_sat) * clm
+    # gm is beta * (vds in triode, vov in saturation) * clm * dvov.
+    gm = beta * np.where(triode, vds, vov) * clm * dvov
+    gds = np.where(triode, beta * ((vov - vds) * clm + core_tri * lam),
+                   beta * core_sat * lam)
+    if not swapped:
+        # Undoing the swap would multiply by +1.0: no bit changes.
+        return sign * ids, gm, gds
     # Undo the source/drain swap.
-    return (sign * (ids_f * flip), gm_f * flip,
-            np.where(reverse, gm_f + gds_f, gds_f))
+    return (sign * (ids * flip), gm * flip,
+            np.where(reverse, gm + gds, gds))
 
 
 def on_resistance(params: MosfetParams, width: float, length: float,

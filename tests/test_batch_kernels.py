@@ -1,14 +1,18 @@
 """Pins on the lock-step Newton kernels: device evaluation, batched
 stamps and one lock-step group per weight-pattern sweep.
 
-* ``ids_full_vec`` must reproduce ``tests/fixtures/ids_full_vec_reference.json``
-  bit for bit.  The fixture holds its inputs and outputs as
-  ``float.hex`` strings, recorded from the kernel before its call count
-  was cut: a seeded draw of 12 x 16 devices with alternating NMOS/PMOS
-  columns, where rows 0-2 have ``vd == vs`` exactly (so ``vds`` is +0.0
-  for NMOS and -0.0 for PMOS), rows 3-5 sit in deep subthreshold
+* ``ids_full_vec`` must reproduce ``tests/fixtures/ids_full_vec_reference.json``:
+  ``ids`` bit for bit, ``gm`` and ``gds`` within ``KERNEL_ULPS`` ulp
+  (their sigmoid uses numpy's CPU-dispatched ``exp``, which may differ
+  from the libm ``exp`` the fixture was recorded with by a few ulp).
+  The fixture holds its inputs and outputs as ``float.hex`` strings,
+  recorded from the kernel before its call count was cut: a seeded
+  draw of 12 x 16 devices with alternating NMOS/PMOS columns, where
+  rows 0-2 have ``vd == vs`` exactly (so ``vds`` is +0.0 for NMOS and
+  -0.0 for PMOS), rows 3-5 sit in deep subthreshold
   (``z = (vgs_f - vt) / (2 n vT)`` near -25, forward and reverse), rows
-  6-8 are reverse biased and rows 9-11 are random.
+  6-8 are reverse biased and rows 9-11 are random.  A forward device
+  gets the same bits whether or not its batch holds a reversed one.
 * The batched MOSFET and capacitor stamps must add, lane by lane, the
   same G and I bits as the scalar assembler on that lane's circuit —
   also when the lanes mix weight wirings (a weight bit ties a gate to
@@ -41,6 +45,9 @@ from repro.tech.mosfet_models import ids_full_vec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ids_full_vec_reference.json"
 
+#: Largest ulp distance of ``gm`` and ``gds`` from the fixture.
+KERNEL_ULPS = 4
+
 # The fast-fidelity operand grid of ext_engine_fidelity: four corner
 # points and four random draws, with several weight patterns.
 ADDER = WeightedAdder(AdderConfig())
@@ -56,17 +63,50 @@ def _hex(a):
     return [[float(v).hex() for v in row] for row in np.atleast_2d(a)]
 
 
+def _ulps(got, ref):
+    """Ulp distance of two equal-signed float64 arrays."""
+    assert (np.signbit(got) == np.signbit(ref)).all()
+    return np.abs(got.view(np.int64) - ref.view(np.int64))
+
+
 class TestDeviceKernel:
     def test_matches_recorded_reference(self):
         doc = json.loads(FIXTURE.read_text())
         sign = np.array([float.fromhex(v) for v in doc["sign"]])
         args = {k: _from_hex(v) for k, v in doc["inputs"].items()}
         with np.errstate(all="ignore"):
-            out = ids_full_vec(args["vd"], args["vg"], args["vs"], sign,
-                               args["beta"], args["vt"], args["lam"],
-                               args["n_sub"])
-        for name, got in zip(("ids", "gm", "gds"), out):
-            assert _hex(got) == doc["outputs"][name], name
+            ids, gm, gds = ids_full_vec(args["vd"], args["vg"], args["vs"],
+                                        sign, args["beta"], args["vt"],
+                                        args["lam"], args["n_sub"])
+        assert _hex(ids) == doc["outputs"]["ids"]
+        for name, got in (("gm", gm), ("gds", gds)):
+            ref = _from_hex(doc["outputs"][name])
+            assert _ulps(got, ref).max() <= KERNEL_ULPS, name
+
+    def test_forward_devices_ignore_a_reversed_neighbour(self):
+        # A batch without a reversed device skips the source/drain
+        # swap; its forward devices must match the swapped batch's.
+        doc = json.loads(FIXTURE.read_text())
+        sign = np.array([float.fromhex(v) for v in doc["sign"]])
+        args = {k: _from_hex(v) for k, v in doc["inputs"].items()}
+        signs = np.broadcast_to(sign, args["vd"].shape).ravel()
+        flat = {k: v.ravel() for k, v in args.items()}
+        reverse = signs * (flat["vd"] - flat["vs"]) < 0.0
+        assert reverse.any() and not reverse.all()
+        names = ("vd", "vg", "vs")
+        params = ("beta", "vt", "lam", "n_sub")
+
+        def kernel(pick):
+            with np.errstate(all="ignore"):
+                return ids_full_vec(*(flat[k][pick] for k in names),
+                                    signs[pick],
+                                    *(flat[k][pick] for k in params))
+
+        forward = np.flatnonzero(~reverse)
+        mixed = np.append(forward, np.flatnonzero(reverse)[0])
+        alone, together = kernel(forward), kernel(mixed)
+        for a, b in zip(alone, together):
+            assert _hex(a) == _hex(b[:forward.size])
 
     def test_rows_match_the_batch(self):
         # The scalar stamp calls the kernel on 1-D device vectors, the

@@ -261,23 +261,33 @@ class TestResultCache:
 
 
 class TestScipyLoadsOnFirstUse:
-    """scipy is off the start-up path: ``scipy.special`` loads on the
-    first transistor evaluation, ``scipy.sparse`` on the first sparse
-    factorisation, and neither when the packages are imported."""
+    """scipy and the server stack are off the numerics' path.
+
+    The transistor kernel runs on numpy alone, so no experiment loads
+    scipy: only a sparse factorisation does (``scipy.sparse``, on first
+    use; ``tests/test_sparse_mna.py`` runs it).  ``repro.serve`` loads
+    its asyncio/HTTP modules on first access, so training and the
+    experiments, which import ``repro.serve.engine``, load neither
+    asyncio nor ``repro.serve.aio_server``."""
 
     @staticmethod
-    def _scipy_modules_after(script):
-        script += ("import json, sys\n"
-                   "print(json.dumps(sorted(m for m in sys.modules\n"
-                   "                        if m.split('.')[0] == 'scipy')))\n")
+    def _modules_after(script):
+        """Modules of scipy, asyncio and the HTTP core loaded by
+        ``script`` in a fresh interpreter."""
+        script += (
+            "import json, sys\n"
+            "print(json.dumps(sorted(\n"
+            "    m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('scipy', 'asyncio')\n"
+            "    or m == 'repro.serve.aio_server')))\n")
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
     def test_serving_a_behavioural_model_never_loads_scipy(self):
-        loaded = self._scipy_modules_after(
+        loaded = self._modules_after(
             "import repro.experiments\n"
             "import repro.serve.aio_server\n"
             "from repro.analysis import make_blobs\n"
@@ -287,14 +297,46 @@ class TestScipyLoadsOnFirstUse:
             "model = PerceptronTrainer(2, seed=7).fit(\n"
             "    data.X, data.y, epochs=10).perceptron\n"
             "BatchInferenceEngine().model_margins(model, data.X)\n")
-        assert loaded == []
+        assert [m for m in loaded if m.startswith("scipy")] == []
 
-    def test_transistor_experiment_loads_only_scipy_special(self):
-        loaded = self._scipy_modules_after(
+    def test_transistor_experiment_loads_no_scipy(self):
+        loaded = self._modules_after(
             "from repro.experiments import RunConfig, run_config\n"
             "run_config(RunConfig.build('fig4', 'fast'))\n")
-        assert "scipy.special" in loaded
-        assert "scipy.sparse" not in loaded
+        assert [m for m in loaded if m.startswith("scipy")] == []
+
+    def test_training_and_experiments_skip_the_server_stack(self):
+        loaded = self._modules_after(
+            "from repro.analysis import make_blobs\n"
+            "from repro.core.training import PerceptronTrainer\n"
+            "from repro.experiments import RunConfig, run_config\n"
+            "data = make_blobs(n_per_class=10, n_features=2, seed=7)\n"
+            "PerceptronTrainer(2, seed=7).fit(data.X, data.y, epochs=10)\n"
+            "run_config(RunConfig.build('ext_robustness', 'fast'))\n")
+        assert loaded == []
+
+    def test_no_fast_experiment_loads_scipy_or_asyncio(self):
+        loaded = self._modules_after(
+            "from repro.experiments import REGISTRY, RunConfig, "
+            "run_config\n"
+            "for eid in REGISTRY:\n"
+            "    run_config(RunConfig.build(eid, 'fast'))\n")
+        assert loaded == []
+
+    def test_every_serve_name_imports_from_the_package(self):
+        import importlib
+
+        import repro.serve
+
+        for name in repro.serve.__all__:
+            namespace = {}
+            exec(f"from repro.serve import {name}", namespace)
+            assert namespace[name] is getattr(repro.serve, name), name
+        for name, module in repro.serve._LAZY.items():
+            home = importlib.import_module(f"repro.serve.{module}")
+            assert getattr(home, name) is getattr(repro.serve, name), name
+        with pytest.raises(ImportError):
+            exec("from repro.serve import NoSuchName", {})
 
 
 class TestCliFlags:

@@ -195,9 +195,8 @@ class TestRandomTopologies:
 # -- batched paths == scalar paths -------------------------------------------
 
 
-# The transistor model's ``expit`` comes from scipy, so every
-# transistor-level run below needs it even on the dense backend.
-@needs_scipy
+# The transistor model runs on numpy alone: the dense-backend runs below
+# need no scipy; only the explicit ``solver="sparse"`` one does.
 class TestBatchedEquivalence:
     def test_ramp_family_batched_bit_identical_to_scalar(self):
         from repro.experiments.ext_dynamic_supply import (
@@ -246,6 +245,7 @@ class TestBatchedEquivalence:
         for p, ref in enumerate(reference("adder_supply_sweep")):
             assert batch.averages("out")[p] == ref.average("out")
 
+    @needs_scipy
     def test_adder_pss_sparse_within_pinned_tolerance(self):
         adder = WeightedAdder(AdderConfig())
         dense = adder.evaluate((0.2, 0.6, 0.8), (5, 6, 7), engine="spice",
@@ -275,7 +275,6 @@ def _assert_pss_equal(case, make, periods, steps, observe=("out",)):
     return refs
 
 
-@needs_scipy
 class TestRaggedBitIdentity:
     """Points with their own source timing, periods and step counts
     share one ragged lock-step run and still equal their one-lane
@@ -391,7 +390,6 @@ class TestServedSpiceMargins:
         except urllib.error.HTTPError as e:
             return e.code, json.loads(e.read())
 
-    @needs_scipy
     def test_predict_round_trip_spice(self, tmp_path):
         with self._server(tmp_path) as server:
             _, beh = self._predict(
@@ -417,7 +415,6 @@ class TestServedSpiceMargins:
                          "solver": 3})
             assert status == 400 and "solver" in body["error"]
 
-    @needs_scipy
     def test_supply_sweep_spice_matches_per_point_margins(self, tmp_path):
         from repro.core.perceptron import DifferentialPwmPerceptron
         from repro.serve.engine import BatchInferenceEngine
