@@ -90,17 +90,22 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .circuit.exceptions import AnalysisError
-from .exec.cache import ResultCache, default_cache_dir
-from .experiments import RunConfig, describe, get_spec, run_config
-from .experiments.spec import SPECS, Param
-from .reporting import figure_to_csv, table_to_csv, write_markdown_report
+
+# Each command imports what it runs, so ``serve`` starts without the
+# experiment registry, the result cache or the circuit simulator.
+if TYPE_CHECKING:
+    from .exec.cache import ResultCache
+    from .experiments.spec import Param, RunConfig
 
 
 def _export(result, csv_dir: "Path | None") -> None:
     if csv_dir is None:
         return
+    from .reporting import figure_to_csv, table_to_csv
+
     csv_dir.mkdir(parents=True, exist_ok=True)
     if result.table is not None:
         table_to_csv(result.table, csv_dir / f"{result.experiment_id}.csv")
@@ -222,13 +227,10 @@ def _explicit_params(args, spec) -> dict:
 
 def _resolve_cache(args) -> "ResultCache | None":
     """Cache policy: paper runs cache by default, fast runs opt in."""
-    if args.no_cache:
+    if args.no_cache or (args.cache_dir is None
+                         and args.fidelity != "paper"):
         return None
-    if args.cache_dir is not None:
-        return ResultCache(args.cache_dir)
-    if args.fidelity == "paper":
-        return ResultCache(default_cache_dir())
-    return None
+    return _open_store(args)
 
 
 def _run_cached(config: RunConfig, cache):
@@ -238,6 +240,8 @@ def _run_cached(config: RunConfig, cache):
     (the cache key covers the canonical config, not code — after
     changing experiment code, recompute with ``--no-cache``).
     """
+    from .experiments import run_config
+
     if cache is not None:
         hit = cache.get_config(config)
         if hit is not None:
@@ -251,6 +255,8 @@ def _run_cached(config: RunConfig, cache):
 def _parse_overrides(parser: argparse.ArgumentParser,
                      pairs: "list[str] | None") -> dict:
     """``--set ID.PARAM=VALUE`` pairs -> validated overrides mapping."""
+    from .experiments import get_spec
+
     overrides: "dict[str, dict]" = {}
     for text in pairs or []:
         head, sep, value = text.partition("=")
@@ -285,9 +291,13 @@ def _default_campaign_dir() -> Path:
 # -- campaign orchestration ------------------------------------------------
 
 
-def _cache_root(args) -> Path:
-    return args.cache_dir if args.cache_dir is not None \
+def _open_store(args) -> "ResultCache":
+    """The result cache under ``--cache-dir`` (``--db`` where given)."""
+    from .exec.cache import ResultCache, default_cache_dir
+
+    root = args.cache_dir if args.cache_dir is not None \
         else default_cache_dir()
+    return ResultCache(root, db_path=getattr(args, "db", None))
 
 
 def _cmd_campaign(args) -> int:
@@ -300,10 +310,11 @@ def _cmd_campaign(args) -> int:
         results_document,
         results_table,
     )
+    from .reporting import table_to_csv
 
     spec = CampaignSpec.load(args.spec)
     # Campaigns always cache: the cache *is* the resume checkpoint.
-    cache = ResultCache(_cache_root(args))
+    cache = _open_store(args)
 
     if args.campaign_command == "run":
         shard = parse_shard(args.shard) if args.shard else (1, 1)
@@ -417,13 +428,13 @@ def _where_term(text: str):
 
 
 def _cmd_store(args) -> int:
+    from .reporting import table_to_csv
     from .store import StoreQuery
 
-    root = _cache_root(args)
-    store = ResultCache(root, db_path=args.db)
+    store = _open_store(args)
 
     if args.store_command == "migrate":
-        summary = store.import_flat_cache(root)
+        summary = store.import_flat_cache(store.root)
         print(f"store migrate: scanned {summary['scanned']} cache "
               f"file(s) — {summary['migrated']} migrated "
               f"({summary['legacy']} legacy, {summary['stale']} stale), "
@@ -477,10 +488,6 @@ def _cmd_store(args) -> int:
 #: The baseline committed with the tree, used by `perf gate` when
 #: neither --baseline nor a store-flagged baseline run is present.
 _PERF_BASELINE_NAME = Path("benchmarks") / "perf_baseline.json"
-
-
-def _perf_store(args) -> ResultCache:
-    return ResultCache(_cache_root(args), db_path=args.db)
 
 
 def _default_perf_baseline() -> "Path | None":
@@ -556,7 +563,7 @@ def _cmd_perf(args) -> int:
         return 0
 
     if args.perf_command == "run":
-        store = None if args.no_store else _perf_store(args)
+        store = None if args.no_store else _open_store(args)
         doc = run_benchmarks(
             args.benchmarks or None, tag=args.tag, quick=args.quick,
             repeats=args.repeats, store=store,
@@ -594,7 +601,7 @@ def _cmd_perf(args) -> int:
         return 0
 
     if args.perf_command == "history":
-        store = _perf_store(args)
+        store = _open_store(args)
         history = store.perf_history(args.benchmark, limit=args.limit)
         if args.json:
             print(json.dumps(history, indent=2, sort_keys=True))
@@ -611,7 +618,7 @@ def _cmd_perf(args) -> int:
                   f"({len(points)} run(s))")
         return 0
 
-    store = _perf_store(args)
+    store = _open_store(args)
     current = store.perf_run(args.run)
     if current is None:
         print("error: no stored perf run to "
@@ -786,6 +793,8 @@ def _cmd_list(args) -> int:
             print(f"{entry['id']:12s} [{caps['level']}] "
                   f"{entry['title']} ({flags})")
         return 0
+    from .experiments import describe
+
     document = describe()
     if args.tag:
         document["experiments"] = [
@@ -806,6 +815,9 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
     """``run`` and ``all``."""
+    from .experiments import RunConfig, get_spec
+    from .experiments.spec import SPECS
+
     cache = _resolve_cache(args)
 
     if args.command == "run":
@@ -832,6 +844,8 @@ def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
         print()
         _export(result, args.csv)
     if args.report is not None:
+        from .reporting import write_markdown_report
+
         write_markdown_report(results, args.report,
                               title="PWM perceptron reproduction report")
         print(f"report written to {args.report}")
@@ -840,6 +854,7 @@ def _cmd_run(args, all_p: argparse.ArgumentParser) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the DATE 2019 PWM mixed-signal perceptron")
@@ -862,18 +877,23 @@ def main(argv: "list[str] | None" = None) -> int:
                     "schema-derived options)")
     run_sub = run_p.add_subparsers(dest="experiment_id", metavar="<id>",
                                    required=True)
-    for spec in SPECS.values():
-        exp_p = run_sub.add_parser(
-            spec.id, help=spec.title,
-            description=f"{spec.title}. {spec.description}")
-        exp_p.add_argument("--fidelity", choices=("fast", "paper"),
-                           default="fast")
-        exp_p.add_argument("--no-charts", action="store_true")
-        exp_p.add_argument("--csv", type=Path, default=None,
-                           help="export tables/series as CSV into this "
-                                "directory")
-        _add_exec_flags(exp_p)
-        _add_schema_options(exp_p, spec)
+    # Only ``run`` takes an experiment id, so only ``run`` loads the
+    # registry (every experiment module) to build the id's options.
+    if next((a for a in argv if not a.startswith("-")), None) == "run":
+        from .experiments.spec import SPECS
+
+        for spec in SPECS.values():
+            exp_p = run_sub.add_parser(
+                spec.id, help=spec.title,
+                description=f"{spec.title}. {spec.description}")
+            exp_p.add_argument("--fidelity", choices=("fast", "paper"),
+                               default="fast")
+            exp_p.add_argument("--no-charts", action="store_true")
+            exp_p.add_argument("--csv", type=Path, default=None,
+                               help="export tables/series as CSV into "
+                                    "this directory")
+            _add_exec_flags(exp_p)
+            _add_schema_options(exp_p, spec)
 
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--fidelity", choices=("fast", "paper"),

@@ -17,82 +17,38 @@ Quick example::
     print(result.node("out").value_at(1e-3))
 """
 
-from .ac import AcPoint, AcResult, ac_analysis
-from .batch_transient import (
-    BatchPssResult,
-    BatchTransientResult,
-    BatchTransientSolver,
-    shooting_batch,
-    shooting_jacobian_batched,
-)
-from .dc import OpPoint, dc_sweep, operating_point
-from .elements import (
-    Capacitor,
-    ModulatedVoltage,
-    Element,
-    Idc,
-    Inductor,
-    IProfile,
-    Mosfet,
-    MnaSystem,
-    PwmVoltage,
-    Resistor,
-    Vccs,
-    Vcvs,
-    Vdc,
-    VoltageSource,
-    VProfile,
-    Vpulse,
-    Vpwl,
-    Vsin,
-    VSwitch,
-)
-from .exceptions import (
-    AnalysisError,
-    CircuitError,
-    ConvergenceError,
-    NetlistError,
-    SingularMatrixError,
-    UnitError,
-)
-from .measure import (
-    flatness,
-    linear_fit,
-    max_linearity_error,
-    r_squared,
-    relative_error,
-)
-from .mna import MnaContext
-from .netlist import Circuit, SubCircuit
-from .pss import PssResult, settle_average, shooting
-from .sparse import HAS_SCIPY, SOLVERS, check_solver, choose_backend
-from .spice_export import to_spice, write_spice
-from .transient import TransientResult, transient
-from .units import format_quantity, parse_quantity
-from .waveform import Waveform, concatenate
+from .._lazy import lazy_package
 
-__all__ = [
-    # containers
-    "Circuit", "SubCircuit",
-    # elements
-    "Element", "MnaSystem", "Resistor", "Capacitor", "Inductor",
-    "Vdc", "Vpulse", "PwmVoltage", "Vsin", "Vpwl", "VProfile",
-    "ModulatedVoltage",
-    "VoltageSource", "Idc", "IProfile", "Mosfet", "VSwitch", "Vcvs", "Vccs",
-    # analyses
-    "operating_point", "dc_sweep", "OpPoint", "MnaContext",
-    "ac_analysis", "AcResult", "AcPoint",
-    "transient", "TransientResult",
-    "BatchTransientSolver", "BatchTransientResult", "shooting_batch",
-    "BatchPssResult", "shooting_jacobian_batched",
-    "shooting", "settle_average", "PssResult",
-    "HAS_SCIPY", "SOLVERS", "check_solver", "choose_backend",
-    "to_spice", "write_spice",
-    # measurements
-    "Waveform", "concatenate", "flatness", "linear_fit",
-    "max_linearity_error", "r_squared", "relative_error",
-    # units & errors
-    "parse_quantity", "format_quantity",
-    "CircuitError", "UnitError", "NetlistError", "ConvergenceError",
-    "SingularMatrixError", "AnalysisError",
-]
+#: Each export's submodule.  Names load on first access, so importing
+#: one light module (``repro.circuit.exceptions`` from the serving
+#: stack) does not load the MNA stepper, PSS, AC or sparse code.
+_LAZY = {name: module for module, names in {
+    "ac": ("AcPoint", "AcResult", "ac_analysis"),
+    "batch_transient": ("BatchPssResult", "BatchTransientResult",
+                        "BatchTransientSolver", "shooting_batch",
+                        "shooting_jacobian_batched"),
+    "dc": ("OpPoint", "dc_sweep", "operating_point"),
+    "elements": ("Capacitor", "ModulatedVoltage", "Element", "Idc",
+                 "Inductor", "IProfile", "Mosfet", "MnaSystem",
+                 "PwmVoltage", "Resistor", "Vccs", "Vcvs", "Vdc",
+                 "VoltageSource", "VProfile", "Vpulse", "Vpwl", "Vsin",
+                 "VSwitch"),
+    "exceptions": ("AnalysisError", "CircuitError", "ConvergenceError",
+                   "NetlistError", "SingularMatrixError", "UnitError"),
+    "measure": ("flatness", "linear_fit", "max_linearity_error",
+                "r_squared", "relative_error"),
+    "mna": ("MnaContext",),
+    "netlist": ("Circuit", "SubCircuit"),
+    "pss": ("PssResult", "settle_average", "shooting"),
+    "sparse": ("HAS_SCIPY", "SOLVERS", "check_solver", "choose_backend"),
+    "spice_export": ("to_spice", "write_spice"),
+    # ``transient`` names both the submodule and its function; the
+    # package attribute stays the function (see repro._lazy).
+    "transient": ("TransientResult", "transient"),
+    "units": ("format_quantity", "parse_quantity"),
+    "waveform": ("Waveform", "concatenate"),
+}.items() for name in names}
+
+__all__ = list(_LAZY)
+
+lazy_package(__name__)

@@ -16,15 +16,17 @@ with the paper's Fig. 1 feedback loop.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from ..circuit.exceptions import AnalysisError
 from .encoding import max_weight
 from .perceptron import DifferentialPwmPerceptron
-from .training import PerceptronTrainer, TrainingResult
 from .weighted_adder import AdderConfig
+
+if TYPE_CHECKING:
+    from .training import TrainingResult
 
 
 class PwmHiddenLayer:
@@ -99,6 +101,8 @@ class PwmMlp:
             learning_rate: float = 0.2,
             vdd: Optional[float] = None) -> TrainingResult:
         """Train the output unit on the hidden duty-cycle features."""
+        from .training import PerceptronTrainer
+
         H = self.hidden_features(X, engine=engine, vdd=vdd)
         trainer = PerceptronTrainer(self.n_hidden, config=self.config,
                                     learning_rate=learning_rate,

@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..circuit.elements.passives import Capacitor
 from ..circuit.elements.sources import PwmVoltage, Vdc, VProfile
 from ..circuit.exceptions import AnalysisError
 from ..circuit.netlist import Circuit
-from ..circuit.pss import PssResult
 from ..tech.mosfet_models import on_resistance
 from .behavioral import BehavioralAdder, CalibrationModel, eq2_output
 from .cells import CellDesign, and_cell_subckt
 from .encoding import check_duties, check_weights, max_weight, weight_to_bits
 from .rc_model import RcLeg, RcSwitchSolver
+
+if TYPE_CHECKING:
+    from ..circuit.pss import PssResult
 
 ENGINES = ("behavioral", "rc", "spice")
 

@@ -12,14 +12,14 @@ Two cooperating pieces:
   ``run``/``all``, campaigns, ``store`` queries and perf history.
 """
 
-from .cache import (
-    CACHE_DIR_ENV,
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    default_cache_dir,
-)
+from .._lazy import lazy_package
 
-__all__ = [
-    "ResultCache", "default_cache_dir",
-    "CACHE_SCHEMA_VERSION", "CACHE_DIR_ENV",
-]
+#: The cache's names load on first access: the serving stack imports
+#: :mod:`repro.exec.batch`, which needs neither the cache nor sqlite3.
+_LAZY = {name: "cache" for name in (
+    "CACHE_DIR_ENV", "CACHE_SCHEMA_VERSION", "ResultCache",
+    "default_cache_dir")}
+
+__all__ = list(_LAZY)
+
+lazy_package(__name__)

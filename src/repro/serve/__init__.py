@@ -45,8 +45,7 @@ into something deployable:
 
 from __future__ import annotations
 
-import importlib
-
+from .._lazy import lazy_package
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     ModelStore,
@@ -86,10 +85,4 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+lazy_package(__name__)

@@ -481,6 +481,18 @@ class AsyncHttpServer:
             None, partial(fn, *args))
 
 
+def _engine_level(engine: str, solver: str) -> str:
+    """Capability level of a served engine, after the checks
+    :meth:`BatchInferenceEngine.model_margins` makes."""
+    from ..engines import require_capability
+    from ..exec.batch import resolve_solver
+
+    resolved = require_capability(engine, "serving_margins",
+                                  context="served analog margins")
+    resolve_solver(solver, engine_id=engine)
+    return resolved.capabilities().level
+
+
 class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
     """The model-serving HTTP API over a :class:`ModelStore`.
 
@@ -541,15 +553,12 @@ class AsyncPerceptronServer(ServingCore, AsyncHttpServer):
             return self.predict_response(request, margins)
         # Same registry choke point (and error text) the in-process
         # path hits inside model_margins, paid before shipping work.
-        from ..engines import require_capability
-        from ..exec.batch import resolve_solver
-
-        resolved = require_capability(request.engine, "serving_margins",
-                                      context="served analog margins")
-        resolve_solver(request.solver, engine_id=request.engine)
+        # Off the loop: the first such request imports the engine
+        # registry.
+        level = await self._run_blocking(
+            _engine_level, request.engine, request.solver)
         loop = asyncio.get_running_loop()
-        if resolved.capabilities().level != "behavioral" \
-                and self.pool.enabled:
+        if level != "behavioral" and self.pool.enabled:
             margins = await asyncio.wrap_future(self.pool.submit(
                 request.loaded.doc, request.X, request.vdd,
                 request.engine, request.solver))

@@ -260,6 +260,9 @@ class TestResultCache:
         assert done.stdout.strip() == "[]"
 
 
+LAZY_PACKAGES = ["repro.serve", "repro.circuit", "repro.core", "repro.exec"]
+
+
 class TestScipyLoadsOnFirstUse:
     """scipy and the server stack are off the numerics' path.
 
@@ -323,20 +326,156 @@ class TestScipyLoadsOnFirstUse:
             "    run_config(RunConfig.build(eid, 'fast'))\n")
         assert loaded == []
 
-    def test_every_serve_name_imports_from_the_package(self):
+    # repro.serve, repro.circuit, repro.core and repro.exec resolve
+    # their exported names on first access.
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_serve_name_imports_from_the_package(self, package):
         import importlib
 
-        import repro.serve
-
-        for name in repro.serve.__all__:
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
             namespace = {}
-            exec(f"from repro.serve import {name}", namespace)
-            assert namespace[name] is getattr(repro.serve, name), name
-        for name, module in repro.serve._LAZY.items():
-            home = importlib.import_module(f"repro.serve.{module}")
-            assert getattr(home, name) is getattr(repro.serve, name), name
+            exec(f"from {package} import {name}", namespace)
+            assert namespace[name] is getattr(pkg, name), name
+        for name, module in pkg._LAZY.items():
+            home = importlib.import_module(f"{package}.{module}")
+            assert getattr(home, name) is getattr(pkg, name), name
         with pytest.raises(ImportError):
-            exec("from repro.serve import NoSuchName", {})
+            exec(f"from {package} import NoSuchName", {})
+        with pytest.raises(AttributeError, match="NoSuchName"):
+            getattr(pkg, "NoSuchName")
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_dir_lists_every_export_before_it_loads(self, package):
+        # In a fresh interpreter nothing has been resolved yet, so dir()
+        # can only know the exports from the package's table.
+        script = (
+            "import json\n"
+            f"import {package} as pkg\n"
+            "print(json.dumps([sorted(pkg.__all__), dir(pkg)]))\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        exports, listed = json.loads(done.stdout)
+        assert set(exports) <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_transient_stays_the_function_after_its_submodule_loads(self):
+        # repro.circuit.transient is a submodule and the function it
+        # exports; loading the submodule first must not rebind the
+        # package name to the module.
+        script = (
+            "import types\n"
+            "import repro.circuit.transient\n"
+            "from repro.circuit import transient\n"
+            "import repro.circuit as pkg\n"
+            "home = __import__('sys').modules['repro.circuit.transient']\n"
+            "assert isinstance(home, types.ModuleType)\n"
+            "assert transient is home.transient, transient\n"
+            "assert pkg.transient is home.transient, pkg.transient\n"
+            "print('ok')\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+
+class TestServeStartsWithoutTheSimulator:
+    """``python -m repro serve`` answers a behavioural ``/predict``
+    without loading the experiments, the engine registry, the MNA/PSS
+    stepper or the result cache; the describing endpoints load what
+    they need on first use."""
+
+    #: Modules (and their submodules) the serve path must not load
+    #: before its first behavioural /predict is answered.
+    NOT_LOADED = ("repro.experiments", "repro.engines",
+                  "repro.circuit.batch_transient", "repro.circuit.mna",
+                  "repro.circuit.pss", "repro.exec.cache", "sqlite3")
+
+    @staticmethod
+    def _run(script, store):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+               "STORE": str(store)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @staticmethod
+    def _store(root):
+        from repro.serve import ModelStore
+
+        data = make_blobs(n_per_class=10, n_features=2, seed=7)
+        model = PerceptronTrainer(2, seed=7).fit(
+            data.X, data.y, epochs=10).perceptron
+        ModelStore(root).save("demo", model)
+        return root
+
+    def test_cli_serve_answers_predict_without_the_simulator(self,
+                                                             tmp_path):
+        script = (
+            "import http.client, json, os, socket, sys, threading, time\n"
+            "from repro.__main__ import main\n"
+            "with socket.socket() as sock:\n"
+            "    sock.bind(('127.0.0.1', 0))\n"
+            "    port = sock.getsockname()[1]\n"
+            "threading.Thread(target=main, daemon=True, args=(\n"
+            "    ['serve', '--port', str(port), '--store',\n"
+            "     os.environ['STORE']],)).start()\n"
+            "def call(method, path, body=None):\n"
+            "    conn = http.client.HTTPConnection('127.0.0.1', port,\n"
+            "                                      timeout=10)\n"
+            "    conn.request(method, path, body=body)\n"
+            "    response = conn.getresponse()\n"
+            "    return response.status, response.read().decode()\n"
+            "body = json.dumps({'model': 'demo', 'inputs': [[0.3, 0.7]]})\n"
+            "for _ in range(2000):\n"
+            "    try:\n"
+            "        status, _ = call('POST', '/predict', body)\n"
+            "        break\n"
+            "    except OSError:\n"
+            "        time.sleep(0.005)\n"
+            f"boundary = {self.NOT_LOADED!r}\n"
+            "loaded = sorted(m for m in sys.modules for b in boundary\n"
+            "                if m == b or m.startswith(b + '.'))\n"
+            "print(json.dumps([status, loaded, call('GET', '/engines')]))\n")
+        status, loaded, engines = self._run(script, self._store(tmp_path))
+        assert status == 200
+        assert loaded == []
+        wire = json.loads((REPO_ROOT / "tests" / "fixtures"
+                           / "serve_wire.json").read_text())
+        pinned = next(ex for ex in wire["exchanges"]
+                      if ex["path"] == "/engines")
+        assert engines == [pinned["status"], pinned["body"]]
+
+    def test_first_slow_engine_request_imports_off_the_loop(self, tmp_path):
+        # The first rc /predict imports the engine registry; that import
+        # runs on an executor thread, not on the event loop.
+        script = (
+            "import http.client, json, os, sys, threading\n"
+            "importers = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'repro.engines':\n"
+            "            importers.append(threading.current_thread().name)\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from repro.serve import AsyncPerceptronServer, ModelStore\n"
+            "store = ModelStore(os.environ['STORE'])\n"
+            "with AsyncPerceptronServer(store, workers=0) as server:\n"
+            "    loop_thread = server._thread.name\n"
+            "    conn = http.client.HTTPConnection(server.host, server.port,\n"
+            "                                      timeout=60)\n"
+            "    conn.request('POST', '/predict', json.dumps(\n"
+            "        {'model': 'demo', 'inputs': [[0.3, 0.7]],\n"
+            "         'engine': 'rc'}))\n"
+            "    status = conn.getresponse().status\n"
+            "print(json.dumps([status, importers, loop_thread]))\n")
+        status, importers, loop_thread = self._run(
+            script, self._store(tmp_path))
+        assert status == 200
+        assert len(importers) == 1 and importers != [loop_thread]
 
 
 class TestCliFlags:
